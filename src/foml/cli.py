@@ -7,6 +7,7 @@ Exit codes: 0 sat/true/ok, 1 unsat/false/discrepancies, 2 resource ceiling,
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import json
 import logging
@@ -91,21 +92,19 @@ def _limits_for(theta, limits_text: str | None) -> SearchLimits:
         "depth": "max_depth",
         "choices": "max_branch_choices",
     }
-    values = {
-        "max_forest_nodes": base.max_forest_nodes,
-        "max_tableau_nodes": base.max_tableau_nodes,
-        "max_depth": base.max_depth,
-        "max_branch_choices": base.max_branch_choices,
-    }
+    values = {}
     for part in limits_text.split(","):
         key, _, raw = part.partition("=")
         key = key.strip()
-        if key not in fields or not raw.strip().isdigit():
+        if key not in fields or not raw.strip().isdecimal():
             raise FomlError(
                 f"bad --limits entry {part!r} (use forest=, tableau=, depth=, choices=)"
             )
         values[fields[key]] = int(raw)
-    return SearchLimits(**values)
+    try:
+        return dataclasses.replace(base, **values)
+    except ValueError as exc:
+        raise FomlError(f"bad --limits: {exc}") from exc
 
 
 _format_opt = click.option(
@@ -152,6 +151,8 @@ def sat(formula_file, limits_text, cert_path, fmt):
 @_guard
 def model(formula_file, k, limits_text, model_path, trace_path, fmt):
     """Build a model from the tableau, growing it k times."""
+    if k < 0:
+        raise FomlError("--extensions must be non-negative")
     theta = _load_formula(formula_file)
     limits = _limits_for(theta, limits_text)
     result = search(theta, limits)

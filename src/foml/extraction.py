@@ -35,6 +35,7 @@ from .tableau import (
     TableauNode,
     is_closed,
     render_world,
+    replay_guidance,
     search,
 )
 
@@ -131,11 +132,13 @@ def extend_tableau(
 ) -> Tableau:
     """Grow the node's forest at the leaf and rebuild the tableau around it.
 
-    The rebuild replays the recorded choices: the extended world is forced to
-    take the grown forest, other worlds prefer their previous forests and
-    disjunct picks, and surviving diamond successors keep their old indices
-    so world names stay stable. Falls back to unguided backtracking (with the
-    forest still forced) before giving up.
+    The rebuild replays the choices read off the tree by `replay_guidance`,
+    so a tableau read back with `certificate_from_json` extends like the one
+    search returned: the extended world is forced to take the grown forest,
+    other worlds prefer their previous forests and disjunct picks, and
+    surviving diamond successors keep their old indices so world names stay
+    stable. Falls back to unguided backtracking (with the forest still
+    forced) before giving up.
     """
     if node.rule != "nestedForall" or not isinstance(node.forest, SkolemForest):
         raise FomlError("extension target must carry a skolem forest")
@@ -151,14 +154,9 @@ def extend_tableau(
     grown = extend_forest(node.forest, leaf, avoid)
     wname = render_world(node.world)
 
-    guided = Guidance(
-        or_choice=dict(tableau.or_choices),
-        forest_override={wname: grown},
-        forest_prefer={
-            w: f for w, f in tableau.forests.items() if w != wname
-        },
-        diamond_order=dict(tableau.diamond_orders),
-    )
+    guided = replay_guidance(tableau)
+    guided.forest_prefer.pop(wname, None)
+    guided.forest_override[wname] = grown
     if limits is None:
         limits = SearchLimits.derive(tableau.theta)
     result = search(tableau.theta, limits, guided)

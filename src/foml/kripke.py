@@ -243,9 +243,6 @@ def _tree_shapes(n: int, max_depth: int) -> list[tuple[int, ...]]:
     return shapes
 
 
-_UNKNOWN = object()
-
-
 def _eval3(model_facts: dict, delta: list[frozenset[str]], children: list[list[int]],
            w: int, sigma: dict, phi: Formula):
     """Three-valued evaluation under a partial valuation; None means unknown."""

@@ -25,12 +25,12 @@ from .formulas import (
     Formula,
     FomlError,
     FragmentError,
+    Not,
     Or,
     ResourceLimit,
     all_vars,
     classify_fragment,
     clean_rename,
-    enumerate_atoms,
     formula_key,
     free_vars,
     fresh_var,
@@ -98,9 +98,6 @@ class SearchStats:
 class Tableau:
     theta: Formula
     root: TableauNode
-    or_choices: dict = field(default_factory=dict)
-    forests: dict = field(default_factory=dict)
-    diamond_orders: dict = field(default_factory=dict)
     stats: SearchStats = field(default_factory=SearchStats)
 
     def walk(self):
@@ -109,16 +106,6 @@ class Tableau:
             node = stack.pop()
             yield node
             stack.extend(reversed(node.children))
-
-    def last_node_of(self, world: tuple[int, ...]) -> TableauNode:
-        """Deepest node carrying this world name (same-world nodes chain)."""
-        best = None
-        for node in self.walk():
-            if node.world == world:
-                best = node
-        if best is None:
-            raise FomlError(f"no node for world {render_world(world)}")
-        return best
 
     def worlds(self) -> list[tuple[int, ...]]:
         return sorted({n.world for n in self.walk()})
@@ -162,11 +149,7 @@ def _subformulas(phi: Formula):
         yield f
         if isinstance(f, (And, Or)):
             stack.extend((f.left, f.right))
-        elif isinstance(f, (Exists, Forall)):
-            stack.append(f.body)
-        elif isinstance(f, (Box, Diamond)):
-            stack.append(f.body)
-        elif hasattr(f, "body"):
+        elif isinstance(f, (Exists, Forall, Box, Diamond, Not)):
             stack.append(f.body)
 
 
@@ -310,9 +293,6 @@ class _Ctx:
         self.guidance = guidance
         self.stats = SearchStats()
         self.memo: set = set()
-        self.or_choices: dict = {}
-        self.forests: dict = {}
-        self.diamond_orders: dict = {}
 
     def bump_nodes(self):
         self.stats.nodes += 1
@@ -351,14 +331,7 @@ def search(
     except _Abort:
         return SearchResult(EXHAUSTED, None, ctx.stats)
     if status == SAT:
-        tableau = Tableau(
-            theta=theta,
-            root=node,
-            or_choices=ctx.or_choices,
-            forests=ctx.forests,
-            diamond_orders=ctx.diamond_orders,
-            stats=ctx.stats,
-        )
+        tableau = Tableau(theta=theta, root=node, stats=ctx.stats)
         return SearchResult(SAT, tableau, ctx.stats)
     if status == _FAIL:
         return SearchResult(UNSAT, None, ctx.stats)
@@ -419,7 +392,6 @@ def _apply(ctx: _Ctx, world, gamma, s, forest, rule):
             ctx.bump_choice()
             status, child = _solve(ctx, world, options[idx], s, forest, "or")
             if status == SAT:
-                ctx.or_choices[(wname, formula_key(pivot))] = idx
                 return _single(world, gamma, s, forest, rule, SAT, child)
             if status == EXHAUSTED:
                 exhausted = True
@@ -456,7 +428,6 @@ def _apply(ctx: _Ctx, world, gamma, s, forest, rule):
                 children.append(child)
         if exhausted:
             return EXHAUSTED, None
-        ctx.diamond_orders[wname] = tuple(formula_key(d) for d, _, _ in outcomes)
         node = TableauNode(world, gamma, s, forest, rule, tuple(children))
         return SAT, node
 
@@ -480,7 +451,6 @@ def _forest_point(ctx: _Ctx, world, gamma, s, rule, wname):
         except FomlError:
             return _FAIL, None
         if status == SAT:
-            ctx.forests[wname] = forced
             return _single(world, gamma, s, NOT_INIT, rule, SAT, child)
         return (EXHAUSTED if status == EXHAUSTED else _FAIL), None
 
@@ -494,7 +464,6 @@ def _forest_point(ctx: _Ctx, world, gamma, s, rule, wname):
             except FomlError:
                 status, child = _FAIL, None
             if status == SAT:
-                ctx.forests[wname] = preferred
                 return _single(world, gamma, s, NOT_INIT, rule, SAT, child)
             if status == EXHAUSTED:
                 exhausted = True
@@ -514,7 +483,6 @@ def _forest_point(ctx: _Ctx, world, gamma, s, rule, wname):
         ctx.bump_choice(forest=True)
         status, child = _try_forest(ctx, world, gamma, s, candidate)
         if status == SAT:
-            ctx.forests[wname] = candidate
             return _single(world, gamma, s, NOT_INIT, rule, SAT, child)
         if status == EXHAUSTED:
             exhausted = True
@@ -659,6 +627,33 @@ def _check_step(node: TableauNode) -> list[str]:
     if want != got:
         errs.append(f"{where}: diamond successors do not match the rule outcomes")
     return errs
+
+
+def replay_guidance(tableau: Tableau) -> Guidance:
+    """The choices behind a verified tree, read back as replay hints: the
+    disjunct kept at each `or` node, each world's forest (as a preference)
+    and each diamond node's successor order. Searching with them rebuilds
+    the same tree."""
+    guidance = Guidance()
+    for node in tableau.walk():
+        if not node.children:
+            continue
+        kind, pivot = select_rule(node.gamma, node.forest)
+        wname = render_world(node.world)
+        if kind == "or":
+            idx = or_options(node.gamma, pivot).index(node.children[0].gamma)
+            guidance.or_choice[(wname, formula_key(pivot))] = idx
+        elif kind == "nestedForall":
+            guidance.forest_prefer[wname] = node.children[0].forest
+        elif kind == "diamond":
+            # Several diamonds can yield one successor state: use each once.
+            left = diamond_outcomes(node.gamma, node.s)
+            order = []
+            for c in node.children:
+                i = [(g, sv) for _, g, sv in left].index((c.gamma, c.s))
+                order.append(formula_key(left.pop(i)[0]))
+            guidance.diamond_order[wname] = order
+    return guidance
 
 
 def dump_tableau(tableau: Tableau) -> str:

@@ -36,7 +36,15 @@ from foml.formulas import (
 )
 from foml.kripke import bounded_model_search, check
 from foml.parser import parse_formula, print_formula
-from foml.tableau import Guidance, SAT, _forest_from_json, certificate_to_json, search
+from foml.tableau import (
+    Guidance,
+    SAT,
+    _forest_from_json,
+    certificate_from_json,
+    certificate_to_json,
+    replay_guidance,
+    search,
+)
 from foml.testgen import (
     GenConfig,
     differential_run,
@@ -81,21 +89,29 @@ def test_flagship_sat_and_oracle_refutation(tmp_path, phi1):
 
 def test_scripted_replay_matches_golden_certificate(phi1):
     """Forcing the recorded disjunct, forest, and successor choices rebuilds
-    the checked-in certificate byte for byte, with the documented shape."""
+    the checked-in certificate byte for byte, with the documented shape; the
+    same choices read back off the golden certificate rebuild it too."""
     doc = json.loads((DATA / "phi1_guidance.json").read_text())
+    or_choice = {(w, key): idx for w, key, idx in doc["or_choice"]}
+    forests = {w: _forest_from_json(f) for w, f in doc["forest_override"].items()}
+    diamond_order = {w: list(keys) for w, keys in doc["diamond_order"].items()}
     guidance = Guidance(
-        or_choice={(w, key): idx for w, key, idx in doc["or_choice"]},
-        forest_override={
-            w: _forest_from_json(f) for w, f in doc["forest_override"].items()
-        },
-        diamond_order={w: list(keys) for w, keys in doc["diamond_order"].items()},
+        or_choice=or_choice, forest_override=forests, diamond_order=diamond_order
     )
     res = search(phi1, guidance=guidance)
     assert res.status == SAT
     golden = (DATA / "phi1_certificate.json").read_text()
     assert certificate_to_json(res.tableau) == golden
 
-    forest = res.tableau.forests["r.0"]
+    derived = replay_guidance(certificate_from_json(golden))
+    assert derived == Guidance(
+        or_choice=or_choice, forest_prefer=forests, diamond_order=diamond_order
+    )
+    replayed = search(phi1, guidance=derived)
+    assert replayed.status == SAT
+    assert certificate_to_json(replayed.tableau) == golden
+
+    forest = replay_guidance(res.tableau).forest_prefer["r.0"]
     assert [(n.name, n.parent) for n in forest.nodes] == [
         ("v0", None), ("v1", "v0"), ("v2", "v1"),
     ]

@@ -57,8 +57,17 @@ def test_sat_resource_exit_code(runner, tmp_path):
 
 def test_sat_rejects_bad_limits(runner, tmp_path):
     path = write(tmp_path, "phi.foml", SIMPLE_TEXT)
-    result = runner.invoke(main, ["sat", path, "--limits", "bogus=7"])
+    for limits in ["bogus=7", "tableau=0", "depth=\u00b2"]:
+        result = runner.invoke(main, ["sat", path, "--limits", limits])
+        assert result.exit_code == 3, limits
+        assert "error:" in result.stderr
+
+
+def test_model_rejects_negative_extensions(runner, tmp_path):
+    path = write(tmp_path, "phi.foml", SIMPLE_TEXT)
+    result = runner.invoke(main, ["model", path, "--extensions", "-1"])
     assert result.exit_code == 3
+    assert "error:" in result.stderr
 
 
 def test_parse_error_exit_code(runner, tmp_path):

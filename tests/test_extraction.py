@@ -16,7 +16,14 @@ from foml.forest import NOT_INIT
 from foml.formulas import FomlError
 from foml.kripke import check, validate_model
 
-from foml.tableau import Tableau, TableauNode, search, verify_tableau
+from foml.tableau import (
+    Tableau,
+    TableauNode,
+    certificate_from_json,
+    certificate_to_json,
+    search,
+    verify_tableau,
+)
 
 
 SIMPLE = norm("<> forall x. exists y. [] P(x,y)")
@@ -133,6 +140,14 @@ def test_iterate_flagship_progress(phi1, phi1_result):
     for s, snap in zip(trace.steps, trace.snapshots[1:]):
         witnessed = norm(f"exists y. [][] P({s.leaf},y)")
         assert check(snap, s.world, {s.leaf: s.leaf}, witnessed)
+
+
+def test_tableau_read_back_from_certificate_extends_alike(phi1, phi1_result):
+    t = phi1_result.tableau
+    loaded = certificate_from_json(certificate_to_json(t))
+    _, direct, _ = iterate_extensions(phi1, t, 3)
+    _, replayed, _ = iterate_extensions(phi1, loaded, 3)
+    assert trace_to_ndjson(replayed) == trace_to_ndjson(direct)
 
 
 def test_iterate_preserves_earlier_snapshots(phi1, phi1_result):

@@ -28,6 +28,7 @@ from foml.tableau import (
     init_root,
     parse_world,
     render_world,
+    replay_guidance,
     search,
     select_rule,
     verify_tableau,
@@ -206,11 +207,11 @@ def test_or_guidance_selects_requested_disjunct():
     pivot_key = formula_key(phi)
     plain = search(phi)
     assert plain.status == SAT
-    assert plain.tableau.or_choices[("r", pivot_key)] == 0
+    assert replay_guidance(plain.tableau).or_choice[("r", pivot_key)] == 0
     guided = search(phi, guidance=Guidance(or_choice={("r", pivot_key): 1}))
     assert guided.status == SAT
-    assert guided.tableau.or_choices[("r", pivot_key)] == 1
-    leaf = guided.tableau.last_node_of(())
+    assert replay_guidance(guided.tableau).or_choice[("r", pivot_key)] == 1
+    leaf = [n for n in guided.tableau.walk() if n.world == ()][-1]
     assert norm("Q(a,a)") in leaf.gamma
 
 
@@ -219,11 +220,12 @@ def test_diamond_guidance_reorders_successors():
     dq = norm("<> Q(a,a)")
     plain = search(phi)
     assert plain.status == SAT
-    assert plain.tableau.diamond_orders["r"][0] == formula_key(norm("<> P(a)"))
+    order = replay_guidance(plain.tableau).diamond_order["r"]
+    assert order[0] == formula_key(norm("<> P(a)"))
     guided = search(phi, guidance=Guidance(diamond_order={"r": [formula_key(dq)]}))
     assert guided.status == SAT
-    assert guided.tableau.diamond_orders["r"][0] == formula_key(dq)
-    first_child = guided.tableau.last_node_of((0,))
+    assert replay_guidance(guided.tableau).diamond_order["r"][0] == formula_key(dq)
+    first_child = [n for n in guided.tableau.walk() if n.world == (0,)][-1]
     assert norm("Q(a,a)") in first_child.gamma
 
 
