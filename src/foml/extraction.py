@@ -18,6 +18,7 @@ from .formulas import (
     Formula,
     FomlError,
     Pred,
+    ResourceLimit,
     all_vars,
     formula_key,
     free_vars,
@@ -28,7 +29,7 @@ from .formulas import (
 from .forest import SkolemForest, extend_forest
 from .kripke import KripkeModel, check, model_to_json_dict
 from .tableau import (
-    Guidance,
+    EXHAUSTED,
     SAT,
     SearchLimits,
     Tableau,
@@ -132,13 +133,14 @@ def extend_tableau(
 ) -> Tableau:
     """Grow the node's forest at the leaf and rebuild the tableau around it.
 
-    The rebuild replays the choices read off the tree by `replay_guidance`,
-    so a tableau read back with `certificate_from_json` extends like the one
-    search returned: the extended world is forced to take the grown forest,
-    other worlds prefer their previous forests and disjunct picks, and
-    surviving diamond successors keep their old indices so world names stay
-    stable. Falls back to unguided backtracking (with the forest still
-    forced) before giving up.
+    The rebuild is one search that replays the choices read off the tree by
+    `replay_guidance`, so a tableau read back with `certificate_from_json`
+    extends like the one search returned: the extended world prefers the
+    grown forest, other worlds prefer their previous forests and disjunct
+    picks, and surviving diamond successors keep their old indices so world
+    names stay stable. Raises `ResourceLimit` when the rebuild runs out of
+    budget, and `FomlError` when it fails otherwise or settles on another
+    forest at the extended world.
     """
     if node.rule != "nestedForall" or not isinstance(node.forest, SkolemForest):
         raise FomlError("extension target must carry a skolem forest")
@@ -155,19 +157,22 @@ def extend_tableau(
     wname = render_world(node.world)
 
     guided = replay_guidance(tableau)
-    guided.forest_prefer.pop(wname, None)
-    guided.forest_override[wname] = grown
+    guided.forest[wname] = grown
     if limits is None:
         limits = SearchLimits.derive(tableau.theta)
     result = search(tableau.theta, limits, guided)
+    failure = f"extension rebuild failed at {wname} leaf {leaf!r}"
+    if result.status == EXHAUSTED:
+        raise ResourceLimit(failure, result.stats.nodes)
     if result.status != SAT:
-        bare = Guidance(forest_override={wname: grown})
-        result = search(tableau.theta, limits, bare)
-    if result.status != SAT:
-        raise FomlError(
-            f"extension rebuild failed at {wname} leaf {leaf!r} "
-            f"({result.status})"
-        )
+        raise FomlError(f"{failure} ({result.status})")
+    # A preferred forest can lose to an enumerated one, and a rebuild that
+    # kept the old forest would still pass the monotonicity check.
+    if not any(
+        n.rule == "nestedForall" and n.world == node.world and n.forest == grown
+        for n in result.tableau.walk()
+    ):
+        raise FomlError(f"{failure}: the grown forest was not kept")
     return result.tableau
 
 

@@ -98,7 +98,6 @@ class SearchStats:
 class Tableau:
     theta: Formula
     root: TableauNode
-    stats: SearchStats = field(default_factory=SearchStats)
 
     def walk(self):
         stack = [self.root]
@@ -155,12 +154,13 @@ def _subformulas(phi: Formula):
 
 @dataclass
 class Guidance:
-    """Replay hints: preferred disjunct indices, forced or preferred forests
-    per world, and a preferred diamond ordering per world."""
+    """Replay hints: preferred disjunct indices, a preferred forest per world,
+    and a preferred diamond ordering per world. A hint only reorders the
+    alternatives: a preferred forest is validated and tried first, and the
+    rest are still enumerated if it fails."""
 
     or_choice: dict = field(default_factory=dict)
-    forest_override: dict = field(default_factory=dict)
-    forest_prefer: dict = field(default_factory=dict)
+    forest: dict = field(default_factory=dict)
     diamond_order: dict = field(default_factory=dict)
 
 
@@ -331,8 +331,7 @@ def search(
     except _Abort:
         return SearchResult(EXHAUSTED, None, ctx.stats)
     if status == SAT:
-        tableau = Tableau(theta=theta, root=node, stats=ctx.stats)
-        return SearchResult(SAT, tableau, ctx.stats)
+        return SearchResult(SAT, Tableau(theta=theta, root=node), ctx.stats)
     if status == _FAIL:
         return SearchResult(UNSAT, None, ctx.stats)
     return SearchResult(EXHAUSTED, None, ctx.stats)
@@ -363,13 +362,12 @@ def _solve(ctx: _Ctx, world, gamma, s, forest, rule):
 
 def _apply(ctx: _Ctx, world, gamma, s, forest, rule):
     kind, pivot = select_rule(gamma, forest)
-    wname = render_world(world)
 
     if kind == "none":
         return SAT, TableauNode(world, gamma, s, forest, rule)
 
     if kind == "nestedForall":
-        return _forest_point(ctx, world, gamma, s, rule, wname)
+        return _forest_point(ctx, world, gamma, s, rule)
 
     if kind == "trivialSkolem":
         status, child = _solve(ctx, world, gamma, s, EMPTY_TREE, "trivialSkolem")
@@ -384,7 +382,8 @@ def _apply(ctx: _Ctx, world, gamma, s, forest, rule):
         options = or_options(gamma, pivot)
         order = [0, 1]
         if ctx.guidance is not None:
-            want = ctx.guidance.or_choice.get((wname, formula_key(pivot)))
+            key = (render_world(world), formula_key(pivot))
+            want = ctx.guidance.or_choice.get(key)
             if want in (0, 1):
                 order = [want, 1 - want]
         exhausted = False
@@ -410,7 +409,7 @@ def _apply(ctx: _Ctx, world, gamma, s, forest, rule):
     if kind == "diamond":
         order = None
         if ctx.guidance is not None:
-            order = ctx.guidance.diamond_order.get(wname)
+            order = ctx.guidance.diamond_order.get(render_world(world))
         outcomes = diamond_outcomes(gamma, s, order)
         children = []
         exhausted = False
@@ -439,35 +438,23 @@ def _apply(ctx: _Ctx, world, gamma, s, forest, rule):
     raise FomlError(f"unhandled rule kind {kind!r}")
 
 
-def _forest_point(ctx: _Ctx, world, gamma, s, rule, wname):
-    guidance = ctx.guidance
+def _forest_point(ctx: _Ctx, world, gamma, s, rule):
     exhausted = False
-
-    if guidance is not None and wname in guidance.forest_override:
-        forced = guidance.forest_override[wname]
+    tried = []
+    preferred = None
+    if ctx.guidance is not None:
+        preferred = ctx.guidance.forest.get(render_world(world))
+    if preferred is not None and not validate_forest(preferred, gamma, s):
         ctx.bump_choice(forest=True)
         try:
-            status, child = _try_forest(ctx, world, gamma, s, forced)
+            status, child = _try_forest(ctx, world, gamma, s, preferred)
         except FomlError:
-            return _FAIL, None
+            status, child = _FAIL, None
         if status == SAT:
             return _single(world, gamma, s, NOT_INIT, rule, SAT, child)
-        return (EXHAUSTED if status == EXHAUSTED else _FAIL), None
-
-    tried = []
-    if guidance is not None and wname in guidance.forest_prefer:
-        preferred = guidance.forest_prefer[wname]
-        if not validate_forest(preferred, gamma, s):
-            ctx.bump_choice(forest=True)
-            try:
-                status, child = _try_forest(ctx, world, gamma, s, preferred)
-            except FomlError:
-                status, child = _FAIL, None
-            if status == SAT:
-                return _single(world, gamma, s, NOT_INIT, rule, SAT, child)
-            if status == EXHAUSTED:
-                exhausted = True
-            tried.append(preferred)
+        if status == EXHAUSTED:
+            exhausted = True
+        tried.append(preferred)
 
     stream = enumerate_forests(gamma, s, ctx.limits)
     while True:
@@ -631,8 +618,8 @@ def _check_step(node: TableauNode) -> list[str]:
 
 def replay_guidance(tableau: Tableau) -> Guidance:
     """The choices behind a verified tree, read back as replay hints: the
-    disjunct kept at each `or` node, each world's forest (as a preference)
-    and each diamond node's successor order. Searching with them rebuilds
+    disjunct kept at each `or` node, each world's forest and each diamond
+    node's successor order. Searching with them rebuilds
     the same tree."""
     guidance = Guidance()
     for node in tableau.walk():
@@ -644,7 +631,7 @@ def replay_guidance(tableau: Tableau) -> Guidance:
             idx = or_options(node.gamma, pivot).index(node.children[0].gamma)
             guidance.or_choice[(wname, formula_key(pivot))] = idx
         elif kind == "nestedForall":
-            guidance.forest_prefer[wname] = node.children[0].forest
+            guidance.forest[wname] = node.children[0].forest
         elif kind == "diamond":
             # Several diamonds can yield one successor state: use each once.
             left = diamond_outcomes(node.gamma, node.s)

@@ -55,6 +55,16 @@ def test_sat_resource_exit_code(runner, tmp_path):
     assert "RESOURCE" in result.output
 
 
+def test_model_rebuild_resource_exit_code(runner, tmp_path):
+    # 300 nodes admit the 295-node flagship search but not its rebuild.
+    path = write(tmp_path, "phi.foml", PHI1_TEXT)
+    result = runner.invoke(
+        main, ["model", path, "--extensions", "1", "--limits", "tableau=300"]
+    )
+    assert result.exit_code == 2
+    assert "resource limit:" in result.stderr
+
+
 def test_sat_rejects_bad_limits(runner, tmp_path):
     path = write(tmp_path, "phi.foml", SIMPLE_TEXT)
     for limits in ["bogus=7", "tableau=0", "depth=\u00b2"]:

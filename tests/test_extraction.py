@@ -1,7 +1,9 @@
+import dataclasses
 import json
 
 import pytest
 
+import foml.extraction
 from conftest import norm
 from foml.extraction import (
     RESIDUAL,
@@ -13,10 +15,11 @@ from foml.extraction import (
     trace_to_ndjson,
 )
 from foml.forest import NOT_INIT
-from foml.formulas import FomlError
+from foml.formulas import FomlError, ResourceLimit
 from foml.kripke import check, validate_model
 
 from foml.tableau import (
+    SearchLimits,
     Tableau,
     TableauNode,
     certificate_from_json,
@@ -112,6 +115,34 @@ def test_extend_tableau_error_paths():
         extend_tableau(t, t.root, "v2")
     with pytest.raises(FomlError, match="not a leaf"):
         extend_tableau(t, forest_node(t), "v0")
+
+
+def test_extend_tableau_searches_once_and_reports_exhaustion(
+    monkeypatch, phi1, phi1_result
+):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return search(*args)
+
+    monkeypatch.setattr(foml.extraction, "search", counted)
+    t = phi1_result.tableau
+    limits = dataclasses.replace(SearchLimits.derive(phi1), max_tableau_nodes=300)
+    with pytest.raises(ResourceLimit, match="extension rebuild failed"):
+        extend_tableau(t, forest_node(t), "v2", limits)
+    assert len(calls) == 1
+
+
+def test_extend_tableau_rejects_rebuild_without_grown_forest(monkeypatch):
+    def forgetful(theta, limits, guidance):
+        guidance.forest.pop("r.0")
+        return search(theta, limits, guidance)
+
+    monkeypatch.setattr(foml.extraction, "search", forgetful)
+    t = search(SIMPLE).tableau
+    with pytest.raises(FomlError, match="grown forest was not kept"):
+        extend_tableau(t, forest_node(t), "v2")
 
 
 def test_iterate_zero_rounds_statuses(phi1, phi1_result):
