@@ -19,9 +19,7 @@ import click
 
 from .extraction import iterate_extensions, trace_to_ndjson
 from .formulas import (
-    ArityError,
     FomlError,
-    FragmentError,
     ResourceLimit,
     check_arities,
     classify_fragment,
@@ -37,7 +35,7 @@ from .kripke import (
     model_to_json_dict,
     validate_model,
 )
-from .parser import ParseError, parse_formula, print_formula
+from .parser import parse_formula, print_formula
 from .tableau import (
     EXHAUSTED,
     SAT,
@@ -67,7 +65,7 @@ def _guard(fn):
         except ResourceLimit as exc:
             click.echo(f"resource limit: {exc}", err=True)
             sys.exit(2)
-        except (ParseError, FragmentError, ArityError, FomlError) as exc:
+        except FomlError as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(3)
 

@@ -185,7 +185,7 @@ def _monotone_violations(old: KripkeModel, new: KripkeModel) -> list[str]:
     for w in sorted(old.worlds & new.worlds):
         if not old.local_domain[w] <= new.local_domain[w]:
             out.append(f"local domain shrank at {w!r}")
-    for key, tuples in old.valuation.items():
+    for key, tuples in sorted(old.valuation.items()):
         if key[0] in new.worlds and not tuples <= new.valuation.get(key, frozenset()):
             out.append(f"facts lost for {key}")
     return out

@@ -485,20 +485,6 @@ def skeleton_leaves(psi: Formula) -> list[Formula]:
     return out
 
 
-def skeleton_eval(psi: Formula, members: Iterable[Formula]) -> bool:
-    """Evaluate the and/or skeleton with the given leaves taken as true."""
-    have = set(members)
-
-    def walk(node: Formula) -> bool:
-        if isinstance(node, And):
-            return walk(node.left) and walk(node.right)
-        if isinstance(node, Or):
-            return walk(node.left) or walk(node.right)
-        return node in have
-
-    return walk(psi)
-
-
 def enumerate_atoms(psi: Formula, x: Var) -> list[Atom]:
     """All atoms of psi with respect to x, in a fixed order.
 

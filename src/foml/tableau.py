@@ -6,12 +6,20 @@ nested universal if one is present), then conjunctions, disjunctions,
 existentials, universals, and finally the modal step that spawns one child
 world per diamond. Search is depth-first over the AND-OR space: diamond
 children all have to succeed, disjuncts and forest choices are alternatives.
+
+`successors` is the one definition of the children of each same-world rule
+(`trivialSkolem`, `and`, `or`, `exists`, `forall`, `end`): search expands
+them, the verifier checks a child against them and `replay_guidance` reads
+the kept disjunct off them. The forest and diamond steps keep their own
+code, since forests are enumerated lazily and diamond children are all
+required at once.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable, Optional
 
 from .formulas import (
@@ -133,12 +141,7 @@ class SearchLimits:
                 forest_cap = max(
                     forest_cap, forest_size_bound(sub.body, sub.var, n_est)
                 )
-        return cls(
-            max_forest_nodes=forest_cap,
-            max_tableau_nodes=200_000,
-            max_depth=modal_depth(theta) + 2,
-            max_branch_choices=500_000,
-        )
+        return cls(max_forest_nodes=forest_cap, max_depth=modal_depth(theta) + 2)
 
 
 def _subformulas(phi: Formula):
@@ -171,9 +174,15 @@ class SearchResult:
     stats: SearchStats
 
 
+def _root_domain(theta: Formula) -> frozenset:
+    """S at the root: theta's free variables, its outer existential witnesses
+    and one fresh variable, so the root domain is never empty."""
+    z = fresh_var(all_vars(theta))
+    return frozenset(free_vars(theta)) | outer_ex_vars(theta) | {z}
+
+
 def init_root(theta: Formula) -> TableauNode:
-    """Root node: gamma = {theta}, S adds outer existential witnesses and one
-    fresh variable so the root domain is never empty."""
+    """Root node: gamma = {theta} over the root domain."""
     if not is_nnf(theta):
         raise FragmentError("input formula must be in negation normal form")
     if not is_clean(theta):
@@ -183,10 +192,9 @@ def init_root(theta: Formula) -> TableauNode:
         raise FragmentError(
             f"formula is outside the decidable bundle (classified {fragment.category})"
         )
-    z = fresh_var(all_vars(theta))
-    s0 = frozenset(free_vars(theta)) | outer_ex_vars(theta) | {z}
     return TableauNode(
-        world=(), gamma=frozenset({theta}), s=s0, forest=NOT_INIT, rule="root"
+        world=(), gamma=frozenset({theta}), s=_root_domain(theta),
+        forest=NOT_INIT, rule="root",
     )
 
 
@@ -230,34 +238,39 @@ def select_rule(gamma: frozenset, forest) -> tuple[str, Optional[Formula]]:
     raise FomlError("no rule applies to a non-literal gamma")
 
 
-def apply_and(gamma: frozenset, pivot: And) -> frozenset:
-    return (gamma - {pivot}) | {pivot.left, pivot.right}
-
-
-def or_options(gamma: frozenset, pivot: Or) -> list[frozenset]:
-    return [(gamma - {pivot}) | {pivot.left}, (gamma - {pivot}) | {pivot.right}]
-
-
-def apply_exists(gamma: frozenset, s: frozenset, pivot: Exists) -> frozenset:
-    if pivot.var not in s:
-        raise FomlError(
-            f"existential witness {pivot.var!r} is missing from the domain set"
-        )
-    return (gamma - {pivot}) | {pivot.body}
-
-
-def apply_forall(gamma: frozenset, s: frozenset, pivot: Forall) -> frozenset:
-    """One freshened instance per domain variable, in domain order."""
+def successors(
+    gamma: frozenset, s: frozenset, forest, kind: str, pivot: Optional[Formula]
+) -> list[tuple[frozenset, frozenset, object]]:
+    """The (gamma, S, forest) states a same-world rule allows: the two
+    disjuncts of `or`, the single child of every other kind. Search, the
+    verifier and replay all read a rule's children from here."""
+    if kind == "trivialSkolem":
+        return [(gamma, s, EMPTY_TREE)]
+    if kind == "end":
+        return [(frozenset(g for g in gamma if is_literal(g)), s, forest)]
     rest = gamma - {pivot}
-    forbidden = set(s)
-    for g in rest:
-        forbidden |= all_vars(g)
-    out = set(rest)
-    for z in sorted(s, key=var_key):
-        inst = clean_rename(substitute(pivot.body, {pivot.var: z}), forbidden)
-        out.add(inst)
-        forbidden |= all_vars(inst)
-    return frozenset(out)
+    if kind == "and":
+        return [(rest | {pivot.left, pivot.right}, s, forest)]
+    if kind == "or":
+        return [(rest | {pivot.left}, s, forest), (rest | {pivot.right}, s, forest)]
+    if kind == "exists":
+        if pivot.var not in s:
+            raise FomlError(
+                f"existential witness {pivot.var!r} is missing from the domain set"
+            )
+        return [(rest | {pivot.body}, s, forest)]
+    if kind == "forall":
+        # One freshened instance per domain variable, in domain order.
+        forbidden = set(s)
+        for g in rest:
+            forbidden |= all_vars(g)
+        out = set(rest)
+        for z in sorted(s, key=var_key):
+            inst = clean_rename(substitute(pivot.body, {pivot.var: z}), forbidden)
+            out.add(inst)
+            forbidden |= all_vars(inst)
+        return [(frozenset(out), s, forest)]
+    raise FomlError(f"{kind!r} is not a same-world rule")
 
 
 def diamond_outcomes(
@@ -277,10 +290,6 @@ def diamond_outcomes(
         (d, frozenset({d.body}) | box_bodies, shared | outer_ex_vars(d.body))
         for d in diamonds
     ]
-
-
-def apply_end(gamma: frozenset) -> frozenset:
-    return frozenset(g for g in gamma if is_literal(g))
 
 
 class _Abort(Exception):
@@ -369,43 +378,6 @@ def _apply(ctx: _Ctx, world, gamma, s, forest, rule):
     if kind == "nestedForall":
         return _forest_point(ctx, world, gamma, s, rule)
 
-    if kind == "trivialSkolem":
-        status, child = _solve(ctx, world, gamma, s, EMPTY_TREE, "trivialSkolem")
-        return _single(world, gamma, s, forest, rule, status, child)
-
-    if kind == "and":
-        gamma2 = apply_and(gamma, pivot)
-        status, child = _solve(ctx, world, gamma2, s, forest, "and")
-        return _single(world, gamma, s, forest, rule, status, child)
-
-    if kind == "or":
-        options = or_options(gamma, pivot)
-        order = [0, 1]
-        if ctx.guidance is not None:
-            key = (render_world(world), formula_key(pivot))
-            want = ctx.guidance.or_choice.get(key)
-            if want in (0, 1):
-                order = [want, 1 - want]
-        exhausted = False
-        for idx in order:
-            ctx.bump_choice()
-            status, child = _solve(ctx, world, options[idx], s, forest, "or")
-            if status == SAT:
-                return _single(world, gamma, s, forest, rule, SAT, child)
-            if status == EXHAUSTED:
-                exhausted = True
-        return (EXHAUSTED if exhausted else _FAIL), None
-
-    if kind == "exists":
-        gamma2 = apply_exists(gamma, s, pivot)
-        status, child = _solve(ctx, world, gamma2, s, forest, "exists")
-        return _single(world, gamma, s, forest, rule, status, child)
-
-    if kind == "forall":
-        gamma2 = apply_forall(gamma, s, pivot)
-        status, child = _solve(ctx, world, gamma2, s, forest, "forall")
-        return _single(world, gamma, s, forest, rule, status, child)
-
     if kind == "diamond":
         order = None
         if ctx.guidance is not None:
@@ -430,33 +402,35 @@ def _apply(ctx: _Ctx, world, gamma, s, forest, rule):
         node = TableauNode(world, gamma, s, forest, rule, tuple(children))
         return SAT, node
 
-    if kind == "end":
-        gamma2 = apply_end(gamma)
-        status, child = _solve(ctx, world, gamma2, s, forest, "end")
-        return _single(world, gamma, s, forest, rule, status, child)
-
-    raise FomlError(f"unhandled rule kind {kind!r}")
+    options = successors(gamma, s, forest, kind, pivot)
+    if kind == "or" and ctx.guidance is not None:
+        key = (render_world(world), formula_key(pivot))
+        want = ctx.guidance.or_choice.get(key)
+        if want in (0, 1):
+            options = [options[want], options[1 - want]]
+    exhausted = False
+    for gamma2, s2, forest2 in options:
+        if kind == "or":
+            ctx.bump_choice()
+        status, child = _solve(ctx, world, gamma2, s2, forest2, kind)
+        if status == SAT:
+            return SAT, TableauNode(world, gamma, s, forest, rule, (child,))
+        if status == EXHAUSTED:
+            exhausted = True
+    return (EXHAUSTED if exhausted else _FAIL), None
 
 
 def _forest_point(ctx: _Ctx, world, gamma, s, rule):
-    exhausted = False
-    tried = []
+    """Try candidate forests in turn: a valid preferred forest first, then
+    the enumerated ones. Only the enumeration's own budget is caught here;
+    an error raised in a candidate's subtree propagates."""
+    stream = enumerate_forests(gamma, s, ctx.limits)
     preferred = None
     if ctx.guidance is not None:
         preferred = ctx.guidance.forest.get(render_world(world))
     if preferred is not None and not validate_forest(preferred, gamma, s):
-        ctx.bump_choice(forest=True)
-        try:
-            status, child = _try_forest(ctx, world, gamma, s, preferred)
-        except FomlError:
-            status, child = _FAIL, None
-        if status == SAT:
-            return _single(world, gamma, s, NOT_INIT, rule, SAT, child)
-        if status == EXHAUSTED:
-            exhausted = True
-        tried.append(preferred)
-
-    stream = enumerate_forests(gamma, s, ctx.limits)
+        stream = chain([preferred], (f for f in stream if f != preferred))
+    exhausted = False
     while True:
         try:
             candidate = next(stream)
@@ -465,28 +439,16 @@ def _forest_point(ctx: _Ctx, world, gamma, s, rule):
         except ResourceLimit:
             exhausted = True
             break
-        if candidate in tried:
-            continue
         ctx.bump_choice(forest=True)
-        status, child = _try_forest(ctx, world, gamma, s, candidate)
+        status, child = _solve(
+            ctx, world, expand_forest(candidate, gamma),
+            frozenset(candidate.names()), candidate, "nestedForall",
+        )
         if status == SAT:
-            return _single(world, gamma, s, NOT_INIT, rule, SAT, child)
+            return SAT, TableauNode(world, gamma, s, NOT_INIT, rule, (child,))
         if status == EXHAUSTED:
             exhausted = True
     return (EXHAUSTED if exhausted else _FAIL), None
-
-
-def _try_forest(ctx: _Ctx, world, gamma, s, forest: SkolemForest):
-    gamma2 = expand_forest(forest, gamma)
-    s2 = frozenset(forest.names())
-    return _solve(ctx, world, gamma2, s2, forest, "nestedForall")
-
-
-def _single(world, gamma, s, forest, rule, status, child):
-    if status != SAT:
-        return status, None
-    node = TableauNode(world, gamma, s, forest, rule, (child,))
-    return SAT, node
 
 
 def verify_tableau(tableau: Tableau, theta: Formula) -> list[str]:
@@ -499,13 +461,11 @@ def verify_tableau(tableau: Tableau, theta: Formula) -> list[str]:
     elif classify_fragment(theta).category != EBBE:
         out.append("input formula is outside the decidable bundle")
 
-    z = fresh_var(all_vars(theta))
-    s0 = frozenset(free_vars(theta)) | outer_ex_vars(theta) | {z}
     if root.world != ():
         out.append("root world is not r")
     if root.gamma != frozenset({theta}):
         out.append("root gamma is not {theta}")
-    if root.s != s0:
+    if root.s != _root_domain(theta):
         out.append("root domain set is wrong")
     if root.forest is not NOT_INIT:
         out.append("root forest is initialized")
@@ -535,71 +495,44 @@ def _check_step(node: TableauNode) -> list[str]:
     tags = {c.rule for c in kids}
     if tags != {kind}:
         return [f"{where}: children tagged {sorted(tags)} but rule is {kind}"]
-
-    def same_world_single(expect_gamma, expect_s, expect_forest) -> list[str]:
-        if len(kids) != 1:
-            return [f"{where}: {kind} must produce exactly one child"]
-        c = kids[0]
-        errs = []
-        if c.world != node.world:
-            errs.append(f"{where}: {kind} changed the world name")
-        if expect_gamma is not None and c.gamma != expect_gamma:
-            errs.append(f"{where}: {kind} produced an unexpected gamma")
-        if expect_s is not None and c.s != expect_s:
-            errs.append(f"{where}: {kind} changed the domain set incorrectly")
-        if expect_forest is not None and c.forest is not expect_forest:
-            if not (isinstance(expect_forest, SkolemForest) and c.forest == expect_forest):
-                errs.append(f"{where}: {kind} altered the forest")
-        return errs
-
     if kind == "none":
         return [f"{where}: children under a saturated node"]
-    if kind == "trivialSkolem":
-        if len(kids) == 1 and kids[0].forest is EMPTY_TREE:
-            return same_world_single(node.gamma, node.s, None)
-        return [f"{where}: trivialSkolem must set the empty forest"]
+    if kind == "diamond":
+        return _check_diamond(node, where)
+    if len(kids) != 1:
+        return [f"{where}: {kind} must produce exactly one child"]
+    c = kids[0]
+    errs = []
+    if c.world != node.world:
+        errs.append(f"{where}: {kind} changed the world name")
     if kind == "nestedForall":
-        if len(kids) != 1:
-            return [f"{where}: nestedForall must produce exactly one child"]
-        c = kids[0]
-        errs = []
         if not isinstance(c.forest, SkolemForest):
-            return [f"{where}: nestedForall child carries no forest"]
-        errs.extend(
-            f"{where}: forest: {v}"
-            for v in validate_forest(c.forest, node.gamma, node.s)
-        )
-        if errs:
-            return errs
+            return errs + [f"{where}: nestedForall child carries no forest"]
+        bad = validate_forest(c.forest, node.gamma, node.s)
+        if bad:
+            return errs + [f"{where}: forest: {v}" for v in bad]
         if c.gamma != expand_forest(c.forest, node.gamma):
             errs.append(f"{where}: forest expansion mismatch")
         if c.s != frozenset(c.forest.names()):
             errs.append(f"{where}: domain set is not the forest node set")
-        if c.world != node.world:
-            errs.append(f"{where}: nestedForall changed the world name")
         return errs
-    if kind == "and":
-        return same_world_single(apply_and(node.gamma, pivot), node.s, node.forest)
-    if kind == "or":
-        if len(kids) != 1:
-            return [f"{where}: or must keep exactly one disjunct branch"]
-        if kids[0].gamma not in or_options(node.gamma, pivot):
-            return [f"{where}: or child matches neither disjunct"]
-        return same_world_single(None, node.s, node.forest)
-    if kind == "exists":
-        try:
-            expect = apply_exists(node.gamma, node.s, pivot)
-        except FomlError as exc:
-            return [f"{where}: {exc}"]
-        return same_world_single(expect, node.s, node.forest)
-    if kind == "forall":
-        return same_world_single(
-            apply_forall(node.gamma, node.s, pivot), node.s, node.forest
-        )
-    if kind == "end":
-        return same_world_single(apply_end(node.gamma), node.s, node.forest)
+    try:
+        allowed = successors(node.gamma, node.s, node.forest, kind, pivot)
+    except FomlError as exc:
+        return errs + [f"{where}: {exc}"]
+    state = (c.gamma, c.s, c.forest)
+    if state not in allowed:
+        wrong = [
+            part for i, part in enumerate(("gamma", "domain set", "forest"))
+            if all(state[i] != want[i] for want in allowed)
+        ]
+        errs.append(f"{where}: {kind} produced an unexpected {' and '.join(wrong)}")
+    return errs
 
-    # diamond: order-insensitive child matching, names fixed by position
+
+def _check_diamond(node: TableauNode, where: str) -> list[str]:
+    """Order-insensitive child matching; names are fixed by position."""
+    kids = node.children
     outcomes = diamond_outcomes(node.gamma, node.s)
     errs = []
     if len(kids) != len(outcomes):
@@ -628,7 +561,9 @@ def replay_guidance(tableau: Tableau) -> Guidance:
         kind, pivot = select_rule(node.gamma, node.forest)
         wname = render_world(node.world)
         if kind == "or":
-            idx = or_options(node.gamma, pivot).index(node.children[0].gamma)
+            c = node.children[0]
+            options = successors(node.gamma, node.s, node.forest, kind, pivot)
+            idx = options.index((c.gamma, c.s, c.forest))
             guidance.or_choice[(wname, formula_key(pivot))] = idx
         elif kind == "nestedForall":
             guidance.forest[wname] = node.children[0].forest

@@ -10,7 +10,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .extraction import extract_model
+from .extraction import extract_model, find_leaf_violations
 from .forest import SkolemForest, forest_size_bound
 from .formulas import (
     And,
@@ -189,7 +189,9 @@ def differential_run(
 
     A record goes bad when the oracle finds a model the tableau missed, a SAT
     certificate fails re-verification, its extracted model fails validation
-    or its leftover literals, or a forest outgrows its bound.
+    or its leftover literals, a forest outgrows its bound, or the model has
+    no leaf violation left and yet fails theta at the root. That last check
+    evaluates theta itself with `check`, independent of the tableau rules.
     """
     rng = random.Random(cfg.seed)
     records = []
@@ -229,6 +231,11 @@ def differential_run(
             problems.extend(validate_model(m0))
             problems.extend(last_node_literal_violations(res.tableau, m0))
             problems.extend(forest_bound_violations(res.tableau))
+            sigma = {v: v for v in free_vars(phi)}
+            if not find_leaf_violations(res.tableau, m0) and not check(
+                m0, "r", sigma, phi
+            ):
+                problems.append("no leaf violations remain but the root check fails")
 
         rec["problems"] = problems
         rec["ok"] = not problems and rec["discrepancy"] is None

@@ -21,7 +21,12 @@ from conftest import (
 )
 from oracles import atoms_as_sets, brute_atoms, forest_shape, ref_label_trees
 from foml.cli import main
-from foml.extraction import RESIDUAL, extract_model, iterate_extensions
+from foml.extraction import (
+    RESIDUAL,
+    extract_model,
+    iterate_extensions,
+    trace_to_ndjson,
+)
 from foml.forest import enumerate_forests
 from foml.formulas import (
     Forall,
@@ -114,9 +119,12 @@ def test_scripted_replay_matches_golden_certificate(phi1):
 
 
 def test_extension_dynamics_through_five_rounds(phi1, phi1_result):
-    """Each extension grows the forest domain by one at the chain's end and
-    every snapshot extends the previous one."""
+    """Each extension grows the forest domain by one at the chain's end,
+    every snapshot extends the previous one, and the whole trace matches the
+    pinned one (tests/data/regen_golden.py writes it) byte for byte."""
     model, trace, status = iterate_extensions(phi1, phi1_result.tableau, 5)
+    pinned = (DATA / "phi1_trace5.jsonl").read_text(encoding="utf-8")
+    assert trace_to_ndjson(trace) == pinned
     assert status == RESIDUAL
     assert [s.leaf for s in trace.steps] == ["v2", "v7", "v10", "v13", "v16"]
     for step, successor in zip(trace.steps, trace.steps[1:]):

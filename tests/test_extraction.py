@@ -8,6 +8,7 @@ from conftest import norm
 from foml.extraction import (
     RESIDUAL,
     SATISFIED,
+    _monotone_violations,
     extend_tableau,
     extract_model,
     find_leaf_violations,
@@ -16,7 +17,7 @@ from foml.extraction import (
 )
 from foml.forest import NOT_INIT
 from foml.formulas import FomlError, ResourceLimit
-from foml.kripke import check, validate_model
+from foml.kripke import KripkeModel, check, validate_model
 
 from foml.tableau import (
     SearchLimits,
@@ -190,6 +191,22 @@ def test_iterate_preserves_earlier_snapshots(phi1, phi1_result):
             assert old.local_domain[w] <= new.local_domain[w]
         for key, tuples in old.valuation.items():
             assert tuples <= new.valuation.get(key, frozenset())
+
+
+def test_monotone_violations_list_lost_facts_in_sorted_order():
+    facts = frozenset({("a",)})
+    old = KripkeModel(
+        worlds=frozenset({"r"}),
+        domain=frozenset({"a"}),
+        edges=frozenset(),
+        local_domain={"r": frozenset({"a"})},
+        valuation={("r", "Q"): facts, ("r", "P"): facts},
+    )
+    new = dataclasses.replace(old, valuation={})
+    assert _monotone_violations(old, new) == [
+        "facts lost for ('r', 'P')",
+        "facts lost for ('r', 'Q')",
+    ]
 
 
 def test_iterate_rejects_negative_rounds(phi1, phi1_result):

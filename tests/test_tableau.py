@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import pytest
 
+import foml.tableau
 from conftest import norm
 from foml.forest import EMPTY_TREE, NOT_INIT, SkolemForest
 from foml.formulas import (
@@ -21,7 +22,6 @@ from foml.tableau import (
     SearchLimits,
     Tableau,
     UNSAT,
-    apply_end,
     certificate_from_json,
     certificate_to_json,
     dump_tableau,
@@ -31,6 +31,7 @@ from foml.tableau import (
     replay_guidance,
     search,
     select_rule,
+    successors,
     verify_tableau,
 )
 
@@ -79,7 +80,10 @@ def test_select_rule_priorities():
 
 def test_end_rule_drops_boxes():
     g = frozenset({norm("P(x)"), norm("[] Q(x,x)")})
-    assert apply_end(g) == frozenset({norm("P(x)")})
+    s = frozenset({"x"})
+    assert successors(g, s, EMPTY_TREE, "end", None) == [
+        (frozenset({norm("P(x)")}), s, EMPTY_TREE)
+    ]
 
 
 def test_flagship_is_satisfiable(phi1_result):
@@ -170,6 +174,68 @@ def test_verifier_catches_corrupted_forest(phi1, phi1_result):
     )
     problems = verify_tableau(bad, phi1)
     assert problems and any("forest" in p for p in problems)
+
+
+# The message the verifier gives when a child of each rule kind is corrupted.
+STEP_ERRORS = {
+    "trivialSkolem": "trivialSkolem produced an unexpected gamma",
+    "and": "and produced an unexpected gamma",
+    "or": "or produced an unexpected gamma",
+    "exists": "exists produced an unexpected gamma",
+    "forall": "forall produced an unexpected gamma",
+    "end": "end produced an unexpected gamma",
+    "diamond": "diamond successors do not match the rule outcomes",
+    "nestedForall": "forest expansion mismatch",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(STEP_ERRORS))
+def test_verifier_names_the_world_of_each_corrupted_rule(kind, phi1, phi1_result):
+    if kind == "end":
+        theta = norm("P(x) & [] Q(x,x)")
+        tableau = search(theta).tableau
+    else:
+        theta, tableau = phi1, phi1_result.tableau
+    child = next(n for n in tableau.walk() if n.rule == kind)
+    parent_world = child.world[:-1] if kind == "diamond" else child.world
+    bad = mutate_first(
+        tableau,
+        lambda n: n is child,
+        lambda n: replace(n, gamma=n.gamma | {norm("P(zz)")}),
+    )
+    problems = verify_tableau(bad, theta)
+    assert f"{render_world(parent_world)}: {STEP_ERRORS[kind]}" in problems
+
+
+def test_verifier_catches_a_renamed_child_world(phi1, phi1_result):
+    child = next(n for n in phi1_result.tableau.walk() if n.rule == "and")
+    bad = mutate_first(
+        phi1_result.tableau,
+        lambda n: n is child,
+        lambda n: replace(n, world=n.world + (7,)),
+    )
+    problems = verify_tableau(bad, phi1)
+    assert f"{render_world(child.world)}: and changed the world name" in problems
+
+
+def test_crash_under_a_preferred_forest_is_not_unsat(monkeypatch):
+    """An error inside the subtree of a preferred forest propagates, as it
+    does without guidance, instead of counting as a failed candidate."""
+    phi = norm("<> forall x . (exists y . [] P(x,y))")
+    guidance = replay_guidance(search(phi).tableau)
+    assert guidance.forest
+    real = foml.tableau.successors
+
+    def broken(gamma, s, forest, kind, pivot):
+        if kind == "end":
+            raise FomlError("end rule crashed")
+        return real(gamma, s, forest, kind, pivot)
+
+    monkeypatch.setattr(foml.tableau, "successors", broken)
+    with pytest.raises(FomlError, match="end rule crashed"):
+        search(phi)
+    with pytest.raises(FomlError, match="end rule crashed"):
+        search(phi, guidance=guidance)
 
 
 def test_certificate_round_trip(phi1, phi1_result):

@@ -14,7 +14,7 @@ from foml.formulas import (
     is_nested_forall,
     is_nnf,
 )
-from foml.kripke import bounded_model_search
+from foml.kripke import bounded_model_search, check
 from foml.parser import parse_formula, print_formula
 from foml.tableau import SAT, UNSAT, search
 from foml.testgen import (
@@ -100,6 +100,20 @@ def test_small_corpus_is_clean():
         assert rec["tableau"] in ("sat", "unsat", "exhausted")
         assert rec["oracle"] in ("sat", "none", "resource")
         assert {"formula", "index", "tableau_ms", "oracle_ms"} <= set(rec)
+
+
+def test_root_check_gate_flags_a_model_that_fails_theta(monkeypatch):
+    """With no leaf violation left, the extracted model must satisfy theta
+    at the root; a checker that rejects every compound formula trips it."""
+    monkeypatch.setattr(
+        "foml.testgen.check",
+        lambda model, w, sigma, phi: is_literal(phi) and check(model, w, sigma, phi),
+    )
+    report = differential_run(GenConfig(seed=2026), 5, (1, 1, 1))
+    sat = [rec for rec in report["records"] if rec["tableau"] == SAT]
+    assert sat
+    for rec in sat:
+        assert rec["problems"] == ["no leaf violations remain but the root check fails"]
 
 
 def test_report_jsonl_structure():
