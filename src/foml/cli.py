@@ -1,8 +1,10 @@
 """Command-line front end: satisfiability, model building, model checking,
 fragment classification, the brute-force oracle, and the test harness.
 
-Exit codes: 0 sat/true/ok, 1 unsat/false/discrepancies, 2 resource ceiling,
-3 parse, fragment, or invalid-model errors.
+Exit codes: 0 sat/true/ok, 1 unsat/false/discrepancies/none, 2 resource
+limit, 3 every other error: usage (click's own usage errors included), parse,
+fragment, invalid model, or input nested too deeply to process. Errors print
+one `error:` line; `--limits` takes `forest=` and `tableau=` budgets.
 """
 
 from __future__ import annotations
@@ -49,7 +51,22 @@ from .testgen import GenConfig, differential_run, gen_formula, report_to_jsonl
 log = logging.getLogger("foml")
 
 
-@click.group()
+class _Main(click.Group):
+    """Click exits 2 on a usage error, which here is the resource-limit
+    code; report usage errors as input errors (exit 3) instead."""
+
+    def main(self, *args, **kwargs):
+        try:
+            return super().main(*args, standalone_mode=False, **kwargs)
+        except click.ClickException as exc:
+            click.echo(f"error: {exc.format_message()}", err=True)
+            sys.exit(3)
+        except click.Abort:
+            click.echo("Aborted!", err=True)
+            sys.exit(1)
+
+
+@click.group(cls=_Main, no_args_is_help=False)
 def main():
     """Satisfiability tooling for the bundled fragment of first-order
     modal logic over increasing-domain models."""
@@ -68,6 +85,9 @@ def _guard(fn):
         except FomlError as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(3)
+        except RecursionError:
+            click.echo("error: input nested too deeply to process", err=True)
+            sys.exit(3)
 
     return wrapper
 
@@ -84,19 +104,14 @@ def _limits_for(theta, limits_text: str | None) -> SearchLimits:
     base = SearchLimits.derive(theta)
     if not limits_text:
         return base
-    fields = {
-        "forest": "max_forest_nodes",
-        "tableau": "max_tableau_nodes",
-        "depth": "max_depth",
-        "choices": "max_branch_choices",
-    }
+    fields = {"forest": "max_forest_nodes", "tableau": "max_tableau_nodes"}
     values = {}
     for part in limits_text.split(","):
         key, _, raw = part.partition("=")
         key = key.strip()
         if key not in fields or not raw.strip().isdecimal():
             raise FomlError(
-                f"bad --limits entry {part!r} (use forest=, tableau=, depth=, choices=)"
+                f"bad --limits entry {part!r} (use forest=, tableau=)"
             )
         values[fields[key]] = int(raw)
     try:
@@ -113,7 +128,7 @@ _format_opt = click.option(
 
 @main.command()
 @click.argument("formula_file", type=click.Path(exists=True, dir_okay=False))
-@click.option("--limits", "limits_text", default=None, help="Overrides, e.g. tableau=10000,choices=50000.")
+@click.option("--limits", "limits_text", default=None, help="Budget overrides, e.g. tableau=10000,forest=128.")
 @click.option("--certificate", "cert_path", default=None, help="Certificate output path (default: FORMULA_FILE.cert.json).")
 @_format_opt
 @_guard
@@ -141,7 +156,7 @@ def sat(formula_file, limits_text, cert_path, fmt):
 
 @main.command()
 @click.argument("formula_file", type=click.Path(exists=True, dir_okay=False))
-@click.option("--extensions", "k", type=int, default=0, help="Extension rounds to run.")
+@click.option("--extensions", "k", type=click.IntRange(min=0), default=0, help="Extension rounds to run.")
 @click.option("--limits", "limits_text", default=None)
 @click.option("--output", "model_path", default=None, help="Model output path (default: FORMULA_FILE.model.json).")
 @click.option("--trace", "trace_path", default=None, help="Trace output path (default: FORMULA_FILE.trace.jsonl).")
@@ -149,8 +164,6 @@ def sat(formula_file, limits_text, cert_path, fmt):
 @_guard
 def model(formula_file, k, limits_text, model_path, trace_path, fmt):
     """Build a model from the tableau, growing it k times."""
-    if k < 0:
-        raise FomlError("--extensions must be non-negative")
     theta = _load_formula(formula_file)
     limits = _limits_for(theta, limits_text)
     result = search(theta, limits)
@@ -246,9 +259,9 @@ def classify(formula_file, fmt):
 
 @main.command()
 @click.argument("formula_file", type=click.Path(exists=True, dir_okay=False))
-@click.option("--max-worlds", default=3, show_default=True)
-@click.option("--max-domain", default=2, show_default=True)
-@click.option("--depth", default=3, show_default=True)
+@click.option("--max-worlds", type=click.IntRange(min=1), default=3, show_default=True)
+@click.option("--max-domain", type=click.IntRange(min=1), default=2, show_default=True)
+@click.option("--depth", type=click.IntRange(min=1), default=3, show_default=True)
 @_format_opt
 @_guard
 def oracle(formula_file, max_worlds, max_domain, depth, fmt):
@@ -283,9 +296,9 @@ def oracle(formula_file, max_worlds, max_domain, depth, fmt):
 @main.command()
 @click.option("--seed", default=0, show_default=True)
 @click.option("--count", default=1, show_default=True)
-@click.option("--max-depth", default=4, show_default=True)
-@click.option("--max-predicates", default=3, show_default=True)
-@click.option("--max-arity", default=2, show_default=True)
+@click.option("--max-depth", type=click.IntRange(min=1), default=4, show_default=True)
+@click.option("--max-predicates", type=click.IntRange(min=1), default=3, show_default=True)
+@click.option("--max-arity", type=click.IntRange(min=0), default=2, show_default=True)
 @_format_opt
 @_guard
 def gen(seed, count, max_depth, max_predicates, max_arity, fmt):
@@ -312,9 +325,9 @@ def gen(seed, count, max_depth, max_predicates, max_arity, fmt):
 @main.command()
 @click.option("--seed", default=0, show_default=True)
 @click.option("-n", "--count", "count", default=300, show_default=True)
-@click.option("--max-worlds", default=3, show_default=True)
-@click.option("--max-domain", default=2, show_default=True)
-@click.option("--depth", default=3, show_default=True)
+@click.option("--max-worlds", type=click.IntRange(min=1), default=3, show_default=True)
+@click.option("--max-domain", type=click.IntRange(min=1), default=2, show_default=True)
+@click.option("--depth", type=click.IntRange(min=1), default=3, show_default=True)
 @click.option("--report", "report_path", default="difftest.jsonl", show_default=True)
 @_format_opt
 @_guard

@@ -392,21 +392,3 @@ def extend_forest(forest: SkolemForest, leaf: str, avoid: Iterable[str] = ()) ->
     ordered = [new_nodes[n.name] for n in forest.nodes]
     ordered.extend(new_nodes[name] for name in creation)
     return SkolemForest(var=forest.var, psi=forest.psi, nodes=tuple(ordered))
-
-
-def dump_forest(forest) -> str:
-    """Indented text tree, one `name : {atom members}` line per node."""
-    if forest is NOT_INIT or forest is EMPTY_TREE:
-        return repr(forest)
-    index = forest.by_name()
-    lines: list[str] = []
-
-    def emit(name: str, depth: int) -> None:
-        node = index[name]
-        lines.append("  " * depth + f"{node.name} : {node.atom}")
-        for c in node.children:
-            emit(c, depth + 1)
-
-    for root in forest.roots():
-        emit(root.name, 0)
-    return "\n".join(lines)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import product
 from typing import Mapping, Optional
 
 from .formulas import (
@@ -366,9 +367,10 @@ def _search_valuations(phi, preds, arities, fvars, parents, children, delta,
     atoms: list[tuple[int, str, tuple[str, ...]]] = []
     for w in range(n):
         for p in preds:
-            atoms.extend((w, p, t) for t in _tuples(sorted(delta[w]), arities[p]))
+            tuples = product(sorted(delta[w]), repeat=arities[p])
+            atoms.extend((w, p, t) for t in tuples)
 
-    for sigma_vals in _assignments(fvars, root_dom):
+    for sigma_vals in product(root_dom, repeat=len(fvars)):
         sigma = dict(zip(fvars, sigma_vals))
         facts: dict = {}
 
@@ -395,31 +397,6 @@ def _search_valuations(phi, preds, arities, fvars, parents, children, delta,
         if model is not None:
             return (model, "w0", dict(sigma)), steps
     return None, steps
-
-
-def _tuples(dom: list[str], k: int) -> list[tuple[str, ...]]:
-    if k == 0:
-        return [()]
-    out = [()]
-    for _ in range(k):
-        out = [t + (d,) for t in out for d in dom]
-    return out
-
-
-def _assignments(fvars, dom):
-    if not fvars:
-        yield ()
-        return
-    if not dom:
-        return
-    def rec(i):
-        if i == len(fvars):
-            yield ()
-            return
-        for d in dom:
-            for rest in rec(i + 1):
-                yield (d,) + rest
-    yield from rec(0)
 
 
 def _build_model(parents, delta, facts, preds) -> KripkeModel:

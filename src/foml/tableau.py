@@ -46,7 +46,6 @@ from .formulas import (
     is_literal,
     is_nested_forall,
     is_nnf,
-    modal_depth,
     nnf_complement,
     outer_ex_vars,
     substitute,
@@ -67,8 +66,6 @@ from .parser import ParseError, parse_formula, print_formula
 SAT = "sat"
 UNSAT = "unsat"
 EXHAUSTED = "exhausted"
-
-_FAIL = "fail"
 
 
 def render_world(world: tuple[int, ...]) -> str:
@@ -120,14 +117,16 @@ class Tableau:
 
 @dataclass(frozen=True)
 class SearchLimits:
+    """Practical guards on a search that terminates without them: world
+    depth is bounded by theta's modal depth and minimal skolem forests are
+    finite. Exceeding either budget raises `ResourceLimit` and ends the
+    whole search as EXHAUSTED."""
+
     max_forest_nodes: int = 10_000
     max_tableau_nodes: int = 200_000
-    max_depth: int = 64
-    max_branch_choices: int = 500_000
 
     def __post_init__(self):
-        if min(self.max_forest_nodes, self.max_tableau_nodes, self.max_depth,
-               self.max_branch_choices) < 1:
+        if min(self.max_forest_nodes, self.max_tableau_nodes) < 1:
             raise ValueError("all search limits must be positive")
 
     @classmethod
@@ -141,7 +140,7 @@ class SearchLimits:
                 forest_cap = max(
                     forest_cap, forest_size_bound(sub.body, sub.var, n_est)
                 )
-        return cls(max_forest_nodes=forest_cap, max_depth=modal_depth(theta) + 2)
+        return cls(max_forest_nodes=forest_cap)
 
 
 def _subformulas(phi: Formula):
@@ -292,10 +291,6 @@ def diamond_outcomes(
     ]
 
 
-class _Abort(Exception):
-    pass
-
-
 class _Ctx:
     def __init__(self, limits: SearchLimits, guidance: Optional[Guidance]):
         self.limits = limits
@@ -306,16 +301,7 @@ class _Ctx:
     def bump_nodes(self):
         self.stats.nodes += 1
         if self.stats.nodes > self.limits.max_tableau_nodes:
-            raise _Abort()
-
-    def bump_choice(self, forest: bool = False):
-        if forest:
-            self.stats.forest_attempts += 1
-        else:
-            self.stats.or_attempts += 1
-        if (self.stats.or_attempts + self.stats.forest_attempts
-                > self.limits.max_branch_choices):
-            raise _Abort()
+            raise ResourceLimit("tableau node budget exceeded", self.stats.nodes)
 
 
 def search(
@@ -325,55 +311,49 @@ def search(
 ) -> SearchResult:
     """Depth-first AND-OR search for an open saturated tableau.
 
-    Returns SAT with the certificate tableau, UNSAT only when every
-    alternative failed on a genuine contradiction, and EXHAUSTED when some
-    branch hit a configured ceiling instead.
+    Returns SAT with the certificate tableau and UNSAT when every
+    alternative closed. A budget that runs out raises `ResourceLimit`
+    wherever it fires, which ends the whole search: the result is then
+    EXHAUSTED.
     """
     root = init_root(theta)
     if limits is None:
         limits = SearchLimits.derive(theta)
     ctx = _Ctx(limits, guidance)
     try:
-        status, node = _solve(
-            ctx, root.world, root.gamma, root.s, root.forest, root.rule
-        )
-    except _Abort:
+        node = _solve(ctx, root.world, root.gamma, root.s, root.forest, root.rule)
+    except ResourceLimit:
         return SearchResult(EXHAUSTED, None, ctx.stats)
-    if status == SAT:
-        return SearchResult(SAT, Tableau(theta=theta, root=node), ctx.stats)
-    if status == _FAIL:
+    if node is None:
         return SearchResult(UNSAT, None, ctx.stats)
-    return SearchResult(EXHAUSTED, None, ctx.stats)
+    return SearchResult(SAT, Tableau(theta=theta, root=node), ctx.stats)
 
 
-def _solve(ctx: _Ctx, world, gamma, s, forest, rule):
+def _solve(ctx: _Ctx, world, gamma, s, forest, rule) -> Optional[TableauNode]:
+    """The open subtree for this state, or None when every alternative closes."""
     ctx.bump_nodes()
-    depth = len(world)
-    ctx.stats.max_world_depth = max(ctx.stats.max_world_depth, depth)
-    if depth > ctx.limits.max_depth:
-        return EXHAUSTED, None
-
+    ctx.stats.max_world_depth = max(ctx.stats.max_world_depth, len(world))
     if is_closed(gamma):
-        return _FAIL, None
+        return None
 
     memo_key = None
     if ctx.guidance is None:
         memo_key = (gamma, s, forest)
         if memo_key in ctx.memo:
             ctx.stats.memo_hits += 1
-            return _FAIL, None
+            return None
 
-    status, node = _apply(ctx, world, gamma, s, forest, rule)
-    if status == _FAIL and memo_key is not None:
+    node = _apply(ctx, world, gamma, s, forest, rule)
+    if node is None and memo_key is not None:
         ctx.memo.add(memo_key)
-    return status, node
+    return node
 
 
-def _apply(ctx: _Ctx, world, gamma, s, forest, rule):
+def _apply(ctx: _Ctx, world, gamma, s, forest, rule) -> Optional[TableauNode]:
     kind, pivot = select_rule(gamma, forest)
 
     if kind == "none":
-        return SAT, TableauNode(world, gamma, s, forest, rule)
+        return TableauNode(world, gamma, s, forest, rule)
 
     if kind == "nestedForall":
         return _forest_point(ctx, world, gamma, s, rule)
@@ -382,25 +362,13 @@ def _apply(ctx: _Ctx, world, gamma, s, forest, rule):
         order = None
         if ctx.guidance is not None:
             order = ctx.guidance.diamond_order.get(render_world(world))
-        outcomes = diamond_outcomes(gamma, s, order)
         children = []
-        exhausted = False
-        for i, (d, gamma_i, s_i) in enumerate(outcomes):
-            status, child = _solve(
-                ctx, world + (i,), gamma_i, s_i, NOT_INIT, "diamond"
-            )
-            if status == _FAIL:
-                return _FAIL, None
-            if status == EXHAUSTED:
-                exhausted = True
-                children = None
-                continue
-            if children is not None:
-                children.append(child)
-        if exhausted:
-            return EXHAUSTED, None
-        node = TableauNode(world, gamma, s, forest, rule, tuple(children))
-        return SAT, node
+        for i, (_, gamma_i, s_i) in enumerate(diamond_outcomes(gamma, s, order)):
+            child = _solve(ctx, world + (i,), gamma_i, s_i, NOT_INIT, "diamond")
+            if child is None:
+                return None
+            children.append(child)
+        return TableauNode(world, gamma, s, forest, rule, tuple(children))
 
     options = successors(gamma, s, forest, kind, pivot)
     if kind == "or" and ctx.guidance is not None:
@@ -408,47 +376,33 @@ def _apply(ctx: _Ctx, world, gamma, s, forest, rule):
         want = ctx.guidance.or_choice.get(key)
         if want in (0, 1):
             options = [options[want], options[1 - want]]
-    exhausted = False
     for gamma2, s2, forest2 in options:
         if kind == "or":
-            ctx.bump_choice()
-        status, child = _solve(ctx, world, gamma2, s2, forest2, kind)
-        if status == SAT:
-            return SAT, TableauNode(world, gamma, s, forest, rule, (child,))
-        if status == EXHAUSTED:
-            exhausted = True
-    return (EXHAUSTED if exhausted else _FAIL), None
+            ctx.stats.or_attempts += 1
+        child = _solve(ctx, world, gamma2, s2, forest2, kind)
+        if child is not None:
+            return TableauNode(world, gamma, s, forest, rule, (child,))
+    return None
 
 
-def _forest_point(ctx: _Ctx, world, gamma, s, rule):
+def _forest_point(ctx: _Ctx, world, gamma, s, rule) -> Optional[TableauNode]:
     """Try candidate forests in turn: a valid preferred forest first, then
-    the enumerated ones. Only the enumeration's own budget is caught here;
-    an error raised in a candidate's subtree propagates."""
+    the enumerated ones."""
     stream = enumerate_forests(gamma, s, ctx.limits)
     preferred = None
     if ctx.guidance is not None:
         preferred = ctx.guidance.forest.get(render_world(world))
     if preferred is not None and not validate_forest(preferred, gamma, s):
         stream = chain([preferred], (f for f in stream if f != preferred))
-    exhausted = False
-    while True:
-        try:
-            candidate = next(stream)
-        except StopIteration:
-            break
-        except ResourceLimit:
-            exhausted = True
-            break
-        ctx.bump_choice(forest=True)
-        status, child = _solve(
+    for candidate in stream:
+        ctx.stats.forest_attempts += 1
+        child = _solve(
             ctx, world, expand_forest(candidate, gamma),
             frozenset(candidate.names()), candidate, "nestedForall",
         )
-        if status == SAT:
-            return SAT, TableauNode(world, gamma, s, NOT_INIT, rule, (child,))
-        if status == EXHAUSTED:
-            exhausted = True
-    return (EXHAUSTED if exhausted else _FAIL), None
+        if child is not None:
+            return TableauNode(world, gamma, s, NOT_INIT, rule, (child,))
+    return None
 
 
 def verify_tableau(tableau: Tableau, theta: Formula) -> list[str]:
@@ -576,29 +530,6 @@ def replay_guidance(tableau: Tableau) -> Guidance:
                 order.append(formula_key(left.pop(i)[0]))
             guidance.diamond_order[wname] = order
     return guidance
-
-
-def dump_tableau(tableau: Tableau) -> str:
-    """One line per node: world | rule | gamma | S | forest summary."""
-    lines = []
-
-    def summary(forest) -> str:
-        if forest is NOT_INIT or forest is EMPTY_TREE:
-            return repr(forest)
-        return f"forest({len(forest.nodes)} nodes)"
-
-    def emit(node: TableauNode):
-        gamma = ", ".join(sorted(map(formula_key, node.gamma)))
-        dom = ", ".join(sorted(node.s, key=var_key))
-        lines.append(
-            f"{render_world(node.world)} | {node.rule} | {{{gamma}}} "
-            f"| {{{dom}}} | {summary(node.forest)}"
-        )
-        for c in node.children:
-            emit(c)
-
-    emit(tableau.root)
-    return "\n".join(lines)
 
 
 def _forest_to_json(forest) -> object:

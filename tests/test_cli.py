@@ -67,7 +67,7 @@ def test_model_rebuild_resource_exit_code(runner, tmp_path):
 
 def test_sat_rejects_bad_limits(runner, tmp_path):
     path = write(tmp_path, "phi.foml", SIMPLE_TEXT)
-    for limits in ["bogus=7", "tableau=0", "depth=\u00b2"]:
+    for limits in ["bogus=7", "tableau=0", "forest=\u00b2", "depth=3", "choices=5"]:
         result = runner.invoke(main, ["sat", path, "--limits", limits])
         assert result.exit_code == 3, limits
         assert "error:" in result.stderr
@@ -78,6 +78,39 @@ def test_model_rejects_negative_extensions(runner, tmp_path):
     result = runner.invoke(main, ["model", path, "--extensions", "-1"])
     assert result.exit_code == 3
     assert "error:" in result.stderr
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["sat", "{dir}/missing.foml"],
+        ["--bogus"],
+        ["sat", "{simple}", "--extensions", "x"],
+        ["oracle", "{simple}", "--max-worlds", "0"],
+        ["difftest", "--max-worlds", "0", "--report", "{dir}/r.jsonl"],
+        ["gen", "--max-depth", "0"],
+        ["gen", "--max-predicates", "0", "--max-arity", "0"],
+        ["sat", "{conj}"],
+        ["sat", "{neg}"],
+    ],
+    ids=[
+        "missing-file", "unknown-option", "option-of-another-command",
+        "oracle-zero-worlds", "difftest-zero-worlds", "gen-zero-depth",
+        "gen-no-predicates",
+        "1500-literal-conjunction", "3000-nested-negations",
+    ],
+)
+def test_bad_input_exits_3_with_one_error_line(runner, tmp_path, args):
+    paths = {
+        "dir": str(tmp_path),
+        "simple": write(tmp_path, "simple.foml", SIMPLE_TEXT),
+        "conj": write(tmp_path, "conj.foml", " & ".join(f"P{i}(x)" for i in range(1500))),
+        "neg": write(tmp_path, "neg.foml", "~" * 3000 + "P(x)"),
+    }
+    result = runner.invoke(main, [a.format(**paths) for a in args])
+    assert result.exit_code == 3, result.exception
+    assert result.stderr.startswith("error:")
+    assert result.stderr.count("\n") == 1
 
 
 def test_parse_error_exit_code(runner, tmp_path):

@@ -209,6 +209,25 @@ def test_monotone_violations_list_lost_facts_in_sorted_order():
     ]
 
 
+@pytest.mark.xfail(
+    strict=True,
+    raises=FomlError,
+    reason="extending a forest leaf that is not the last forest node renames "
+    "the binders of later forest nodes, so the replayed diamond orders stop "
+    "matching and the rebuild breaks monotonicity",
+)
+def test_extending_an_inner_forest_leaf_keeps_world_identity():
+    # Formula #297 of GenConfig(seed=24, max_depth=5).
+    theta = norm(
+        "<> forall b0. (exists b1. [] ((exists b2. [] P1(f0, b0)) & P2(b1, b1)))"
+        " & forall b3. <> forall b4. <> (P0(b3) & P1(b4, f0))"
+    )
+    res = search(theta)
+    assert res.status == "sat"
+    _, trace, _ = iterate_extensions(theta, res.tableau, 1)
+    assert len(trace.steps) == 1
+
+
 def test_iterate_rejects_negative_rounds(phi1, phi1_result):
     with pytest.raises(ValueError):
         iterate_extensions(phi1, phi1_result.tableau, -1)

@@ -9,7 +9,6 @@ from foml.forest import (
     NOT_INIT,
     ForestNode,
     SkolemForest,
-    dump_forest,
     enumerate_forests,
     expand_forest,
     extend_forest,
@@ -197,12 +196,3 @@ def test_extend_error_paths():
     )
     with pytest.raises(FomlError, match="two ancestors"):
         extend_forest(short, "v1")
-
-
-def test_dump_forest_format():
-    assert dump_forest(NOT_INIT) == "NotInit"
-    assert dump_forest(EMPTY_TREE) == "EmptyTree"
-    lines = dump_forest(chain_forest()).splitlines()
-    assert lines[0].startswith("v0 : {")
-    assert lines[1].startswith("  v1 : {")
-    assert lines[2].startswith("    v2 : {")

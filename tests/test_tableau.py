@@ -11,7 +11,6 @@ from foml.formulas import (
     FragmentError,
     formula_key,
     is_nested_forall,
-    modal_depth,
 )
 from foml.kripke import bounded_model_search
 from foml.parser import parse_formula
@@ -24,7 +23,6 @@ from foml.tableau import (
     UNSAT,
     certificate_from_json,
     certificate_to_json,
-    dump_tableau,
     init_root,
     parse_world,
     render_world,
@@ -118,8 +116,7 @@ def test_unsatisfiable_mix_agrees_with_oracle():
 def test_tight_limits_report_exhaustion_not_unsat(phi1):
     for limits in [
         SearchLimits(max_tableau_nodes=5),
-        SearchLimits(max_depth=1),
-        SearchLimits(max_branch_choices=1),
+        SearchLimits(max_forest_nodes=1),
     ]:
         assert search(phi1, limits).status == EXHAUSTED
 
@@ -297,24 +294,8 @@ def test_diamond_guidance_reorders_successors():
 
 def test_limits_validation_and_derivation(phi1):
     with pytest.raises(ValueError):
-        SearchLimits(max_depth=0)
+        SearchLimits(max_forest_nodes=0)
     with pytest.raises(ValueError):
         SearchLimits(max_tableau_nodes=-3)
     derived = SearchLimits.derive(phi1)
-    assert derived.max_depth == modal_depth(phi1) + 2
     assert derived.max_forest_nodes >= 64
-
-
-def test_dump_tableau_lines(phi1_result):
-    t = phi1_result.tableau
-    lines = dump_tableau(t).splitlines()
-    assert lines[0].startswith("r | root | ")
-    assert len(lines) == len(list(t.walk()))
-    rules = {
-        "root", "trivialSkolem", "nestedForall", "and", "or",
-        "exists", "forall", "diamond", "end",
-    }
-    for line in lines:
-        world, rule = line.split(" | ")[:2]
-        assert world == "r" or world.startswith("r.")
-        assert rule in rules
