@@ -3,18 +3,20 @@ fragment classification, the brute-force oracle, and the test harness.
 
 Exit codes: 0 sat/true/ok, 1 unsat/false/discrepancies/none, 2 resource
 limit, 3 every other error: usage (click's own usage errors included), parse,
-fragment, invalid model, or input nested too deeply to process. Errors print
-one `error:` line; `--limits` takes `forest=` and `tableau=` budgets.
+fragment, invalid model, input nested too deeply to process, a file that
+cannot be read or written, input that is not UTF-8, or an internal error;
+130 when interrupted. Errors print one `error:` line, after the traceback for
+an internal error; `--limits` takes `forest=` and `tableau=` budgets.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import functools
 import json
 import logging
 import os
 import sys
+import traceback
 from pathlib import Path
 
 import click
@@ -52,8 +54,8 @@ log = logging.getLogger("foml")
 
 
 class _Main(click.Group):
-    """Click exits 2 on a usage error, which here is the resource-limit
-    code; report usage errors as input errors (exit 3) instead."""
+    """The one place an exception becomes an exit code. Click exits 2 on a
+    usage error, which here is the resource-limit code: exit 3 instead."""
 
     def main(self, *args, **kwargs):
         try:
@@ -63,7 +65,20 @@ class _Main(click.Group):
             sys.exit(3)
         except click.Abort:
             click.echo("Aborted!", err=True)
-            sys.exit(1)
+            sys.exit(130)
+        except ResourceLimit as exc:
+            click.echo(f"resource limit: {exc}", err=True)
+            sys.exit(2)
+        except (FomlError, OSError, UnicodeError) as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(3)
+        except RecursionError:
+            click.echo("error: input nested too deeply to process", err=True)
+            sys.exit(3)
+        except Exception:
+            traceback.print_exc()
+            click.echo("error: internal error", err=True)
+            sys.exit(3)
 
 
 @click.group(cls=_Main, no_args_is_help=False)
@@ -72,24 +87,6 @@ def main():
     modal logic over increasing-domain models."""
     level = os.environ.get("FOML_LOG", "WARNING").upper()
     logging.basicConfig(level=getattr(logging, level, logging.WARNING))
-
-
-def _guard(fn):
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except ResourceLimit as exc:
-            click.echo(f"resource limit: {exc}", err=True)
-            sys.exit(2)
-        except FomlError as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(3)
-        except RecursionError:
-            click.echo("error: input nested too deeply to process", err=True)
-            sys.exit(3)
-
-    return wrapper
 
 
 def _load_formula(path: str, normalize: bool = True):
@@ -131,7 +128,6 @@ _format_opt = click.option(
 @click.option("--limits", "limits_text", default=None, help="Budget overrides, e.g. tableau=10000,forest=128.")
 @click.option("--certificate", "cert_path", default=None, help="Certificate output path (default: FORMULA_FILE.cert.json).")
 @_format_opt
-@_guard
 def sat(formula_file, limits_text, cert_path, fmt):
     """Decide satisfiability; write a certificate when satisfiable."""
     theta = _load_formula(formula_file)
@@ -144,11 +140,14 @@ def sat(formula_file, limits_text, cert_path, fmt):
         "status": result.status,
         "certificate": out if result.status == SAT else None,
         "nodes_visited": result.stats.nodes,
+        "exhausted_by": result.stats.exhausted_by,
     }
     if fmt == "json":
         click.echo(json.dumps(payload, sort_keys=True))
+    elif result.status == EXHAUSTED:
+        click.echo(f"RESOURCE: {result.stats.exhausted_by}")
     else:
-        click.echo(result.status.upper() if result.status != EXHAUSTED else "RESOURCE")
+        click.echo(result.status.upper())
         if result.status == SAT:
             click.echo(f"certificate written to {out}")
     sys.exit({SAT: 0, UNSAT: 1, EXHAUSTED: 2}[result.status])
@@ -161,7 +160,6 @@ def sat(formula_file, limits_text, cert_path, fmt):
 @click.option("--output", "model_path", default=None, help="Model output path (default: FORMULA_FILE.model.json).")
 @click.option("--trace", "trace_path", default=None, help="Trace output path (default: FORMULA_FILE.trace.jsonl).")
 @_format_opt
-@_guard
 def model(formula_file, k, limits_text, model_path, trace_path, fmt):
     """Build a model from the tableau, growing it k times."""
     theta = _load_formula(formula_file)
@@ -171,7 +169,7 @@ def model(formula_file, k, limits_text, model_path, trace_path, fmt):
         click.echo("UNSAT: no model to extract", err=True)
         sys.exit(1)
     if result.status == EXHAUSTED:
-        click.echo("RESOURCE: search hit its limits", err=True)
+        click.echo(f"RESOURCE: {result.stats.exhausted_by}", err=True)
         sys.exit(2)
     final, trace, status = iterate_extensions(theta, result.tableau, k, limits)
     model_out = model_path or formula_file + ".model.json"
@@ -205,7 +203,6 @@ def model(formula_file, k, limits_text, model_path, trace_path, fmt):
 @click.option("--world", default="r", help="World to evaluate at.")
 @click.option("--assign", "assign_text", default=None, help="Bindings, e.g. x=a,y=b.")
 @_format_opt
-@_guard
 def check_model(model_file, formula_file, world, assign_text, fmt):
     """Evaluate a formula in a model file at a world."""
     m = model_from_json(Path(model_file).read_text(encoding="utf-8"))
@@ -236,7 +233,6 @@ def check_model(model_file, formula_file, world, assign_text, fmt):
 @main.command()
 @click.argument("formula_file", type=click.Path(exists=True, dir_okay=False))
 @_format_opt
-@_guard
 def classify(formula_file, fmt):
     """Report which bundled-fragment class a formula falls in."""
     phi = _load_formula(formula_file, normalize=False)
@@ -263,7 +259,6 @@ def classify(formula_file, fmt):
 @click.option("--max-domain", type=click.IntRange(min=1), default=2, show_default=True)
 @click.option("--depth", type=click.IntRange(min=1), default=3, show_default=True)
 @_format_opt
-@_guard
 def oracle(formula_file, max_worlds, max_domain, depth, fmt):
     """Brute-force search for a small tree model."""
     phi = _load_formula(formula_file)
@@ -300,7 +295,6 @@ def oracle(formula_file, max_worlds, max_domain, depth, fmt):
 @click.option("--max-predicates", type=click.IntRange(min=1), default=3, show_default=True)
 @click.option("--max-arity", type=click.IntRange(min=0), default=2, show_default=True)
 @_format_opt
-@_guard
 def gen(seed, count, max_depth, max_predicates, max_arity, fmt):
     """Print random formulas from the bundled fragment."""
     import random
@@ -330,7 +324,6 @@ def gen(seed, count, max_depth, max_predicates, max_arity, fmt):
 @click.option("--depth", type=click.IntRange(min=1), default=3, show_default=True)
 @click.option("--report", "report_path", default="difftest.jsonl", show_default=True)
 @_format_opt
-@_guard
 def difftest(seed, count, max_worlds, max_domain, depth, report_path, fmt):
     """Run the tableau against the oracle on a random corpus."""
     cfg = GenConfig(seed=seed)

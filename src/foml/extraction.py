@@ -73,19 +73,11 @@ def extract_model(tableau: Tableau) -> KripkeModel:
     valuation: dict[tuple[str, str], set] = {}
     for w, node in last.items():
         name = render_world(w)
-        if isinstance(node.forest, SkolemForest):
-            local[name] = frozenset(node.forest.names())
-        else:
-            local[name] = frozenset(node.s)
+        local[name] = node.s
         for g in node.gamma:
             if isinstance(g, Pred):
                 valuation.setdefault((name, g.name), set()).add(tuple(g.args))
-    edges = frozenset(
-        (render_world(w), render_world(v))
-        for w in last
-        for v in last
-        if len(v) == len(w) + 1 and v[: len(w)] == w
-    )
+    edges = frozenset((render_world(w[:-1]), render_world(w)) for w in last if w)
     return KripkeModel(
         worlds=worlds,
         domain=frozenset().union(*local.values()),
@@ -158,12 +150,10 @@ def extend_tableau(
 
     guided = replay_guidance(tableau)
     guided.forest[wname] = grown
-    if limits is None:
-        limits = SearchLimits.derive(tableau.theta)
     result = search(tableau.theta, limits, guided)
     failure = f"extension rebuild failed at {wname} leaf {leaf!r}"
     if result.status == EXHAUSTED:
-        raise ResourceLimit(failure, result.stats.nodes)
+        raise ResourceLimit(f"{failure}: {result.stats.exhausted_by}")
     if result.status != SAT:
         raise FomlError(f"{failure} ({result.status})")
     # A preferred forest can lose to an enumerated one, and a rebuild that

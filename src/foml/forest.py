@@ -96,13 +96,13 @@ def find_nested_forall(gamma: Iterable[Formula]) -> Forall:
     return found[0]
 
 
-def forest_size_bound(psi: Formula, var: str, n_roots: int) -> int:
+def forest_size_bound(psi: Formula, n_roots: int) -> int:
     """Node-count ceiling for minimal forests over psi with n_roots roots.
 
     With A atoms and at most b existential members per atom, branches repeat
     a label after at most 2A+1 nodes, so max(b, 2)^(2A+2) majorizes any tree.
     """
-    atoms = enumerate_atoms(psi, var)
+    atoms = enumerate_atoms(psi)
     n_atoms = len(atoms)
     branching = max((len(a.exists_members) for a in atoms), default=0)
     return n_roots * max(branching, 2) ** (2 * n_atoms + 2)
@@ -129,7 +129,7 @@ def enumerate_forests(
     gamma = list(gamma)
     quant = find_nested_forall(gamma)
     var, psi = quant.var, quant.body
-    atoms = enumerate_atoms(psi, var)
+    atoms = enumerate_atoms(psi)
     roots = sorted(set(s), key=var_key)
     max_nodes = getattr(limits, "max_forest_nodes", None) if limits else None
 
@@ -250,7 +250,7 @@ def validate_forest(
             f"{sorted(expected, key=var_key)}"
         )
 
-    valid_atoms = set(enumerate_atoms(quant.body, quant.var))
+    valid_atoms = set(enumerate_atoms(quant.body))
     for node in forest.nodes:
         if node.atom not in valid_atoms:
             out.append(f"node {node.name!r} carries an invalid atom")
@@ -270,15 +270,6 @@ def validate_forest(
                     "existential members and no two ancestors repeat it"
                 )
     return out
-
-
-def is_minimal_forest(forest: SkolemForest) -> bool:
-    """True when every branch closes at the first admissible node."""
-    for node in forest.nodes:
-        above = [a.atom for a in forest.strict_ancestors(node.name)]
-        if bool(node.children) == _admissible(node.atom, above):
-            return False
-    return True
 
 
 def expand_forest(forest, gamma: Iterable[Formula]) -> frozenset[Formula]:

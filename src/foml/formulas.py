@@ -34,10 +34,13 @@ class FragmentError(FomlError):
 
 
 class ResourceLimit(FomlError):
-    """A configured enumeration or search budget was exceeded."""
+    """A configured enumeration or search budget was exceeded. `count`, when
+    given, is the work done when it fired and is appended to the message."""
 
-    def __init__(self, message: str, count: int = 0):
-        super().__init__(f"{message} (work count {count})")
+    def __init__(self, message: str, count: int | None = None):
+        if count is not None:
+            message = f"{message} (work count {count})"
+        super().__init__(message)
         self.count = count
 
 
@@ -144,6 +147,41 @@ _ENUM_VAR = re.compile(r"v(\d+)\Z")
 def formula_key(phi: Formula) -> str:
     """Stable sort key so iteration over formula sets is deterministic."""
     return str(phi)
+
+
+_SYMBOL = {
+    Not: "~", And: " & ", Or: " | ", Implies: " -> ", Iff: " <-> ",
+    Exists: "(exists #", Forall: "(forall #", Box: "[]", Diamond: "<>",
+}
+
+
+def alpha_key(phi: Formula) -> str:
+    """`formula_key` up to bound-variable names, built in one walk: binder d
+    levels deep is named `#d`. Alpha-equivalent formulas share a key, and a
+    formula without binders keeps its `formula_key`."""
+    parts: list[str] = []
+
+    def walk(node: Formula, ren: dict[Var, str], depth: int) -> None:
+        t = type(node)
+        if t is Pred:
+            args = ",".join([ren.get(a, a) for a in node.args])
+            parts.append(f"{node.name}({args})" if args else node.name)
+        elif t in _BINARY:
+            parts.append("(")
+            walk(node.left, ren, depth)
+            parts.append(_SYMBOL[t])
+            walk(node.right, ren, depth)
+            parts.append(")")
+        elif t in _QUANT:
+            parts.append(f"{_SYMBOL[t]}{depth}. ")
+            walk(node.body, {**ren, node.var: f"#{depth}"}, depth + 1)
+            parts.append(")")
+        else:
+            parts.append(_SYMBOL[t])
+            walk(node.body, ren, depth)
+
+    walk(phi, {}, 0)
+    return "".join(parts)
 
 
 def var_key(name: Var) -> tuple:
@@ -433,18 +471,6 @@ def is_nested_forall(phi: Formula) -> bool:
     return any(isinstance(c, _QUANT) for c in components(phi.body))
 
 
-def modal_depth(phi: Formula) -> int:
-    if isinstance(phi, Pred):
-        return 0
-    if isinstance(phi, Not):
-        return modal_depth(phi.body)
-    if isinstance(phi, _BINARY):
-        return max(modal_depth(phi.left), modal_depth(phi.right))
-    if isinstance(phi, _QUANT):
-        return modal_depth(phi.body)
-    return 1 + modal_depth(phi.body)
-
-
 @dataclass(frozen=True)
 class Atom:
     """Label of a skolem-forest node.
@@ -485,8 +511,8 @@ def skeleton_leaves(psi: Formula) -> list[Formula]:
     return out
 
 
-def enumerate_atoms(psi: Formula, x: Var) -> list[Atom]:
-    """All atoms of psi with respect to x, in a fixed order.
+def enumerate_atoms(psi: Formula) -> list[Atom]:
+    """All atoms of psi, the matrix of a universal, in a fixed order.
 
     Resolution of the and/or skeleton generates candidate member sets; the
     inconsistent ones (containing some leaf and its complement) and the

@@ -246,7 +246,7 @@ def _tree_shapes(n: int, max_depth: int) -> list[tuple[int, ...]]:
 
 def _eval3(model_facts: dict, delta: list[frozenset[str]], children: list[list[int]],
            w: int, sigma: dict, phi: Formula):
-    """Three-valued evaluation under a partial valuation; None means unknown."""
+    """Three-valued evaluation of NNF under a partial valuation; None is unknown."""
     if isinstance(phi, Pred):
         return model_facts.get((w, phi.name, tuple(sigma[a] for a in phi.args)))
     if isinstance(phi, Not):
@@ -263,15 +263,6 @@ def _eval3(model_facts: dict, delta: list[frozenset[str]], children: list[list[i
         if l is None or r is None:
             return None
         return not want
-    if isinstance(phi, Implies):
-        return _eval3(model_facts, delta, children, w, sigma,
-                      Or(Not(phi.left), phi.right))
-    if isinstance(phi, Iff):
-        l = _eval3(model_facts, delta, children, w, sigma, phi.left)
-        r = _eval3(model_facts, delta, children, w, sigma, phi.right)
-        if l is None or r is None:
-            return None
-        return l == r
     if isinstance(phi, (Exists, Forall)):
         want = isinstance(phi, Exists)
         saved = sigma.get(phi.var)

@@ -37,6 +37,7 @@ from .formulas import (
     Or,
     ResourceLimit,
     all_vars,
+    alpha_key,
     classify_fragment,
     clean_rename,
     formula_key,
@@ -97,6 +98,7 @@ class SearchStats:
     forest_attempts: int = 0
     memo_hits: int = 0
     max_world_depth: int = 0
+    exhausted_by: Optional[str] = None
 
 
 @dataclass
@@ -110,9 +112,6 @@ class Tableau:
             node = stack.pop()
             yield node
             stack.extend(reversed(node.children))
-
-    def worlds(self) -> list[tuple[int, ...]]:
-        return sorted({n.world for n in self.walk()})
 
 
 @dataclass(frozen=True)
@@ -138,7 +137,7 @@ class SearchLimits:
         for sub in _subformulas(theta):
             if isinstance(sub, Forall) and is_nested_forall(sub):
                 forest_cap = max(
-                    forest_cap, forest_size_bound(sub.body, sub.var, n_est)
+                    forest_cap, forest_size_bound(sub.body, n_est)
                 )
         return cls(max_forest_nodes=forest_cap)
 
@@ -159,7 +158,8 @@ class Guidance:
     """Replay hints: preferred disjunct indices, a preferred forest per world,
     and a preferred diamond ordering per world. A hint only reorders the
     alternatives: a preferred forest is validated and tried first, and the
-    rest are still enumerated if it fails."""
+    rest are still enumerated if it fails. Formulas are named by `alpha_key`
+    (`or_choice` keys are world and pivot), so hints survive renamed binders."""
 
     or_choice: dict = field(default_factory=dict)
     forest: dict = field(default_factory=dict)
@@ -275,11 +275,16 @@ def successors(
 def diamond_outcomes(
     gamma: frozenset, s: frozenset, order: Optional[list[str]] = None
 ) -> list[tuple[Diamond, frozenset, frozenset]]:
-    """Per-diamond successor states; `order` lists formula keys to put first."""
+    """Per-diamond successor states in `formula_key` order, but those named
+    by `order`, a list of alpha keys, first. A key listed k times stands for
+    its k alpha-equivalent diamonds, taken in `formula_key` order."""
     diamonds = sorted((g for g in gamma if isinstance(g, Diamond)), key=formula_key)
     if order:
-        rank = {key: i for i, key in enumerate(order)}
-        diamonds.sort(key=lambda d: (rank.get(formula_key(d), len(rank)), formula_key(d)))
+        pool: dict[str, list[Diamond]] = {}
+        for d in diamonds:
+            pool.setdefault(alpha_key(d), []).append(d)
+        first = [pool[key].pop(0) for key in order if pool.get(key)]
+        diamonds = first + [d for d in diamonds if d not in first]
     boxes = [g for g in gamma if isinstance(g, Box)]
     box_bodies = frozenset(b.body for b in boxes)
     shared = frozenset(s)
@@ -314,7 +319,7 @@ def search(
     Returns SAT with the certificate tableau and UNSAT when every
     alternative closed. A budget that runs out raises `ResourceLimit`
     wherever it fires, which ends the whole search: the result is then
-    EXHAUSTED.
+    EXHAUSTED, and `stats.exhausted_by` names the budget.
     """
     root = init_root(theta)
     if limits is None:
@@ -322,7 +327,8 @@ def search(
     ctx = _Ctx(limits, guidance)
     try:
         node = _solve(ctx, root.world, root.gamma, root.s, root.forest, root.rule)
-    except ResourceLimit:
+    except ResourceLimit as exc:
+        ctx.stats.exhausted_by = str(exc)
         return SearchResult(EXHAUSTED, None, ctx.stats)
     if node is None:
         return SearchResult(UNSAT, None, ctx.stats)
@@ -372,7 +378,7 @@ def _apply(ctx: _Ctx, world, gamma, s, forest, rule) -> Optional[TableauNode]:
 
     options = successors(gamma, s, forest, kind, pivot)
     if kind == "or" and ctx.guidance is not None:
-        key = (render_world(world), formula_key(pivot))
+        key = (render_world(world), alpha_key(pivot))
         want = ctx.guidance.or_choice.get(key)
         if want in (0, 1):
             options = [options[want], options[1 - want]]
@@ -518,7 +524,7 @@ def replay_guidance(tableau: Tableau) -> Guidance:
             c = node.children[0]
             options = successors(node.gamma, node.s, node.forest, kind, pivot)
             idx = options.index((c.gamma, c.s, c.forest))
-            guidance.or_choice[(wname, formula_key(pivot))] = idx
+            guidance.or_choice[(wname, alpha_key(pivot))] = idx
         elif kind == "nestedForall":
             guidance.forest[wname] = node.children[0].forest
         elif kind == "diamond":
@@ -527,7 +533,7 @@ def replay_guidance(tableau: Tableau) -> Guidance:
             order = []
             for c in node.children:
                 i = [(g, sv) for _, g, sv in left].index((c.gamma, c.s))
-                order.append(formula_key(left.pop(i)[0]))
+                order.append(alpha_key(left.pop(i)[0]))
             guidance.diamond_order[wname] = order
     return guidance
 

@@ -170,7 +170,7 @@ def forest_bound_violations(tableau) -> list[str]:
         if node.rule != "nestedForall" or not isinstance(node.forest, SkolemForest):
             continue
         f = node.forest
-        bound = forest_size_bound(f.psi, f.var, len(f.roots()))
+        bound = forest_size_bound(f.psi, len(f.roots()))
         if len(f.nodes) > bound:
             out.append(
                 f"forest at {render_world(node.world)} has {len(f.nodes)} nodes, "
@@ -203,7 +203,7 @@ def differential_run(
         problems = []
 
         t0 = time.perf_counter()
-        res = search(phi, limits or SearchLimits.derive(phi))
+        res = search(phi, limits)
         rec["tableau"] = res.status
         rec["tableau_ms"] = round((time.perf_counter() - t0) * 1000, 3)
 

@@ -2,6 +2,7 @@
 
 Writes, next to this script:
   phi1_certificate.json  the certificate of a plain `search` of the flagship
+  phi1_guidance.json     the replay hints `replay_guidance` reads off it
   phi1_trace5.jsonl      the NDJSON trace of five flagship extension rounds
 
 Run from the repository root after a change that is meant to move them:
@@ -9,9 +10,11 @@ Run from the repository root after a change that is meant to move them:
     PYTHONPATH=src python tests/data/regen_golden.py
 
 and record in CHANGES.md why the bytes changed. The tests compare against
-these files byte for byte and never run this script.
+these files byte for byte and never run this script; CI runs it and fails
+when the files it writes differ from the checked-in ones.
 """
 
+import json
 import sys
 from pathlib import Path
 
@@ -20,9 +23,24 @@ sys.path.insert(0, str(HERE.parent))
 
 from conftest import PHI1_TEXT, norm  # noqa: E402
 from foml.extraction import iterate_extensions, trace_to_ndjson  # noqa: E402
-from foml.tableau import SAT, certificate_to_json, search  # noqa: E402
+from foml.tableau import (  # noqa: E402
+    SAT,
+    _forest_to_json,
+    certificate_to_json,
+    replay_guidance,
+    search,
+)
 
 ROUNDS = 5
+
+
+def guidance_to_json(guidance) -> str:
+    doc = {
+        "diamond_order": guidance.diamond_order,
+        "forest": {w: _forest_to_json(f) for w, f in guidance.forest.items()},
+        "or_choice": sorted([w, key, i] for (w, key), i in guidance.or_choice.items()),
+    }
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
 def main() -> None:
@@ -33,6 +51,7 @@ def main() -> None:
     _, trace, _ = iterate_extensions(phi1, result.tableau, ROUNDS)
     outputs = {
         "phi1_certificate.json": certificate_to_json(result.tableau),
+        "phi1_guidance.json": guidance_to_json(replay_guidance(result.tableau)),
         f"phi1_trace{ROUNDS}.jsonl": trace_to_ndjson(trace),
     }
     for name, text in outputs.items():

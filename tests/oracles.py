@@ -1,8 +1,8 @@
-"""Brute-force reference generators the package code never touches."""
+"""Brute-force reference generators and checks the package code never touches."""
 
 from itertools import product
 
-from foml.formulas import And, Or, nnf_complement
+from foml.formulas import And, Exists, Or, nnf_complement
 
 
 def brute_atoms(psi):
@@ -63,3 +63,21 @@ def forest_shape(forest, atoms):
         return (atoms.index(node.atom), tuple(shape(c) for c in node.children))
 
     return tuple(shape(r.name) for r in forest.roots())
+
+
+def is_minimal_forest(forest):
+    """True when every branch closes at its first node whose label has no
+    existential member or already labels two strict ancestors."""
+    parent = {n.name: n.parent for n in forest.nodes}
+    label = {n.name: n.atom for n in forest.nodes}
+    for node in forest.nodes:
+        above = []
+        cur = parent[node.name]
+        while cur is not None:
+            above.append(label[cur])
+            cur = parent[cur]
+        owes = any(isinstance(m, Exists) for m in node.atom.members)
+        closes = not owes or above.count(node.atom) >= 2
+        if bool(node.children) == closes:
+            return False
+    return True

@@ -99,7 +99,7 @@ def test_scripted_replay_matches_golden_certificate(phi1):
     doc = json.loads((DATA / "phi1_guidance.json").read_text())
     guidance = Guidance(
         or_choice={(w, key): idx for w, key, idx in doc["or_choice"]},
-        forest={w: _forest_from_json(f) for w, f in doc["forest_override"].items()},
+        forest={w: _forest_from_json(f) for w, f in doc["forest"].items()},
         diamond_order={w: list(keys) for w, keys in doc["diamond_order"].items()},
     )
     golden = (DATA / "phi1_certificate.json").read_text()
@@ -114,7 +114,7 @@ def test_scripted_replay_matches_golden_certificate(phi1):
     ]
     model = extract_model(res.tableau)
     assert sorted(model.local_domain["r.0"]) == ["v0", "v1", "v2"]
-    worlds = res.tableau.worlds()
+    worlds = {n.world for n in res.tableau.walk()}
     assert sum(1 for w in worlds if len(w) == 3 and w[:2] == (0, 0)) == 6
 
 
@@ -171,10 +171,10 @@ def test_enumerators_match_brute_force_references(phi1):
     for f in pool:
         if len(components(f)) > 12:
             continue
-        assert atoms_as_sets(enumerate_atoms(f, "x")) == brute_atoms(f)
+        assert atoms_as_sets(enumerate_atoms(f)) == brute_atoms(f)
         atom_checks += 1
         if isinstance(f, Forall) and is_nested_forall(f):
-            atoms = enumerate_atoms(f.body, f.var)
+            atoms = enumerate_atoms(f.body)
             got = [forest_shape(fr, atoms) for fr in enumerate_forests([f], ["v0"])]
             assert len(got) == len(set(got))
             assert sorted(got) == sorted((t,) for t in ref_label_trees(atoms, []))

@@ -52,7 +52,13 @@ def test_sat_resource_exit_code(runner, tmp_path):
     path = write(tmp_path, "phi.foml", PHI1_TEXT)
     result = runner.invoke(main, ["sat", path, "--limits", "tableau=5"])
     assert result.exit_code == 2
-    assert "RESOURCE" in result.output
+    assert "RESOURCE: tableau node budget exceeded" in result.output
+    result = runner.invoke(
+        main, ["sat", path, "--limits", "tableau=5", "--format", "json"]
+    )
+    assert result.exit_code == 2
+    payload = json.loads(result.output)
+    assert payload["exhausted_by"].startswith("tableau node budget exceeded")
 
 
 def test_model_rebuild_resource_exit_code(runner, tmp_path):
@@ -62,7 +68,11 @@ def test_model_rebuild_resource_exit_code(runner, tmp_path):
         main, ["model", path, "--extensions", "1", "--limits", "tableau=300"]
     )
     assert result.exit_code == 2
-    assert "resource limit:" in result.stderr
+    assert result.stderr.startswith("resource limit: extension rebuild failed")
+    assert result.stderr.count("tableau node budget exceeded") == 1
+    result = runner.invoke(main, ["model", path, "--limits", "tableau=5"])
+    assert result.exit_code == 2
+    assert result.stderr.startswith("RESOURCE: tableau node budget exceeded")
 
 
 def test_sat_rejects_bad_limits(runner, tmp_path):
@@ -111,6 +121,41 @@ def test_bad_input_exits_3_with_one_error_line(runner, tmp_path, args):
     assert result.exit_code == 3, result.exception
     assert result.stderr.startswith("error:")
     assert result.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "args, raised, code, tail",
+    [
+        (["sat", "{simple}", "--certificate", "{dir}/no/c.json"], None, 3, None),
+        (["difftest", "-n", "2", "--report", "{dir}/no/r.jsonl"], None, 3, None),
+        (["sat", "{latin1}"], None, 3, None),
+        (["sat", "{simple}"], KeyboardInterrupt, 130, "Aborted!\n"),
+        (["sat", "{simple}"], RuntimeError("boom"), 3, "error: internal error\n"),
+    ],
+    ids=["unwritable-certificate", "unwritable-report", "not-utf8", "interrupt", "crash"],
+)
+def test_every_failure_has_its_exit_code(
+    runner, tmp_path, monkeypatch, args, raised, code, tail
+):
+    paths = {
+        "dir": str(tmp_path),
+        "simple": write(tmp_path, "simple.foml", SIMPLE_TEXT),
+        "latin1": str(tmp_path / "latin1.foml"),
+    }
+    (tmp_path / "latin1.foml").write_bytes("<> P(\u00e9)".encode("latin-1"))
+    if raised is not None:
+
+        def fail(*_args, **_kwargs):
+            raise raised
+
+        monkeypatch.setattr("foml.cli.search", fail)
+    result = runner.invoke(main, [a.format(**paths) for a in args])
+    assert result.exit_code == code, result.exception
+    if tail is None:
+        assert result.stderr.startswith("error:")
+        assert result.stderr.count("\n") == 1
+    else:
+        assert result.stderr.endswith(tail)
 
 
 def test_parse_error_exit_code(runner, tmp_path):

@@ -209,18 +209,43 @@ def test_monotone_violations_list_lost_facts_in_sorted_order():
     ]
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        # Formula #297 of GenConfig(seed=24, max_depth=5).
+        "<> forall b0. (exists b1. [] ((exists b2. [] P1(f0, b0)) & P2(b1, b1)))"
+        " & forall b3. <> forall b4. <> (P0(b3) & P1(b4, f0))",
+        # Formula #217 of GenConfig(seed=32, max_depth=6).
+        "(([] exists b0. (forall b1. <> ((forall b2. <> (~P2(f0) & P1(b2)))"
+        " & P1(b1))) & P2(b0)) | <> forall b3. <> forall b4. P1(b3) & P1(b4))"
+        " & <> forall b5. exists b6. [] (((forall b7. <> (P2(b5) & P2(b7)))"
+        " | exists b8. [] (P0 & P2(b8))) & P2(b6))",
+    ],
+    ids=["seed24-d5-297", "seed32-d6-217"],
+)
+def test_extending_an_inner_forest_leaf_keeps_world_identity(text):
+    # The extended leaf is not the last forest node, so its new instances
+    # shift the binder names of later forest nodes; alpha-invariant replay
+    # keys still find every diamond and disjunct.
+    theta = norm(text)
+    res = search(theta)
+    assert res.status == "sat"
+    _, trace, _ = iterate_extensions(theta, res.tableau, 1)
+    assert len(trace.steps) == 1
+
+
 @pytest.mark.xfail(
     strict=True,
     raises=FomlError,
-    reason="extending a forest leaf that is not the last forest node renames "
-    "the binders of later forest nodes, so the replayed diamond orders stop "
-    "matching and the rebuild breaks monotonicity",
+    reason="the rebuild renames existential witnesses, which are model "
+    "elements (v30 becomes v31 at r.0.21), so local domains shrink",
 )
-def test_extending_an_inner_forest_leaf_keeps_world_identity():
-    # Formula #297 of GenConfig(seed=24, max_depth=5).
+def test_extension_keeps_existential_witness_names():
+    # Formula #126 of GenConfig(seed=33, max_depth=6).
     theta = norm(
-        "<> forall b0. (exists b1. [] ((exists b2. [] P1(f0, b0)) & P2(b1, b1)))"
-        " & forall b3. <> forall b4. <> (P0(b3) & P1(b4, f0))"
+        "<> forall b0. (forall b1. <> ((exists b2. [] (P0(b1) & P1(b2)))"
+        " & (~P2 & ~P0(f0)))) & (P2 & ((forall b3. <> P1(f1))"
+        " & exists b4. [] (P1(b0) & P0(b4))))"
     )
     res = search(theta)
     assert res.status == "sat"

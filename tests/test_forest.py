@@ -14,10 +14,10 @@ from foml.forest import (
     extend_forest,
     find_nested_forall,
     forest_size_bound,
-    is_minimal_forest,
     validate_forest,
 )
 from foml.formulas import FomlError, ResourceLimit, enumerate_atoms
+from oracles import is_minimal_forest
 
 
 CHAIN_Q = norm("forall x. exists y. [] P(x,y)")
@@ -54,7 +54,7 @@ def test_single_chain_forest():
 
 
 def test_size_bound_covers_chain():
-    assert forest_size_bound(CHAIN_Q.body, CHAIN_Q.var, 1) == 16
+    assert forest_size_bound(CHAIN_Q.body, 1) == 16
     assert len(chain_forest().nodes) <= 16
 
 
@@ -90,7 +90,7 @@ from oracles import ref_label_trees
     [(CHAIN_Q, ["v0"]), (DISJ_Q, ["v0"]), (DISJ_Q, ["a", "b"]), (CONJ_Q, ["v0"])],
 )
 def test_enumeration_matches_reference_enumerator(quant, roots):
-    atoms = enumerate_atoms(quant.body, quant.var)
+    atoms = enumerate_atoms(quant.body)
     per_root = ref_label_trees(atoms, [])
     expected = sorted(product(per_root, repeat=len(roots)))
     got = []

@@ -20,6 +20,7 @@ from foml.formulas import (
     Or,
     Pred,
     all_vars,
+    alpha_key,
     binders,
     check_arities,
     classify_fragment,
@@ -314,7 +315,7 @@ def test_atoms_two_way_choice():
     psi = norm(
         "((exists y . [] B(x,y,u)) | <> G(x,u)) & forall z . <> D(x,z)"
     )
-    atoms = enumerate_atoms(psi, "x")
+    atoms = enumerate_atoms(psi)
     assert len(atoms) == 2
     assert atoms_as_sets(atoms) == brute_atoms(psi)
     tail = norm("forall z . <> D(x,z)")
@@ -323,20 +324,20 @@ def test_atoms_two_way_choice():
 
 def test_atoms_pure_conjunction(phi1):
     psi = phi1.body.body
-    atoms = enumerate_atoms(psi, "x")
+    atoms = enumerate_atoms(psi)
     assert len(atoms) == 1
     assert len(atoms[0].members) == 3
     assert atoms_as_sets(atoms) == brute_atoms(psi)
 
 
 def test_atoms_single_literal():
-    atoms = enumerate_atoms(P("x"), "x")
+    atoms = enumerate_atoms(P("x"))
     assert atoms_as_sets(atoms) == {frozenset({P("x")})}
 
 
 def test_atoms_contradictory_branch_pruned():
     psi = Or(P("x"), And(Q("x", "x"), Not(Q("x", "x"))))
-    assert atoms_as_sets(enumerate_atoms(psi, "x")) == {frozenset({P("x")})}
+    assert atoms_as_sets(enumerate_atoms(psi)) == {frozenset({P("x")})}
 
 
 @given(st.integers(0, 100_000))
@@ -345,11 +346,11 @@ def test_atoms_match_brute_force(seed):
     phi = to_nnf(random_raw_formula(random.Random(seed), 4, ["x", "u"]))
     if len(components(phi)) > 12:
         return
-    assert atoms_as_sets(enumerate_atoms(phi, "x")) == brute_atoms(phi)
+    assert atoms_as_sets(enumerate_atoms(phi)) == brute_atoms(phi)
 
 
 def test_atom_exists_members_ordering(phi1):
-    (atom,) = enumerate_atoms(phi1.body.body, "x")
+    (atom,) = enumerate_atoms(phi1.body.body)
     ex = atom.exists_members
     assert len(ex) == 1 and isinstance(ex[0], Exists)
 
@@ -417,3 +418,21 @@ def test_formula_keys_are_stable_strings():
     phi = norm("P(x) & <> Q(x,x)")
     assert formula_key(phi) == formula_key(norm("P(x) & <> Q(x,x)"))
     assert all_vars(phi) == frozenset({"x"})
+
+
+def test_alpha_key_names_binders_by_depth():
+    key = alpha_key(norm("forall x. <> ((forall y. Q(x,y)) & exists y. P(y))"))
+    assert key == "(forall #0. <>((forall #1. Q(#0,#1)) & (exists #1. P(#1))))"
+    assert alpha_key(norm("forall y. <> ((forall x. Q(y,x)) & exists x. P(x))")) == key
+    assert alpha_key(norm("forall x. <> ((forall y. Q(y,x)) & exists y. P(y))")) != key
+
+
+@given(st.integers(0, 100_000))
+@settings(max_examples=200, deadline=None)
+def test_alpha_key_is_formula_key_up_to_binder_names(seed):
+    rng = random.Random(seed)
+    phi = random_raw_formula(rng, 5, ["x", "u"])
+    if not binders(phi):
+        assert alpha_key(phi) == formula_key(phi)
+    forbidden = frozenset(rng.sample(["q0", "q1", "q2", "a", "b"], 3))
+    assert alpha_key(clean_rename(phi, forbidden)) == alpha_key(phi)

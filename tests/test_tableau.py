@@ -91,7 +91,7 @@ def test_flagship_is_satisfiable(phi1_result):
 
 def test_flagship_world_tree_shape(phi1_result):
     t = phi1_result.tableau
-    worlds = t.worlds()
+    worlds = sorted({n.world for n in t.walk()})
     assert len(worlds) == 23
 
     def kids(w):
@@ -250,7 +250,7 @@ def test_certificate_rejects_malformed_documents():
 
 def test_tableau_structural_invariants(phi1_result):
     t = phi1_result.tableau
-    worlds = set(t.worlds())
+    worlds = {n.world for n in t.walk()}
     for w in worlds:
         assert w == () or w[:-1] in worlds
     for node in t.walk():
