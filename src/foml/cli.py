@@ -290,7 +290,7 @@ def oracle(formula_file, max_worlds, max_domain, depth, fmt):
 
 @main.command()
 @click.option("--seed", default=0, show_default=True)
-@click.option("--count", default=1, show_default=True)
+@click.option("--count", type=click.IntRange(min=0), default=1, show_default=True)
 @click.option("--max-depth", type=click.IntRange(min=1), default=4, show_default=True)
 @click.option("--max-predicates", type=click.IntRange(min=1), default=3, show_default=True)
 @click.option("--max-arity", type=click.IntRange(min=0), default=2, show_default=True)
@@ -318,7 +318,7 @@ def gen(seed, count, max_depth, max_predicates, max_arity, fmt):
 
 @main.command()
 @click.option("--seed", default=0, show_default=True)
-@click.option("-n", "--count", "count", default=300, show_default=True)
+@click.option("-n", "--count", "count", type=click.IntRange(min=0), default=300, show_default=True)
 @click.option("--max-worlds", type=click.IntRange(min=1), default=3, show_default=True)
 @click.option("--max-domain", type=click.IntRange(min=1), default=2, show_default=True)
 @click.option("--depth", type=click.IntRange(min=1), default=3, show_default=True)

@@ -244,46 +244,75 @@ def _tree_shapes(n: int, max_depth: int) -> list[tuple[int, ...]]:
     return shapes
 
 
-def _eval3(model_facts: dict, delta: list[frozenset[str]], children: list[list[int]],
-           w: int, sigma: dict, phi: Formula):
-    """Three-valued evaluation of NNF under a partial valuation; None is unknown."""
+def _ground(phi: Formula, w: int, sigma: dict, delta: list[frozenset[str]],
+            children: list[list[int]], atom_ids: dict):
+    """Expand NNF phi at world w into a folded propositional DAG.
+
+    A node is True, False, a literal (2 * atom id, plus 1 when negated; ids
+    are handed out in `atom_ids`, keyed (world, predicate, tuple)), or
+    (is_or, parts) with at least two parts. Quantifiers become Or/And over
+    the sorted local domain and modalities Or/And over the children.
+    """
     if isinstance(phi, Pred):
-        return model_facts.get((w, phi.name, tuple(sigma[a] for a in phi.args)))
+        key = (w, phi.name, tuple(sigma[a] for a in phi.args))
+        return 2 * atom_ids.setdefault(key, len(atom_ids))
     if isinstance(phi, Not):
-        r = _eval3(model_facts, delta, children, w, sigma, phi.body)
-        return None if r is None else not r
+        return _ground(phi.body, w, sigma, delta, children, atom_ids) | 1
     if isinstance(phi, (And, Or)):
-        want = isinstance(phi, Or)
-        l = _eval3(model_facts, delta, children, w, sigma, phi.left)
-        if l is want:
-            return want
-        r = _eval3(model_facts, delta, children, w, sigma, phi.right)
-        if r is want:
-            return want
-        if l is None or r is None:
-            return None
-        return not want
+        return _join(isinstance(phi, Or), (
+            _ground(part, w, sigma, delta, children, atom_ids)
+            for part in (phi.left, phi.right)
+        ))
     if isinstance(phi, (Exists, Forall)):
-        want = isinstance(phi, Exists)
-        saved = sigma.get(phi.var)
-        unknown = False
-        result = not want
-        for d in sorted(delta[w]):
-            sigma[phi.var] = d
-            r = _eval3(model_facts, delta, children, w, sigma, phi.body)
-            if r is want:
-                result = want
-                break
-            if r is None:
-                unknown = True
-        _restore(sigma, phi.var, saved)
-        if result is want:
-            return want
-        return None if unknown else result
-    want = isinstance(phi, Diamond)
+        return _join(isinstance(phi, Exists), (
+            _ground(phi.body, w, {**sigma, phi.var: d}, delta, children, atom_ids)
+            for d in sorted(delta[w])
+        ))
+    return _join(isinstance(phi, Diamond), (
+        _ground(phi.body, v, sigma, delta, children, atom_ids) for v in children[w]
+    ))
+
+
+def _join(is_or: bool, parts):
+    """Fold an Or (is_or) or And of ground parts: constants absorb or drop,
+    nested nodes of the same kind flatten, duplicates drop, and a literal
+    next to its complement decides the node."""
+    out: dict = {}
+    for part in parts:
+        if type(part) is bool:
+            if part is is_or:
+                return is_or
+        elif type(part) is tuple and part[0] is is_or:
+            out.update(dict.fromkeys(part[1]))
+        else:
+            out[part] = None
+    if any(type(p) is int and (p ^ 1) in out for p in out):
+        return is_or
+    if len(out) < 2:
+        return next(iter(out), not is_or)
+    return (is_or, tuple(out))
+
+
+def _dag_atoms(node, out: set) -> set:
+    if type(node) is int:
+        out.add(node >> 1)
+    elif type(node) is tuple:
+        for part in node[1]:
+            _dag_atoms(part, out)
+    return out
+
+
+def _kleene(node, val: list):
+    """Three-valued value of a ground DAG; val[i] is atom i's value or None."""
+    if type(node) is int:
+        v = val[node >> 1]
+        return v if v is None or not node & 1 else not v
+    if type(node) is bool:
+        return node
+    want, parts = node
     unknown = False
-    for v in children[w]:
-        r = _eval3(model_facts, delta, children, v, sigma, phi.body)
+    for part in parts:
+        r = _kleene(part, val)
         if r is want:
             return want
         if r is None:
@@ -302,16 +331,19 @@ def bounded_model_search(
 
     Enumerates rooted tree frames up to the bounds, monotone local domains
     with canonically numbered elements, root assignments of the free
-    variables, then valuations in lexicographic order (false before true),
-    pruned by three-valued evaluation. The first satisfying triple in this
-    canonical order is returned, or None when the whole space is exhausted.
+    variables, then valuations in lexicographic order (false before true).
+    Theta is grounded once per frame, pruned by three-valued evaluation of
+    the folded DAG; a frame here is a tree with its local domains and root
+    assignment, and atoms the DAG does not mention stay false. The first
+    satisfying triple in this canonical order is returned, or None when the
+    whole space is exhausted. Each valuation search step counts against
+    `max_steps`.
     """
     if not is_nnf(phi):
         raise ValueError("oracle expects a formula in negation normal form")
     if min(max_worlds, max_domain, tree_depth) < 1:
         raise ValueError("all bounds must be at least 1")
-    arities = check_arities(phi)
-    preds = sorted(arities)
+    check_arities(phi)
     fvars = sorted(free_vars(phi), key=var_key)
     steps = 0
 
@@ -321,13 +353,13 @@ def bounded_model_search(
             for i in range(1, n):
                 children[parents[i]].append(i)
             for delta in _delta_assignments(parents, n, max_domain):
-                found = _search_valuations(
-                    phi, preds, arities, fvars, parents, children, delta,
-                    max_steps, steps,
-                )
-                steps = found[1]
-                if found[0] is not None:
-                    return found[0]
+                for sigma_vals in product(sorted(delta[0]), repeat=len(fvars)):
+                    sigma = dict(zip(fvars, sigma_vals))
+                    model, steps = _search_valuations(
+                        phi, sigma, parents, children, delta, max_steps, steps
+                    )
+                    if model is not None:
+                        return model, "w0", sigma
     return None
 
 
@@ -351,53 +383,46 @@ def _delta_assignments(parents, n: int, max_domain: int):
     yield from assign(0, [], 0)
 
 
-def _search_valuations(phi, preds, arities, fvars, parents, children, delta,
+def _search_valuations(phi, sigma, parents, children, delta,
                        max_steps: int, steps: int):
-    n = len(parents)
-    root_dom = sorted(delta[0])
-    atoms: list[tuple[int, str, tuple[str, ...]]] = []
-    for w in range(n):
-        for p in preds:
-            tuples = product(sorted(delta[w]), repeat=arities[p])
-            atoms.extend((w, p, t) for t in tuples)
+    """The least valuation, in (world, predicate, tuple) order with false
+    before true, that satisfies phi at w0 under sigma on this frame."""
+    atom_ids: dict[tuple[int, str, tuple[str, ...]], int] = {}
+    dag = _ground(phi, 0, sigma, delta, children, atom_ids)
+    used = _dag_atoms(dag, set())
+    order = sorted(a for a, i in atom_ids.items() if i in used)
+    ids = [atom_ids[a] for a in order]
+    val: list = [None] * len(atom_ids)
 
-    for sigma_vals in product(root_dom, repeat=len(fvars)):
-        sigma = dict(zip(fvars, sigma_vals))
-        facts: dict = {}
+    def dfs(i: int, steps: int):
+        steps += 1
+        if steps > max_steps:
+            raise ResourceLimit("oracle enumeration budget exceeded", steps)
+        r = _kleene(dag, val)
+        if r is not None:
+            return r, steps
+        for b in (False, True):
+            val[ids[i]] = b
+            found, steps = dfs(i + 1, steps)
+            if found:
+                return True, steps
+        val[ids[i]] = None
+        return False, steps
 
-        def dfs(i: int, steps: int):
-            steps += 1
-            if steps > max_steps:
-                raise ResourceLimit("oracle enumeration budget exceeded", steps)
-            r = _eval3(facts, delta, children, 0, dict(sigma), phi)
-            if r is False:
-                return None, steps
-            if r is True:
-                for j in range(i, len(atoms)):
-                    facts.setdefault(atoms[j], False)
-                return _build_model(parents, delta, facts, preds), steps
-            for b in (False, True):
-                facts[atoms[i]] = b
-                got, steps = dfs(i + 1, steps)
-                if got is not None:
-                    return got, steps
-                del facts[atoms[i]]
-            return None, steps
-
-        model, steps = dfs(0, steps)
-        if model is not None:
-            return (model, "w0", dict(sigma)), steps
-    return None, steps
+    found, steps = dfs(0, steps)
+    if not found:
+        return None, steps
+    true_atoms = [a for a in order if val[atom_ids[a]]]
+    return _build_model(parents, delta, true_atoms), steps
 
 
-def _build_model(parents, delta, facts, preds) -> KripkeModel:
+def _build_model(parents, delta, true_atoms) -> KripkeModel:
     n = len(parents)
     worlds = frozenset(f"w{i}" for i in range(n))
     edges = frozenset((f"w{parents[i]}", f"w{i}") for i in range(1, n))
     valuation: dict[tuple[str, str], set] = {}
-    for (w, p, t), val in facts.items():
-        if val:
-            valuation.setdefault((f"w{w}", p), set()).add(t)
+    for w, p, t in true_atoms:
+        valuation.setdefault((f"w{w}", p), set()).add(t)
     return KripkeModel(
         worlds=worlds,
         domain=frozenset().union(*delta) if delta else frozenset(),

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 
 import pytest
@@ -14,8 +16,11 @@ from foml.formulas import (
     Not,
     Or,
     Pred,
+    ResourceLimit,
 )
-from foml.kripke import KripkeModel
+from foml.kripke import KripkeModel, bounded_model_search, model_to_json
+from foml.parser import print_formula
+from foml.testgen import GenConfig, gen_formula
 
 # The flagship formula: satisfiable, but only with an ever-growing local
 # domain at the first successor world. Binders are pairwise distinct so
@@ -25,6 +30,37 @@ PHI1_TEXT = (
     " & <> forall w . ((<>P(x,w) <-> []P(x,w))"
     " & <> forall z . (P(x,w) & P(w,z) -> P(x,z)))"
 )
+
+
+# The corpora whose oracle results `tests/data/oracle_pins.jsonl` pins: the
+# acceptance corpus and the deeper seed-7 corpus with the slow UNSAT tail.
+ORACLE_PIN_CORPORA = (("2026/d4", 2026, 4), ("7/d5", 7, 5))
+ORACLE_PIN_SIZE = 300
+ORACLE_PIN_BOUNDS = (3, 2, 3)
+
+
+def oracle_pins_text():
+    """One JSON line per pinned formula: the oracle's status and, for a model,
+    its world, assignment and the sha256 of its canonical JSON."""
+    lines = []
+    for name, seed, depth in ORACLE_PIN_CORPORA:
+        rng = random.Random(seed)
+        cfg = GenConfig(seed=seed, max_depth=depth)
+        for i in range(ORACLE_PIN_SIZE):
+            phi = gen_formula(cfg, rng)
+            rec = {"corpus": name, "index": i, "formula": print_formula(phi)}
+            try:
+                found = bounded_model_search(phi, *ORACLE_PIN_BOUNDS)
+                rec["status"] = "none" if found is None else "sat"
+            except ResourceLimit:
+                found = None
+                rec["status"] = "resource"
+            if found is not None:
+                model, world, sigma = found
+                digest = hashlib.sha256(model_to_json(model).encode()).hexdigest()
+                rec.update(world=world, assignment=sigma, model_sha256=digest)
+            lines.append(json.dumps(rec, sort_keys=True))
+    return "\n".join(lines) + "\n"
 
 
 def norm(text):

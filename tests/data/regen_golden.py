@@ -4,6 +4,7 @@ Writes, next to this script:
   phi1_certificate.json  the certificate of a plain `search` of the flagship
   phi1_guidance.json     the replay hints `replay_guidance` reads off it
   phi1_trace5.jsonl      the NDJSON trace of five flagship extension rounds
+  oracle_pins.jsonl      the bounded oracle's result on two 300-formula corpora
 
 Run from the repository root after a change that is meant to move them:
 
@@ -21,7 +22,7 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 sys.path.insert(0, str(HERE.parent))
 
-from conftest import PHI1_TEXT, norm  # noqa: E402
+from conftest import PHI1_TEXT, norm, oracle_pins_text  # noqa: E402
 from foml.extraction import iterate_extensions, trace_to_ndjson  # noqa: E402
 from foml.tableau import (  # noqa: E402
     SAT,
@@ -53,6 +54,7 @@ def main() -> None:
         "phi1_certificate.json": certificate_to_json(result.tableau),
         "phi1_guidance.json": guidance_to_json(replay_guidance(result.tableau)),
         f"phi1_trace{ROUNDS}.jsonl": trace_to_ndjson(trace),
+        "oracle_pins.jsonl": oracle_pins_text(),
     }
     for name, text in outputs.items():
         (HERE / name).write_text(text, encoding="utf-8")

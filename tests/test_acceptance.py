@@ -161,6 +161,14 @@ def test_corpus_agrees_with_oracle(corpus):
     assert elapsed < 600.0
 
 
+def test_tail_corpus_agrees_with_oracle():
+    """The deeper seed-7 corpus, whose UNSAT formulas make the oracle exhaust
+    its whole space, has no discrepancy and no problem record."""
+    report = differential_run(GenConfig(seed=7, max_depth=5), 300, ORACLE_BOUNDS)
+    assert report["discrepancies"] == 0
+    assert report["problem_records"] == 0
+
+
 def test_enumerators_match_brute_force_references(phi1):
     """Atom and forest enumeration agree exactly with independent
     brute-force generators on every small component set."""

@@ -100,13 +100,15 @@ def test_model_rejects_negative_extensions(runner, tmp_path):
         ["difftest", "--max-worlds", "0", "--report", "{dir}/r.jsonl"],
         ["gen", "--max-depth", "0"],
         ["gen", "--max-predicates", "0", "--max-arity", "0"],
+        ["gen", "--count", "-2"],
+        ["difftest", "-n", "-5", "--report", "{dir}/r.jsonl"],
         ["sat", "{conj}"],
         ["sat", "{neg}"],
     ],
     ids=[
         "missing-file", "unknown-option", "option-of-another-command",
         "oracle-zero-worlds", "difftest-zero-worlds", "gen-zero-depth",
-        "gen-no-predicates",
+        "gen-no-predicates", "gen-negative-count", "difftest-negative-count",
         "1500-literal-conjunction", "3000-nested-negations",
     ],
 )

@@ -1,10 +1,20 @@
+import ast
+import dataclasses
 import random
+from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import norm, random_model, random_raw_formula, random_relevant_sigma
+from conftest import (
+    norm,
+    oracle_pins_text,
+    random_model,
+    random_raw_formula,
+    random_relevant_sigma,
+)
 from foml.extraction import extract_model
 from foml.formulas import (
     And,
@@ -20,10 +30,14 @@ from foml.formulas import (
     Pred,
     ResourceLimit,
     free_vars,
+    to_nnf,
 )
+import foml.kripke
 from foml.kripke import (
     KripkeModel,
     RelevanceError,
+    _ground,
+    _kleene,
     bounded_model_search,
     check,
     model_from_json,
@@ -31,6 +45,8 @@ from foml.kripke import (
     validate_model,
 )
 from foml.parser import parse_formula
+
+DATA = Path(__file__).parent / "data"
 
 
 def single_world(facts=()):
@@ -223,3 +239,75 @@ def test_oracle_rejects_bad_inputs(phi1):
         bounded_model_search(parse_formula("P(x) -> Q(x,x)"), 2, 2, 2)
     with pytest.raises(ValueError):
         bounded_model_search(phi1, 0, 2, 2)
+
+
+def test_oracle_results_match_pins():
+    """The oracle's results on two corpora, byte for byte; the pins are
+    written by tests/data/regen_golden.py."""
+    pinned = (DATA / "oracle_pins.jsonl").read_text(encoding="utf-8")
+    assert oracle_pins_text() == pinned
+
+
+def ground_at_w0(model, sigma, phi):
+    """Ground phi at w0 of a random_model, whose worlds are w0..w{n-1}."""
+    names = [f"w{i}" for i in range(len(model.worlds))]
+    delta = [model.local_domain[w] for w in names]
+    children = [[names.index(v) for v in model.successors(w)] for w in names]
+    atom_ids = {}
+    return _ground(phi, 0, sigma, delta, children, atom_ids), atom_ids
+
+
+def with_atoms(model, atom_ids, val):
+    """The model with every ground atom set as in val."""
+    valuation = {k: set(ts) for k, ts in model.valuation.items()}
+    for (w, p, t), i in atom_ids.items():
+        facts = valuation.setdefault((f"w{w}", p), set())
+        if val[i]:
+            facts.add(t)
+        else:
+            facts.discard(t)
+    return dataclasses.replace(
+        model, valuation={k: frozenset(ts) for k, ts in valuation.items()}
+    )
+
+
+@given(st.integers(0, 10_000_000))
+@settings(max_examples=400, deadline=None)
+def test_ground_dag_is_exact_on_full_and_sound_on_partial_valuations(seed):
+    rng = random.Random(seed)
+    model = random_model(rng)
+    phi = to_nnf(random_raw_formula(rng, rng.randint(1, 5), ["x"]))
+    sigma = random_relevant_sigma(rng, model, "w0", sorted(free_vars(phi)))
+    dag, atom_ids = ground_at_w0(model, sigma, phi)
+    full = [None] * len(atom_ids)
+    for (w, p, t), i in atom_ids.items():
+        full[i] = t in model.facts(f"w{w}", p)
+    assert _kleene(dag, full) == check(model, "w0", sigma, phi)
+
+    hidden = [i for i in range(len(full)) if rng.random() < 0.5][:8]
+    partial = [None if i in hidden else v for i, v in enumerate(full)]
+    verdict = _kleene(dag, partial)
+    if verdict is None:
+        return
+    for bits in product((False, True), repeat=len(hidden)):
+        completion = list(partial)
+        for i, b in zip(hidden, bits):
+            completion[i] = b
+        assert check(with_atoms(model, atom_ids, completion), "w0", sigma, phi) is verdict
+
+
+def test_oracle_imports_only_formulas():
+    """The oracle checks the tableau, so it shares none of its code."""
+    tree = ast.parse(Path(foml.kripke.__file__).read_text(encoding="utf-8"))
+    local = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            local.add(node.module)
+        elif isinstance(node, ast.ImportFrom) and node.module.startswith("foml"):
+            local.add(node.module.removeprefix("foml.") or "foml")
+        elif isinstance(node, ast.Import):
+            local.update(
+                a.name.removeprefix("foml.") for a in node.names
+                if a.name.startswith("foml")
+            )
+    assert local == {"formulas"}
