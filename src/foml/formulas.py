@@ -9,6 +9,7 @@ negation normal form needs it and the solver pattern-matches on it directly.
 from __future__ import annotations
 
 import re
+import weakref
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Union
 
@@ -34,105 +35,232 @@ class FragmentError(FomlError):
 
 
 class ResourceLimit(FomlError):
-    """A configured enumeration or search budget was exceeded. `count`, when
-    given, is the work done when it fired and is appended to the message."""
+    """A configured enumeration or search budget was exceeded. The message
+    names the budget; `world`, when known, is the world where it fired and
+    `count` the work done by then, and both are appended to it."""
 
-    def __init__(self, message: str, count: int | None = None):
+    def __init__(
+        self, budget: str, count: int | None = None, world: str | None = None
+    ):
+        message = budget
+        if world is not None:
+            message = f"{message} at {world}"
         if count is not None:
             message = f"{message} (work count {count})"
         super().__init__(message)
+        self.budget = budget
         self.count = count
+        self.world = world
 
 
-@dataclass(frozen=True)
-class Pred:
+class _Node:
+    """A formula node, hash-consed: each constructor returns the one live node
+    for its structure, so equal formulas are the same object and compare by
+    identity. The intern table holds nodes weakly, keyed on the class, the
+    name fields and the children's identities; a live entry keeps its
+    children alive, so their ids cannot be reused while it stands.
+
+    A node is immutable. It holds its hash, computed once when built, and
+    fills on first use the values `formula_key`, `nnf_complement`,
+    `free_vars`, `all_vars` and `alpha_key` return for it."""
+
+    __slots__ = ("_hash", "_key", "_compl", "_free", "_all", "_alpha", "__weakref__")
+    _fields: tuple[str, ...] = ()
+    _op = ""
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __str__(self) -> str:
+        return formula_key(self)
+
+    def __repr__(self) -> str:
+        inner = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__name__}({inner})"
+
+    def __reduce__(self):
+        # copy, deepcopy and pickle rebuild through the constructor, which
+        # hands back the live node.
+        return type(self), tuple(getattr(self, f) for f in self._fields)
+
+
+_TABLE: dict[tuple, weakref.ref] = {}
+# Dead entries are swept once the table holds twice the nodes alive at the
+# last sweep (and at least _MIN_SWEEP entries), so a node that is built and
+# dropped costs no weakref callback, and its entry is gone soon after.
+_MIN_SWEEP = 128
+_sweep_at = _MIN_SWEEP
+_ref = weakref.ref
+_blank = object.__new__
+
+
+def _sweep() -> None:
+    global _TABLE, _sweep_at
+    _TABLE = {k: r for k, r in _TABLE.items() if r() is not None}
+    _sweep_at = max(_MIN_SWEEP, 2 * len(_TABLE))
+
+
+def _enter(node, key):
+    """Give a new node empty caches and enter it in the table under key."""
+    _set_key(node, None)
+    _set_compl(node, None)
+    _set_free(node, None)
+    _set_all(node, None)
+    _set_alpha(node, None)
+    _TABLE[key] = _ref(node)
+    if len(_TABLE) >= _sweep_at:
+        _sweep()
+    return node
+
+
+# Nodes are filled in through the slot descriptors, past the guard.
+_set_hash = _Node._hash.__set__
+_set_key = _Node._key.__set__
+_set_compl = _Node._compl.__set__
+_set_free = _Node._free.__set__
+_set_all = _Node._all.__set__
+_set_alpha = _Node._alpha.__set__
+
+
+class Pred(_Node):
     """Atomic predicate application, e.g. P(x, y). Arity may be zero."""
 
-    name: str
-    args: tuple[Var, ...] = ()
+    __slots__ = ("name", "args")
+    _fields = ("name", "args")
 
-    def __str__(self) -> str:
-        if not self.args:
-            return self.name
-        return f"{self.name}({','.join(self.args)})"
-
-
-@dataclass(frozen=True)
-class Not:
-    body: "Formula"
-
-    def __str__(self) -> str:
-        return f"~{self.body}"
-
-
-@dataclass(frozen=True)
-class And:
-    left: "Formula"
-    right: "Formula"
-
-    def __str__(self) -> str:
-        return f"({self.left} & {self.right})"
+    def __new__(cls, name: str, args: tuple[Var, ...] = ()):
+        if type(args) is not tuple:
+            args = tuple(args)
+        key = (name, args)
+        ref = _TABLE.get(key)
+        if ref is not None:
+            node = ref()
+            if node is not None:
+                return node
+        node = _blank(cls)
+        _set_name(node, name)
+        _set_args(node, args)
+        _set_hash(node, hash(key))
+        return _enter(node, key)
 
 
-@dataclass(frozen=True)
-class Or:
-    left: "Formula"
-    right: "Formula"
-
-    def __str__(self) -> str:
-        return f"({self.left} | {self.right})"
+_set_name = Pred.name.__set__
+_set_args = Pred.args.__set__
 
 
-@dataclass(frozen=True)
-class Implies:
-    left: "Formula"
-    right: "Formula"
+class _Unary(_Node):
+    __slots__ = ("body",)
+    _fields = ("body",)
 
-    def __str__(self) -> str:
-        return f"({self.left} -> {self.right})"
-
-
-@dataclass(frozen=True)
-class Iff:
-    left: "Formula"
-    right: "Formula"
-
-    def __str__(self) -> str:
-        return f"({self.left} <-> {self.right})"
-
-
-@dataclass(frozen=True)
-class Exists:
-    var: Var
-    body: "Formula"
-
-    def __str__(self) -> str:
-        return f"(exists {self.var}. {self.body})"
+    def __new__(cls, body: "Formula"):
+        key = (cls, id(body))
+        ref = _TABLE.get(key)
+        if ref is not None:
+            node = ref()
+            if node is not None:
+                return node
+        node = _blank(cls)
+        _set_body(node, body)
+        _set_hash(node, hash((cls._op, body._hash)))
+        return _enter(node, key)
 
 
-@dataclass(frozen=True)
-class Forall:
-    var: Var
-    body: "Formula"
-
-    def __str__(self) -> str:
-        return f"(forall {self.var}. {self.body})"
+_set_body = _Unary.body.__set__
 
 
-@dataclass(frozen=True)
-class Box:
-    body: "Formula"
+class _Binary(_Node):
+    __slots__ = ("left", "right")
+    _fields = ("left", "right")
 
-    def __str__(self) -> str:
-        return f"[]{self.body}"
+    def __new__(cls, left: "Formula", right: "Formula"):
+        key = (cls, id(left), id(right))
+        ref = _TABLE.get(key)
+        if ref is not None:
+            node = ref()
+            if node is not None:
+                return node
+        node = _blank(cls)
+        _set_left(node, left)
+        _set_right(node, right)
+        _set_hash(node, hash((cls._op, left._hash, right._hash)))
+        return _enter(node, key)
 
 
-@dataclass(frozen=True)
-class Diamond:
-    body: "Formula"
+_set_left = _Binary.left.__set__
+_set_right = _Binary.right.__set__
 
-    def __str__(self) -> str:
-        return f"<>{self.body}"
+
+class _Quant(_Node):
+    __slots__ = ("var", "body")
+    _fields = ("var", "body")
+
+    def __new__(cls, var: Var, body: "Formula"):
+        key = (cls, var, id(body))
+        ref = _TABLE.get(key)
+        if ref is not None:
+            node = ref()
+            if node is not None:
+                return node
+        node = _blank(cls)
+        _set_var(node, var)
+        _set_quant_body(node, body)
+        _set_hash(node, hash((cls._op, var, body._hash)))
+        return _enter(node, key)
+
+
+_set_var = _Quant.var.__set__
+_set_quant_body = _Quant.body.__set__
+
+
+class Not(_Unary):
+    __slots__ = ()
+    _op = "~"
+
+
+class And(_Binary):
+    __slots__ = ()
+    _op = " & "
+
+
+class Or(_Binary):
+    __slots__ = ()
+    _op = " | "
+
+
+class Implies(_Binary):
+    __slots__ = ()
+    _op = " -> "
+
+
+class Iff(_Binary):
+    __slots__ = ()
+    _op = " <-> "
+
+
+class Exists(_Quant):
+    __slots__ = ()
+    _op = "exists"
+
+
+class Forall(_Quant):
+    __slots__ = ()
+    _op = "forall"
+
+
+class Box(_Unary):
+    __slots__ = ()
+    _op = "[]"
+
+
+class Diamond(_Unary):
+    __slots__ = ()
+    _op = "<>"
 
 
 Formula = Union[Pred, Not, And, Or, Implies, Iff, Exists, Forall, Box, Diamond]
@@ -144,44 +272,56 @@ _MODAL = (Box, Diamond)
 _ENUM_VAR = re.compile(r"v(\d+)\Z")
 
 
+def _render(phi: Formula, alpha: bool) -> str:
+    """The `formula_key` of phi or, with `alpha`, its `alpha_key`, built in
+    one walk with an explicit stack. Keys already cached below phi are
+    reused; alpha keys are not, since a binder's name depends on its depth."""
+    parts: list[str] = []
+    stack: list = [(phi, {}, 0)]
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            parts.append(item)
+            continue
+        node, ren, depth = item
+        if not alpha and node._key is not None:
+            parts.append(node._key)
+        elif type(node) is Pred:
+            args = ",".join([ren.get(a, a) for a in node.args])
+            parts.append(f"{node.name}({args})" if args else node.name)
+        elif isinstance(node, _Binary):
+            parts.append("(")
+            stack += (")", (node.right, ren, depth), node._op, (node.left, ren, depth))
+        elif isinstance(node, _Quant):
+            name = f"#{depth}" if alpha else node.var
+            parts.append(f"({node._op} {name}. ")
+            inner = {**ren, node.var: name} if alpha else ren
+            stack += (")", (node.body, inner, depth + 1))
+        else:
+            parts.append(node._op)
+            stack.append((node.body, ren, depth))
+    return "".join(parts)
+
+
 def formula_key(phi: Formula) -> str:
-    """Stable sort key so iteration over formula sets is deterministic."""
-    return str(phi)
-
-
-_SYMBOL = {
-    Not: "~", And: " & ", Or: " | ", Implies: " -> ", Iff: " <-> ",
-    Exists: "(exists #", Forall: "(forall #", Box: "[]", Diamond: "<>",
-}
+    """Stable sort key so iteration over formula sets is deterministic: the
+    formula's `str`."""
+    key = phi._key
+    if key is None:
+        key = _render(phi, alpha=False)
+        _set_key(phi, key)
+    return key
 
 
 def alpha_key(phi: Formula) -> str:
-    """`formula_key` up to bound-variable names, built in one walk: binder d
-    levels deep is named `#d`. Alpha-equivalent formulas share a key, and a
-    formula without binders keeps its `formula_key`."""
-    parts: list[str] = []
-
-    def walk(node: Formula, ren: dict[Var, str], depth: int) -> None:
-        t = type(node)
-        if t is Pred:
-            args = ",".join([ren.get(a, a) for a in node.args])
-            parts.append(f"{node.name}({args})" if args else node.name)
-        elif t in _BINARY:
-            parts.append("(")
-            walk(node.left, ren, depth)
-            parts.append(_SYMBOL[t])
-            walk(node.right, ren, depth)
-            parts.append(")")
-        elif t in _QUANT:
-            parts.append(f"{_SYMBOL[t]}{depth}. ")
-            walk(node.body, {**ren, node.var: f"#{depth}"}, depth + 1)
-            parts.append(")")
-        else:
-            parts.append(_SYMBOL[t])
-            walk(node.body, ren, depth)
-
-    walk(phi, {}, 0)
-    return "".join(parts)
+    """`formula_key` up to bound-variable names: binder d levels deep is
+    named `#d`. Alpha-equivalent formulas share a key, and a formula without
+    binders keeps its `formula_key`."""
+    key = phi._alpha
+    if key is None:
+        key = _render(phi, alpha=True)
+        _set_alpha(phi, key)
+    return key
 
 
 def var_key(name: Var) -> tuple:
@@ -227,16 +367,27 @@ def check_arities(phi: Formula) -> dict[str, int]:
     return arities
 
 
+def _union(a: frozenset, b: frozenset) -> frozenset:
+    if b <= a:
+        return a
+    if a <= b:
+        return b
+    return a | b
+
+
 def free_vars(phi: Formula) -> frozenset[Var]:
-    if isinstance(phi, Pred):
-        return frozenset(phi.args)
-    if isinstance(phi, Not):
-        return free_vars(phi.body)
-    if isinstance(phi, _BINARY):
-        return free_vars(phi.left) | free_vars(phi.right)
-    if isinstance(phi, _QUANT):
-        return free_vars(phi.body) - {phi.var}
-    return free_vars(phi.body)
+    free = phi._free
+    if free is None:
+        if type(phi) is Pred:
+            free = frozenset(phi.args)
+        elif isinstance(phi, _Binary):
+            free = _union(free_vars(phi.left), free_vars(phi.right))
+        else:
+            free = free_vars(phi.body)
+            if isinstance(phi, _Quant) and phi.var in free:
+                free = free - {phi.var}
+        _set_free(phi, free)
+    return free
 
 
 def binders(phi: Formula) -> list[Var]:
@@ -262,7 +413,19 @@ def binders(phi: Formula) -> list[Var]:
 
 
 def all_vars(phi: Formula) -> frozenset[Var]:
-    return free_vars(phi) | frozenset(binders(phi))
+    """Free and bound variables."""
+    found = phi._all
+    if found is None:
+        if type(phi) is Pred:
+            found = free_vars(phi)
+        elif isinstance(phi, _Binary):
+            found = _union(all_vars(phi.left), all_vars(phi.right))
+        else:
+            found = all_vars(phi.body)
+            if isinstance(phi, _Quant) and phi.var not in found:
+                found = found | {phi.var}
+        _set_all(phi, found)
+    return found
 
 
 def is_clean(phi: Formula) -> bool:
@@ -337,6 +500,8 @@ def to_nnf(phi: Formula) -> Formula:
     (a & b) | (~a & ~b), and its negation (a & ~b) | (~a & b).
     """
     check_arities(phi)
+    if is_nnf(phi):
+        return phi  # a rebuild would hand back this very node
 
     def walk(node: Formula, positive: bool) -> Formula:
         if isinstance(node, Pred):
@@ -396,25 +561,30 @@ def is_nnf(phi: Formula) -> bool:
 
 def nnf_complement(phi: Formula) -> Formula:
     """Negation of an NNF formula, again in NNF."""
-    if isinstance(phi, Pred):
-        return Not(phi)
-    if isinstance(phi, Not):
-        if isinstance(phi.body, Pred):
-            return phi.body
-        raise ValueError(f"not in negation normal form: {phi}")
-    if isinstance(phi, And):
-        return Or(nnf_complement(phi.left), nnf_complement(phi.right))
-    if isinstance(phi, Or):
-        return And(nnf_complement(phi.left), nnf_complement(phi.right))
-    if isinstance(phi, Exists):
-        return Forall(phi.var, nnf_complement(phi.body))
-    if isinstance(phi, Forall):
-        return Exists(phi.var, nnf_complement(phi.body))
-    if isinstance(phi, Box):
-        return Diamond(nnf_complement(phi.body))
-    if isinstance(phi, Diamond):
-        return Box(nnf_complement(phi.body))
-    raise ValueError(f"not in negation normal form: {phi}")
+    compl = phi._compl
+    if compl is None:
+        t = type(phi)
+        if t is Pred:
+            compl = Not(phi)
+        elif t is Not and type(phi.body) is Pred:
+            compl = phi.body
+        elif t in _DUAL:
+            if isinstance(phi, _Binary):
+                compl = _DUAL[t](nnf_complement(phi.left), nnf_complement(phi.right))
+            elif isinstance(phi, _Quant):
+                compl = _DUAL[t](phi.var, nnf_complement(phi.body))
+            else:
+                compl = _DUAL[t](nnf_complement(phi.body))
+        else:
+            raise ValueError(f"not in negation normal form: {phi}")
+        _set_compl(phi, compl)
+        # The complement of the complement is the node itself.
+        if compl._compl is None:
+            _set_compl(compl, phi)
+    return compl
+
+
+_DUAL = {And: Or, Or: And, Exists: Forall, Forall: Exists, Box: Diamond, Diamond: Box}
 
 
 def is_literal(phi: Formula) -> bool:

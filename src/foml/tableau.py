@@ -35,6 +35,7 @@ from .formulas import (
     FragmentError,
     Not,
     Or,
+    Pred,
     ResourceLimit,
     all_vars,
     alpha_key,
@@ -197,19 +198,26 @@ def init_root(theta: Formula) -> TableauNode:
     )
 
 
-def is_closed(gamma: Iterable[Formula]) -> bool:
-    gamma = set(gamma)
-    return any(nnf_complement(g) in gamma for g in gamma)
+def is_closed(gamma: frozenset) -> bool:
+    return _clashes(gamma, gamma)
 
 
-def _first(gamma, kind):
-    picks = sorted((g for g in gamma if isinstance(g, kind)), key=formula_key)
-    return picks[0] if picks else None
+def _clashes(added: Iterable[Formula], gamma: frozenset) -> bool:
+    """Whether a formula of `added` meets its complement in gamma. Over the
+    formulas a rule added to an open gamma, this decides `is_closed` of the
+    result: a clash among the rest was already in the open parent."""
+    return not gamma.isdisjoint(map(nnf_complement, added))
+
+
+# The same-world rules that take a pivot, in priority order.
+_PIVOT_RULES = ((And, "and"), (Or, "or"), (Exists, "exists"), (Forall, "forall"))
 
 
 def select_rule(gamma: frozenset, forest) -> tuple[str, Optional[Formula]]:
-    """The unique rule class for this node state, with its pivot formula."""
-    if all(is_literal(g) for g in gamma):
+    """The unique rule class for this node state, with its pivot formula: of
+    the first kind present, the one first in `formula_key` order."""
+    kinds = {type(g) for g in gamma}
+    if kinds <= {Pred, Not} and all(is_literal(g) for g in gamma):
         return "none", None
     if forest is NOT_INIT:
         nested = [g for g in gamma if isinstance(g, Forall) and is_nested_forall(g)]
@@ -218,21 +226,12 @@ def select_rule(gamma: frozenset, forest) -> tuple[str, Optional[Formula]]:
         if nested:
             return "nestedForall", nested[0]
         return "trivialSkolem", None
-    pivot = _first(gamma, And)
-    if pivot is not None:
-        return "and", pivot
-    pivot = _first(gamma, Or)
-    if pivot is not None:
-        return "or", pivot
-    pivot = _first(gamma, Exists)
-    if pivot is not None:
-        return "exists", pivot
-    pivot = _first(gamma, Forall)
-    if pivot is not None:
-        return "forall", pivot
-    if any(isinstance(g, Diamond) for g in gamma):
+    for kind, name in _PIVOT_RULES:
+        if kind in kinds:
+            return name, min((g for g in gamma if type(g) is kind), key=formula_key)
+    if Diamond in kinds:
         return "diamond", None
-    if any(isinstance(g, Box) for g in gamma):
+    if Box in kinds:
         return "end", None
     raise FomlError("no rule applies to a non-literal gamma")
 
@@ -335,24 +334,36 @@ def search(
     return SearchResult(SAT, Tableau(theta=theta, root=node), ctx.stats)
 
 
-def _solve(ctx: _Ctx, world, gamma, s, forest, rule) -> Optional[TableauNode]:
-    """The open subtree for this state, or None when every alternative closes."""
-    ctx.bump_nodes()
-    ctx.stats.max_world_depth = max(ctx.stats.max_world_depth, len(world))
-    if is_closed(gamma):
-        return None
+def _solve(
+    ctx: _Ctx, world, gamma, s, forest, rule, added=None
+) -> Optional[TableauNode]:
+    """The open subtree for this state, or None when every alternative closes.
 
-    memo_key = None
-    if ctx.guidance is None:
-        memo_key = (gamma, s, forest)
-        if memo_key in ctx.memo:
-            ctx.stats.memo_hits += 1
+    `added` is what a same-world rule added to its open parent's gamma; only
+    it is checked for a clash. Without it, all of gamma is. A budget that
+    runs out below names the world of the innermost state it fired in."""
+    try:
+        ctx.bump_nodes()
+        ctx.stats.max_world_depth = max(ctx.stats.max_world_depth, len(world))
+        closed = is_closed(gamma) if added is None else _clashes(added, gamma)
+        if closed:
             return None
 
-    node = _apply(ctx, world, gamma, s, forest, rule)
-    if node is None and memo_key is not None:
-        ctx.memo.add(memo_key)
-    return node
+        memo_key = None
+        if ctx.guidance is None:
+            memo_key = (gamma, s, forest)
+            if memo_key in ctx.memo:
+                ctx.stats.memo_hits += 1
+                return None
+
+        node = _apply(ctx, world, gamma, s, forest, rule)
+        if node is None and memo_key is not None:
+            ctx.memo.add(memo_key)
+        return node
+    except ResourceLimit as exc:
+        if exc.world is not None:
+            raise
+        raise ResourceLimit(exc.budget, exc.count, render_world(world)) from None
 
 
 def _apply(ctx: _Ctx, world, gamma, s, forest, rule) -> Optional[TableauNode]:
@@ -385,7 +396,7 @@ def _apply(ctx: _Ctx, world, gamma, s, forest, rule) -> Optional[TableauNode]:
     for gamma2, s2, forest2 in options:
         if kind == "or":
             ctx.stats.or_attempts += 1
-        child = _solve(ctx, world, gamma2, s2, forest2, kind)
+        child = _solve(ctx, world, gamma2, s2, forest2, kind, gamma2 - gamma)
         if child is not None:
             return TableauNode(world, gamma, s, forest, rule, (child,))
     return None

@@ -2,7 +2,19 @@
 
 from itertools import product
 
-from foml.formulas import And, Exists, Or, nnf_complement
+from foml.formulas import (
+    And,
+    Box,
+    Diamond,
+    Exists,
+    Forall,
+    Iff,
+    Implies,
+    Not,
+    Or,
+    Pred,
+    nnf_complement,
+)
 
 
 def brute_atoms(psi):
@@ -81,3 +93,71 @@ def is_minimal_forest(forest):
         if bool(node.children) == closes:
             return False
     return True
+
+
+# Uncached references for the values a formula node caches: each walks the
+# node's fields afresh and reads none of its caches.
+
+_BINARY_OPS = {And: " & ", Or: " | ", Implies: " -> ", Iff: " <-> "}
+_UNARY_OPS = {Not: "~", Box: "[]", Diamond: "<>"}
+_QUANT_KW = {Exists: "exists", Forall: "forall"}
+
+
+def ref_key(phi, ren=None, depth=None):
+    """`formula_key`; with `ren`, the `alpha_key` of phi under that binder
+    renaming, the next binder being `#depth`."""
+    t = type(phi)
+    if t is Pred:
+        args = [ren.get(a, a) for a in phi.args] if ren is not None else phi.args
+        return f"{phi.name}({','.join(args)})" if args else phi.name
+    if t in _BINARY_OPS:
+        left = ref_key(phi.left, ren, depth)
+        right = ref_key(phi.right, ren, depth)
+        return f"({left}{_BINARY_OPS[t]}{right})"
+    if t in _QUANT_KW:
+        if ren is None:
+            return f"({_QUANT_KW[t]} {phi.var}. {ref_key(phi.body)})"
+        inner = ref_key(phi.body, {**ren, phi.var: f"#{depth}"}, depth + 1)
+        return f"({_QUANT_KW[t]} #{depth}. {inner})"
+    return _UNARY_OPS[t] + ref_key(phi.body, ren, depth)
+
+
+def ref_alpha_key(phi):
+    return ref_key(phi, {}, 0)
+
+
+def ref_free_vars(phi):
+    if type(phi) is Pred:
+        return frozenset(phi.args)
+    if type(phi) in _BINARY_OPS:
+        return ref_free_vars(phi.left) | ref_free_vars(phi.right)
+    if type(phi) in _QUANT_KW:
+        return ref_free_vars(phi.body) - {phi.var}
+    return ref_free_vars(phi.body)
+
+
+def ref_all_vars(phi):
+    if type(phi) is Pred:
+        return frozenset(phi.args)
+    if type(phi) in _BINARY_OPS:
+        return ref_all_vars(phi.left) | ref_all_vars(phi.right)
+    if type(phi) in _QUANT_KW:
+        return ref_all_vars(phi.body) | {phi.var}
+    return ref_all_vars(phi.body)
+
+
+_DUALS = {And: Or, Or: And, Exists: Forall, Forall: Exists, Box: Diamond, Diamond: Box}
+
+
+def ref_complement(phi):
+    """`nnf_complement` of an NNF formula, built afresh."""
+    t = type(phi)
+    if t is Pred:
+        return Not(phi)
+    if t is Not:
+        return phi.body
+    if t in (And, Or):
+        return _DUALS[t](ref_complement(phi.left), ref_complement(phi.right))
+    if t in _QUANT_KW:
+        return _DUALS[t](phi.var, ref_complement(phi.body))
+    return _DUALS[t](ref_complement(phi.body))

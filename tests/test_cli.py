@@ -52,13 +52,22 @@ def test_sat_resource_exit_code(runner, tmp_path):
     path = write(tmp_path, "phi.foml", PHI1_TEXT)
     result = runner.invoke(main, ["sat", path, "--limits", "tableau=5"])
     assert result.exit_code == 2
-    assert "RESOURCE: tableau node budget exceeded" in result.output
+    # The budget, the world where it fired and the work done by then.
+    assert (
+        "RESOURCE: tableau node budget exceeded at r.0 (work count 6)"
+        in result.output
+    )
     result = runner.invoke(
         main, ["sat", path, "--limits", "tableau=5", "--format", "json"]
     )
     assert result.exit_code == 2
     payload = json.loads(result.output)
-    assert payload["exhausted_by"].startswith("tableau node budget exceeded")
+    assert payload["exhausted_by"] == (
+        "tableau node budget exceeded at r.0 (work count 6)"
+    )
+    result = runner.invoke(main, ["sat", path, "--limits", "forest=1"])
+    assert result.exit_code == 2
+    assert "RESOURCE: skolem-forest node budget exceeded at r.0 " in result.output
 
 
 def test_model_rebuild_resource_exit_code(runner, tmp_path):
@@ -70,9 +79,16 @@ def test_model_rebuild_resource_exit_code(runner, tmp_path):
     assert result.exit_code == 2
     assert result.stderr.startswith("resource limit: extension rebuild failed")
     assert result.stderr.count("tableau node budget exceeded") == 1
+    # The rebuild names the extended world, then the world the budget hit.
+    assert (
+        "failed at r.0 leaf 'v2': tableau node budget exceeded at r.0.3.1 "
+        "(work count 301)" in result.stderr
+    )
     result = runner.invoke(main, ["model", path, "--limits", "tableau=5"])
     assert result.exit_code == 2
-    assert result.stderr.startswith("RESOURCE: tableau node budget exceeded")
+    assert result.stderr.startswith(
+        "RESOURCE: tableau node budget exceeded at r.0 (work count 6)"
+    )
 
 
 def test_sat_rejects_bad_limits(runner, tmp_path):

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -41,6 +43,14 @@ from foml.formulas import (
     to_nnf,
 )
 from foml.kripke import check
+from foml.parser import parse_formula, print_formula
+from oracles import (
+    ref_all_vars,
+    ref_alpha_key,
+    ref_complement,
+    ref_free_vars,
+    ref_key,
+)
 
 
 def P(*args):
@@ -436,3 +446,83 @@ def test_alpha_key_is_formula_key_up_to_binder_names(seed):
         assert alpha_key(phi) == formula_key(phi)
     forbidden = frozenset(rng.sample(["q0", "q1", "q2", "a", "b"], 3))
     assert alpha_key(clean_rename(phi, forbidden)) == alpha_key(phi)
+
+
+# --- hash-consing ------------------------------------------------------------
+
+
+def test_equal_structures_are_one_node():
+    phi = And(P("x"), Exists("y", Q("x", "y")))
+    assert And(P("x"), Exists("y", Q("x", "y"))) is phi
+    assert Pred("P", ["x"]) is P("x")
+    assert Or(P("x"), Exists("y", Q("x", "y"))) is not phi
+    assert Forall("y", Q("x", "y")) is not Exists("y", Q("x", "y"))
+    assert phi == And(P("x"), Exists("y", Q("x", "y")))
+    assert phi != And(P("y"), Exists("y", Q("x", "y")))
+
+
+def test_nodes_are_immutable():
+    phi = And(P("x"), Q("x", "y"))
+    with pytest.raises(AttributeError):
+        phi.left = Q("y", "y")
+    with pytest.raises(AttributeError):
+        del phi.right
+    with pytest.raises(AttributeError):
+        phi._hash = 0
+    assert phi.left is P("x")
+
+
+def test_copy_and_pickle_keep_interning():
+    phi = norm("forall x. <> ((forall y. Q(x,y)) & exists y. ~P(y))")
+    assert copy.copy(phi) is phi
+    assert copy.deepcopy(phi) is phi
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(phi, protocol)) is phi
+
+
+def test_deep_formula_hashes_compares_and_sits_in_a_set():
+    def chain(n):
+        phi = P("x")
+        for i in range(n):
+            phi = And(phi, Q("x", f"y{i % 3}"))
+        return phi
+
+    deep = chain(5000)
+    assert isinstance(hash(deep), int)
+    again = chain(5000)
+    assert again is deep and again == deep
+    assert deep in {again}
+    assert deep not in {chain(4999)}
+    assert str(deep).count("&") == 5000
+
+
+@given(st.integers(0, 100_000))
+@settings(max_examples=200, deadline=None)
+def test_printed_formula_parses_back_to_the_same_node(seed):
+    phi = random_raw_formula(random.Random(seed), 5, ["x", "u"])
+    assert parse_formula(print_formula(phi)) is phi
+
+
+@given(st.integers(0, 100_000))
+@settings(max_examples=200, deadline=None)
+def test_complement_is_an_involution_on_nodes(seed):
+    phi = to_nnf(random_raw_formula(random.Random(seed), 5, ["x", "u"]))
+    compl = nnf_complement(phi)
+    assert compl is ref_complement(phi)
+    assert nnf_complement(compl) is phi
+
+
+@given(st.integers(0, 100_000))
+@settings(max_examples=200, deadline=None)
+def test_cached_fields_match_uncached_references(seed):
+    rng = random.Random(seed)
+    phi = random_raw_formula(rng, 5, ["x", "u"])
+    # Fill caches below the root first, in random order, so that walks
+    # over partly cached trees are exercised too.
+    subs = list(subformulas(phi))
+    rng.shuffle(subs)
+    for f in subs[: rng.randint(0, len(subs))] + [phi]:
+        assert str(f) == formula_key(f) == ref_key(f)
+        assert free_vars(f) == ref_free_vars(f)
+        assert all_vars(f) == ref_all_vars(f)
+        assert alpha_key(f) == ref_alpha_key(f)

@@ -1,16 +1,25 @@
+import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import foml.extraction
 import foml.tableau
-from conftest import norm
+from conftest import norm, subformulas
 from foml.forest import EMPTY_TREE, NOT_INIT, SkolemForest
+from foml.extraction import iterate_extensions
 from foml.formulas import (
     FomlError,
     Forall,
     FragmentError,
     formula_key,
+    free_vars,
+    is_literal,
     is_nested_forall,
+    nnf_complement,
+    outer_ex_vars,
 )
 from foml.kripke import bounded_model_search
 from foml.parser import parse_formula
@@ -29,9 +38,12 @@ from foml.tableau import (
     replay_guidance,
     search,
     select_rule,
+    _clashes,
+    is_closed,
     successors,
     verify_tableau,
 )
+from foml.testgen import GenConfig, gen_formula
 
 
 def test_world_names_round_trip():
@@ -87,6 +99,21 @@ def test_end_rule_drops_boxes():
 def test_flagship_is_satisfiable(phi1_result):
     assert phi1_result.status == SAT
     assert phi1_result.stats.nodes == 295
+
+
+def test_flagship_rebuilds_search_pinned_node_counts(monkeypatch, phi1, phi1_result):
+    """The searches behind three extension rounds, node for node: a change
+    that reorders the search moves these counts."""
+    nodes = []
+
+    def counted(*args):
+        result = search(*args)
+        nodes.append(result.stats.nodes)
+        return result
+
+    monkeypatch.setattr(foml.extraction, "search", counted)
+    iterate_extensions(phi1, phi1_result.tableau, 3)
+    assert nodes == [715, 1871, 5018]
 
 
 def test_flagship_world_tree_shape(phi1_result):
@@ -299,3 +326,36 @@ def test_limits_validation_and_derivation(phi1):
         SearchLimits(max_tableau_nodes=-3)
     derived = SearchLimits.derive(phi1)
     assert derived.max_forest_nodes >= 64
+
+
+@given(st.integers(0, 100_000))
+@settings(max_examples=150, deadline=None)
+def test_clash_check_on_added_formulas_agrees_with_is_closed(seed):
+    """Down a random path of same-world rules from a random open gamma, each
+    child closes exactly when a formula the rule added meets its complement."""
+    rng = random.Random(seed)
+    theta = gen_formula(GenConfig(seed=seed), rng)
+    pool = list(dict.fromkeys(subformulas(theta)))
+    pool += [nnf_complement(f) for f in pool if is_literal(f)]
+    gamma = set()
+    for f in rng.sample(pool, min(len(pool), rng.randint(1, 6))):
+        if nnf_complement(f) not in gamma:
+            gamma.add(f)
+    gamma = frozenset(gamma)
+    s = frozenset({"v0"}).union(*map(free_vars, gamma), *map(outer_ex_vars, gamma))
+    for _ in range(8):
+        assert not is_closed(gamma)
+        kind, pivot = select_rule(gamma, EMPTY_TREE)
+        if kind in ("none", "diamond"):
+            return
+        try:
+            options = successors(gamma, s, EMPTY_TREE, kind, pivot)
+        except FomlError:  # a binder of one member is free in another
+            return
+        children = [c for c, _, _ in options]
+        for child in children:
+            assert _clashes(child - gamma, child) == is_closed(child)
+        open_children = [c for c in children if not is_closed(c)]
+        if not open_children:
+            return
+        gamma = rng.choice(open_children)
