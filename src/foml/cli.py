@@ -25,7 +25,6 @@ from .extraction import iterate_extensions, trace_to_ndjson
 from .formulas import (
     FomlError,
     ResourceLimit,
-    check_arities,
     classify_fragment,
     clean_rename,
     free_vars,
@@ -212,7 +211,6 @@ def check_model(model_file, formula_file, world, assign_text, fmt):
             click.echo(f"invalid model: {v}", err=True)
         sys.exit(3)
     phi = _load_formula(formula_file, normalize=False)
-    check_arities(phi)
     if world not in m.worlds:
         raise FomlError(f"world {world!r} is not in the model")
     sigma = {v: v for v in free_vars(phi)}

@@ -246,18 +246,19 @@ def trace_to_ndjson(trace: ExtensionTrace) -> str:
                 sort_keys=True,
             )
         )
-        for step in trace.steps:
-            if step.iteration == i + 1:
-                lines.append(
-                    json.dumps(
-                        {
-                            "type": "extension",
-                            "iteration": step.iteration,
-                            "world": step.world,
-                            "leaf": step.leaf,
-                            "fresh": list(step.fresh),
-                        },
-                        sort_keys=True,
-                    )
+        # steps[i] is round i + 1, the step that led to snapshot i + 1.
+        if i < len(trace.steps):
+            step = trace.steps[i]
+            lines.append(
+                json.dumps(
+                    {
+                        "type": "extension",
+                        "iteration": step.iteration,
+                        "world": step.world,
+                        "leaf": step.leaf,
+                        "fresh": list(step.fresh),
+                    },
+                    sort_keys=True,
                 )
+            )
     return "\n".join(lines) + "\n"

@@ -233,16 +233,6 @@ class Or(_Binary):
     _op = " | "
 
 
-class Implies(_Binary):
-    __slots__ = ()
-    _op = " -> "
-
-
-class Iff(_Binary):
-    __slots__ = ()
-    _op = " <-> "
-
-
 class Exists(_Quant):
     __slots__ = ()
     _op = "exists"
@@ -263,10 +253,8 @@ class Diamond(_Unary):
     _op = "<>"
 
 
-Formula = Union[Pred, Not, And, Or, Implies, Iff, Exists, Forall, Box, Diamond]
+Formula = Union[Pred, Not, And, Or, Exists, Forall, Box, Diamond]
 
-_BINARY = (And, Or, Implies, Iff)
-_QUANT = (Exists, Forall)
 _MODAL = (Box, Diamond)
 
 _ENUM_VAR = re.compile(r"v(\d+)\Z")
@@ -353,10 +341,10 @@ def check_arities(phi: Formula) -> dict[str, int]:
                 raise ArityError(node.name, old, n)
         elif isinstance(node, Not):
             walk(node.body)
-        elif isinstance(node, _BINARY):
+        elif isinstance(node, _Binary):
             walk(node.left)
             walk(node.right)
-        elif isinstance(node, _QUANT):
+        elif isinstance(node, _Quant):
             walk(node.body)
         elif isinstance(node, _MODAL):
             walk(node.body)
@@ -399,10 +387,10 @@ def binders(phi: Formula) -> list[Var]:
             return
         if isinstance(node, Not):
             walk(node.body)
-        elif isinstance(node, _BINARY):
+        elif isinstance(node, _Binary):
             walk(node.left)
             walk(node.right)
-        elif isinstance(node, _QUANT):
+        elif isinstance(node, _Quant):
             out.append(node.var)
             walk(node.body)
         else:
@@ -447,9 +435,9 @@ def substitute(phi: Formula, mapping: Mapping[Var, Var]) -> Formula:
         return Pred(phi.name, tuple(mapping.get(a, a) for a in phi.args))
     if isinstance(phi, Not):
         return Not(substitute(phi.body, mapping))
-    if isinstance(phi, _BINARY):
+    if isinstance(phi, _Binary):
         return type(phi)(substitute(phi.left, mapping), substitute(phi.right, mapping))
-    if isinstance(phi, _QUANT):
+    if isinstance(phi, _Quant):
         live = {k: v for k, v in mapping.items() if k != phi.var}
         if not live:
             return phi
@@ -475,9 +463,9 @@ def clean_rename(phi: Formula, forbidden: Iterable[Var] = ()) -> Formula:
             return Pred(node.name, tuple(ren.get(a, a) for a in node.args))
         if isinstance(node, Not):
             return Not(walk(node.body, ren))
-        if isinstance(node, _BINARY):
+        if isinstance(node, _Binary):
             return type(node)(walk(node.left, ren), walk(node.right, ren))
-        if isinstance(node, _QUANT):
+        if isinstance(node, _Quant):
             name = node.var
             if name in used:
                 new = fresh_var(used | taken)
@@ -494,57 +482,27 @@ def clean_rename(phi: Formula, forbidden: Iterable[Var] = ()) -> Formula:
 
 
 def to_nnf(phi: Formula) -> Formula:
-    """Negation normal form: negation only on atoms, no -> or <->.
+    """Negation normal form: negation only on atoms.
 
-    Implication a -> b becomes ~a | b. The biconditional a <-> b becomes
-    (a & b) | (~a & ~b), and its negation (a & ~b) | (~a & b).
+    Each `~psi` becomes the `nnf_complement` of psi's normal form, so the
+    dual table there is the one definition of negation.
     """
     check_arities(phi)
     if is_nnf(phi):
         return phi  # a rebuild would hand back this very node
 
-    def walk(node: Formula, positive: bool) -> Formula:
+    def walk(node: Formula) -> Formula:
         if isinstance(node, Pred):
-            return node if positive else Not(node)
+            return node
         if isinstance(node, Not):
-            return walk(node.body, not positive)
-        if isinstance(node, And):
-            pair = walk(node.left, positive), walk(node.right, positive)
-            return And(*pair) if positive else Or(*pair)
-        if isinstance(node, Or):
-            pair = walk(node.left, positive), walk(node.right, positive)
-            return Or(*pair) if positive else And(*pair)
-        if isinstance(node, Implies):
-            if positive:
-                return Or(walk(node.left, False), walk(node.right, True))
-            return And(walk(node.left, True), walk(node.right, False))
-        if isinstance(node, Iff):
-            if positive:
-                return Or(
-                    And(walk(node.left, True), walk(node.right, True)),
-                    And(walk(node.left, False), walk(node.right, False)),
-                )
-            return Or(
-                And(walk(node.left, True), walk(node.right, False)),
-                And(walk(node.left, False), walk(node.right, True)),
-            )
-        if isinstance(node, Exists):
-            if positive:
-                return Exists(node.var, walk(node.body, True))
-            return Forall(node.var, walk(node.body, False))
-        if isinstance(node, Forall):
-            if positive:
-                return Forall(node.var, walk(node.body, True))
-            return Exists(node.var, walk(node.body, False))
-        if isinstance(node, Box):
-            if positive:
-                return Box(walk(node.body, True))
-            return Diamond(walk(node.body, False))
-        if positive:
-            return Diamond(walk(node.body, True))
-        return Box(walk(node.body, False))
+            return nnf_complement(walk(node.body))
+        if isinstance(node, _Binary):
+            return type(node)(walk(node.left), walk(node.right))
+        if isinstance(node, _Quant):
+            return type(node)(node.var, walk(node.body))
+        return type(node)(walk(node.body))
 
-    return walk(phi, True)
+    return walk(phi)
 
 
 def is_nnf(phi: Formula) -> bool:
@@ -552,9 +510,7 @@ def is_nnf(phi: Formula) -> bool:
         return True
     if isinstance(phi, Not):
         return isinstance(phi.body, Pred)
-    if isinstance(phi, (Implies, Iff)):
-        return False
-    if isinstance(phi, (And, Or)):
+    if isinstance(phi, _Binary):
         return is_nnf(phi.left) and is_nnf(phi.right)
     return is_nnf(phi.body)
 
@@ -598,21 +554,6 @@ def is_module(phi: Formula) -> bool:
     return is_literal(phi) or isinstance(phi, _MODAL)
 
 
-def components(phi: Formula) -> frozenset[Formula]:
-    """The set of subformulas evaluated at the current world.
-
-    Modules contribute themselves; conjunction and disjunction are flattened;
-    a quantified formula contributes itself plus the components of its body.
-    """
-    if is_module(phi):
-        return frozenset({phi})
-    if isinstance(phi, (And, Or)):
-        return components(phi.left) | components(phi.right)
-    if isinstance(phi, _QUANT):
-        return frozenset({phi}) | components(phi.body)
-    raise ValueError(f"not in negation normal form: {phi}")
-
-
 def outer_ex_vars(phi: Formula) -> frozenset[Var]:
     """Existential variables not guarded by any modality or universal.
 
@@ -631,14 +572,15 @@ def outer_ex_vars(phi: Formula) -> frozenset[Var]:
 
 
 def is_nested_forall(phi: Formula) -> bool:
-    """True when a universally quantified formula has a quantified component.
+    """True when the and/or skeleton of a universal's body has a quantified
+    leaf, that is, when a quantifier is evaluated at the universal's world.
 
     Such formulas are the source of unbounded witness chains and get the
     skolem-forest treatment instead of plain instantiation.
     """
     if not isinstance(phi, Forall):
         raise ValueError(f"expected a universally quantified formula: {phi}")
-    return any(isinstance(c, _QUANT) for c in components(phi.body))
+    return any(isinstance(c, _Quant) for c in skeleton_leaves(phi.body))
 
 
 @dataclass(frozen=True)
@@ -671,7 +613,7 @@ def skeleton_leaves(psi: Formula) -> list[Formula]:
             walk(node.left)
             walk(node.right)
             return
-        if not (is_module(node) or isinstance(node, _QUANT)):
+        if not (is_module(node) or isinstance(node, _Quant)):
             raise ValueError(f"not in negation normal form: {node}")
         if node not in seen:
             seen.add(node)

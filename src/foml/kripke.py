@@ -21,8 +21,6 @@ from .formulas import (
     Forall,
     Formula,
     FomlError,
-    Iff,
-    Implies,
     Not,
     Or,
     Pred,
@@ -124,10 +122,6 @@ def _eval(model: KripkeModel, w: str, sigma: dict, phi: Formula) -> bool:
         return _eval(model, w, sigma, phi.left) and _eval(model, w, sigma, phi.right)
     if isinstance(phi, Or):
         return _eval(model, w, sigma, phi.left) or _eval(model, w, sigma, phi.right)
-    if isinstance(phi, Implies):
-        return (not _eval(model, w, sigma, phi.left)) or _eval(model, w, sigma, phi.right)
-    if isinstance(phi, Iff):
-        return _eval(model, w, sigma, phi.left) == _eval(model, w, sigma, phi.right)
     if isinstance(phi, Exists):
         saved = sigma.get(phi.var)
         for d in sorted(model.local_domain[w]):

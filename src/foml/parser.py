@@ -6,6 +6,11 @@ then the prefix operators `~`, `[]`, `<>` and dot-scoped quantifiers
 Predicates start uppercase, variables lowercase; arity is inferred from the
 first occurrence and checked globally. Unicode connectives are accepted as
 aliases. `#` starts a line comment.
+
+`->` and `<->` are sugar and end here: `a -> b` parses as `~a | b`, and
+`a <-> b` as `(a & b) | (~a & ~b)`, whose repeated operands are shared nodes.
+The printer writes only `~`, `&`, `|`, so a printed formula shows its
+desugared form.
 """
 
 from __future__ import annotations
@@ -20,8 +25,6 @@ from .formulas import (
     Forall,
     Formula,
     FomlError,
-    Iff,
-    Implies,
     Not,
     Or,
     Pred,
@@ -168,14 +171,15 @@ class _Parser:
         left = self.implies()
         if self.peek().kind == "iff":
             self.pos += 1
-            return Iff(left, self.iff())
+            right = self.iff()
+            return Or(And(left, right), And(Not(left), Not(right)))
         return left
 
     def implies(self) -> Formula:
         left = self.disjunction()
         if self.peek().kind == "implies":
             self.pos += 1
-            return Implies(left, self.implies())
+            return Or(Not(left), self.implies())
         return left
 
     def disjunction(self) -> Formula:
@@ -247,19 +251,17 @@ def parse_formula(text: str) -> Formula:
     return _Parser(text).parse()
 
 
-_LEVEL_IFF = 1
-_LEVEL_IMPLIES = 2
-_LEVEL_OR = 3
-_LEVEL_AND = 4
-_LEVEL_UNARY = 5
+_LEVEL_OR = 1
+_LEVEL_AND = 2
+_LEVEL_UNARY = 3
 
 
 def _render(phi: Formula) -> tuple[str, int, bool]:
     """Returns (text, precedence level, ends-in-open-quantifier-scope)."""
     if isinstance(phi, Pred):
         if phi.args:
-            return f"{phi.name}({', '.join(phi.args)})", 6, False
-        return phi.name, 6, False
+            return f"{phi.name}({', '.join(phi.args)})", _LEVEL_UNARY, False
+        return phi.name, _LEVEL_UNARY, False
     if isinstance(phi, (Not, Box, Diamond)):
         op = {"Not": "~", "Box": "[] ", "Diamond": "<> "}[type(phi).__name__]
         text, level, open_scope = _render(phi.body)
@@ -271,24 +273,20 @@ def _render(phi: Formula) -> tuple[str, int, bool]:
         body, _, _ = _render(phi.body)
         return f"{kw} {phi.var}. {body}", _LEVEL_UNARY, True
     if isinstance(phi, And):
-        return _binary(phi, "&", _LEVEL_AND, right_assoc=False)
-    if isinstance(phi, Or):
-        return _binary(phi, "|", _LEVEL_OR, right_assoc=False)
-    if isinstance(phi, Implies):
-        return _binary(phi, "->", _LEVEL_IMPLIES, right_assoc=True)
-    return _binary(phi, "<->", _LEVEL_IFF, right_assoc=True)
+        return _binary(phi, "&", _LEVEL_AND)
+    return _binary(phi, "|", _LEVEL_OR)
 
 
-def _binary(phi, op: str, level: int, right_assoc: bool) -> tuple[str, int, bool]:
+def _binary(phi, op: str, level: int) -> tuple[str, int, bool]:
+    """`&` and `|` associate to the left: a right child at the same level is
+    parenthesised."""
     ltext, llevel, lopen = _render(phi.left)
     # The operator follows the left child, so an open quantifier scope there
     # would swallow it on re-parse.
-    lmin = level + 1 if right_assoc else level
-    if llevel < lmin or lopen:
+    if llevel < level or lopen:
         ltext = f"({ltext})"
     rtext, rlevel, ropen = _render(phi.right)
-    rmin = level if right_assoc else level + 1
-    if rlevel < rmin:
+    if rlevel <= level:
         rtext, ropen = f"({rtext})", False
     return f"{ltext} {op} {rtext}", level, ropen
 

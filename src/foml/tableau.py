@@ -98,7 +98,6 @@ class SearchStats:
     or_attempts: int = 0
     forest_attempts: int = 0
     memo_hits: int = 0
-    max_world_depth: int = 0
     exhausted_by: Optional[str] = None
 
 
@@ -344,7 +343,6 @@ def _solve(
     runs out below names the world of the innermost state it fired in."""
     try:
         ctx.bump_nodes()
-        ctx.stats.max_world_depth = max(ctx.stats.max_world_depth, len(world))
         closed = is_closed(gamma) if added is None else _clashes(added, gamma)
         if closed:
             return None

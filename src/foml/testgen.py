@@ -7,7 +7,7 @@ from __future__ import annotations
 import json
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .extraction import extract_model, find_leaf_violations
@@ -32,21 +32,20 @@ from .formulas import (
 )
 from .kripke import bounded_model_search, check, validate_model
 from .parser import print_formula
-from .tableau import SAT, SearchLimits, search, verify_tableau, render_world
+from .tableau import SAT, search, verify_tableau, render_world
 
 
-def _default_weights() -> dict[str, float]:
-    return {
-        "literal": 3.0,
-        "and": 2.0,
-        "or": 2.0,
-        "box": 1.0,
-        "diamond": 1.0,
-        "exists-box": 2.0,
-        "forall-diamond": 2.0,
-        "box-exists": 2.0,
-        "diamond-forall": 2.0,
-    }
+_WEIGHTS = {
+    "literal": 3.0,
+    "and": 2.0,
+    "or": 2.0,
+    "box": 1.0,
+    "diamond": 1.0,
+    "exists-box": 2.0,
+    "forall-diamond": 2.0,
+    "box-exists": 2.0,
+    "diamond-forall": 2.0,
+}
 
 
 @dataclass
@@ -54,17 +53,11 @@ class GenConfig:
     max_depth: int = 4
     max_predicates: int = 3
     max_arity: int = 2
-    bundle_weights: dict = field(default_factory=_default_weights)
     seed: int = 0
 
     def __post_init__(self):
         if self.max_depth < 1:
             raise ValueError("max_depth must be at least 1")
-        if any(w < 0 for w in self.bundle_weights.values()):
-            raise ValueError("weights must be non-negative")
-        unknown = set(self.bundle_weights) - set(_default_weights())
-        if unknown:
-            raise ValueError(f"unknown productions: {sorted(unknown)}")
 
 
 def gen_formula(cfg: GenConfig, rng: Optional[random.Random] = None) -> Formula:
@@ -82,9 +75,7 @@ def gen_formula(cfg: GenConfig, rng: Optional[random.Random] = None) -> Formula:
     if rng.random() < 0.3:
         scope.append("f1")
 
-    weights = _default_weights()
-    weights.update(cfg.bundle_weights)
-    structural = [k for k in weights if k != "literal"]
+    structural = [k for k in _WEIGHTS if k != "literal"]
 
     def literal(sc: list[str]) -> Formula:
         name = rng.choice(pred_names)
@@ -117,7 +108,7 @@ def gen_formula(cfg: GenConfig, rng: Optional[random.Random] = None) -> Formula:
         if depth <= 1:
             return literal(sc)
         names = ["literal"] + [k for k in structural if k not in ban]
-        pick = rng.choices(names, weights=[weights[n] for n in names])[0]
+        pick = rng.choices(names, weights=[_WEIGHTS[n] for n in names])[0]
         if pick == "literal":
             return literal(sc)
         if pick == "and":
@@ -180,10 +171,7 @@ def forest_bound_violations(tableau) -> list[str]:
 
 
 def differential_run(
-    cfg: GenConfig,
-    n: int,
-    oracle_bounds: tuple[int, int, int] = (3, 2, 3),
-    limits: Optional[SearchLimits] = None,
+    cfg: GenConfig, n: int, oracle_bounds: tuple[int, int, int] = (3, 2, 3)
 ) -> dict:
     """Generate n formulas and cross-examine tableau verdicts vs the oracle.
 
@@ -203,7 +191,7 @@ def differential_run(
         problems = []
 
         t0 = time.perf_counter()
-        res = search(phi, limits)
+        res = search(phi)
         rec["tableau"] = res.status
         rec["tableau_ms"] = round((time.perf_counter() - t0) * 1000, 3)
 

@@ -11,8 +11,6 @@ from foml.formulas import (
     Diamond,
     Exists,
     Forall,
-    Iff,
-    Implies,
     Not,
     Or,
     Pred,
@@ -102,11 +100,14 @@ def random_raw_formula(rng, depth, scope):
     if kind == "not":
         return Not(random_raw_formula(rng, depth - 1, scope))
     if kind in ("and", "or", "implies", "iff"):
-        ctor = {"and": And, "or": Or, "implies": Implies, "iff": Iff}[kind]
-        return ctor(
-            random_raw_formula(rng, depth - 1, scope),
-            random_raw_formula(rng, depth - 1, scope),
-        )
+        a = random_raw_formula(rng, depth - 1, scope)
+        b = random_raw_formula(rng, depth - 1, scope)
+        # `->` and `<->` in the forms the parser gives them.
+        if kind == "implies":
+            return Or(Not(a), b)
+        if kind == "iff":
+            return Or(And(a, b), And(Not(a), Not(b)))
+        return (And if kind == "and" else Or)(a, b)
     if kind in ("exists", "forall"):
         v = f"q{rng.randrange(3)}"
         ctor = Exists if kind == "exists" else Forall

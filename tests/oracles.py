@@ -8,8 +8,6 @@ from foml.formulas import (
     Diamond,
     Exists,
     Forall,
-    Iff,
-    Implies,
     Not,
     Or,
     Pred,
@@ -45,6 +43,16 @@ def brute_atoms(psi):
             continue
         candidates.append(chosen)
     return {c for c in candidates if not any(o < c for o in candidates)}
+
+
+def ref_components(phi):
+    """The subformulas evaluated at phi's world: and/or flattened, modules
+    kept whole, quantifiers kept and entered."""
+    if isinstance(phi, (And, Or)):
+        return ref_components(phi.left) | ref_components(phi.right)
+    if isinstance(phi, (Exists, Forall)):
+        return {phi} | ref_components(phi.body)
+    return {phi}
 
 
 def atoms_as_sets(atoms):
@@ -98,7 +106,7 @@ def is_minimal_forest(forest):
 # Uncached references for the values a formula node caches: each walks the
 # node's fields afresh and reads none of its caches.
 
-_BINARY_OPS = {And: " & ", Or: " | ", Implies: " -> ", Iff: " <-> "}
+_BINARY_OPS = {And: " & ", Or: " | "}
 _UNARY_OPS = {Not: "~", Box: "[]", Diamond: "<>"}
 _QUANT_KW = {Exists: "exists", Forall: "forall"}
 

@@ -19,7 +19,13 @@ from conftest import (
     random_relevant_sigma,
     subformulas,
 )
-from oracles import atoms_as_sets, brute_atoms, forest_shape, ref_label_trees
+from oracles import (
+    atoms_as_sets,
+    brute_atoms,
+    forest_shape,
+    ref_components,
+    ref_label_trees,
+)
 from foml.cli import main
 from foml.extraction import (
     RESIDUAL,
@@ -31,7 +37,6 @@ from foml.forest import enumerate_forests
 from foml.formulas import (
     Forall,
     clean_rename,
-    components,
     enumerate_atoms,
     free_vars,
     is_clean,
@@ -177,7 +182,7 @@ def test_enumerators_match_brute_force_references(phi1):
         pool.extend(subformulas(gen_formula(GenConfig(seed=seed))))
     atom_checks = forest_checks = 0
     for f in pool:
-        if len(components(f)) > 12:
+        if len(ref_components(f)) > 12:
             continue
         assert atoms_as_sets(enumerate_atoms(f)) == brute_atoms(f)
         atom_checks += 1

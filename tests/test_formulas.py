@@ -16,8 +16,6 @@ from foml.formulas import (
     Exists,
     FomlError,
     Forall,
-    Iff,
-    Implies,
     Not,
     Or,
     Pred,
@@ -27,7 +25,6 @@ from foml.formulas import (
     check_arities,
     classify_fragment,
     clean_rename,
-    components,
     enumerate_atoms,
     formula_key,
     free_vars,
@@ -48,6 +45,7 @@ from oracles import (
     ref_all_vars,
     ref_alpha_key,
     ref_complement,
+    ref_components,
     ref_free_vars,
     ref_key,
 )
@@ -78,11 +76,18 @@ def test_nnf_bundle_dual():
     assert to_nnf(phi) == Forall("x", Diamond(Not(P("x"))))
 
 
+def test_nnf_of_a_negated_biconditional_is_its_complement():
+    # `~(P <-> Q)` normalizes to the complement of `(P & Q) | (~P & ~Q)`.
+    phi = to_nnf(parse_formula("~(P <-> Q)"))
+    p, q = Pred("P"), Pred("Q")
+    assert phi == And(Or(Not(p), Not(q)), Or(p, q))
+    assert print_formula(phi) == "(~P | ~Q) & (P | Q)"
+
+
 def test_nnf_shape():
     phi = norm("~((P(x) -> Q(x,y)) <-> [] P(x))")
     assert is_nnf(phi)
     for sub in subformulas(phi):
-        assert not isinstance(sub, (Implies, Iff))
         if isinstance(sub, Not):
             assert isinstance(sub.body, Pred)
 
@@ -133,7 +138,7 @@ def alpha_eq(a, b, env=None):
         return all(env.get(x, x) == y for x, y in zip(a.args, b.args))
     if isinstance(a, Not):
         return alpha_eq(a.body, b.body, env)
-    if isinstance(a, (And, Or, Implies, Iff)):
+    if isinstance(a, (And, Or)):
         return alpha_eq(a.left, b.left, env) and alpha_eq(a.right, b.right, env)
     if isinstance(a, (Box, Diamond)):
         return alpha_eq(a.body, b.body, env)
@@ -204,53 +209,7 @@ def test_free_vars_of_the_universal_body(phi1):
     assert free_vars(body.body) == frozenset({"x"})
 
 
-# --- components and modules ------------------------------------------------
-
-
-def ref_components(phi):
-    if isinstance(phi, (And, Or)):
-        return ref_components(phi.left) | ref_components(phi.right)
-    if isinstance(phi, (Exists, Forall)):
-        return {phi} | ref_components(phi.body)
-    return {phi}
-
-
-def test_components_literal():
-    assert components(P("x")) == frozenset({P("x")})
-
-
-def test_components_through_exists():
-    phi = And(P("x"), Exists("y", Box(Q("y", "y"))))
-    assert components(phi) == frozenset(
-        {P("x"), Exists("y", Box(Q("y", "y"))), Box(Q("y", "y"))}
-    )
-
-
-def test_components_mixed_shape():
-    beta, gamma, delta = (
-        Pred("B", ("x", "y")),
-        Pred("G", ("x",)),
-        Pred("D", ("z",)),
-    )
-    phi = And(
-        Or(Exists("y", Box(beta)), Diamond(gamma)), Forall("z", Diamond(delta))
-    )
-    expect = {
-        Exists("y", Box(beta)),
-        Box(beta),
-        Diamond(gamma),
-        Forall("z", Diamond(delta)),
-        Diamond(delta),
-    }
-    assert components(phi) == frozenset(expect)
-    assert components(phi) == frozenset(ref_components(phi))
-
-
-@given(st.integers(0, 100_000))
-@settings(max_examples=500, deadline=None)
-def test_components_match_reference(seed):
-    phi = to_nnf(random_raw_formula(random.Random(seed), 4, ["x", "u"]))
-    assert components(phi) == frozenset(ref_components(phi))
+# --- modules ----------------------------------------------------------------
 
 
 def test_module_and_literal_predicates():
@@ -310,6 +269,17 @@ def test_universal_over_module_not_nested():
     assert not is_nested_forall(Forall("x", Box(P("x"))))
 
 
+@given(st.integers(0, 100_000))
+@settings(max_examples=500, deadline=None)
+def test_nested_forall_matches_reference(seed):
+    phi = Forall("x", to_nnf(random_raw_formula(random.Random(seed), 4, ["x", "u"])))
+    for sub in subformulas(phi):
+        if isinstance(sub, Forall):
+            comps = ref_components(sub.body)
+            expect = any(isinstance(c, (Exists, Forall)) for c in comps)
+            assert is_nested_forall(sub) == expect
+
+
 def test_nested_forall_rejects_other_shapes():
     with pytest.raises((FomlError, ValueError)):
         is_nested_forall(Box(P("x")))
@@ -354,7 +324,7 @@ def test_atoms_contradictory_branch_pruned():
 @settings(max_examples=100, deadline=None)
 def test_atoms_match_brute_force(seed):
     phi = to_nnf(random_raw_formula(random.Random(seed), 4, ["x", "u"]))
-    if len(components(phi)) > 12:
+    if len(ref_components(phi)) > 12:
         return
     assert atoms_as_sets(enumerate_atoms(phi)) == brute_atoms(phi)
 

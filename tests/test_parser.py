@@ -11,8 +11,6 @@ from foml.formulas import (
     Diamond,
     Exists,
     Forall,
-    Iff,
-    Implies,
     Not,
     Or,
     Pred,
@@ -57,12 +55,12 @@ def test_precedence_and_associativity():
     assert parse_formula("P(x) & Q(x) | R(x)") == Or(
         And(Pred("P", ("x",)), Pred("Q", ("x",))), Pred("R", ("x",))
     )
-    assert parse_formula("P(x) -> Q(x) -> R(x)") == Implies(
-        Pred("P", ("x",)), Implies(Pred("Q", ("x",)), Pred("R", ("x",)))
-    )
-    assert parse_formula("P(x) <-> Q(x)") == Iff(
-        Pred("P", ("x",)), Pred("Q", ("x",))
-    )
+    p, q, r = Pred("P"), Pred("Q"), Pred("R")
+    # `->` and `<->` associate to the right and desugar on parse.
+    assert parse_formula("P -> Q -> R") == Or(Not(p), Or(Not(q), r))
+    assert parse_formula("P <-> Q") == Or(And(p, q), And(Not(p), Not(q)))
+    assert parse_formula("P <-> Q <-> R") == parse_formula("P <-> (Q <-> R)")
+    assert parse_formula("P | Q -> R <-> P") == parse_formula("((P | Q) -> R) <-> P")
 
 
 def test_quantifier_scope_is_maximal():
