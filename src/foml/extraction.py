@@ -200,11 +200,15 @@ def iterate_extensions(
     model = extract_model(current)
     trace.snapshots.append(model)
 
-    for i in range(k):
+    for i in range(k + 1):
         violations = find_leaf_violations(current, model)
         if not violations:
-            _assert_root(theta, model)
+            sigma = {v: v for v in free_vars(theta)}
+            if not check(model, "r", sigma, theta):
+                raise FomlError("no leaf violations remain but the root check fails")
             return model, trace, SATISFIED
+        if i == k:
+            return model, trace, RESIDUAL
         node, leaf, _ = violations[0]
         current = extend_tableau(current, node, leaf, limits)
         new_model = extract_model(current)
@@ -222,18 +226,6 @@ def iterate_extensions(
         )
         model = new_model
         trace.snapshots.append(model)
-
-    violations = find_leaf_violations(current, model)
-    if violations:
-        return model, trace, RESIDUAL
-    _assert_root(theta, model)
-    return model, trace, SATISFIED
-
-
-def _assert_root(theta: Formula, model: KripkeModel) -> None:
-    sigma = {v: v for v in free_vars(theta)}
-    if not check(model, "r", sigma, theta):
-        raise FomlError("no leaf violations remain but the root check fails")
 
 
 def trace_to_ndjson(trace: ExtensionTrace) -> str:

@@ -255,8 +255,6 @@ class Diamond(_Unary):
 
 Formula = Union[Pred, Not, And, Or, Exists, Forall, Box, Diamond]
 
-_MODAL = (Box, Diamond)
-
 _ENUM_VAR = re.compile(r"v(\d+)\Z")
 
 
@@ -339,14 +337,10 @@ def check_arities(phi: Formula) -> dict[str, int]:
             old = arities.setdefault(node.name, n)
             if old != n:
                 raise ArityError(node.name, old, n)
-        elif isinstance(node, Not):
-            walk(node.body)
         elif isinstance(node, _Binary):
             walk(node.left)
             walk(node.right)
-        elif isinstance(node, _Quant):
-            walk(node.body)
-        elif isinstance(node, _MODAL):
+        elif isinstance(node, _Node):
             walk(node.body)
         else:
             raise TypeError(f"not a formula: {node!r}")
@@ -383,17 +377,12 @@ def binders(phi: Formula) -> list[Var]:
     out: list[Var] = []
 
     def walk(node: Formula) -> None:
-        if isinstance(node, Pred):
-            return
-        if isinstance(node, Not):
-            walk(node.body)
-        elif isinstance(node, _Binary):
+        if isinstance(node, _Binary):
             walk(node.left)
             walk(node.right)
-        elif isinstance(node, _Quant):
-            out.append(node.var)
-            walk(node.body)
-        else:
+        elif type(node) is not Pred:
+            if isinstance(node, _Quant):
+                out.append(node.var)
             walk(node.body)
 
     walk(phi)
@@ -551,7 +540,7 @@ def is_literal(phi: Formula) -> bool:
 
 def is_module(phi: Formula) -> bool:
     """A literal or a formula whose outermost symbol is a modality."""
-    return is_literal(phi) or isinstance(phi, _MODAL)
+    return is_literal(phi) or isinstance(phi, (Box, Diamond))
 
 
 def outer_ex_vars(phi: Formula) -> frozenset[Var]:
@@ -686,6 +675,12 @@ _FMP_ROWS = (
     frozenset({BUNDLE_FORALL_BOX, BUNDLE_BOX_FORALL, BUNDLE_BOX_EXISTS}),
 )
 
+# The bundle an existential makes with the modality directly above it, or
+# failing that with the one its body starts with. A universal reads the row
+# through `_DUAL`: `forall x . <>` is the dual of `exists x . []`.
+_ABOVE = {Box: BUNDLE_BOX_EXISTS, Diamond: BUNDLE_BOX_FORALL}
+_BELOW = {Box: BUNDLE_EXISTS_BOX, Diamond: BUNDLE_FORALL_BOX}
+
 
 @dataclass(frozen=True)
 class FragmentClass:
@@ -704,52 +699,24 @@ def classify_fragment(phi: Formula) -> FragmentClass:
     bundle set within {exists-box, box-exists} is EBBE, including strict
     subsets and the empty set.
     """
-    nnf = to_nnf(phi)
     bundles: set[str] = set()
     unbundled = False
-
-    def walk(node: Formula, under: str | None) -> None:
-        nonlocal unbundled
-        if isinstance(node, Pred):
-            return
-        if isinstance(node, Not):
-            return
-        if isinstance(node, (And, Or)):
-            walk(node.left, None)
-            walk(node.right, None)
-            return
-        if isinstance(node, Box):
-            walk(node.body, "box")
-            return
-        if isinstance(node, Diamond):
-            walk(node.body, "diamond")
-            return
-        if isinstance(node, Exists):
-            if under == "box":
-                bundles.add(BUNDLE_BOX_EXISTS)
-            elif under == "diamond":
-                bundles.add(BUNDLE_BOX_FORALL)
-            elif isinstance(node.body, Box):
-                bundles.add(BUNDLE_EXISTS_BOX)
-            elif isinstance(node.body, Diamond):
-                bundles.add(BUNDLE_FORALL_BOX)
+    stack: list = [(to_nnf(phi), None)]
+    while stack:
+        node, above = stack.pop()
+        t = type(node)
+        if t is And or t is Or:
+            stack += ((node.left, None), (node.right, None))
+        elif t is Box or t is Diamond:
+            stack.append((node.body, t))
+        elif t is Exists or t is Forall:
+            for row, modal in ((_ABOVE, above), (_BELOW, type(node.body))):
+                if modal in row:
+                    bundles.add(row[modal if t is Exists else _DUAL[modal]])
+                    break
             else:
                 unbundled = True
-            walk(node.body, None)
-            return
-        if under == "box":
-            bundles.add(BUNDLE_BOX_FORALL)
-        elif under == "diamond":
-            bundles.add(BUNDLE_BOX_EXISTS)
-        elif isinstance(node.body, Box):
-            bundles.add(BUNDLE_FORALL_BOX)
-        elif isinstance(node.body, Diamond):
-            bundles.add(BUNDLE_EXISTS_BOX)
-        else:
-            unbundled = True
-        walk(node.body, None)
-
-    walk(nnf, None)
+            stack.append((node.body, None))
     present = frozenset(bundles)
     if unbundled:
         category = NOT_BUNDLED

@@ -109,10 +109,10 @@ def check(model: KripkeModel, w: str, sigma: Assignment, phi: Formula) -> bool:
     for v in sorted(free_vars(phi), key=var_key):
         if v not in sigma or sigma[v] not in dom:
             raise RelevanceError(v, w)
-    return _eval(model, w, dict(sigma), phi)
+    return _eval(model, w, sigma, phi)
 
 
-def _eval(model: KripkeModel, w: str, sigma: dict, phi: Formula) -> bool:
+def _eval(model: KripkeModel, w: str, sigma: Assignment, phi: Formula) -> bool:
     if isinstance(phi, Pred):
         args = tuple(sigma[a] for a in phi.args)
         return args in model.facts(w, phi.name)
@@ -122,34 +122,14 @@ def _eval(model: KripkeModel, w: str, sigma: dict, phi: Formula) -> bool:
         return _eval(model, w, sigma, phi.left) and _eval(model, w, sigma, phi.right)
     if isinstance(phi, Or):
         return _eval(model, w, sigma, phi.left) or _eval(model, w, sigma, phi.right)
-    if isinstance(phi, Exists):
-        saved = sigma.get(phi.var)
-        for d in sorted(model.local_domain[w]):
-            sigma[phi.var] = d
-            if _eval(model, w, sigma, phi.body):
-                _restore(sigma, phi.var, saved)
-                return True
-        _restore(sigma, phi.var, saved)
-        return False
-    if isinstance(phi, Forall):
-        saved = sigma.get(phi.var)
-        for d in sorted(model.local_domain[w]):
-            sigma[phi.var] = d
-            if not _eval(model, w, sigma, phi.body):
-                _restore(sigma, phi.var, saved)
-                return False
-        _restore(sigma, phi.var, saved)
-        return True
-    if isinstance(phi, Box):
-        return all(_eval(model, v, sigma, phi.body) for v in model.successors(w))
-    return any(_eval(model, v, sigma, phi.body) for v in model.successors(w))
-
-
-def _restore(sigma: dict, var: str, saved: Optional[str]) -> None:
-    if saved is None:
-        sigma.pop(var, None)
-    else:
-        sigma[var] = saved
+    if isinstance(phi, (Exists, Forall)):
+        test = any if isinstance(phi, Exists) else all
+        return test(
+            _eval(model, w, {**sigma, phi.var: d}, phi.body)
+            for d in sorted(model.local_domain[w])
+        )
+    test = all if isinstance(phi, Box) else any
+    return test(_eval(model, v, sigma, phi.body) for v in model.successors(w))
 
 
 def model_to_json_dict(model: KripkeModel) -> dict:
@@ -171,33 +151,47 @@ def model_to_json(model: KripkeModel) -> str:
     return json.dumps(model_to_json_dict(model), sort_keys=True, indent=2) + "\n"
 
 
-def model_from_json_dict(data: dict) -> KripkeModel:
-    try:
-        worlds = frozenset(data["worlds"])
-        domain = frozenset(data["domain"])
-        edges = frozenset((u, v) for u, v in data["edges"])
-        delta = {w: frozenset(ds) for w, ds in data["delta"].items()}
-        valuation: dict[tuple[str, str], set] = {}
-        for w, facts in data["valuation"].items():
-            for p, args in facts:
-                valuation.setdefault((w, p), set()).add(tuple(args))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FomlError(f"malformed model document: {exc}") from exc
-    return KripkeModel(
-        worlds=worlds,
-        domain=domain,
-        edges=edges,
-        local_domain=delta,
-        valuation={k: frozenset(v) for k, v in valuation.items()},
-    )
+_MODEL_KEYS = ["delta", "domain", "edges", "valuation", "worlds"]
+
+
+def _checked(data, kind: type, what: str):
+    """data, if its JSON type is kind; a TypeError naming what was expected
+    otherwise."""
+    if type(data) is not kind:
+        raise TypeError(f"expected {what}, got {data!r}")
+    return data
+
+
+def _names(data) -> tuple[str, ...]:
+    return tuple(_checked(x, str, "a name") for x in _checked(data, list, "a list"))
 
 
 def model_from_json(text: str) -> KripkeModel:
+    """Read a model document; a document of any other shape than the one
+    `model_to_json` writes is a FomlError."""
     try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
+        data = _checked(json.loads(text), dict, "an object")
+        if sorted(data) != _MODEL_KEYS:
+            raise ValueError(f"expected the keys {_MODEL_KEYS}, got {sorted(data)}")
+        edges = _checked(data["edges"], list, "a list of edges")
+        valuation: dict[tuple[str, str], set] = {}
+        for w, facts in _checked(data["valuation"], dict, "an object").items():
+            for fact in _checked(facts, list, "a list of facts"):
+                p, args = _checked(fact, list, "a [predicate, arguments] pair")
+                key = (w, _checked(p, str, "a predicate name"))
+                valuation.setdefault(key, set()).add(_names(args))
+        return KripkeModel(
+            worlds=frozenset(_names(data["worlds"])),
+            domain=frozenset(_names(data["domain"])),
+            edges=frozenset((u, v) for u, v in map(_names, edges)),
+            local_domain={
+                w: frozenset(_names(ds))
+                for w, ds in _checked(data["delta"], dict, "an object").items()
+            },
+            valuation={k: frozenset(v) for k, v in valuation.items()},
+        )
+    except (TypeError, ValueError) as exc:
         raise FomlError(f"malformed model document: {exc}") from exc
-    return model_from_json_dict(data)
 
 
 def _tree_shapes(n: int, max_depth: int) -> list[tuple[int, ...]]:

@@ -15,7 +15,9 @@ desugared form.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .formulas import (
     And,
@@ -49,8 +51,7 @@ class ParseError(FomlError):
         self.span = span
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str
     text: str
     start: int
@@ -61,83 +62,53 @@ class _Token:
         return SourceSpan(self.start, self.end)
 
 
-_SIMPLE = {
-    "(": "lparen",
-    ")": "rparen",
-    ",": "comma",
-    ".": "dot",
-    "&": "and",
-    "|": "or",
-    "~": "not",
-    "¬": "not",
-    "∧": "and",
-    "∨": "or",
-    "→": "implies",
-    "↔": "iff",
-    "∀": "forall",
-    "∃": "exists",
-    "□": "box",
-    "◇": "diamond",
-    "◊": "diamond",
-}
-
-_KEYWORDS = {"forall": "forall", "exists": "exists"}
+# One named group per token kind, tried in order: `word` is a keyword,
+# predicate or variable, `skip` a comment, and `stray` and `bad` catch what
+# no token starts with. `finditer` steps over whitespace, which no group
+# matches.
+_TOKEN = re.compile(
+    r"""
+    (?P<word>[A-Za-z][A-Za-z0-9_]*)
+  | (?P<lparen>\()
+  | (?P<rparen>\))
+  | (?P<comma>,)
+  | (?P<dot>\.)
+  | (?P<and>[&∧])
+  | (?P<or>[|∨])
+  | (?P<not>[~¬])
+  | (?P<iff><->|↔)
+  | (?P<implies>->|→)
+  | (?P<diamond><>|[◇◊])
+  | (?P<box>\[\]|□)
+  | (?P<forall>∀)
+  | (?P<exists>∃)
+  | (?P<skip>\#[^\n]*)
+  | (?P<stray>[-<\[])
+  | (?P<bad>[^ \t\r\n])
+    """,
+    re.VERBOSE,
+)
 
 
 def _tokenize(text: str) -> list[_Token]:
     toks: list[_Token] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c in " \t\r\n":
-            i += 1
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind == "skip":
             continue
-        if c == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if c == "<":
-            if text.startswith("<->", i):
-                toks.append(_Token("iff", "<->", i, i + 3))
-                i += 3
-                continue
-            if text.startswith("<>", i):
-                toks.append(_Token("diamond", "<>", i, i + 2))
-                i += 2
-                continue
-            raise ParseError("stray '<'", SourceSpan(i, i + 1))
-        if c == "-":
-            if text.startswith("->", i):
-                toks.append(_Token("implies", "->", i, i + 2))
-                i += 2
-                continue
-            raise ParseError("stray '-'", SourceSpan(i, i + 1))
-        if c == "[":
-            if text.startswith("[]", i):
-                toks.append(_Token("box", "[]", i, i + 2))
-                i += 2
-                continue
-            raise ParseError("stray '['", SourceSpan(i, i + 1))
-        if c in _SIMPLE:
-            toks.append(_Token(_SIMPLE[c], c, i, i + 1))
-            i += 1
-            continue
-        if c.isalpha() and c.isascii():
-            j = i + 1
-            while j < n and (text[j].isalnum() and text[j].isascii() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            if word in _KEYWORDS:
-                toks.append(_Token(_KEYWORDS[word], word, i, j))
-            elif word[0].isupper():
-                toks.append(_Token("pred", word, i, j))
+        word = m.group()
+        start, end = m.span()
+        if kind == "word":
+            if word in ("forall", "exists"):
+                kind = word
             else:
-                toks.append(_Token("var", word, i, j))
-            i = j
-            continue
-        raise ParseError(f"unexpected character {c!r}", SourceSpan(i, i + 1))
-    toks.append(_Token("eof", "", n, n))
+                kind = "pred" if word[0].isupper() else "var"
+        elif kind == "stray":
+            raise ParseError(f"stray {word!r}", SourceSpan(start, end))
+        elif kind == "bad":
+            raise ParseError(f"unexpected character {word!r}", SourceSpan(start, end))
+        toks.append(_Token(kind, word, start, end))
+    toks.append(_Token("eof", "", len(text), len(text)))
     return toks
 
 

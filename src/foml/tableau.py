@@ -173,15 +173,10 @@ class SearchResult:
     stats: SearchStats
 
 
-def _root_domain(theta: Formula) -> frozenset:
-    """S at the root: theta's free variables, its outer existential witnesses
-    and one fresh variable, so the root domain is never empty."""
-    z = fresh_var(all_vars(theta))
-    return frozenset(free_vars(theta)) | outer_ex_vars(theta) | {z}
-
-
 def init_root(theta: Formula) -> TableauNode:
-    """Root node: gamma = {theta} over the root domain."""
+    """Root node: gamma = {theta} over the root domain, which holds theta's
+    free variables, its outer existential witnesses and one fresh variable,
+    so it is never empty."""
     if not is_nnf(theta):
         raise FragmentError("input formula must be in negation normal form")
     if not is_clean(theta):
@@ -191,8 +186,10 @@ def init_root(theta: Formula) -> TableauNode:
         raise FragmentError(
             f"formula is outside the decidable bundle (classified {fragment.category})"
         )
+    z = fresh_var(all_vars(theta))
     return TableauNode(
-        world=(), gamma=frozenset({theta}), s=_root_domain(theta),
+        world=(), gamma=frozenset({theta}),
+        s=frozenset(free_vars(theta)) | outer_ex_vars(theta) | {z},
         forest=NOT_INIT, rule="root",
     )
 
@@ -425,19 +422,14 @@ def verify_tableau(tableau: Tableau, theta: Formula) -> list[str]:
     out: list[str] = []
     root = tableau.root
 
-    if not is_nnf(theta) or not is_clean(theta):
-        out.append("input formula is not clean NNF")
-    elif classify_fragment(theta).category != EBBE:
-        out.append("input formula is outside the decidable bundle")
-
-    if root.world != ():
-        out.append("root world is not r")
-    if root.gamma != frozenset({theta}):
-        out.append("root gamma is not {theta}")
-    if root.s != _root_domain(theta):
-        out.append("root domain set is wrong")
-    if root.forest is not NOT_INIT:
-        out.append("root forest is initialized")
+    try:
+        want = init_root(theta)
+    except FragmentError as exc:
+        out.append(str(exc))
+    else:
+        for name in ("world", "gamma", "s", "forest", "rule"):
+            if getattr(root, name) != getattr(want, name):
+                out.append(f"root {name} differs from init_root(theta)")
 
     stack = [root]
     while stack:

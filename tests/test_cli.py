@@ -106,6 +106,15 @@ def test_model_rejects_negative_extensions(runner, tmp_path):
     assert "error:" in result.stderr
 
 
+def write_model(tmp_path, name, **fields):
+    """A one-world model document with the given fields replaced."""
+    doc = {
+        "worlds": ["r"], "edges": [], "domain": ["a"],
+        "delta": {"r": ["a"]}, "valuation": {"r": []},
+    }
+    return write(tmp_path, name, json.dumps({**doc, **fields}))
+
+
 @pytest.mark.parametrize(
     "args",
     [
@@ -120,12 +129,17 @@ def test_model_rejects_negative_extensions(runner, tmp_path):
         ["difftest", "-n", "-5", "--report", "{dir}/r.jsonl"],
         ["sat", "{conj}"],
         ["sat", "{neg}"],
+        ["check-model", "{delta_list}", "{simple}"],
+        ["check-model", "{valuation_list}", "{simple}"],
+        ["check-model", "{number_world}", "{simple}"],
     ],
     ids=[
         "missing-file", "unknown-option", "option-of-another-command",
         "oracle-zero-worlds", "difftest-zero-worlds", "gen-zero-depth",
         "gen-no-predicates", "gen-negative-count", "difftest-negative-count",
         "1500-literal-conjunction", "3000-nested-negations",
+        "model-delta-is-a-list", "model-valuation-is-a-list",
+        "model-world-is-a-number",
     ],
 )
 def test_bad_input_exits_3_with_one_error_line(runner, tmp_path, args):
@@ -134,6 +148,11 @@ def test_bad_input_exits_3_with_one_error_line(runner, tmp_path, args):
         "simple": write(tmp_path, "simple.foml", SIMPLE_TEXT),
         "conj": write(tmp_path, "conj.foml", " & ".join(f"P{i}(x)" for i in range(1500))),
         "neg": write(tmp_path, "neg.foml", "~" * 3000 + "P(x)"),
+        "delta_list": write_model(tmp_path, "delta.json", delta=[]),
+        "valuation_list": write_model(tmp_path, "valuation.json", valuation=[]),
+        "number_world": write_model(
+            tmp_path, "number.json", worlds=["r", 1], edges=[["r", 1], ["r", "s"]]
+        ),
     }
     result = runner.invoke(main, [a.format(**paths) for a in args])
     assert result.exit_code == 3, result.exception

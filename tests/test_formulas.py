@@ -386,6 +386,28 @@ def test_classify_exists_box_with_box_forall_goes_undecidable():
     assert fc.category == "Undecidable"
 
 
+@pytest.mark.parametrize(
+    "text, bundles, category",
+    [
+        ("[] exists x . P(x)", {"box-exists"}, EBBE),
+        ("<> exists x . P(x)", {"box-forall"}, "FMP-decidable"),
+        ("exists x . [] P(x)", {"exists-box"}, EBBE),
+        ("exists x . <> P(x)", {"forall-box"}, "FMP-decidable"),
+        ("[] forall x . P(x)", {"box-forall"}, "FMP-decidable"),
+        ("<> forall x . P(x)", {"box-exists"}, EBBE),
+        ("forall x . [] P(x)", {"forall-box"}, "FMP-decidable"),
+        ("forall x . <> P(x)", {"exists-box"}, EBBE),
+        # The modality above wins over the one the body starts with.
+        ("[] exists x . <> P(x)", {"box-exists"}, EBBE),
+        ("exists x . P(x)", set(), "NotBundled"),
+    ],
+)
+def test_classify_each_bundle_case(text, bundles, category):
+    fc = classify_fragment(parse_formula(text))
+    assert fc.bundles_present == frozenset(bundles)
+    assert fc.category == category
+
+
 # --- odds and ends -----------------------------------------------------------
 
 

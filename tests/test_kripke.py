@@ -172,6 +172,7 @@ def test_model_from_json_rejects_malformed_documents():
         '{"worlds": ["w"]}',
         '{"worlds": ["w"], "edges": [["w"]], "domain": [], "delta": {}, "valuation": {}}',
         '{"worlds": ["w"], "edges": [], "domain": [], "delta": {"w": []}, "valuation": {"w": [["P"]]}}',
+        '{"worlds": ["w"], "edges": [], "domain": [], "delta": {"w": []}, "valuation": {}, "note": 1}',
     ]:
         with pytest.raises(FomlError):
             model_from_json(text)

@@ -87,6 +87,28 @@ def test_error_spans_point_inside_input():
         assert 0 <= span.start <= span.end <= max(len(text), 1)
 
 
+@pytest.mark.parametrize(
+    "text, message, span",
+    [
+        ("P(x) <- Q(x)", "stray '<'", (5, 6)),
+        ("P - Q", "stray '-'", (2, 3)),
+        ("[ P", "stray '['", (0, 1)),
+        ("P @ Q", "unexpected character '@'", (2, 3)),
+        ("Pé", "unexpected character 'é'", (1, 2)),
+    ],
+)
+def test_tokenizer_errors_name_the_character_and_its_span(text, message, span):
+    with pytest.raises(ParseError) as err:
+        parse_formula(text)
+    assert str(err.value) == f"{message} at {span[0]}..{span[1]}"
+    assert (err.value.span.start, err.value.span.end) == span
+
+
+def test_comments_end_a_line_and_diamond_aliases_mix():
+    assert parse_formula("P # note") is Pred("P")
+    assert parse_formula("<>◊P") is parse_formula("<><>P")
+
+
 @given(st.integers(0, 1_000_000))
 @settings(max_examples=500, deadline=None)
 def test_round_trip_raw_formulas(seed):

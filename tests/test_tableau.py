@@ -14,7 +14,9 @@ from foml.formulas import (
     FomlError,
     Forall,
     FragmentError,
+    all_vars,
     formula_key,
+    fresh_var,
     free_vars,
     is_literal,
     is_nested_forall,
@@ -240,6 +242,19 @@ def test_verifier_catches_a_renamed_child_world(phi1, phi1_result):
     )
     problems = verify_tableau(bad, phi1)
     assert f"{render_world(child.world)}: and changed the world name" in problems
+
+
+def test_verifier_compares_the_root_with_init_root(phi1, phi1_result):
+    root = phi1_result.tableau.root
+    fresh = fresh_var(all_vars(phi1))
+    fmp = norm("forall x . [] P(x)")
+    for tampered, theta, message in [
+        (replace(root, s=root.s - {fresh}), phi1, "root s differs"),
+        (replace(root, gamma=root.gamma | {norm("P(zz)")}), phi1, "root gamma differs"),
+        (root, fmp, "outside the decidable bundle (classified FMP-decidable)"),
+    ]:
+        problems = verify_tableau(Tableau(theta=theta, root=tampered), theta)
+        assert any(message in p for p in problems), problems
 
 
 def test_crash_under_a_preferred_forest_is_not_unsat(monkeypatch):
