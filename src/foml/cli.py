@@ -207,9 +207,7 @@ def check_model(model_file, formula_file, world, assign_text, fmt):
     m = model_from_json(Path(model_file).read_text(encoding="utf-8"))
     violations = validate_model(m)
     if violations:
-        for v in violations:
-            click.echo(f"invalid model: {v}", err=True)
-        sys.exit(3)
+        raise FomlError("invalid model: " + "; ".join(violations))
     phi = _load_formula(formula_file, normalize=False)
     if world not in m.worlds:
         raise FomlError(f"world {world!r} is not in the model")

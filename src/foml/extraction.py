@@ -20,6 +20,7 @@ from .formulas import (
     Pred,
     ResourceLimit,
     all_vars,
+    alpha_key,
     formula_key,
     free_vars,
     is_literal,
@@ -31,10 +32,12 @@ from .kripke import KripkeModel, check, model_to_json_dict
 from .tableau import (
     EXHAUSTED,
     SAT,
+    Guidance,
     SearchLimits,
     Tableau,
     TableauNode,
     is_closed,
+    read_choices,
     render_world,
     replay_guidance,
     search,
@@ -130,8 +133,10 @@ def extend_tableau(
     extends like the one search returned: the extended world prefers the
     grown forest, other worlds prefer their previous forests and disjunct
     picks, and surviving diamond successors keep their old indices so world
-    names stay stable. Raises `ResourceLimit` when the rebuild runs out of
-    budget, and `FomlError` when it fails otherwise or settles on another
+    names stay stable. The fresh element takes over the leaf's role, so the
+    leaf's diamond worlds lend their hints to the fresh element's diamond
+    worlds (`_carry_hints`). Raises `ResourceLimit` when the rebuild runs out
+    of budget, and `FomlError` when it fails otherwise or settles on another
     forest at the extended world.
     """
     if node.rule != "nestedForall" or not isinstance(node.forest, SkolemForest):
@@ -150,6 +155,7 @@ def extend_tableau(
 
     guided = replay_guidance(tableau)
     guided.forest[wname] = grown
+    _carry_hints(guided, node, leaf, grown)
     result = search(tableau.theta, limits, guided)
     failure = f"extension rebuild failed at {wname} leaf {leaf!r}"
     if result.status == EXHAUSTED:
@@ -164,6 +170,49 @@ def extend_tableau(
     ):
         raise FomlError(f"{failure}: the grown forest was not kept")
     return result.tableau
+
+
+def _carry_hints(
+    guided: Guidance, node: TableauNode, leaf: str, grown: SkolemForest
+) -> None:
+    """Add the leaf's diamond-world hints for each fresh element labeled
+    like the leaf, where no hint exists yet.
+
+    Every diamond at the extended world that names the leaf has a twin with
+    the leaf renamed to the fresh element. The replayed order lists only
+    the old diamonds, so the twins' successor worlds are numbered after
+    theirs. The `or` picks and diamond orders of a diamond's successor
+    subtree are added for its twin's, with the leaf renamed in every pivot
+    and diamond. Hints only reorder alternatives, so a wrong guess costs
+    search, never a verdict.
+    """
+    label = grown.by_name()[leaf].atom
+    old = node.forest.names()
+    fresh = [n.name for n in grown.nodes if n.name not in old and n.atom == label]
+    # The world's same-world steps form a chain, so its diamond node is the
+    # first diamond node below the forest point.
+    found = next((c for c in read_choices(node) if c[1] == "diamond"), None)
+    if found is None:
+        return
+    at, _, diamonds = found
+    depth = len(node.world)
+    index = len(diamonds)
+    for name in fresh:
+        ren = {leaf: name}
+        for i, d in enumerate(diamonds):
+            if leaf not in free_vars(d):
+                continue
+            prefix = node.world + (index,)
+            index += 1
+            for n, kind, choice in read_choices(at.children[i]):
+                world = render_world(prefix + n.world[depth + 1 :])
+                if kind == "or":
+                    pivot, idx = choice
+                    key = (world, alpha_key(substitute(pivot, ren)))
+                    guided.or_choice.setdefault(key, idx)
+                elif kind == "diamond":
+                    order = [alpha_key(substitute(g, ren)) for g in choice]
+                    guided.diamond_order.setdefault(world, order)
 
 
 def _monotone_violations(old: KripkeModel, new: KripkeModel) -> list[str]:

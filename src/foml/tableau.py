@@ -9,7 +9,7 @@ children all have to succeed, disjuncts and forest choices are alternatives.
 
 `successors` is the one definition of the children of each same-world rule
 (`trivialSkolem`, `and`, `or`, `exists`, `forall`, `end`): search expands
-them, the verifier checks a child against them and `replay_guidance` reads
+them, the verifier checks a child against them and `read_choices` reads
 the kept disjunct off them. The forest and diamond steps keep their own
 code, since forests are enumerated lazily and diamond children are all
 required at once.
@@ -91,6 +91,14 @@ class TableauNode:
     rule: str
     children: tuple = ()
 
+    def walk(self):
+        """This node and its descendants, in preorder."""
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            yield node
+            stack.extend(reversed(node.children))
+
 
 @dataclass
 class SearchStats:
@@ -107,11 +115,7 @@ class Tableau:
     root: TableauNode
 
     def walk(self):
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            yield node
-            stack.extend(reversed(node.children))
+        return self.root.walk()
 
 
 @dataclass(frozen=True)
@@ -159,7 +163,9 @@ class Guidance:
     and a preferred diamond ordering per world. A hint only reorders the
     alternatives: a preferred forest is validated and tried first, and the
     rest are still enumerated if it fails. Formulas are named by `alpha_key`
-    (`or_choice` keys are world and pivot), so hints survive renamed binders."""
+    (`or_choice` keys are world and pivot), so hints survive renamed binders.
+    An extension rebuild also carries the old chain end's hints, renamed, to
+    the fresh element's diamond world (`extraction._carry_hints`)."""
 
     or_choice: dict = field(default_factory=dict)
     forest: dict = field(default_factory=dict)
@@ -510,32 +516,46 @@ def _check_diamond(node: TableauNode, where: str) -> list[str]:
     return errs
 
 
-def replay_guidance(tableau: Tableau) -> Guidance:
-    """The choices behind a verified tree, read back as replay hints: the
-    disjunct kept at each `or` node, each world's forest and each diamond
-    node's successor order. Searching with them rebuilds
-    the same tree."""
-    guidance = Guidance()
-    for node in tableau.walk():
+def read_choices(root: TableauNode):
+    """The choices behind a verified subtree, one per node that made one, as
+    (node, kind, choice): at `or` the pivot and the kept disjunct's index,
+    at `nestedForall` the forest, at `diamond` the diamonds in successor
+    order."""
+    for node in root.walk():
         if not node.children:
             continue
         kind, pivot = select_rule(node.gamma, node.forest)
-        wname = render_world(node.world)
         if kind == "or":
             c = node.children[0]
             options = successors(node.gamma, node.s, node.forest, kind, pivot)
-            idx = options.index((c.gamma, c.s, c.forest))
-            guidance.or_choice[(wname, alpha_key(pivot))] = idx
+            yield node, kind, (pivot, options.index((c.gamma, c.s, c.forest)))
         elif kind == "nestedForall":
-            guidance.forest[wname] = node.children[0].forest
+            yield node, kind, node.children[0].forest
         elif kind == "diamond":
             # Several diamonds can yield one successor state: use each once.
             left = diamond_outcomes(node.gamma, node.s)
             order = []
             for c in node.children:
                 i = [(g, sv) for _, g, sv in left].index((c.gamma, c.s))
-                order.append(alpha_key(left.pop(i)[0]))
-            guidance.diamond_order[wname] = order
+                order.append(left.pop(i)[0])
+            yield node, kind, order
+
+
+def replay_guidance(tableau: Tableau) -> Guidance:
+    """The choices behind a verified tree, read back as replay hints: the
+    disjunct kept at each `or` node, each world's forest and each diamond
+    node's successor order. Searching with them rebuilds
+    the same tree."""
+    guidance = Guidance()
+    for node, kind, choice in read_choices(tableau.root):
+        wname = render_world(node.world)
+        if kind == "or":
+            pivot, idx = choice
+            guidance.or_choice[(wname, alpha_key(pivot))] = idx
+        elif kind == "nestedForall":
+            guidance.forest[wname] = choice
+        else:
+            guidance.diamond_order[wname] = [alpha_key(d) for d in choice]
     return guidance
 
 

@@ -81,7 +81,7 @@ def test_model_rebuild_resource_exit_code(runner, tmp_path):
     assert result.stderr.count("tableau node budget exceeded") == 1
     # The rebuild names the extended world, then the world the budget hit.
     assert (
-        "failed at r.0 leaf 'v2': tableau node budget exceeded at r.0.3.1 "
+        "failed at r.0 leaf 'v2': tableau node budget exceeded at r.0.3.6 "
         "(work count 301)" in result.stderr
     )
     result = runner.invoke(main, ["model", path, "--limits", "tableau=5"])
@@ -228,6 +228,14 @@ def test_model_extensions_on_flagship(runner, tmp_path):
     assert len(m.worlds) == 57
 
 
+def test_model_seven_rounds_fit_the_default_limits(runner, tmp_path):
+    # Round 7 is the first that used to exhaust the 200,000-node budget.
+    path = write(tmp_path, "phi.foml", PHI1_TEXT)
+    result = runner.invoke(main, ["model", path, "--extensions", "7"])
+    assert result.exit_code == 0
+    assert result.output.splitlines()[0] == "ResidualViolations"
+
+
 def test_model_unsat_exit_code(runner, tmp_path):
     path = write(tmp_path, "phi.foml", "P(x) & ~P(x)")
     result = runner.invoke(main, ["model", path])
@@ -272,6 +280,16 @@ def test_check_model_rejects_invalid_model(runner, tmp_path):
     result = runner.invoke(main, ["check-model", bad, phi])
     assert result.exit_code == 3
     assert "invalid model" in result.stderr
+
+    # Two violations still make one `error:` line.
+    twice = write_model(
+        tmp_path, "twice.model.json", delta={"r": []}, edges=[["r", "s"]]
+    )
+    result = runner.invoke(main, ["check-model", twice, phi])
+    assert result.exit_code == 3
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: invalid model:")
+    assert "empty local domain" in lines[0] and "unknown world" in lines[0]
 
 
 def test_check_model_unknown_world(runner, tmp_path):

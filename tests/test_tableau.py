@@ -115,7 +115,30 @@ def test_flagship_rebuilds_search_pinned_node_counts(monkeypatch, phi1, phi1_res
 
     monkeypatch.setattr(foml.extraction, "search", counted)
     iterate_extensions(phi1, phi1_result.tableau, 3)
-    assert nodes == [715, 1871, 5018]
+    assert nodes == [356, 627, 1459]
+
+
+def test_flagship_rebuilds_search_about_twice_what_they_keep(
+    monkeypatch, phi1, phi1_result
+):
+    """Each of six rebuilds visits at most 2.1 times the nodes of the tableau
+    it returns: the fresh element's successor world replays the hints of
+    the old chain end's, where left-first search used to thrash."""
+    pairs = []
+
+    def counted(*args):
+        result = search(*args)
+        kept = sum(1 for _ in result.tableau.walk())
+        pairs.append((result.stats.nodes, kept))
+        return result
+
+    monkeypatch.setattr(foml.extraction, "search", counted)
+    iterate_extensions(phi1, phi1_result.tableau, 6)
+    assert pairs == [
+        (356, 256), (627, 442), (1459, 701),
+        (1828, 1045), (2406, 1486), (3066, 2036),
+    ]
+    assert all(searched <= 2.1 * kept for searched, kept in pairs)
 
 
 def test_flagship_world_tree_shape(phi1_result):
