@@ -61,10 +61,12 @@ class _Node:
     children alive, so their ids cannot be reused while it stands.
 
     A node is immutable. It holds its hash, computed once when built, and
-    fills on first use the values `formula_key`, `nnf_complement`,
-    `free_vars`, `all_vars` and `alpha_key` return for it."""
+    fills on first use the `formula_key` and `alpha_key` values; the fills of
+    `nnf_complement`, and of `free_vars`, `all_vars` and the `_binders` count
+    with them, run over `post_order` and fill the node's whole DAG."""
 
-    __slots__ = ("_hash", "_key", "_compl", "_free", "_all", "_alpha", "__weakref__")
+    __slots__ = ("_hash", "_key", "_compl", "_free", "_all", "_binders", "_alpha",
+                 "__weakref__")
     _fields: tuple[str, ...] = ()
     _op = ""
 
@@ -125,6 +127,7 @@ _set_key = _Node._key.__set__
 _set_compl = _Node._compl.__set__
 _set_free = _Node._free.__set__
 _set_all = _Node._all.__set__
+_set_binders = _Node._binders.__set__
 _set_alpha = _Node._alpha.__set__
 
 
@@ -327,25 +330,66 @@ def fresh_var(avoid: Iterable[Var]) -> Var:
     return f"v{i}"
 
 
+# The node kinds with children, and the last walk with the defaults (kept,
+# not copied), which `to_nnf`, `derive`, `is_nnf` and `classify_fragment` repeat.
+_INNER = frozenset({Not, And, Or, Exists, Forall, Box, Diamond})
+_last_walk: tuple = (None, [])
+
+
+def post_order(phi: Formula, into=_INNER, slot=None) -> list[Formula]:
+    """The distinct nodes of phi's DAG in post-order, children left to right,
+    entering nodes of the kinds `into` only; with `slot`, less the nodes below
+    phi whose slot is filled, as fills run in this order. The walk runs at any
+    depth and visits a shared operand once. Do not change the list returned."""
+    global _last_walk
+    if type(phi) not in into:
+        return [phi]
+    filled = None if slot is None else slot.__get__
+    last, cached = _last_walk
+    if into is _INNER and last is phi:
+        return cached if filled is None else [n for n in cached if filled(n) is None]
+    order: list[Formula] = []
+    seen: set[int] = set()
+    stack: list = [phi]
+    while stack:
+        node = stack.pop()
+        if node is None:  # the node under the marker has its children done
+            order.append(stack.pop())
+            continue
+        i = id(node)
+        if i in seen or (filled is not None and filled(node) is not None):
+            continue
+        seen.add(i)
+        t = type(node)
+        if t not in into:
+            order.append(node)
+        elif t is And or t is Or:
+            stack += (node, None, node.right, node.left)
+        else:
+            stack += (node, None, node.body)
+    if into is _INNER and slot is None:
+        _last_walk = (phi, order)
+    return order
+
+
+def _make(cls, node: Formula, new, var: Var | None = None) -> Formula:
+    """A cls node over new(child) for node's children, binding var or node's."""
+    if issubclass(cls, _Binary):
+        return cls(new(node.left), new(node.right))
+    if issubclass(cls, _Quant):
+        return cls(node.var if var is None else var, new(node.body))
+    return cls(new(node.body))
+
+
 def check_arities(phi: Formula) -> dict[str, int]:
     """Collect predicate arities, raising ArityError on any inconsistency."""
     arities: dict[str, int] = {}
-
-    def walk(node: Formula) -> None:
-        if isinstance(node, Pred):
+    for node in post_order(phi):
+        if type(node) is Pred:
             n = len(node.args)
             old = arities.setdefault(node.name, n)
             if old != n:
                 raise ArityError(node.name, old, n)
-        elif isinstance(node, _Binary):
-            walk(node.left)
-            walk(node.right)
-        elif isinstance(node, _Node):
-            walk(node.body)
-        else:
-            raise TypeError(f"not a formula: {node!r}")
-
-    walk(phi)
     return arities
 
 
@@ -357,83 +401,95 @@ def _union(a: frozenset, b: frozenset) -> frozenset:
     return a | b
 
 
-def free_vars(phi: Formula) -> frozenset[Var]:
-    free = phi._free
-    if free is None:
-        if type(phi) is Pred:
-            free = frozenset(phi.args)
-        elif isinstance(phi, _Binary):
-            free = _union(free_vars(phi.left), free_vars(phi.right))
+def _fill_vars(phi: Formula) -> None:
+    """Fill `free_vars`, `all_vars` and `_binders` (one per path) of phi's DAG."""
+    for node in post_order(phi, slot=_Node._free):
+        if type(node) is Pred:
+            free = found = frozenset(node.args)
+            binders = 0
+        elif isinstance(node, _Binary):
+            free = _union(node.left._free, node.right._free)
+            found = _union(node.left._all, node.right._all)
+            binders = node.left._binders + node.right._binders
         else:
-            free = free_vars(phi.body)
-            if isinstance(phi, _Quant) and phi.var in free:
-                free = free - {phi.var}
-        _set_free(phi, free)
-    return free
-
-
-def binders(phi: Formula) -> list[Var]:
-    """Bound-variable names in preorder, duplicates kept."""
-    out: list[Var] = []
-
-    def walk(node: Formula) -> None:
-        if isinstance(node, _Binary):
-            walk(node.left)
-            walk(node.right)
-        elif type(node) is not Pred:
+            free, found, binders = node.body._free, node.body._all, node.body._binders
             if isinstance(node, _Quant):
-                out.append(node.var)
-            walk(node.body)
+                binders += 1
+                if node.var in free:
+                    free = free - {node.var}
+                if node.var not in found:
+                    found = found | {node.var}
+        _set_free(node, free)
+        _set_all(node, found)
+        _set_binders(node, binders)
 
-    walk(phi)
-    return out
+
+def free_vars(phi: Formula) -> frozenset[Var]:
+    if phi._free is None:
+        _fill_vars(phi)
+    return phi._free
 
 
 def all_vars(phi: Formula) -> frozenset[Var]:
     """Free and bound variables."""
-    found = phi._all
-    if found is None:
-        if type(phi) is Pred:
-            found = free_vars(phi)
-        elif isinstance(phi, _Binary):
-            found = _union(all_vars(phi.left), all_vars(phi.right))
+    if phi._all is None:
+        _fill_vars(phi)
+    return phi._all
+
+
+def _rename(phi: Formula, ren: Mapping[Var, Var], bind) -> Formula:
+    """phi, its DAG filled, with each predicate's arguments renamed by the
+    renaming in force, ren at the top; at a quantifier, bind(node, ren) gives
+    the new binder and the renaming below, None to keep the node. A node's
+    image depends on the binders above it: the walk goes once per path."""
+    scoped: list[tuple] = []
+    stack: list = [(phi, ren)]
+    while stack:
+        node, ren = stack.pop()
+        var = None
+        if node._binders == 0 and (not ren or ren.keys().isdisjoint(node._free)):
+            ren = None  # nothing below to bind or to rename
+        elif isinstance(node, _Quant):
+            var, ren = bind(node, ren)
+        scoped.append((node, ren, var))
+        if ren is not None and isinstance(node, _Binary):
+            stack += ((node.right, ren), (node.left, ren))
+        elif ren is not None and type(node) is not Pred:
+            stack.append((node.body, ren))
+    out: list[Formula] = []  # a node's new children on top, leftmost last
+    for node, ren, var in reversed(scoped):
+        if ren is None:
+            out.append(node)
+        elif type(node) is Pred:
+            out.append(Pred(node.name, tuple([ren.get(a, a) for a in node.args])))
         else:
-            found = all_vars(phi.body)
-            if isinstance(phi, _Quant) and phi.var not in found:
-                found = found | {phi.var}
-        _set_all(phi, found)
-    return found
+            out.append(_make(type(node), node, lambda _child: out.pop(), var))
+    return out[0]
 
 
 def is_clean(phi: Formula) -> bool:
-    """No variable both bound and free, and no variable bound twice."""
-    bs = binders(phi)
-    return len(bs) == len(set(bs)) and not (set(bs) & free_vars(phi))
+    """No variable both bound and free, and none bound twice: as many binders,
+    one per path, as variables that occur bound and never free."""
+    return len(all_vars(phi) - free_vars(phi)) == phi._binders
 
 
 def substitute(phi: Formula, mapping: Mapping[Var, Var]) -> Formula:
     """Rename free occurrences of variables.
 
-    Binders shadow the mapping. Capture (a binder equal to a substituted-in
-    name while that entry is live) is an internal error; callers freshen
-    binders beforehand.
+    Binders shadow the mapping. Capture (a binder equal to the new name of
+    a variable that occurs free below it) is an internal error; callers
+    freshen binders beforehand.
     """
-    if not mapping:
+    if mapping.keys().isdisjoint(free_vars(phi)):
         return phi
-    if isinstance(phi, Pred):
-        return Pred(phi.name, tuple(mapping.get(a, a) for a in phi.args))
-    if isinstance(phi, Not):
-        return Not(substitute(phi.body, mapping))
-    if isinstance(phi, _Binary):
-        return type(phi)(substitute(phi.left, mapping), substitute(phi.right, mapping))
-    if isinstance(phi, _Quant):
-        live = {k: v for k, v in mapping.items() if k != phi.var}
-        if not live:
-            return phi
-        if phi.var in live.values():
-            raise FomlError(f"substitution would capture binder {phi.var!r}")
-        return type(phi)(phi.var, substitute(phi.body, live))
-    return type(phi)(substitute(phi.body, mapping))
+
+    def bind(node: _Quant, ren: dict) -> tuple:
+        live = {k: v for k, v in ren.items() if k in node._free}
+        if node.var in live.values():
+            raise FomlError(f"substitution would capture binder {node.var!r}")
+        return node.var, live or None
+
+    return _rename(phi, mapping, bind)
 
 
 def clean_rename(phi: Formula, forbidden: Iterable[Var] = ()) -> Formula:
@@ -447,27 +503,18 @@ def clean_rename(phi: Formula, forbidden: Iterable[Var] = ()) -> Formula:
     used = set(forbidden) | set(free_vars(phi))
     taken = set(forbidden) | set(all_vars(phi))
 
-    def walk(node: Formula, ren: dict[Var, Var]) -> Formula:
-        if isinstance(node, Pred):
-            return Pred(node.name, tuple(ren.get(a, a) for a in node.args))
-        if isinstance(node, Not):
-            return Not(walk(node.body, ren))
-        if isinstance(node, _Binary):
-            return type(node)(walk(node.left, ren), walk(node.right, ren))
-        if isinstance(node, _Quant):
-            name = node.var
-            if name in used:
-                new = fresh_var(used | taken)
-                taken.add(new)
-            else:
-                new = name
-            used.add(new)
-            inner = dict(ren)
-            inner[name] = new
-            return type(node)(new, walk(node.body, inner))
-        return type(node)(walk(node.body, ren))
+    def bind(node: _Quant, ren: dict) -> tuple:
+        # A kept binder shadows no renamed one: those names are all used.
+        name = node.var
+        if name not in used:
+            used.add(name)
+            return name, ren
+        new = fresh_var(used | taken)
+        taken.add(new)
+        used.add(new)
+        return new, {**ren, name: new}
 
-    return walk(phi, {})
+    return _rename(phi, {}, bind)
 
 
 def to_nnf(phi: Formula) -> Formula:
@@ -479,57 +526,48 @@ def to_nnf(phi: Formula) -> Formula:
     check_arities(phi)
     if is_nnf(phi):
         return phi  # a rebuild would hand back this very node
-
-    def walk(node: Formula) -> Formula:
-        if isinstance(node, Pred):
-            return node
-        if isinstance(node, Not):
-            return nnf_complement(walk(node.body))
-        if isinstance(node, _Binary):
-            return type(node)(walk(node.left), walk(node.right))
-        if isinstance(node, _Quant):
-            return type(node)(node.var, walk(node.body))
-        return type(node)(walk(node.body))
-
-    return walk(phi)
+    out: dict[int, Formula] = {}
+    for node in post_order(phi):
+        t = type(node)
+        if t is Pred:
+            out[id(node)] = node
+        elif t is Not:
+            out[id(node)] = nnf_complement(out[id(node.body)])
+        else:
+            out[id(node)] = _make(t, node, lambda child: out[id(child)])
+    return out[id(phi)]
 
 
 def is_nnf(phi: Formula) -> bool:
-    if isinstance(phi, Pred):
-        return True
-    if isinstance(phi, Not):
-        return isinstance(phi.body, Pred)
-    if isinstance(phi, _Binary):
-        return is_nnf(phi.left) and is_nnf(phi.right)
-    return is_nnf(phi.body)
+    # Only a formula in negation normal form has its complement filled.
+    return phi._compl is not None or all(
+        type(n) is not Not or type(n.body) is Pred for n in post_order(phi)
+    )
 
 
 def nnf_complement(phi: Formula) -> Formula:
     """Negation of an NNF formula, again in NNF."""
-    compl = phi._compl
-    if compl is None:
-        t = type(phi)
-        if t is Pred:
-            compl = Not(phi)
-        elif t is Not and type(phi.body) is Pred:
-            compl = phi.body
-        elif t in _DUAL:
-            if isinstance(phi, _Binary):
-                compl = _DUAL[t](nnf_complement(phi.left), nnf_complement(phi.right))
-            elif isinstance(phi, _Quant):
-                compl = _DUAL[t](phi.var, nnf_complement(phi.body))
+    if phi._compl is None:
+        nodes = [phi] if is_literal(phi) else post_order(phi, slot=_Node._compl)
+        for node in nodes:
+            t = type(node)
+            if t is Pred:
+                compl = Not(node)
+            elif t is Not and type(node.body) is Pred:
+                compl = node.body
+            elif t in _DUAL:
+                compl = _make(_DUAL[t], node, _Node._compl.__get__)
             else:
-                compl = _DUAL[t](nnf_complement(phi.body))
-        else:
-            raise ValueError(f"not in negation normal form: {phi}")
-        _set_compl(phi, compl)
-        # The complement of the complement is the node itself.
-        if compl._compl is None:
-            _set_compl(compl, phi)
-    return compl
+                raise ValueError(f"not in negation normal form: {node}")
+            _set_compl(node, compl)
+            # The complement of the complement is the node itself.
+            if compl._compl is None:
+                _set_compl(compl, node)
+    return phi._compl
 
 
 _DUAL = {And: Or, Or: And, Exists: Forall, Forall: Exists, Box: Diamond, Diamond: Box}
+_SKELETON = (And, Or)  # the kinds of the and/or skeleton
 
 
 def is_literal(phi: Formula) -> bool:
@@ -549,15 +587,13 @@ def outer_ex_vars(phi: Formula) -> frozenset[Var]:
     These are exactly the witnesses the tableau strips at the world where the
     formula lives, so they must already sit in that world's local domain.
     """
-    if is_module(phi):
-        return frozenset()
-    if isinstance(phi, (And, Or)):
-        return outer_ex_vars(phi.left) | outer_ex_vars(phi.right)
-    if isinstance(phi, Exists):
-        return frozenset({phi.var}) | outer_ex_vars(phi.body)
-    if isinstance(phi, Forall):
-        return frozenset()
-    raise ValueError(f"not in negation normal form: {phi}")
+    found = set()
+    for node in post_order(phi, (And, Or, Exists)):
+        if type(node) is Exists:
+            found.add(node.var)
+        elif not (type(node) in (And, Or, Forall) or is_module(node)):
+            raise ValueError(f"not in negation normal form: {node}")
+    return frozenset(found)
 
 
 def is_nested_forall(phi: Formula) -> bool:
@@ -594,22 +630,11 @@ class Atom:
 
 def skeleton_leaves(psi: Formula) -> list[Formula]:
     """Leaves of the and/or skeleton in document order, without duplicates."""
-    out: list[Formula] = []
-    seen: set[Formula] = set()
-
-    def walk(node: Formula) -> None:
-        if isinstance(node, (And, Or)):
-            walk(node.left)
-            walk(node.right)
-            return
-        if not (is_module(node) or isinstance(node, _Quant)):
-            raise ValueError(f"not in negation normal form: {node}")
-        if node not in seen:
-            seen.add(node)
-            out.append(node)
-
-    walk(psi)
-    return out
+    leaves = [n for n in post_order(psi, _SKELETON) if type(n) not in _SKELETON]
+    for leaf in leaves:
+        if not (is_module(leaf) or isinstance(leaf, _Quant)):
+            raise ValueError(f"not in negation normal form: {leaf}")
+    return leaves
 
 
 def enumerate_atoms(psi: Formula) -> list[Atom]:
@@ -623,36 +648,19 @@ def enumerate_atoms(psi: Formula) -> list[Atom]:
     leaves = skeleton_leaves(psi)
     index = {f: i for i, f in enumerate(leaves)}
 
-    def resolve(node: Formula) -> list[frozenset[int]]:
-        if isinstance(node, And):
-            lefts = resolve(node.left)
-            rights = resolve(node.right)
-            combos = []
-            seen: set[frozenset[int]] = set()
-            for a in lefts:
-                for b in rights:
-                    u = a | b
-                    if u not in seen:
-                        seen.add(u)
-                        combos.append(u)
-            return combos
-        if isinstance(node, Or):
-            merged = []
-            seen = set()
-            for c in resolve(node.left) + resolve(node.right):
-                if c not in seen:
-                    seen.add(c)
-                    merged.append(c)
-            return merged
-        return [frozenset({index[node]})]
-
-    candidates = resolve(psi)
-    consistent = []
-    for cand in candidates:
-        chosen = {leaves[i] for i in cand}
-        if any(nnf_complement(f) in chosen for f in chosen):
+    # Each node's candidate member sets, deduplicated in first-seen order.
+    sets: dict[int, list[frozenset[int]]] = {}
+    for node in post_order(psi, _SKELETON):
+        if type(node) not in _SKELETON:
+            sets[id(node)] = [frozenset({index[node]})]
             continue
-        if cand not in consistent:
+        ls, rs = sets[id(node.left)], sets[id(node.right)]
+        both = [a | b for a in ls for b in rs] if type(node) is And else ls + rs
+        sets[id(node)] = list(dict.fromkeys(both))
+    consistent = []
+    for cand in sets[id(psi)]:
+        chosen = {leaves[i] for i in cand}
+        if not any(nnf_complement(f) in chosen for f in chosen):
             consistent.append(cand)
     minimal = [c for c in consistent if not any(o < c for o in consistent)]
     minimal.sort(key=lambda c: tuple(sorted(c)))
@@ -701,22 +709,23 @@ def classify_fragment(phi: Formula) -> FragmentClass:
     """
     bundles: set[str] = set()
     unbundled = False
-    stack: list = [(to_nnf(phi), None)]
-    while stack:
-        node, above = stack.pop()
+    nnf = to_nnf(phi)
+    edges = [(None, nnf)]  # each occurrence, with the kind of node above it
+    for node in post_order(nnf):
         t = type(node)
         if t is And or t is Or:
-            stack += ((node.left, None), (node.right, None))
-        elif t is Box or t is Diamond:
-            stack.append((node.body, t))
-        elif t is Exists or t is Forall:
+            edges += ((t, node.left), (t, node.right))
+        elif t is not Pred:
+            edges.append((t, node.body))
+    for above, node in edges:
+        t = type(node)
+        if t is Exists or t is Forall:
             for row, modal in ((_ABOVE, above), (_BELOW, type(node.body))):
                 if modal in row:
                     bundles.add(row[modal if t is Exists else _DUAL[modal]])
                     break
             else:
                 unbundled = True
-            stack.append((node.body, None))
     present = frozenset(bundles)
     if unbundled:
         category = NOT_BUNDLED

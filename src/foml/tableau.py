@@ -50,6 +50,7 @@ from .formulas import (
     is_nnf,
     nnf_complement,
     outer_ex_vars,
+    post_order,
     substitute,
     var_key,
 )
@@ -138,23 +139,12 @@ class SearchLimits:
         per-quantifier node bound at a generous root-count estimate."""
         n_est = len(all_vars(theta)) + 2
         forest_cap = 64
-        for sub in _subformulas(theta):
+        for sub in post_order(theta):
             if isinstance(sub, Forall) and is_nested_forall(sub):
                 forest_cap = max(
                     forest_cap, forest_size_bound(sub.body, n_est)
                 )
         return cls(max_forest_nodes=forest_cap)
-
-
-def _subformulas(phi: Formula):
-    stack = [phi]
-    while stack:
-        f = stack.pop()
-        yield f
-        if isinstance(f, (And, Or)):
-            stack.extend((f.left, f.right))
-        elif isinstance(f, (Exists, Forall, Box, Diamond, Not)):
-            stack.append(f.body)
 
 
 @dataclass

@@ -3,14 +3,26 @@
 from itertools import product
 
 from foml.formulas import (
+    BUNDLE_BOX_EXISTS,
+    BUNDLE_BOX_FORALL,
+    BUNDLE_EXISTS_BOX,
+    BUNDLE_FORALL_BOX,
+    EBBE,
+    FMP_DECIDABLE,
+    NOT_BUNDLED,
+    UNDECIDABLE,
     And,
+    ArityError,
     Box,
     Diamond,
     Exists,
+    FomlError,
     Forall,
+    FragmentClass,
     Not,
     Or,
     Pred,
+    fresh_var,
     nnf_complement,
 )
 
@@ -169,3 +181,182 @@ def ref_complement(phi):
     if t in _QUANT_KW:
         return _DUALS[t](phi.var, ref_complement(phi.body))
     return _DUALS[t](ref_complement(phi.body))
+
+
+# Recursive references for the formula walks, which the package runs over
+# its post-order with an explicit stack. Each visits a shared operand once
+# per path and reads no node cache.
+
+
+def ref_check_arities(phi):
+    arities = {}
+
+    def walk(node):
+        if type(node) is Pred:
+            n = len(node.args)
+            old = arities.setdefault(node.name, n)
+            if old != n:
+                raise ArityError(node.name, old, n)
+        elif type(node) in _BINARY_OPS:
+            walk(node.left)
+            walk(node.right)
+        else:
+            walk(node.body)
+
+    walk(phi)
+    return arities
+
+
+def ref_is_nnf(phi):
+    if type(phi) is Pred:
+        return True
+    if type(phi) is Not:
+        return type(phi.body) is Pred
+    if type(phi) in _BINARY_OPS:
+        return ref_is_nnf(phi.left) and ref_is_nnf(phi.right)
+    return ref_is_nnf(phi.body)
+
+
+def ref_to_nnf(phi):
+    ref_check_arities(phi)
+
+    def walk(node):
+        t = type(node)
+        if t is Pred:
+            return node
+        if t is Not:
+            return ref_complement(walk(node.body))
+        if t in _BINARY_OPS:
+            return t(walk(node.left), walk(node.right))
+        if t in _QUANT_KW:
+            return t(node.var, walk(node.body))
+        return t(walk(node.body))
+
+    return walk(phi)
+
+
+def ref_substitute(phi, mapping):
+    """Capture raises only for a variable that occurs free below the binder."""
+    if not mapping:
+        return phi
+    t = type(phi)
+    if t is Pred:
+        return Pred(phi.name, tuple(mapping.get(a, a) for a in phi.args))
+    if t in _BINARY_OPS:
+        return t(ref_substitute(phi.left, mapping), ref_substitute(phi.right, mapping))
+    if t in _QUANT_KW:
+        live = {k: v for k, v in mapping.items() if k in ref_free_vars(phi)}
+        if not live:
+            return phi
+        if phi.var in live.values():
+            raise FomlError(f"substitution would capture binder {phi.var!r}")
+        return t(phi.var, ref_substitute(phi.body, live))
+    return t(ref_substitute(phi.body, mapping))
+
+
+def ref_binders(phi):
+    """Bound-variable names in preorder, duplicates kept."""
+    if type(phi) is Pred:
+        return []
+    if type(phi) in _BINARY_OPS:
+        return ref_binders(phi.left) + ref_binders(phi.right)
+    if type(phi) in _QUANT_KW:
+        return [phi.var] + ref_binders(phi.body)
+    return ref_binders(phi.body)
+
+
+def ref_clean_rename(phi, forbidden=()):
+    used = set(forbidden) | set(ref_free_vars(phi))
+    taken = set(forbidden) | set(ref_all_vars(phi))
+
+    def walk(node, ren):
+        t = type(node)
+        if t is Pred:
+            return Pred(node.name, tuple(ren.get(a, a) for a in node.args))
+        if t in _BINARY_OPS:
+            return t(walk(node.left, ren), walk(node.right, ren))
+        if t in _QUANT_KW:
+            name = node.var
+            if name in used:
+                new = fresh_var(used | taken)
+                taken.add(new)
+            else:
+                new = name
+            used.add(new)
+            return t(new, walk(node.body, {**ren, name: new}))
+        return t(walk(node.body, ren))
+
+    return walk(phi, {})
+
+
+def _is_module(phi):
+    t = type(phi)
+    return t is Pred or t in (Box, Diamond) or (t is Not and type(phi.body) is Pred)
+
+
+def ref_outer_ex_vars(phi):
+    if _is_module(phi):
+        return frozenset()
+    if type(phi) in _BINARY_OPS:
+        return ref_outer_ex_vars(phi.left) | ref_outer_ex_vars(phi.right)
+    if type(phi) is Exists:
+        return frozenset({phi.var}) | ref_outer_ex_vars(phi.body)
+    if type(phi) is Forall:
+        return frozenset()
+    raise ValueError(f"not in negation normal form: {phi}")
+
+
+def ref_skeleton_leaves(psi):
+    out = []
+
+    def walk(node):
+        if type(node) in _BINARY_OPS:
+            walk(node.left)
+            walk(node.right)
+            return
+        if not (_is_module(node) or type(node) in _QUANT_KW):
+            raise ValueError(f"not in negation normal form: {node}")
+        if node not in out:
+            out.append(node)
+
+    walk(psi)
+    return out
+
+
+_ABOVE = {Box: BUNDLE_BOX_EXISTS, Diamond: BUNDLE_BOX_FORALL}
+_BELOW = {Box: BUNDLE_EXISTS_BOX, Diamond: BUNDLE_FORALL_BOX}
+_FMP_ROWS = (
+    {BUNDLE_FORALL_BOX, BUNDLE_EXISTS_BOX},
+    {BUNDLE_FORALL_BOX, BUNDLE_BOX_FORALL, BUNDLE_BOX_EXISTS},
+)
+
+
+def ref_classify_fragment(phi):
+    """Every occurrence of a quantifier, with the modality directly above it."""
+    bundles = set()
+    unbundled = False
+    stack = [(ref_to_nnf(phi), None)]
+    while stack:
+        node, above = stack.pop()
+        t = type(node)
+        if t in _BINARY_OPS:
+            stack += ((node.left, None), (node.right, None))
+        elif t in (Box, Diamond):
+            stack.append((node.body, t))
+        elif t in _QUANT_KW:
+            for row, modal in ((_ABOVE, above), (_BELOW, type(node.body))):
+                if modal in row:
+                    bundles.add(row[modal if t is Exists else _DUALS[modal]])
+                    break
+            else:
+                unbundled = True
+            stack.append((node.body, None))
+    if unbundled:
+        category = NOT_BUNDLED
+    elif bundles <= {BUNDLE_EXISTS_BOX, BUNDLE_BOX_EXISTS}:
+        category = EBBE
+    elif any(bundles <= row for row in _FMP_ROWS):
+        category = FMP_DECIDABLE
+    else:
+        category = UNDECIDABLE
+    return FragmentClass(frozenset(bundles), category)

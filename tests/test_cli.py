@@ -311,6 +311,15 @@ def test_classify_output(runner, tmp_path):
     assert "NotBundled" in result.output
 
 
+def test_classify_a_long_flat_conjunction(runner, tmp_path):
+    """3000 conjuncts parse to a 3000-deep `&` chain, which every formula
+    walk takes at any depth."""
+    path = write(tmp_path, "flat.foml", " & ".join(f"P{i}" for i in range(3000)))
+    result = runner.invoke(main, ["classify", path])
+    assert result.exit_code == 0, result.stderr
+    assert result.output == "EBBE (bundles: none)\n"
+
+
 def test_oracle_found_and_none(runner, tmp_path):
     path = write(tmp_path, "phi.foml", SIMPLE_TEXT)
     found = runner.invoke(

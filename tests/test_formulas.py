@@ -21,7 +21,6 @@ from foml.formulas import (
     Pred,
     all_vars,
     alpha_key,
-    binders,
     check_arities,
     classify_fragment,
     clean_rename,
@@ -36,18 +35,29 @@ from foml.formulas import (
     is_nnf,
     nnf_complement,
     outer_ex_vars,
+    skeleton_leaves,
     substitute,
     to_nnf,
 )
 from foml.kripke import check
 from foml.parser import parse_formula, print_formula
+from foml.tableau import SearchLimits
 from oracles import (
     ref_all_vars,
     ref_alpha_key,
+    ref_binders,
+    ref_check_arities,
+    ref_classify_fragment,
+    ref_clean_rename,
     ref_complement,
     ref_components,
     ref_free_vars,
+    ref_is_nnf,
     ref_key,
+    ref_outer_ex_vars,
+    ref_skeleton_leaves,
+    ref_substitute,
+    ref_to_nnf,
 )
 
 
@@ -173,7 +183,7 @@ def test_clean_rename_properties(seed):
     out = clean_rename(phi, forbidden)
     assert is_clean(out)
     assert naive_is_clean(out)
-    assert not (set(binders(out)) & forbidden)
+    assert not (set(ref_binders(out)) & forbidden)
     assert alpha_eq(phi, out)
     assert free_vars(out) == free_vars(phi)
 
@@ -223,14 +233,6 @@ def test_module_and_literal_predicates():
 # --- outer existential variables -------------------------------------------
 
 
-def ref_outer_ex(phi):
-    if isinstance(phi, (And, Or)):
-        return ref_outer_ex(phi.left) | ref_outer_ex(phi.right)
-    if isinstance(phi, Exists):
-        return {phi.var} | ref_outer_ex(phi.body)
-    return set()
-
-
 def test_outer_ex_vars_examples():
     phi = And(Exists("x", Box(P("x"))), Forall("y", Diamond(Q("y", "y"))))
     assert outer_ex_vars(phi) == frozenset({"x"})
@@ -243,7 +245,7 @@ def test_outer_ex_vars_examples():
 @settings(max_examples=500, deadline=None)
 def test_outer_ex_vars_match_reference(seed):
     phi = to_nnf(random_raw_formula(random.Random(seed), 4, ["x", "u"]))
-    assert outer_ex_vars(phi) == frozenset(ref_outer_ex(phi))
+    assert outer_ex_vars(phi) == ref_outer_ex_vars(phi)
 
 
 # --- nested universal detection --------------------------------------------
@@ -434,7 +436,7 @@ def test_alpha_key_names_binders_by_depth():
 def test_alpha_key_is_formula_key_up_to_binder_names(seed):
     rng = random.Random(seed)
     phi = random_raw_formula(rng, 5, ["x", "u"])
-    if not binders(phi):
+    if not ref_binders(phi):
         assert alpha_key(phi) == formula_key(phi)
     forbidden = frozenset(rng.sample(["q0", "q1", "q2", "a", "b"], 3))
     assert alpha_key(clean_rename(phi, forbidden)) == alpha_key(phi)
@@ -472,20 +474,49 @@ def test_copy_and_pickle_keep_interning():
         assert pickle.loads(pickle.dumps(phi, protocol)) is phi
 
 
-def test_deep_formula_hashes_compares_and_sits_in_a_set():
-    def chain(n):
-        phi = P("x")
-        for i in range(n):
-            phi = And(phi, Q("x", f"y{i % 3}"))
-        return phi
+def deep_chains(n):
+    """A left and a right `And` chain and a chain alternating Box, Exists
+    and Or, each n deep and built with constructors in a loop."""
+    left = right = mixed = P("x")
+    for i in range(n):
+        leaf = Q("x", f"y{i % 3}")
+        left = And(left, leaf)
+        right = And(leaf, right)
+        mixed = (Box(mixed), Exists(f"z{i}", mixed), Or(mixed, leaf))[i % 3]
+    return left, right, mixed
 
-    deep = chain(5000)
+
+def test_deep_formula_hashes_compares_and_sits_in_a_set():
+    deep = deep_chains(5000)[0]
     assert isinstance(hash(deep), int)
-    again = chain(5000)
+    again = deep_chains(5000)[0]
     assert again is deep and again == deep
     assert deep in {again}
-    assert deep not in {chain(4999)}
+    assert deep not in {deep_chains(4999)[0]}
     assert str(deep).count("&") == 5000
+
+
+@pytest.mark.parametrize("which", ["left-and", "right-and", "box-exists-or"])
+def test_every_formula_walk_runs_at_any_depth(which):
+    deep = deep_chains(5000)[["left-and", "right-and", "box-exists-or"].index(which)]
+    assert alpha_key(deep).count("(") == str(deep).count("(")
+    assert free_vars(deep) >= {"x"} and all_vars(deep) >= free_vars(deep)
+    assert nnf_complement(nnf_complement(deep)) is deep
+    assert is_nnf(deep) and not is_nnf(Not(deep))
+    assert to_nnf(deep) is deep and to_nnf(Not(deep)) is nnf_complement(deep)
+    assert check_arities(deep) == {"P": 1, "Q": 2}
+    assert outer_ex_vars(deep) <= {f"z{i}" for i in range(5000)}
+    assert skeleton_leaves(deep) and enumerate_atoms(deep)
+    assert classify_fragment(deep).category == EBBE
+    assert SearchLimits.derive(deep).max_forest_nodes >= 64
+    renamed = substitute(deep, {"x": "w"})
+    assert "x" not in free_vars(renamed) and "w" in free_vars(renamed)
+    assert is_clean(deep) and clean_rename(deep) is deep
+    if which == "box-exists-or":
+        # forbidding the innermost binder renames it under the whole chain
+        out = clean_rename(deep, {"z1"})
+        assert is_clean(out) and alpha_key(out) == alpha_key(deep)
+        assert all_vars(out) - all_vars(deep) == {"v0"}
 
 
 @given(st.integers(0, 100_000))
@@ -518,3 +549,64 @@ def test_cached_fields_match_uncached_references(seed):
         assert free_vars(f) == ref_free_vars(f)
         assert all_vars(f) == ref_all_vars(f)
         assert alpha_key(f) == ref_alpha_key(f)
+
+
+def iff_chain(operands):
+    """`a <-> b <-> ...` in the form the parser gives it: each operand's
+    node is shared by both halves of its expansion."""
+    phi = operands[-1]
+    for op in reversed(operands[:-1]):
+        phi = Or(And(op, phi), And(Not(op), Not(phi)))
+    return phi
+
+
+def outcome(walk, *args):
+    """What walk returns, or the type and text of the error it raises."""
+    try:
+        return walk(*args)
+    except (FomlError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@given(st.integers(0, 100_000))
+@settings(max_examples=200, deadline=None)
+def test_walkers_match_their_recursive_references(seed):
+    """Each walk over the post-order agrees with the recursive walk it
+    replaced, on trees and on nested `<->` whose shared operands hold
+    quantifiers, errors and their text included."""
+    rng = random.Random(seed)
+    phi = random_raw_formula(rng, 5, ["x", "u"])
+    if rng.random() < 0.5:
+        ops = [random_raw_formula(rng, 3, ["x", "u"]) for _ in range(rng.randint(2, 4))]
+        phi = iff_chain(ops + [phi])
+    if rng.random() < 0.3:
+        # an arity clash somewhere in the formula
+        clash = Pred(rng.choice(["P", "Q"]), ("x",) * rng.choice([0, 3]))
+        phi = (And(phi, clash), And(clash, phi), Box(Or(phi, clash)))[rng.randrange(3)]
+    for walk, ref in (
+        (check_arities, ref_check_arities),
+        (to_nnf, ref_to_nnf),
+        (classify_fragment, ref_classify_fragment),
+        (skeleton_leaves, ref_skeleton_leaves),
+    ):
+        assert outcome(walk, phi) == outcome(ref, phi)
+    assert is_nnf(phi) == ref_is_nnf(phi)
+    bound = ref_binders(phi)
+    clean = len(bound) == len(set(bound)) and not set(bound) & ref_free_vars(phi)
+    assert is_clean(phi) == clean
+    forbidden = frozenset(rng.sample(["q0", "q1", "x", "v0", "v1"], 2))
+    assert clean_rename(phi, forbidden) is ref_clean_rename(phi, forbidden)
+    mapping = {v: rng.choice(["x", "u", "q0", "w"]) for v in rng.sample(["x", "u"], 2)}
+    assert outcome(substitute, phi, mapping) == outcome(ref_substitute, phi, mapping)
+    if not isinstance(outcome(to_nnf, phi), tuple):
+        nnf = to_nnf(phi)
+        assert outer_ex_vars(nnf) == ref_outer_ex_vars(nnf)
+        assert skeleton_leaves(nnf) == ref_skeleton_leaves(nnf)
+
+
+def test_clean_rename_gives_the_copies_of_a_shared_operand_distinct_binders():
+    phi = parse_formula("(exists x. P(x)) <-> Q")
+    for f in (phi, to_nnf(phi)):
+        out = clean_rename(f)
+        assert ref_binders(out) == ["x", "v0"]
+        assert is_clean(out) and not is_clean(f)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import foml.extraction
 import foml.tableau
 from conftest import norm, subformulas
-from foml.forest import EMPTY_TREE, NOT_INIT, SkolemForest
+from foml.forest import EMPTY_TREE, NOT_INIT, SkolemForest, forest_size_bound
 from foml.extraction import iterate_extensions
 from foml.formulas import (
     FomlError,
@@ -364,6 +364,23 @@ def test_limits_validation_and_derivation(phi1):
         SearchLimits(max_tableau_nodes=-3)
     derived = SearchLimits.derive(phi1)
     assert derived.max_forest_nodes >= 64
+
+
+def test_derived_limits_match_a_walk_over_every_path(phi1):
+    """`derive` reads each distinct node once; the limits equal those of a
+    walk that meets a shared subformula once per path, on the flagship and
+    on every formula of the seed-2026 corpus."""
+
+    def ref_derive(theta):
+        cap = 64
+        for sub in subformulas(theta):
+            if isinstance(sub, Forall) and is_nested_forall(sub):
+                cap = max(cap, forest_size_bound(sub.body, len(all_vars(theta)) + 2))
+        return SearchLimits(max_forest_nodes=cap)
+
+    cfg, rng = GenConfig(seed=2026), random.Random(2026)
+    for theta in [phi1] + [gen_formula(cfg, rng) for _ in range(1000)]:
+        assert SearchLimits.derive(theta) == ref_derive(theta)
 
 
 @given(st.integers(0, 100_000))
