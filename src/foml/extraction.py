@@ -64,12 +64,12 @@ class ExtensionTrace:
 def extract_model(tableau: Tableau) -> KripkeModel:
     """The finite model read off the last node of every world."""
     last: dict[tuple[int, ...], TableauNode] = {}
-    for node in tableau.walk():
+    for world, node in tableau.walk():
         if is_closed(node.gamma):
             raise FomlError("tableau is not open")
         if not node.children and any(not is_literal(g) for g in node.gamma):
             raise FomlError("tableau is not saturated")
-        last[node.world] = node
+        last[world] = node
 
     worlds = frozenset(render_world(w) for w in last)
     local: dict[str, frozenset[str]] = {}
@@ -92,27 +92,26 @@ def extract_model(tableau: Tableau) -> KripkeModel:
 
 def find_leaf_violations(
     tableau: Tableau, model: KripkeModel
-) -> list[tuple[TableauNode, str, Formula]]:
-    """Forest leaves whose existential obligations the model fails to meet.
+) -> list[tuple[tuple[int, ...], str, Formula]]:
+    """Forest leaves whose existential obligations the model fails to meet,
+    as (world, leaf, formula).
 
     Sorted nearest-to-root first, ties by world name then leaf variable, so
     the head of the list is the canonical leaf to extend next.
     """
     out = []
-    for node in tableau.walk():
-        if node.rule != "nestedForall" or not isinstance(node.forest, SkolemForest):
-            continue
-        world = render_world(node.world)
+    for world, node in tableau.forest_points():
+        name = render_world(world)
         for leaf in node.forest.leaves():
             for member in leaf.atom.exists_members:
                 inst = substitute(member, {node.forest.var: leaf.name})
                 sigma = {v: v for v in free_vars(inst)}
-                if not check(model, world, sigma, inst):
-                    out.append((node, leaf.name, inst))
+                if not check(model, name, sigma, inst):
+                    out.append((world, leaf.name, inst))
     out.sort(
         key=lambda t: (
-            len(t[0].world),
-            render_world(t[0].world),
+            len(t[0]),
+            render_world(t[0]),
             var_key(t[1]),
             formula_key(t[2]),
         )
@@ -122,11 +121,12 @@ def find_leaf_violations(
 
 def extend_tableau(
     tableau: Tableau,
-    node: TableauNode,
+    world: tuple[int, ...],
     leaf: str,
     limits: Optional[SearchLimits] = None,
 ) -> Tableau:
-    """Grow the node's forest at the leaf and rebuild the tableau around it.
+    """Grow the forest the world settled on at the leaf and rebuild the
+    tableau around it.
 
     The rebuild is one search that replays the choices read off the tree by
     `replay_guidance`, so a tableau read back with `certificate_from_json`
@@ -139,23 +139,24 @@ def extend_tableau(
     of budget, and `FomlError` when it fails otherwise or settles on another
     forest at the extended world.
     """
-    if node.rule != "nestedForall" or not isinstance(node.forest, SkolemForest):
-        raise FomlError("extension target must carry a skolem forest")
+    wname = render_world(world)
+    node = dict(tableau.forest_points()).get(world)
+    if node is None:
+        raise FomlError(f"extension target {wname} carries no skolem forest")
     # The fresh node name must dodge every variable the old tableau ever
     # used, binders included: expansion freshens instance binders against
     # the forest's names, so reusing one would shift renames at untouched
     # nodes and with them the diamond keys that pin world identities.
     avoid: set[str] = set()
-    for n in tableau.walk():
+    for _, n in tableau.walk():
         avoid |= set(n.s)
         for g in n.gamma:
             avoid |= all_vars(g)
     grown = extend_forest(node.forest, leaf, avoid)
-    wname = render_world(node.world)
 
     guided = replay_guidance(tableau)
     guided.forest[wname] = grown
-    _carry_hints(guided, node, leaf, grown)
+    _carry_hints(guided, world, node, leaf, grown)
     result = search(tableau.theta, limits, guided)
     failure = f"extension rebuild failed at {wname} leaf {leaf!r}"
     if result.status == EXHAUSTED:
@@ -164,16 +165,14 @@ def extend_tableau(
         raise FomlError(f"{failure} ({result.status})")
     # A preferred forest can lose to an enumerated one, and a rebuild that
     # kept the old forest would still pass the monotonicity check.
-    if not any(
-        n.rule == "nestedForall" and n.world == node.world and n.forest == grown
-        for n in result.tableau.walk()
-    ):
+    kept = dict(result.tableau.forest_points()).get(world)
+    if kept is None or kept.forest != grown:
         raise FomlError(f"{failure}: the grown forest was not kept")
     return result.tableau
 
 
 def _carry_hints(
-    guided: Guidance, node: TableauNode, leaf: str, grown: SkolemForest
+    guided: Guidance, world: tuple, node: TableauNode, leaf: str, grown: SkolemForest
 ) -> None:
     """Add the leaf's diamond-world hints for each fresh element labeled
     like the leaf, where no hint exists yet.
@@ -191,28 +190,27 @@ def _carry_hints(
     fresh = [n.name for n in grown.nodes if n.name not in old and n.atom == label]
     # The world's same-world steps form a chain, so its diamond node is the
     # first diamond node below the forest point.
-    found = next((c for c in read_choices(node) if c[1] == "diamond"), None)
+    found = next((c for c in read_choices(node, world) if c[2] == "diamond"), None)
     if found is None:
         return
-    at, _, diamonds = found
-    depth = len(node.world)
+    _, at, _, diamonds = found
     index = len(diamonds)
     for name in fresh:
         ren = {leaf: name}
         for i, d in enumerate(diamonds):
             if leaf not in free_vars(d):
                 continue
-            prefix = node.world + (index,)
+            twin = world + (index,)
             index += 1
-            for n, kind, choice in read_choices(at.children[i]):
-                world = render_world(prefix + n.world[depth + 1 :])
+            for w, _, kind, choice in read_choices(at.children[i], twin):
+                wname = render_world(w)
                 if kind == "or":
                     pivot, idx = choice
-                    key = (world, alpha_key(substitute(pivot, ren)))
+                    key = (wname, alpha_key(substitute(pivot, ren)))
                     guided.or_choice.setdefault(key, idx)
                 elif kind == "diamond":
                     order = [alpha_key(substitute(g, ren)) for g in choice]
-                    guided.diamond_order.setdefault(world, order)
+                    guided.diamond_order.setdefault(wname, order)
 
 
 def _monotone_violations(old: KripkeModel, new: KripkeModel) -> list[str]:
@@ -258,8 +256,8 @@ def iterate_extensions(
             return model, trace, SATISFIED
         if i == k:
             return model, trace, RESIDUAL
-        node, leaf, _ = violations[0]
-        current = extend_tableau(current, node, leaf, limits)
+        world, leaf, _ = violations[0]
+        current = extend_tableau(current, world, leaf, limits)
         new_model = extract_model(current)
         bad = _monotone_violations(model, new_model)
         if bad:
@@ -268,7 +266,7 @@ def iterate_extensions(
         trace.steps.append(
             ExtensionStep(
                 iteration=i + 1,
-                world=render_world(node.world),
+                world=render_world(world),
                 leaf=leaf,
                 fresh=tuple(fresh),
             )

@@ -1,11 +1,13 @@
 """Tableau construction and search for the bundled fragment.
 
-A tableau node is a tuple (world, gamma, s, forest). Within one world the
-rules fire in a fixed priority: forest initialization first (answering the
-nested universal if one is present), then conjunctions, disjunctions,
-existentials, universals, and finally the modal step that spawns one child
-world per diamond. Search is depth-first over the AND-OR space: diamond
-children all have to succeed, disjuncts and forest choices are alternatives.
+A tableau node holds a state (gamma, s, forest), the rule that made it and
+its children; its world is its path of diamond indices (`walk`). Within one
+world the rules fire in a fixed priority: forest initialization first
+(answering the nested universal if one is present), then conjunctions,
+disjunctions, existentials, universals, and finally the modal step that
+spawns one child world per diamond. Search is depth-first over the AND-OR
+space: diamond children all have to succeed, disjuncts and forest choices
+are alternatives.
 
 `successors` is the one definition of the children of each same-world rule
 (`trivialSkolem`, `and`, `or`, `exists`, `forall`, `end`): search expands
@@ -75,30 +77,25 @@ def render_world(world: tuple[int, ...]) -> str:
     return "r" + "".join(f".{i}" for i in world)
 
 
-def parse_world(text: str) -> tuple[int, ...]:
-    if text == "r":
-        return ()
-    if not text.startswith("r."):
-        raise FomlError(f"bad world name {text!r}")
-    return tuple(int(p) for p in text.split(".")[1:])
-
-
 @dataclass(frozen=True)
 class TableauNode:
-    world: tuple[int, ...]
     gamma: frozenset
     s: frozenset
     forest: object
     rule: str
     children: tuple = ()
 
-    def walk(self):
-        """This node and its descendants, in preorder."""
-        stack = [self]
+    def walk(self, world: tuple[int, ...] = ()):
+        """(world, node) for this node, taken to sit at `world`, and its
+        descendants, in preorder. A child tagged `diamond` at index i sits
+        at world + (i,), every other child at its parent's world."""
+        stack = [(world, self)]
         while stack:
-            node = stack.pop()
-            yield node
-            stack.extend(reversed(node.children))
+            world, node = stack.pop()
+            yield world, node
+            for i in range(len(node.children) - 1, -1, -1):
+                c = node.children[i]
+                stack.append((world + (i,) if c.rule == "diamond" else world, c))
 
 
 @dataclass
@@ -117,6 +114,13 @@ class Tableau:
 
     def walk(self):
         return self.root.walk()
+
+    def forest_points(self):
+        """(world, node) for each `nestedForall` node that carries a skolem
+        forest: the forest its world settled on."""
+        for world, node in self.walk():
+            if node.rule == "nestedForall" and isinstance(node.forest, SkolemForest):
+                yield world, node
 
 
 @dataclass(frozen=True)
@@ -184,7 +188,7 @@ def init_root(theta: Formula) -> TableauNode:
         )
     z = fresh_var(all_vars(theta))
     return TableauNode(
-        world=(), gamma=frozenset({theta}),
+        gamma=frozenset({theta}),
         s=frozenset(free_vars(theta)) | outer_ex_vars(theta) | {z},
         forest=NOT_INIT, rule="root",
     )
@@ -317,7 +321,7 @@ def search(
         limits = SearchLimits.derive(theta)
     ctx = _Ctx(limits, guidance)
     try:
-        node = _solve(ctx, root.world, root.gamma, root.s, root.forest, root.rule)
+        node = _solve(ctx, (), root.gamma, root.s, root.forest, root.rule)
     except ResourceLimit as exc:
         ctx.stats.exhausted_by = str(exc)
         return SearchResult(EXHAUSTED, None, ctx.stats)
@@ -361,7 +365,7 @@ def _apply(ctx: _Ctx, world, gamma, s, forest, rule) -> Optional[TableauNode]:
     kind, pivot = select_rule(gamma, forest)
 
     if kind == "none":
-        return TableauNode(world, gamma, s, forest, rule)
+        return TableauNode(gamma, s, forest, rule)
 
     if kind == "nestedForall":
         return _forest_point(ctx, world, gamma, s, rule)
@@ -376,7 +380,7 @@ def _apply(ctx: _Ctx, world, gamma, s, forest, rule) -> Optional[TableauNode]:
             if child is None:
                 return None
             children.append(child)
-        return TableauNode(world, gamma, s, forest, rule, tuple(children))
+        return TableauNode(gamma, s, forest, rule, tuple(children))
 
     options = successors(gamma, s, forest, kind, pivot)
     if kind == "or" and ctx.guidance is not None:
@@ -389,7 +393,7 @@ def _apply(ctx: _Ctx, world, gamma, s, forest, rule) -> Optional[TableauNode]:
             ctx.stats.or_attempts += 1
         child = _solve(ctx, world, gamma2, s2, forest2, kind, gamma2 - gamma)
         if child is not None:
-            return TableauNode(world, gamma, s, forest, rule, (child,))
+            return TableauNode(gamma, s, forest, rule, (child,))
     return None
 
 
@@ -409,7 +413,7 @@ def _forest_point(ctx: _Ctx, world, gamma, s, rule) -> Optional[TableauNode]:
             frozenset(candidate.names()), candidate, "nestedForall",
         )
         if child is not None:
-            return TableauNode(world, gamma, s, NOT_INIT, rule, (child,))
+            return TableauNode(gamma, s, NOT_INIT, rule, (child,))
     return None
 
 
@@ -423,27 +427,23 @@ def verify_tableau(tableau: Tableau, theta: Formula) -> list[str]:
     except FragmentError as exc:
         out.append(str(exc))
     else:
-        for name in ("world", "gamma", "s", "forest", "rule"):
+        for name in ("gamma", "s", "forest", "rule"):
             if getattr(root, name) != getattr(want, name):
                 out.append(f"root {name} differs from init_root(theta)")
 
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        where = render_world(node.world)
+    for world, node in root.walk():
+        where = render_world(world)
         if is_closed(node.gamma):
             out.append(f"{where}: gamma contains a formula and its complement")
         if not node.children:
             if any(not is_literal(g) for g in node.gamma):
                 out.append(f"{where}: unsaturated leaf")
             continue
-        out.extend(_check_step(node))
-        stack.extend(node.children)
+        out.extend(_check_step(node, where))
     return out
 
 
-def _check_step(node: TableauNode) -> list[str]:
-    where = render_world(node.world)
+def _check_step(node: TableauNode, where: str) -> list[str]:
     try:
         kind, pivot = select_rule(node.gamma, node.forest)
     except FomlError as exc:
@@ -459,15 +459,13 @@ def _check_step(node: TableauNode) -> list[str]:
     if len(kids) != 1:
         return [f"{where}: {kind} must produce exactly one child"]
     c = kids[0]
-    errs = []
-    if c.world != node.world:
-        errs.append(f"{where}: {kind} changed the world name")
     if kind == "nestedForall":
         if not isinstance(c.forest, SkolemForest):
-            return errs + [f"{where}: nestedForall child carries no forest"]
+            return [f"{where}: nestedForall child carries no forest"]
         bad = validate_forest(c.forest, node.gamma, node.s)
         if bad:
-            return errs + [f"{where}: forest: {v}" for v in bad]
+            return [f"{where}: forest: {v}" for v in bad]
+        errs = []
         if c.gamma != expand_forest(c.forest, node.gamma):
             errs.append(f"{where}: forest expansion mismatch")
         if c.s != frozenset(c.forest.names()):
@@ -476,27 +474,25 @@ def _check_step(node: TableauNode) -> list[str]:
     try:
         allowed = successors(node.gamma, node.s, node.forest, kind, pivot)
     except FomlError as exc:
-        return errs + [f"{where}: {exc}"]
+        return [f"{where}: {exc}"]
     state = (c.gamma, c.s, c.forest)
-    if state not in allowed:
-        wrong = [
-            part for i, part in enumerate(("gamma", "domain set", "forest"))
-            if all(state[i] != want[i] for want in allowed)
-        ]
-        errs.append(f"{where}: {kind} produced an unexpected {' and '.join(wrong)}")
-    return errs
+    if state in allowed:
+        return []
+    wrong = [
+        part for i, part in enumerate(("gamma", "domain set", "forest"))
+        if all(state[i] != want[i] for want in allowed)
+    ]
+    return [f"{where}: {kind} produced an unexpected {' and '.join(wrong)}"]
 
 
 def _check_diamond(node: TableauNode, where: str) -> list[str]:
-    """Order-insensitive child matching; names are fixed by position."""
+    """Order-insensitive child matching; a child's world is its position."""
     kids = node.children
     outcomes = diamond_outcomes(node.gamma, node.s)
     errs = []
     if len(kids) != len(outcomes):
         return [f"{where}: expected {len(outcomes)} diamond children, got {len(kids)}"]
     for i, c in enumerate(kids):
-        if c.world != node.world + (i,):
-            errs.append(f"{where}: diamond child {i} has the wrong world name")
         if c.forest is not NOT_INIT:
             errs.append(f"{where}: diamond child {i} starts with a forest")
     want = sorted((sorted(map(formula_key, g)), sorted(sv)) for _, g, sv in outcomes)
@@ -506,21 +502,21 @@ def _check_diamond(node: TableauNode, where: str) -> list[str]:
     return errs
 
 
-def read_choices(root: TableauNode):
-    """The choices behind a verified subtree, one per node that made one, as
-    (node, kind, choice): at `or` the pivot and the kept disjunct's index,
-    at `nestedForall` the forest, at `diamond` the diamonds in successor
-    order."""
-    for node in root.walk():
+def read_choices(root: TableauNode, world: tuple[int, ...] = ()):
+    """The choices behind a verified subtree whose root sits at `world`, one
+    per node that made one, as (world, node, kind, choice): at `or` the
+    pivot and the kept disjunct's index, at `nestedForall` the forest, at
+    `diamond` the diamonds in successor order."""
+    for w, node in root.walk(world):
         if not node.children:
             continue
         kind, pivot = select_rule(node.gamma, node.forest)
         if kind == "or":
             c = node.children[0]
             options = successors(node.gamma, node.s, node.forest, kind, pivot)
-            yield node, kind, (pivot, options.index((c.gamma, c.s, c.forest)))
+            yield w, node, kind, (pivot, options.index((c.gamma, c.s, c.forest)))
         elif kind == "nestedForall":
-            yield node, kind, node.children[0].forest
+            yield w, node, kind, node.children[0].forest
         elif kind == "diamond":
             # Several diamonds can yield one successor state: use each once.
             left = diamond_outcomes(node.gamma, node.s)
@@ -528,17 +524,16 @@ def read_choices(root: TableauNode):
             for c in node.children:
                 i = [(g, sv) for _, g, sv in left].index((c.gamma, c.s))
                 order.append(left.pop(i)[0])
-            yield node, kind, order
+            yield w, node, kind, order
 
 
 def replay_guidance(tableau: Tableau) -> Guidance:
     """The choices behind a verified tree, read back as replay hints: the
     disjunct kept at each `or` node, each world's forest and each diamond
-    node's successor order. Searching with them rebuilds
-    the same tree."""
+    node's successor order. Searching with them rebuilds the same tree."""
     guidance = Guidance()
-    for node, kind, choice in read_choices(tableau.root):
-        wname = render_world(node.world)
+    for world, _, kind, choice in read_choices(tableau.root):
+        wname = render_world(world)
         if kind == "or":
             pivot, idx = choice
             guidance.or_choice[(wname, alpha_key(pivot))] = idx
@@ -588,7 +583,6 @@ def _forest_from_json(data) -> object:
 
 def _node_to_json(node: TableauNode) -> dict:
     return {
-        "world": render_world(node.world),
         "rule": node.rule,
         "gamma": sorted(print_formula(g) for g in node.gamma),
         "s": sorted(node.s, key=var_key),
@@ -599,7 +593,6 @@ def _node_to_json(node: TableauNode) -> dict:
 
 def _node_from_json(data: dict) -> TableauNode:
     return TableauNode(
-        world=parse_world(data["world"]),
         gamma=frozenset(parse_formula(g) for g in data["gamma"]),
         s=frozenset(data["s"]),
         forest=_forest_from_json(data["forest"]),

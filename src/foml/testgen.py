@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .extraction import extract_model, find_leaf_violations
-from .forest import SkolemForest, forest_size_bound
+from .forest import forest_size_bound
 from .formulas import (
     And,
     Box,
@@ -139,9 +139,7 @@ def gen_formula(cfg: GenConfig, rng: Optional[random.Random] = None) -> Formula:
 
 def last_node_literal_violations(tableau, model) -> list[str]:
     """Every literal left at a world's last node must hold there."""
-    last = {}
-    for node in tableau.walk():
-        last[node.world] = node
+    last = dict(tableau.walk())
     out = []
     for w, node in sorted(last.items()):
         name = render_world(w)
@@ -157,14 +155,12 @@ def last_node_literal_violations(tableau, model) -> list[str]:
 def forest_bound_violations(tableau) -> list[str]:
     """Enforce the node-count ceiling on every forest in the certificate."""
     out = []
-    for node in tableau.walk():
-        if node.rule != "nestedForall" or not isinstance(node.forest, SkolemForest):
-            continue
+    for world, node in tableau.forest_points():
         f = node.forest
         bound = forest_size_bound(f.psi, len(f.roots()))
         if len(f.nodes) > bound:
             out.append(
-                f"forest at {render_world(node.world)} has {len(f.nodes)} nodes, "
+                f"forest at {render_world(world)} has {len(f.nodes)} nodes, "
                 f"bound {bound}"
             )
     return out

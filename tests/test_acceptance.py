@@ -119,7 +119,7 @@ def test_scripted_replay_matches_golden_certificate(phi1):
     ]
     model = extract_model(res.tableau)
     assert sorted(model.local_domain["r.0"]) == ["v0", "v1", "v2"]
-    worlds = {n.world for n in res.tableau.walk()}
+    worlds = {w for w, _ in res.tableau.walk()}
     assert sum(1 for w in worlds if len(w) == 3 and w[:2] == (0, 0)) == 6
 
 
@@ -207,7 +207,7 @@ def test_forest_sizes_stay_within_bound():
         if res.status != SAT:
             continue
         assert forest_bound_violations(res.tableau) == []
-        if any(n.rule == "nestedForall" for n in res.tableau.walk()):
+        if any(n.rule == "nestedForall" for _, n in res.tableau.walk()):
             audited += 1
     assert audited >= 5
 

@@ -33,8 +33,8 @@ from foml.tableau import (
 SIMPLE = norm("<> forall x. exists y. [] P(x,y)")
 
 
-def forest_node(tableau):
-    return next(n for n in tableau.walk() if n.rule == "nestedForall")
+def forest_world(tableau):
+    return next(w for w, n in tableau.walk() if n.rule == "nestedForall")
 
 
 def test_extract_single_world_model():
@@ -60,7 +60,7 @@ def test_extract_rejects_closed_and_unsaturated():
     closed = Tableau(
         theta=norm("P(x)"),
         root=TableauNode(
-            (), frozenset({norm("P(x)"), norm("~P(x)")}), frozenset({"x"}),
+            frozenset({norm("P(x)"), norm("~P(x)")}), frozenset({"x"}),
             NOT_INIT, "root",
         ),
     )
@@ -69,7 +69,7 @@ def test_extract_rejects_closed_and_unsaturated():
     stuck = Tableau(
         theta=norm("P(x) & Q(x,x)"),
         root=TableauNode(
-            (), frozenset({norm("P(x) & Q(x,x)")}), frozenset({"x"}),
+            frozenset({norm("P(x) & Q(x,x)")}), frozenset({"x"}),
             NOT_INIT, "root",
         ),
     )
@@ -81,8 +81,8 @@ def test_flagship_has_one_canonical_violation(phi1_result):
     t = phi1_result.tableau
     violations = find_leaf_violations(t, extract_model(t))
     assert len(violations) == 1
-    node, leaf, inst = violations[0]
-    assert node.world == (0,)
+    world, leaf, inst = violations[0]
+    assert world == (0,)
     assert leaf == "v2"
     assert str(inst) == "(exists y. [][]P(v2,y))"
 
@@ -95,14 +95,14 @@ def test_no_forest_means_no_violations():
 
 def test_extend_tableau_grows_chain_by_one():
     t = search(SIMPLE).tableau
-    ext = extend_tableau(t, forest_node(t), "v2")
+    ext = extend_tableau(t, forest_world(t), "v2")
     assert verify_tableau(ext, SIMPLE) == []
     assert sorted(extract_model(ext).local_domain["r.0"]) == ["v0", "v1", "v2", "v3"]
 
 
 def test_extend_tableau_moves_flagship_violation(phi1_result):
     t = phi1_result.tableau
-    ext = extend_tableau(t, forest_node(t), "v2")
+    ext = extend_tableau(t, forest_world(t), "v2")
     m1 = extract_model(ext)
     violations = find_leaf_violations(ext, m1)
     assert [(leaf, str(f)) for _, leaf, f in violations] == [
@@ -112,10 +112,10 @@ def test_extend_tableau_moves_flagship_violation(phi1_result):
 
 def test_extend_tableau_error_paths():
     t = search(SIMPLE).tableau
-    with pytest.raises(FomlError, match="must carry a skolem forest"):
-        extend_tableau(t, t.root, "v2")
+    with pytest.raises(FomlError, match="extension target r carries no skolem forest"):
+        extend_tableau(t, (), "v2")
     with pytest.raises(FomlError, match="not a leaf"):
-        extend_tableau(t, forest_node(t), "v0")
+        extend_tableau(t, forest_world(t), "v0")
 
 
 def test_extend_tableau_searches_once_and_reports_exhaustion(
@@ -131,7 +131,7 @@ def test_extend_tableau_searches_once_and_reports_exhaustion(
     t = phi1_result.tableau
     limits = dataclasses.replace(SearchLimits.derive(phi1), max_tableau_nodes=300)
     with pytest.raises(ResourceLimit, match="extension rebuild failed"):
-        extend_tableau(t, forest_node(t), "v2", limits)
+        extend_tableau(t, forest_world(t), "v2", limits)
     assert len(calls) == 1
 
 
@@ -143,7 +143,7 @@ def test_extend_tableau_rejects_rebuild_without_grown_forest(monkeypatch):
     monkeypatch.setattr(foml.extraction, "search", forgetful)
     t = search(SIMPLE).tableau
     with pytest.raises(FomlError, match="grown forest was not kept"):
-        extend_tableau(t, forest_node(t), "v2")
+        extend_tableau(t, forest_world(t), "v2")
 
 
 def test_iterate_zero_rounds_statuses(phi1, phi1_result):
