@@ -23,7 +23,6 @@ from .formulas import (
     clean_rename,
     enumerate_atoms,
     fresh_var,
-    is_nested_forall,
     substitute,
     var_key,
 )
@@ -74,26 +73,15 @@ class SkolemForest:
     def leaves(self) -> list[ForestNode]:
         return [n for n in self.nodes if not n.children]
 
-    def strict_ancestors(self, name: str) -> list[ForestNode]:
-        """Ancestors of the named node, nearest parent first."""
-        index = self.by_name()
-        out = []
-        cur = index[name].parent
-        while cur is not None:
-            node = index[cur]
-            out.append(node)
-            cur = node.parent
-        return out
 
-
-def find_nested_forall(gamma: Iterable[Formula]) -> Forall:
-    """The unique nested universal in gamma; anything else is an error."""
-    found = [g for g in gamma if isinstance(g, Forall) and is_nested_forall(g)]
-    if len(found) != 1:
-        raise FomlError(
-            f"expected exactly one nested universal formula, found {len(found)}"
-        )
-    return found[0]
+def _above(index: dict[str, ForestNode], name: str) -> list[ForestNode]:
+    """Strict ancestors of the named node in `index`, nearest parent first."""
+    out = []
+    cur = index[name].parent
+    while cur is not None:
+        out.append(index[cur])
+        cur = index[cur].parent
+    return out
 
 
 def forest_size_bound(psi: Formula, n_roots: int) -> int:
@@ -115,19 +103,19 @@ def _admissible(atom: Atom, ancestor_atoms: list[Atom]) -> bool:
 
 
 def enumerate_forests(
+    quant: Forall,
     gamma: Iterable[Formula],
     s: Iterable[str],
     limits=None,
 ) -> Iterator[SkolemForest]:
-    """All minimal skolem-forests for gamma's nested universal, lazily.
+    """All minimal skolem-forests for `quant`, gamma's nested universal,
+    lazily; fresh node names avoid gamma's variables.
 
     Label choices are tried in atom order per node (breadth-first node
     order), so the stream is canonical and duplicate-free. Shape carries no
     choice: a node closes exactly when its label is admissible. A forest
     growing past the node budget raises with the count yielded so far.
     """
-    gamma = list(gamma)
-    quant = find_nested_forall(gamma)
     var, psi = quant.var, quant.body
     atoms = enumerate_atoms(psi)
     roots = sorted(set(s), key=var_key)
@@ -200,11 +188,10 @@ def enumerate_forests(
 
 
 def validate_forest(
-    forest: SkolemForest, gamma: Iterable[Formula], s: Iterable[str]
+    forest: SkolemForest, quant: Forall, s: Iterable[str]
 ) -> list[str]:
-    """Check every forest invariant against gamma; names each violation."""
-    gamma = list(gamma)
-    quant = find_nested_forall(gamma)
+    """Check every forest invariant for the nested universal `quant` over
+    the domain set s; names each violation."""
     out: list[str] = []
     if forest.var != quant.var or forest.psi != quant.body:
         out.append("forest was built for a different quantified formula")
@@ -263,7 +250,7 @@ def validate_forest(
                     f"for {n_exists} existential members"
                 )
         else:
-            above = [a.atom for a in forest.strict_ancestors(node.name)]
+            above = [a.atom for a in _above(index, node.name)]
             if not _admissible(node.atom, above):
                 out.append(
                     f"leaf {node.name!r} still owes witnesses: its label has "
@@ -272,8 +259,9 @@ def validate_forest(
     return out
 
 
-def expand_forest(forest, gamma: Iterable[Formula]) -> frozenset[Formula]:
-    """Replace the nested universal with its forest instances.
+def expand_forest(forest: SkolemForest, gamma: Iterable[Formula]) -> frozenset[Formula]:
+    """Replace the forest's universal, ∀var. psi, in gamma with its forest
+    instances.
 
     Every node contributes its non-existential members instantiated at the
     node; every non-leaf additionally contributes one existential per member,
@@ -281,12 +269,8 @@ def expand_forest(forest, gamma: Iterable[Formula]) -> frozenset[Formula]:
     the result stays clean as a set.
     """
     gamma = set(gamma)
-    if forest is NOT_INIT:
-        raise FomlError("cannot expand an uninitialized forest")
-    if forest is EMPTY_TREE:
-        return frozenset(gamma)
-    quant = find_nested_forall(gamma)
-    if forest.var != quant.var or forest.psi != quant.body:
+    quant = Forall(forest.var, forest.psi)
+    if quant not in gamma:
         raise FomlError("forest does not match the nested universal in gamma")
 
     base = gamma - {quant}
@@ -333,8 +317,7 @@ def extend_forest(forest: SkolemForest, leaf: str, avoid: Iterable[str] = ()) ->
         raise FomlError(f"node {leaf!r} is not a leaf")
     if not node.atom.exists_members:
         raise FomlError(f"leaf {leaf!r} has no existential members to witness")
-    path = forest.strict_ancestors(leaf)
-    shared = [a for a in path if a.atom == node.atom]
+    shared = [a for a in _above(index, leaf) if a.atom == node.atom]
     if len(shared) < 2:
         raise FomlError(f"leaf {leaf!r} lacks two ancestors repeating its label")
     top = shared[-1]
@@ -345,15 +328,6 @@ def extend_forest(forest: SkolemForest, leaf: str, avoid: Iterable[str] = ()) ->
     new_nodes: dict[str, ForestNode] = {n.name: n for n in forest.nodes}
     creation: list[str] = []
     counterpart = {top.name: leaf}
-
-    def new_ancestors(name: str) -> list[Atom]:
-        out = []
-        cur = new_nodes[name].parent
-        while cur is not None:
-            here = new_nodes[cur]
-            out.append(here.atom)
-            cur = here.parent
-        return out
 
     queue = [top.name]
     while queue:
@@ -366,7 +340,8 @@ def extend_forest(forest: SkolemForest, leaf: str, avoid: Iterable[str] = ()) ->
             else counterpart[orig.parent]
         )
         new_nodes[copy_name] = ForestNode(copy_name, parent, orig.atom, ())
-        if copy_name != leaf and _admissible(orig.atom, new_ancestors(copy_name)):
+        above = [a.atom for a in _above(new_nodes, copy_name)]
+        if copy_name != leaf and _admissible(orig.atom, above):
             continue
         fresh_children = []
         for child in orig.children:

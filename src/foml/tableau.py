@@ -368,7 +368,7 @@ def _apply(ctx: _Ctx, world, gamma, s, forest, rule) -> Optional[TableauNode]:
         return TableauNode(gamma, s, forest, rule)
 
     if kind == "nestedForall":
-        return _forest_point(ctx, world, gamma, s, rule)
+        return _forest_point(ctx, world, gamma, s, rule, pivot)
 
     if kind == "diamond":
         order = None
@@ -397,14 +397,14 @@ def _apply(ctx: _Ctx, world, gamma, s, forest, rule) -> Optional[TableauNode]:
     return None
 
 
-def _forest_point(ctx: _Ctx, world, gamma, s, rule) -> Optional[TableauNode]:
-    """Try candidate forests in turn: a valid preferred forest first, then
-    the enumerated ones."""
-    stream = enumerate_forests(gamma, s, ctx.limits)
+def _forest_point(ctx: _Ctx, world, gamma, s, rule, quant) -> Optional[TableauNode]:
+    """Try candidate forests for gamma's nested universal `quant` in turn:
+    a valid preferred forest first, then the enumerated ones."""
+    stream = enumerate_forests(quant, gamma, s, ctx.limits)
     preferred = None
     if ctx.guidance is not None:
         preferred = ctx.guidance.forest.get(render_world(world))
-    if preferred is not None and not validate_forest(preferred, gamma, s):
+    if preferred is not None and not validate_forest(preferred, quant, s):
         stream = chain([preferred], (f for f in stream if f != preferred))
     for candidate in stream:
         ctx.stats.forest_attempts += 1
@@ -432,49 +432,52 @@ def verify_tableau(tableau: Tableau, theta: Formula) -> list[str]:
                 out.append(f"root {name} differs from init_root(theta)")
 
     for world, node in root.walk():
-        where = render_world(world)
+        errs = []
         if is_closed(node.gamma):
-            out.append(f"{where}: gamma contains a formula and its complement")
-        if not node.children:
-            if any(not is_literal(g) for g in node.gamma):
-                out.append(f"{where}: unsaturated leaf")
-            continue
-        out.extend(_check_step(node, where))
+            errs.append("gamma contains a formula and its complement")
+        if node.children:
+            errs.extend(_check_step(node))
+        elif any(not is_literal(g) for g in node.gamma):
+            errs.append("unsaturated leaf")
+        if errs:
+            where = render_world(world)
+            out.extend(f"{where}: {e}" for e in errs)
     return out
 
 
-def _check_step(node: TableauNode, where: str) -> list[str]:
+def _check_step(node: TableauNode) -> list[str]:
+    """What is wrong with the step from this node to its children."""
     try:
         kind, pivot = select_rule(node.gamma, node.forest)
     except FomlError as exc:
-        return [f"{where}: {exc}"]
+        return [str(exc)]
     kids = node.children
     tags = {c.rule for c in kids}
     if tags != {kind}:
-        return [f"{where}: children tagged {sorted(tags)} but rule is {kind}"]
+        return [f"children tagged {sorted(tags)} but rule is {kind}"]
     if kind == "none":
-        return [f"{where}: children under a saturated node"]
+        return ["children under a saturated node"]
     if kind == "diamond":
-        return _check_diamond(node, where)
+        return _check_diamond(node)
     if len(kids) != 1:
-        return [f"{where}: {kind} must produce exactly one child"]
+        return [f"{kind} must produce exactly one child"]
     c = kids[0]
     if kind == "nestedForall":
         if not isinstance(c.forest, SkolemForest):
-            return [f"{where}: nestedForall child carries no forest"]
-        bad = validate_forest(c.forest, node.gamma, node.s)
+            return ["nestedForall child carries no forest"]
+        bad = validate_forest(c.forest, pivot, node.s)
         if bad:
-            return [f"{where}: forest: {v}" for v in bad]
+            return [f"forest: {v}" for v in bad]
         errs = []
         if c.gamma != expand_forest(c.forest, node.gamma):
-            errs.append(f"{where}: forest expansion mismatch")
+            errs.append("forest expansion mismatch")
         if c.s != frozenset(c.forest.names()):
-            errs.append(f"{where}: domain set is not the forest node set")
+            errs.append("domain set is not the forest node set")
         return errs
     try:
         allowed = successors(node.gamma, node.s, node.forest, kind, pivot)
     except FomlError as exc:
-        return [f"{where}: {exc}"]
+        return [str(exc)]
     state = (c.gamma, c.s, c.forest)
     if state in allowed:
         return []
@@ -482,24 +485,37 @@ def _check_step(node: TableauNode, where: str) -> list[str]:
         part for i, part in enumerate(("gamma", "domain set", "forest"))
         if all(state[i] != want[i] for want in allowed)
     ]
-    return [f"{where}: {kind} produced an unexpected {' and '.join(wrong)}"]
+    return [f"{kind} produced an unexpected {' and '.join(wrong)}"]
 
 
-def _check_diamond(node: TableauNode, where: str) -> list[str]:
+def _check_diamond(node: TableauNode) -> list[str]:
     """Order-insensitive child matching; a child's world is its position."""
     kids = node.children
-    outcomes = diamond_outcomes(node.gamma, node.s)
-    errs = []
-    if len(kids) != len(outcomes):
-        return [f"{where}: expected {len(outcomes)} diamond children, got {len(kids)}"]
-    for i, c in enumerate(kids):
-        if c.forest is not NOT_INIT:
-            errs.append(f"{where}: diamond child {i} starts with a forest")
-    want = sorted((sorted(map(formula_key, g)), sorted(sv)) for _, g, sv in outcomes)
-    got = sorted((sorted(map(formula_key, c.gamma)), sorted(c.s)) for c in kids)
-    if want != got:
-        errs.append(f"{where}: diamond successors do not match the rule outcomes")
+    n_outcomes = sum(1 for g in node.gamma if isinstance(g, Diamond))
+    if len(kids) != n_outcomes:
+        return [f"expected {n_outcomes} diamond children, got {len(kids)}"]
+    errs = [
+        f"diamond child {i} starts with a forest"
+        for i, c in enumerate(kids) if c.forest is not NOT_INIT
+    ]
+    if _match_diamonds(node) is None:
+        errs.append("diamond successors do not match the rule outcomes")
     return errs
+
+
+def _match_diamonds(node: TableauNode) -> Optional[list[Diamond]]:
+    """The diamond behind each child of a diamond node, in child order, or
+    None when the children are not the rule's outcomes in some order.
+    Several diamonds can yield one successor state: each is used once."""
+    left = diamond_outcomes(node.gamma, node.s)
+    order = []
+    for c in node.children:
+        want = (c.gamma, c.s)
+        i = next((i for i, (_, g, sv) in enumerate(left) if (g, sv) == want), None)
+        if i is None:
+            return None
+        order.append(left.pop(i)[0])
+    return None if left else order
 
 
 def read_choices(root: TableauNode, world: tuple[int, ...] = ()):
@@ -518,13 +534,7 @@ def read_choices(root: TableauNode, world: tuple[int, ...] = ()):
         elif kind == "nestedForall":
             yield w, node, kind, node.children[0].forest
         elif kind == "diamond":
-            # Several diamonds can yield one successor state: use each once.
-            left = diamond_outcomes(node.gamma, node.s)
-            order = []
-            for c in node.children:
-                i = [(g, sv) for _, g, sv in left].index((c.gamma, c.s))
-                order.append(left.pop(i)[0])
-            yield w, node, kind, order
+            yield w, node, kind, _match_diamonds(node)
 
 
 def replay_guidance(tableau: Tableau) -> Guidance:

@@ -188,7 +188,7 @@ def test_enumerators_match_brute_force_references(phi1):
         atom_checks += 1
         if isinstance(f, Forall) and is_nested_forall(f):
             atoms = enumerate_atoms(f.body)
-            got = [forest_shape(fr, atoms) for fr in enumerate_forests([f], ["v0"])]
+            got = [forest_shape(fr, atoms) for fr in enumerate_forests(f, [f], ["v0"])]
             assert len(got) == len(set(got))
             assert sorted(got) == sorted((t,) for t in ref_label_trees(atoms, []))
             forest_checks += 1

@@ -5,18 +5,17 @@ import pytest
 
 from conftest import norm
 from foml.forest import (
-    EMPTY_TREE,
     NOT_INIT,
     ForestNode,
     SkolemForest,
     enumerate_forests,
     expand_forest,
     extend_forest,
-    find_nested_forall,
     forest_size_bound,
     validate_forest,
 )
 from foml.formulas import FomlError, ResourceLimit, enumerate_atoms
+from foml.tableau import select_rule
 from oracles import is_minimal_forest
 
 
@@ -26,19 +25,20 @@ CONJ_Q = norm("forall x. (forall y. <> P(x,y)) & Q(x)")
 
 
 def chain_forest():
-    (f,) = enumerate_forests([CHAIN_Q], ["v0"])
+    (f,) = enumerate_forests(CHAIN_Q, [CHAIN_Q], ["v0"])
     return f
 
 
-def test_find_nested_forall_unique():
-    assert find_nested_forall([norm("P(x)"), CHAIN_Q]) == CHAIN_Q
+def test_select_rule_picks_the_one_nested_universal():
+    gamma = frozenset({norm("P(x)"), CHAIN_Q})
+    assert select_rule(gamma, NOT_INIT) == ("nestedForall", CHAIN_Q)
+    plain = frozenset({norm("P(x)"), norm("forall y. P(y)")})
+    assert select_rule(plain, NOT_INIT) == ("trivialSkolem", None)
 
 
-def test_find_nested_forall_rejects_zero_and_many():
-    with pytest.raises(FomlError, match="found 0"):
-        find_nested_forall([norm("P(x)"), norm("forall y. P(y)")])
-    with pytest.raises(FomlError, match="found 2"):
-        find_nested_forall([CHAIN_Q, CONJ_Q])
+def test_select_rule_rejects_two_nested_universals():
+    with pytest.raises(FomlError, match="multiple nested universals"):
+        select_rule(frozenset({CHAIN_Q, CONJ_Q}), NOT_INIT)
 
 
 def test_single_chain_forest():
@@ -49,7 +49,7 @@ def test_single_chain_forest():
         ("v2", "v1", ()),
     ]
     assert len({n.atom for n in f.nodes}) == 1
-    assert validate_forest(f, [CHAIN_Q], ["v0"]) == []
+    assert validate_forest(f, CHAIN_Q, ["v0"]) == []
     assert is_minimal_forest(f)
 
 
@@ -65,20 +65,20 @@ def test_validate_rejects_truncated_chain():
         psi=f.psi,
         nodes=(f.nodes[0], ForestNode("v1", "v0", f.nodes[1].atom, ())),
     )
-    problems = validate_forest(cut, [CHAIN_Q], ["v0"])
+    problems = validate_forest(cut, CHAIN_Q, ["v0"])
     assert any("owes witnesses" in p for p in problems)
 
 
 def test_validate_rejects_wrong_roots():
-    problems = validate_forest(chain_forest(), [CHAIN_Q], ["v0", "z9"])
+    problems = validate_forest(chain_forest(), CHAIN_Q, ["v0", "z9"])
     assert any("roots" in p for p in problems)
 
 
 def test_conjunction_gives_one_leaf_per_root():
-    (f,) = enumerate_forests([CONJ_Q], ["a", "b"])
+    (f,) = enumerate_forests(CONJ_Q, [CONJ_Q], ["a", "b"])
     assert sorted(n.name for n in f.roots()) == ["a", "b"]
     assert all(not n.children for n in f.nodes)
-    assert validate_forest(f, [CONJ_Q], ["a", "b"]) == []
+    assert validate_forest(f, CONJ_Q, ["a", "b"]) == []
 
 
 from oracles import forest_shape as shape_of
@@ -94,8 +94,8 @@ def test_enumeration_matches_reference_enumerator(quant, roots):
     per_root = ref_label_trees(atoms, [])
     expected = sorted(product(per_root, repeat=len(roots)))
     got = []
-    for f in enumerate_forests([quant], roots):
-        assert validate_forest(f, [quant], roots) == []
+    for f in enumerate_forests(quant, [quant], roots):
+        assert validate_forest(f, quant, roots) == []
         assert is_minimal_forest(f)
         got.append(shape_of(f, atoms))
     assert len(got) == len(set(got))
@@ -103,13 +103,13 @@ def test_enumeration_matches_reference_enumerator(quant, roots):
 
 
 def test_enumeration_counts():
-    assert len(list(enumerate_forests([DISJ_Q], ["v0"]))) == 4
-    assert len(list(enumerate_forests([DISJ_Q], ["a", "b"]))) == 16
+    assert len(list(enumerate_forests(DISJ_Q, [DISJ_Q], ["v0"]))) == 4
+    assert len(list(enumerate_forests(DISJ_Q, [DISJ_Q], ["a", "b"]))) == 16
 
 
 def test_enumeration_budget_raises_after_partial_yield():
     limits = types.SimpleNamespace(max_forest_nodes=2)
-    stream = enumerate_forests([DISJ_Q], ["v0"], limits)
+    stream = enumerate_forests(DISJ_Q, [DISJ_Q], ["v0"], limits)
     got = []
     with pytest.raises(ResourceLimit) as err:
         for f in stream:
@@ -119,15 +119,8 @@ def test_enumeration_budget_raises_after_partial_yield():
 
 
 def test_empty_root_set_gives_empty_forest():
-    (f,) = enumerate_forests([CHAIN_Q], [])
+    (f,) = enumerate_forests(CHAIN_Q, [CHAIN_Q], [])
     assert f.nodes == ()
-
-
-def test_expand_sentinels():
-    gamma = [norm("P(x)")]
-    assert expand_forest(EMPTY_TREE, gamma) == frozenset(gamma)
-    with pytest.raises(FomlError, match="uninitialized"):
-        expand_forest(NOT_INIT, gamma)
 
 
 def test_expand_chain_instances():
@@ -139,7 +132,7 @@ def test_expand_chain_instances():
 
 
 def test_expand_no_exists_substitutes_directly():
-    (f,) = enumerate_forests([CONJ_Q], ["a", "b"])
+    (f,) = enumerate_forests(CONJ_Q, [CONJ_Q], ["a", "b"])
     got = expand_forest(f, [CONJ_Q])
     assert sorted(str(g) for g in got) == [
         "(forall v0. <>P(b,v0))",
@@ -164,7 +157,7 @@ def test_extend_grows_one_node():
         ("v3", "v2", ()),
     ]
     assert ext.nodes[3].atom == f.nodes[2].atom
-    assert validate_forest(ext, [CHAIN_Q], ["v0"]) == []
+    assert validate_forest(ext, CHAIN_Q, ["v0"]) == []
     assert not is_minimal_forest(ext)
     again = extend_forest(ext, "v3")
     assert [n.name for n in again.nodes] == ["v0", "v1", "v2", "v3", "v4"]
@@ -182,7 +175,7 @@ def test_extend_error_paths():
     with pytest.raises(FomlError, match="no node named"):
         extend_forest(f, "zz")
     (b,) = [
-        g for g in enumerate_forests([DISJ_Q], ["v0"]) if len(g.nodes) == 1
+        g for g in enumerate_forests(DISJ_Q, [DISJ_Q], ["v0"]) if len(g.nodes) == 1
     ]
     with pytest.raises(FomlError, match="no existential members"):
         extend_forest(b, "v0")

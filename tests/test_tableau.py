@@ -171,6 +171,30 @@ def test_tight_limits_report_exhaustion_not_unsat(phi1):
         assert search(phi1, limits).status == EXHAUSTED
 
 
+def wide_forest(inner, outer):
+    """`outer` conjuncts `exists ai . [] Ri(ai)` beside one nested universal
+    `<> forall x . (...)` of `inner` conjuncts `exists yj . [] Pj(x, yj)`:
+    EBBE, and the forest at r.0 grows with both."""
+    body = " & ".join(f"(exists y{j} . [] P{j}(x, y{j}))" for j in range(inner))
+    parts = [f"(exists a{i} . [] R{i}(a{i}))" for i in range(outer)]
+    return norm(" & ".join(parts + [f"<> forall x . ({body})"]))
+
+
+def test_a_wide_forest_is_decided():
+    res = search(wide_forest(4, 20))
+    assert (res.status, res.stats.nodes) == (SAT, 465)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=RecursionError,
+    reason="_solve recurses once per same-world rule, about 500 levels "
+    "here, so `foml sat` exits 3 with 'input nested too deeply'",
+)
+def test_a_wider_forest_is_decided():
+    assert search(wide_forest(4, 25)).status == SAT
+
+
 def test_search_is_deterministic(phi1, phi1_result):
     again = search(phi1)
     assert certificate_to_json(again.tableau) == certificate_to_json(
@@ -252,6 +276,118 @@ def test_verifier_names_the_world_of_each_corrupted_rule(kind, phi1, phi1_result
     )
     problems = verify_tableau(bad, theta)
     assert f"{render_world(parent_world)}: {STEP_ERRORS[kind]}" in problems
+
+
+def _first(tableau, pick):
+    return next((w, n) for w, n in tableau.walk() if pick(w, n))
+
+
+def _corrupt(tableau, target, fn):
+    return mutate_first(tableau, lambda n: n is target, fn)
+
+
+def _at(world, message):
+    return f"{render_world(world)}: {message}"
+
+
+# Each case corrupts the flagship certificate in one way and gives the exact
+# line the verifier reports for it.
+def _mistagged_child(t):
+    w, n = _first(t, lambda w, n: n.rule == "and")
+    bad = _corrupt(t, n, lambda n: replace(n, rule="or"))
+    return bad, _at(w, "children tagged ['or'] but rule is and")
+
+
+def _child_under_a_leaf(t):
+    w, n = _first(t, lambda w, n: not n.children)
+    bad = _corrupt(t, n, lambda n: replace(n, children=(replace(n, rule="none"),)))
+    return bad, _at(w, "children under a saturated node")
+
+
+def _two_children(t):
+    w, n = _first(t, lambda w, n: n.children and n.children[0].rule == "and")
+    bad = _corrupt(t, n, lambda n: replace(n, children=n.children * 2))
+    return bad, _at(w, "and must produce exactly one child")
+
+
+def _no_forest(t):
+    w, n = _first(t, lambda w, n: n.rule == "nestedForall")
+    bad = _corrupt(t, n, lambda n: replace(n, forest=EMPTY_TREE))
+    return bad, _at(w, "nestedForall child carries no forest")
+
+
+def _foreign_forest(t):
+    w, n = _first(t, lambda w, n: n.rule == "nestedForall")
+    bad = _corrupt(t, n, lambda n: replace(n, forest=replace(n.forest, var="zz")))
+    return bad, _at(w, "forest: forest was built for a different quantified formula")
+
+
+def _list_var_forest(t):
+    """A certificate's forest `var` is unchecked JSON: a list must be
+    reported, not raise."""
+    w, _ = _first(t, lambda w, n: n.rule == "nestedForall")
+    doc = json.loads(certificate_to_json(t))
+    stack = [doc["root"]]
+    while stack:
+        node = stack.pop()
+        if node["rule"] == "nestedForall":
+            node["forest"]["var"] = ["x"]
+        stack.extend(node["children"])
+    bad = certificate_from_json(json.dumps(doc))
+    return bad, _at(w, "forest: forest was built for a different quantified formula")
+
+
+def _domain_not_the_forest(t):
+    w, n = _first(t, lambda w, n: n.rule == "nestedForall")
+    bad = _corrupt(t, n, lambda n: replace(n, s=n.s | {"zz"}))
+    return bad, _at(w, "domain set is not the forest node set")
+
+
+def _missing_diamond_child(t):
+    w, n = _first(t, lambda w, n: len(n.children) > 1 and n.children[0].rule == "diamond")
+    k = len(n.children)
+    bad = _corrupt(t, n, lambda n: replace(n, children=n.children[:-1]))
+    return bad, _at(w, f"expected {k} diamond children, got {k - 1}")
+
+
+def _diamond_child_with_a_forest(t):
+    w, n = _first(t, lambda w, n: n.rule == "diamond" and w[-1] == 1)
+    bad = _corrupt(t, n, lambda n: replace(n, forest=EMPTY_TREE))
+    return bad, _at(w[:-1], "diamond child 1 starts with a forest")
+
+
+def _cut_root(t):
+    bad = _corrupt(t, t.root, lambda n: replace(n, children=()))
+    return bad, "r: unsaturated leaf"
+
+
+def _two_nested_universals(t):
+    w, n = _first(t, lambda w, n: n.children and n.children[0].rule == "nestedForall")
+    extra = norm("forall x. (forall y. <> P(x,y)) & Q(x)")
+    bad = _corrupt(t, n, lambda n: replace(n, gamma=n.gamma | {extra}))
+    return bad, _at(w, "multiple nested universals in one gamma")
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        _mistagged_child,
+        _child_under_a_leaf,
+        _two_children,
+        _no_forest,
+        _foreign_forest,
+        _list_var_forest,
+        _domain_not_the_forest,
+        _missing_diamond_child,
+        _diamond_child_with_a_forest,
+        _cut_root,
+        _two_nested_universals,
+    ],
+    ids=lambda f: f.__name__.strip("_"),
+)
+def test_verifier_reports_each_fault_at_its_world(corrupt, phi1, phi1_result):
+    bad, line = corrupt(phi1_result.tableau)
+    assert line in verify_tableau(bad, phi1)
 
 
 def test_verifier_compares_the_root_with_init_root(phi1, phi1_result):
