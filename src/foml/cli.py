@@ -49,8 +49,6 @@ from .tableau import (
 )
 from .testgen import GenConfig, differential_run, gen_formula, report_to_jsonl
 
-log = logging.getLogger("foml")
-
 
 class _Main(click.Group):
     """The one place an exception becomes an exit code. Click exits 2 on a

@@ -34,7 +34,6 @@ from .tableau import (
     SAT,
     Guidance,
     SearchLimits,
-    Tableau,
     TableauNode,
     is_closed,
     read_choices,
@@ -61,8 +60,9 @@ class ExtensionTrace:
     snapshots: list = field(default_factory=list)
 
 
-def extract_model(tableau: Tableau) -> KripkeModel:
-    """The finite model read off the last node of every world."""
+def extract_model(tableau: TableauNode) -> KripkeModel:
+    """The finite model read off the last node of every world of the tree
+    under the root `tableau`."""
     last: dict[tuple[int, ...], TableauNode] = {}
     for world, node in tableau.walk():
         if is_closed(node.gamma):
@@ -91,7 +91,7 @@ def extract_model(tableau: Tableau) -> KripkeModel:
 
 
 def find_leaf_violations(
-    tableau: Tableau, model: KripkeModel
+    tableau: TableauNode, model: KripkeModel
 ) -> list[tuple[tuple[int, ...], str, Formula]]:
     """Forest leaves whose existential obligations the model fails to meet,
     as (world, leaf, formula).
@@ -120,13 +120,14 @@ def find_leaf_violations(
 
 
 def extend_tableau(
-    tableau: Tableau,
+    theta: Formula,
+    tableau: TableauNode,
     world: tuple[int, ...],
     leaf: str,
     limits: Optional[SearchLimits] = None,
-) -> Tableau:
+) -> TableauNode:
     """Grow the forest the world settled on at the leaf and rebuild the
-    tableau around it.
+    tableau for theta around it.
 
     The rebuild is one search that replays the choices read off the tree by
     `replay_guidance`, so a tableau read back with `certificate_from_json`
@@ -139,10 +140,11 @@ def extend_tableau(
     of budget, and `FomlError` when it fails otherwise or settles on another
     forest at the extended world.
     """
-    wname = render_world(world)
     node = dict(tableau.forest_points()).get(world)
     if node is None:
-        raise FomlError(f"extension target {wname} carries no skolem forest")
+        raise FomlError(
+            f"extension target {render_world(world)} carries no skolem forest"
+        )
     # The fresh node name must dodge every variable the old tableau ever
     # used, binders included: expansion freshens instance binders against
     # the forest's names, so reusing one would shift renames at untouched
@@ -155,10 +157,10 @@ def extend_tableau(
     grown = extend_forest(node.forest, leaf, avoid)
 
     guided = replay_guidance(tableau)
-    guided.forest[wname] = grown
+    guided.forest[world] = grown
     _carry_hints(guided, world, node, leaf, grown)
-    result = search(tableau.theta, limits, guided)
-    failure = f"extension rebuild failed at {wname} leaf {leaf!r}"
+    result = search(theta, limits, guided)
+    failure = f"extension rebuild failed at {render_world(world)} leaf {leaf!r}"
     if result.status == EXHAUSTED:
         raise ResourceLimit(f"{failure}: {result.stats.exhausted_by}")
     if result.status != SAT:
@@ -203,14 +205,13 @@ def _carry_hints(
             twin = world + (index,)
             index += 1
             for w, _, kind, choice in read_choices(at.children[i], twin):
-                wname = render_world(w)
                 if kind == "or":
                     pivot, idx = choice
-                    key = (wname, alpha_key(substitute(pivot, ren)))
+                    key = (w, alpha_key(substitute(pivot, ren)))
                     guided.or_choice.setdefault(key, idx)
                 elif kind == "diamond":
                     order = [alpha_key(substitute(g, ren)) for g in choice]
-                    guided.diamond_order.setdefault(wname, order)
+                    guided.diamond_order.setdefault(w, order)
 
 
 def _monotone_violations(old: KripkeModel, new: KripkeModel) -> list[str]:
@@ -230,7 +231,7 @@ def _monotone_violations(old: KripkeModel, new: KripkeModel) -> list[str]:
 
 def iterate_extensions(
     theta: Formula,
-    tableau: Tableau,
+    tableau: TableauNode,
     k: int,
     limits: Optional[SearchLimits] = None,
 ) -> tuple[KripkeModel, ExtensionTrace, str]:
@@ -257,7 +258,7 @@ def iterate_extensions(
         if i == k:
             return model, trace, RESIDUAL
         world, leaf, _ = violations[0]
-        current = extend_tableau(current, world, leaf, limits)
+        current = extend_tableau(theta, current, world, leaf, limits)
         new_model = extract_model(current)
         bad = _monotone_violations(model, new_model)
         if bad:

@@ -154,7 +154,7 @@ def model_to_json(model: KripkeModel) -> str:
 _MODEL_KEYS = ["delta", "domain", "edges", "valuation", "worlds"]
 
 
-def _checked(data, kind: type, what: str):
+def checked(data, kind: type, what: str):
     """data, if its JSON type is kind; a TypeError naming what was expected
     otherwise."""
     if type(data) is not kind:
@@ -162,31 +162,31 @@ def _checked(data, kind: type, what: str):
     return data
 
 
-def _names(data) -> tuple[str, ...]:
-    return tuple(_checked(x, str, "a name") for x in _checked(data, list, "a list"))
+def names(data) -> tuple[str, ...]:
+    return tuple(checked(x, str, "a name") for x in checked(data, list, "a list"))
 
 
 def model_from_json(text: str) -> KripkeModel:
     """Read a model document; a document of any other shape than the one
     `model_to_json` writes is a FomlError."""
     try:
-        data = _checked(json.loads(text), dict, "an object")
+        data = checked(json.loads(text), dict, "an object")
         if sorted(data) != _MODEL_KEYS:
             raise ValueError(f"expected the keys {_MODEL_KEYS}, got {sorted(data)}")
-        edges = _checked(data["edges"], list, "a list of edges")
+        edges = checked(data["edges"], list, "a list of edges")
         valuation: dict[tuple[str, str], set] = {}
-        for w, facts in _checked(data["valuation"], dict, "an object").items():
-            for fact in _checked(facts, list, "a list of facts"):
-                p, args = _checked(fact, list, "a [predicate, arguments] pair")
-                key = (w, _checked(p, str, "a predicate name"))
-                valuation.setdefault(key, set()).add(_names(args))
+        for w, facts in checked(data["valuation"], dict, "an object").items():
+            for fact in checked(facts, list, "a list of facts"):
+                p, args = checked(fact, list, "a [predicate, arguments] pair")
+                key = (w, checked(p, str, "a predicate name"))
+                valuation.setdefault(key, set()).add(names(args))
         return KripkeModel(
-            worlds=frozenset(_names(data["worlds"])),
-            domain=frozenset(_names(data["domain"])),
-            edges=frozenset((u, v) for u, v in map(_names, edges)),
+            worlds=frozenset(names(data["worlds"])),
+            domain=frozenset(names(data["domain"])),
+            edges=frozenset((u, v) for u, v in map(names, edges)),
             local_domain={
-                w: frozenset(_names(ds))
-                for w, ds in _checked(data["delta"], dict, "an object").items()
+                w: frozenset(names(ds))
+                for w, ds in checked(data["delta"], dict, "an object").items()
             },
             valuation={k: frozenset(v) for k, v in valuation.items()},
         )

@@ -66,6 +66,7 @@ from .forest import (
     forest_size_bound,
     validate_forest,
 )
+from .kripke import checked, names
 from .parser import ParseError, parse_formula, print_formula
 
 SAT = "sat"
@@ -97,6 +98,13 @@ class TableauNode:
                 c = node.children[i]
                 stack.append((world + (i,) if c.rule == "diamond" else world, c))
 
+    def forest_points(self):
+        """(world, node) for each `nestedForall` node that carries a skolem
+        forest: the forest its world settled on."""
+        for world, node in self.walk():
+            if node.rule == "nestedForall" and isinstance(node.forest, SkolemForest):
+                yield world, node
+
 
 @dataclass
 class SearchStats:
@@ -105,22 +113,6 @@ class SearchStats:
     forest_attempts: int = 0
     memo_hits: int = 0
     exhausted_by: Optional[str] = None
-
-
-@dataclass
-class Tableau:
-    theta: Formula
-    root: TableauNode
-
-    def walk(self):
-        return self.root.walk()
-
-    def forest_points(self):
-        """(world, node) for each `nestedForall` node that carries a skolem
-        forest: the forest its world settled on."""
-        for world, node in self.walk():
-            if node.rule == "nestedForall" and isinstance(node.forest, SkolemForest):
-                yield world, node
 
 
 @dataclass(frozen=True)
@@ -156,8 +148,9 @@ class Guidance:
     """Replay hints: preferred disjunct indices, a preferred forest per world,
     and a preferred diamond ordering per world. A hint only reorders the
     alternatives: a preferred forest is validated and tried first, and the
-    rest are still enumerated if it fails. Formulas are named by `alpha_key`
-    (`or_choice` keys are world and pivot), so hints survive renamed binders.
+    rest are still enumerated if it fails. A world is its tuple of diamond
+    indices, and formulas are named by `alpha_key` (`or_choice` keys are
+    world and pivot), so hints survive renamed binders.
     An extension rebuild also carries the old chain end's hints, renamed, to
     the fresh element's diamond world (`extraction._carry_hints`)."""
 
@@ -169,7 +162,7 @@ class Guidance:
 @dataclass
 class SearchResult:
     status: str
-    tableau: Optional[Tableau]
+    tableau: Optional[TableauNode]
     stats: SearchStats
 
 
@@ -311,7 +304,7 @@ def search(
 ) -> SearchResult:
     """Depth-first AND-OR search for an open saturated tableau.
 
-    Returns SAT with the certificate tableau and UNSAT when every
+    Returns SAT with the certificate tableau's root and UNSAT when every
     alternative closed. A budget that runs out raises `ResourceLimit`
     wherever it fires, which ends the whole search: the result is then
     EXHAUSTED, and `stats.exhausted_by` names the budget.
@@ -327,7 +320,7 @@ def search(
         return SearchResult(EXHAUSTED, None, ctx.stats)
     if node is None:
         return SearchResult(UNSAT, None, ctx.stats)
-    return SearchResult(SAT, Tableau(theta=theta, root=node), ctx.stats)
+    return SearchResult(SAT, node, ctx.stats)
 
 
 def _solve(
@@ -373,7 +366,7 @@ def _apply(ctx: _Ctx, world, gamma, s, forest, rule) -> Optional[TableauNode]:
     if kind == "diamond":
         order = None
         if ctx.guidance is not None:
-            order = ctx.guidance.diamond_order.get(render_world(world))
+            order = ctx.guidance.diamond_order.get(world)
         children = []
         for i, (_, gamma_i, s_i) in enumerate(diamond_outcomes(gamma, s, order)):
             child = _solve(ctx, world + (i,), gamma_i, s_i, NOT_INIT, "diamond")
@@ -384,8 +377,7 @@ def _apply(ctx: _Ctx, world, gamma, s, forest, rule) -> Optional[TableauNode]:
 
     options = successors(gamma, s, forest, kind, pivot)
     if kind == "or" and ctx.guidance is not None:
-        key = (render_world(world), alpha_key(pivot))
-        want = ctx.guidance.or_choice.get(key)
+        want = ctx.guidance.or_choice.get((world, alpha_key(pivot)))
         if want in (0, 1):
             options = [options[want], options[1 - want]]
     for gamma2, s2, forest2 in options:
@@ -403,7 +395,7 @@ def _forest_point(ctx: _Ctx, world, gamma, s, rule, quant) -> Optional[TableauNo
     stream = enumerate_forests(quant, gamma, s, ctx.limits)
     preferred = None
     if ctx.guidance is not None:
-        preferred = ctx.guidance.forest.get(render_world(world))
+        preferred = ctx.guidance.forest.get(world)
     if preferred is not None and not validate_forest(preferred, quant, s):
         stream = chain([preferred], (f for f in stream if f != preferred))
     for candidate in stream:
@@ -417,21 +409,20 @@ def _forest_point(ctx: _Ctx, world, gamma, s, rule, quant) -> Optional[TableauNo
     return None
 
 
-def verify_tableau(tableau: Tableau, theta: Formula) -> list[str]:
-    """Re-derive every edge of the certificate; empty list means it stands."""
+def verify_tableau(tableau: TableauNode, theta: Formula) -> list[str]:
+    """Re-derive every edge of the certificate, the tree under the root
+    `tableau`; empty list means it stands."""
     out: list[str] = []
-    root = tableau.root
-
     try:
         want = init_root(theta)
     except FragmentError as exc:
         out.append(str(exc))
     else:
         for name in ("gamma", "s", "forest", "rule"):
-            if getattr(root, name) != getattr(want, name):
+            if getattr(tableau, name) != getattr(want, name):
                 out.append(f"root {name} differs from init_root(theta)")
 
-    for world, node in root.walk():
+    for world, node in tableau.walk():
         errs = []
         if is_closed(node.gamma):
             errs.append("gamma contains a formula and its complement")
@@ -537,20 +528,19 @@ def read_choices(root: TableauNode, world: tuple[int, ...] = ()):
             yield w, node, kind, _match_diamonds(node)
 
 
-def replay_guidance(tableau: Tableau) -> Guidance:
+def replay_guidance(tableau: TableauNode) -> Guidance:
     """The choices behind a verified tree, read back as replay hints: the
     disjunct kept at each `or` node, each world's forest and each diamond
     node's successor order. Searching with them rebuilds the same tree."""
     guidance = Guidance()
-    for world, _, kind, choice in read_choices(tableau.root):
-        wname = render_world(world)
+    for world, _, kind, choice in read_choices(tableau):
         if kind == "or":
             pivot, idx = choice
-            guidance.or_choice[(wname, alpha_key(pivot))] = idx
+            guidance.or_choice[(world, alpha_key(pivot))] = idx
         elif kind == "nestedForall":
-            guidance.forest[wname] = choice
+            guidance.forest[world] = choice
         else:
-            guidance.diamond_order[wname] = [alpha_key(d) for d in choice]
+            guidance.diamond_order[world] = [alpha_key(d) for d in choice]
     return guidance
 
 
@@ -581,14 +571,20 @@ def _forest_from_json(data) -> object:
         return EMPTY_TREE
     nodes = tuple(
         ForestNode(
-            name=n["name"],
-            parent=n["parent"],
-            atom=Atom(tuple(parse_formula(m) for m in n["atom"])),
-            children=tuple(n["children"]),
+            name=checked(n["name"], str, "a node name"),
+            parent=None if n["parent"] is None else checked(
+                n["parent"], str, "a parent name"
+            ),
+            atom=Atom(tuple(map(parse_formula, checked(n["atom"], list, "a list")))),
+            children=names(n["children"]),
         )
-        for n in data["nodes"]
+        for n in checked(data["nodes"], list, "a list of forest nodes")
     )
-    return SkolemForest(var=data["var"], psi=parse_formula(data["psi"]), nodes=nodes)
+    return SkolemForest(
+        var=checked(data["var"], str, "a variable"),
+        psi=parse_formula(data["psi"]),
+        nodes=nodes,
+    )
 
 
 def _node_to_json(node: TableauNode) -> dict:
@@ -603,27 +599,26 @@ def _node_to_json(node: TableauNode) -> dict:
 
 def _node_from_json(data: dict) -> TableauNode:
     return TableauNode(
-        gamma=frozenset(parse_formula(g) for g in data["gamma"]),
-        s=frozenset(data["s"]),
+        gamma=frozenset(map(parse_formula, checked(data["gamma"], list, "a list"))),
+        s=frozenset(names(data["s"])),
         forest=_forest_from_json(data["forest"]),
-        rule=data["rule"],
-        children=tuple(_node_from_json(c) for c in data["children"]),
+        rule=checked(data["rule"], str, "a rule name"),
+        children=tuple(
+            map(_node_from_json, checked(data["children"], list, "a list of nodes"))
+        ),
     )
 
 
-def certificate_to_json(tableau: Tableau) -> str:
-    doc = {
-        "theta": print_formula(tableau.theta),
-        "root": _node_to_json(tableau.root),
-    }
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+def certificate_to_json(tableau: TableauNode) -> str:
+    """The tree under the root `tableau`; its gamma is {theta}."""
+    return json.dumps({"root": _node_to_json(tableau)}, sort_keys=True, indent=2) + "\n"
 
 
-def certificate_from_json(text: str) -> Tableau:
+def certificate_from_json(text: str) -> TableauNode:
+    """The root of a certificate's tree. Keys other than `root` and a node's
+    own are ignored, such as the `theta` and `world` keys certificates once
+    carried."""
     try:
-        doc = json.loads(text)
-        theta = parse_formula(doc["theta"])
-        root = _node_from_json(doc["root"])
+        return _node_from_json(json.loads(text)["root"])
     except (KeyError, TypeError, ValueError, ParseError) as exc:
         raise FomlError(f"malformed certificate: {exc}") from exc
-    return Tableau(theta=theta, root=root)

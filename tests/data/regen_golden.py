@@ -28,6 +28,7 @@ from foml.tableau import (  # noqa: E402
     SAT,
     _forest_to_json,
     certificate_to_json,
+    render_world,
     replay_guidance,
     search,
 )
@@ -36,10 +37,17 @@ ROUNDS = 5
 
 
 def guidance_to_json(guidance) -> str:
+    """The hints with each world key written as its name, like `r.0.3`."""
     doc = {
-        "diamond_order": guidance.diamond_order,
-        "forest": {w: _forest_to_json(f) for w, f in guidance.forest.items()},
-        "or_choice": sorted([w, key, i] for (w, key), i in guidance.or_choice.items()),
+        "diamond_order": {
+            render_world(w): keys for w, keys in guidance.diamond_order.items()
+        },
+        "forest": {
+            render_world(w): _forest_to_json(f) for w, f in guidance.forest.items()
+        },
+        "or_choice": sorted(
+            [render_world(w), key, i] for (w, key), i in guidance.or_choice.items()
+        ),
     }
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 

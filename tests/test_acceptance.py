@@ -97,15 +97,22 @@ def test_flagship_sat_and_oracle_refutation(tmp_path, phi1):
     assert bounded_model_search(phi1, *ORACLE_BOUNDS) is None
 
 
+def _world(name):
+    """The world tuple behind a world name: `r.0.3` is (0, 3)."""
+    return tuple(int(i) for i in name.split(".")[1:])
+
+
 def test_scripted_replay_matches_golden_certificate(phi1):
     """The recorded disjunct, forest, and successor choices are exactly the
     ones read back off the checked-in certificate, and replaying them
     rebuilds it byte for byte, with the documented shape."""
     doc = json.loads((DATA / "phi1_guidance.json").read_text())
     guidance = Guidance(
-        or_choice={(w, key): idx for w, key, idx in doc["or_choice"]},
-        forest={w: _forest_from_json(f) for w, f in doc["forest"].items()},
-        diamond_order={w: list(keys) for w, keys in doc["diamond_order"].items()},
+        or_choice={(_world(w), key): idx for w, key, idx in doc["or_choice"]},
+        forest={_world(w): _forest_from_json(f) for w, f in doc["forest"].items()},
+        diamond_order={
+            _world(w): list(keys) for w, keys in doc["diamond_order"].items()
+        },
     )
     golden = (DATA / "phi1_certificate.json").read_text()
     assert replay_guidance(certificate_from_json(golden)) == guidance
@@ -113,7 +120,7 @@ def test_scripted_replay_matches_golden_certificate(phi1):
     assert res.status == SAT
     assert certificate_to_json(res.tableau) == golden
 
-    forest = replay_guidance(res.tableau).forest["r.0"]
+    forest = replay_guidance(res.tableau).forest[(0,)]
     assert [(n.name, n.parent) for n in forest.nodes] == [
         ("v0", None), ("v1", "v0"), ("v2", "v1"),
     ]

@@ -21,7 +21,6 @@ from foml.kripke import KripkeModel, check, validate_model
 
 from foml.tableau import (
     SearchLimits,
-    Tableau,
     TableauNode,
     certificate_from_json,
     certificate_to_json,
@@ -57,21 +56,13 @@ def test_extract_flagship_model_shape(phi1_result):
 
 
 def test_extract_rejects_closed_and_unsaturated():
-    closed = Tableau(
-        theta=norm("P(x)"),
-        root=TableauNode(
-            frozenset({norm("P(x)"), norm("~P(x)")}), frozenset({"x"}),
-            NOT_INIT, "root",
-        ),
+    closed = TableauNode(
+        frozenset({norm("P(x)"), norm("~P(x)")}), frozenset({"x"}), NOT_INIT, "root"
     )
     with pytest.raises(FomlError, match="not open"):
         extract_model(closed)
-    stuck = Tableau(
-        theta=norm("P(x) & Q(x,x)"),
-        root=TableauNode(
-            frozenset({norm("P(x) & Q(x,x)")}), frozenset({"x"}),
-            NOT_INIT, "root",
-        ),
+    stuck = TableauNode(
+        frozenset({norm("P(x) & Q(x,x)")}), frozenset({"x"}), NOT_INIT, "root"
     )
     with pytest.raises(FomlError, match="not saturated"):
         extract_model(stuck)
@@ -95,14 +86,14 @@ def test_no_forest_means_no_violations():
 
 def test_extend_tableau_grows_chain_by_one():
     t = search(SIMPLE).tableau
-    ext = extend_tableau(t, forest_world(t), "v2")
+    ext = extend_tableau(SIMPLE, t, forest_world(t), "v2")
     assert verify_tableau(ext, SIMPLE) == []
     assert sorted(extract_model(ext).local_domain["r.0"]) == ["v0", "v1", "v2", "v3"]
 
 
-def test_extend_tableau_moves_flagship_violation(phi1_result):
+def test_extend_tableau_moves_flagship_violation(phi1, phi1_result):
     t = phi1_result.tableau
-    ext = extend_tableau(t, forest_world(t), "v2")
+    ext = extend_tableau(phi1, t, forest_world(t), "v2")
     m1 = extract_model(ext)
     violations = find_leaf_violations(ext, m1)
     assert [(leaf, str(f)) for _, leaf, f in violations] == [
@@ -113,9 +104,9 @@ def test_extend_tableau_moves_flagship_violation(phi1_result):
 def test_extend_tableau_error_paths():
     t = search(SIMPLE).tableau
     with pytest.raises(FomlError, match="extension target r carries no skolem forest"):
-        extend_tableau(t, (), "v2")
+        extend_tableau(SIMPLE, t, (), "v2")
     with pytest.raises(FomlError, match="not a leaf"):
-        extend_tableau(t, forest_world(t), "v0")
+        extend_tableau(SIMPLE, t, forest_world(t), "v0")
 
 
 def test_extend_tableau_searches_once_and_reports_exhaustion(
@@ -131,19 +122,19 @@ def test_extend_tableau_searches_once_and_reports_exhaustion(
     t = phi1_result.tableau
     limits = dataclasses.replace(SearchLimits.derive(phi1), max_tableau_nodes=300)
     with pytest.raises(ResourceLimit, match="extension rebuild failed"):
-        extend_tableau(t, forest_world(t), "v2", limits)
+        extend_tableau(phi1, t, forest_world(t), "v2", limits)
     assert len(calls) == 1
 
 
 def test_extend_tableau_rejects_rebuild_without_grown_forest(monkeypatch):
     def forgetful(theta, limits, guidance):
-        guidance.forest.pop("r.0")
+        guidance.forest.pop((0,))
         return search(theta, limits, guidance)
 
     monkeypatch.setattr(foml.extraction, "search", forgetful)
     t = search(SIMPLE).tableau
     with pytest.raises(FomlError, match="grown forest was not kept"):
-        extend_tableau(t, forest_world(t), "v2")
+        extend_tableau(SIMPLE, t, forest_world(t), "v2")
 
 
 def test_iterate_zero_rounds_statuses(phi1, phi1_result):

@@ -1,3 +1,4 @@
+import copy
 import json
 import random
 from dataclasses import replace
@@ -10,7 +11,7 @@ import foml.extraction
 import foml.tableau
 from conftest import norm, subformulas
 from foml.forest import EMPTY_TREE, NOT_INIT, SkolemForest, forest_size_bound
-from foml.extraction import iterate_extensions
+from foml.extraction import iterate_extensions, trace_to_ndjson
 from foml.formulas import (
     FomlError,
     Forall,
@@ -31,7 +32,6 @@ from foml.tableau import (
     Guidance,
     SAT,
     SearchLimits,
-    Tableau,
     UNSAT,
     certificate_from_json,
     certificate_to_json,
@@ -219,7 +219,7 @@ def mutate_first(tableau, pred, fn):
             return fn(node)
         return replace(node, children=tuple(rebuild(c) for c in node.children))
 
-    return Tableau(theta=tableau.theta, root=rebuild(tableau.root))
+    return rebuild(tableau)
 
 
 def test_verifier_catches_corrupted_gamma(phi1, phi1_result):
@@ -322,21 +322,6 @@ def _foreign_forest(t):
     return bad, _at(w, "forest: forest was built for a different quantified formula")
 
 
-def _list_var_forest(t):
-    """A certificate's forest `var` is unchecked JSON: a list must be
-    reported, not raise."""
-    w, _ = _first(t, lambda w, n: n.rule == "nestedForall")
-    doc = json.loads(certificate_to_json(t))
-    stack = [doc["root"]]
-    while stack:
-        node = stack.pop()
-        if node["rule"] == "nestedForall":
-            node["forest"]["var"] = ["x"]
-        stack.extend(node["children"])
-    bad = certificate_from_json(json.dumps(doc))
-    return bad, _at(w, "forest: forest was built for a different quantified formula")
-
-
 def _domain_not_the_forest(t):
     w, n = _first(t, lambda w, n: n.rule == "nestedForall")
     bad = _corrupt(t, n, lambda n: replace(n, s=n.s | {"zz"}))
@@ -357,7 +342,7 @@ def _diamond_child_with_a_forest(t):
 
 
 def _cut_root(t):
-    bad = _corrupt(t, t.root, lambda n: replace(n, children=()))
+    bad = _corrupt(t, t, lambda n: replace(n, children=()))
     return bad, "r: unsaturated leaf"
 
 
@@ -376,7 +361,6 @@ def _two_nested_universals(t):
         _two_children,
         _no_forest,
         _foreign_forest,
-        _list_var_forest,
         _domain_not_the_forest,
         _missing_diamond_child,
         _diamond_child_with_a_forest,
@@ -391,7 +375,7 @@ def test_verifier_reports_each_fault_at_its_world(corrupt, phi1, phi1_result):
 
 
 def test_verifier_compares_the_root_with_init_root(phi1, phi1_result):
-    root = phi1_result.tableau.root
+    root = phi1_result.tableau
     fresh = fresh_var(all_vars(phi1))
     fmp = norm("forall x . [] P(x)")
     for tampered, theta, message in [
@@ -399,7 +383,7 @@ def test_verifier_compares_the_root_with_init_root(phi1, phi1_result):
         (replace(root, gamma=root.gamma | {norm("P(zz)")}), phi1, "root gamma differs"),
         (root, fmp, "outside the decidable bundle (classified FMP-decidable)"),
     ]:
-        problems = verify_tableau(Tableau(theta=theta, root=tampered), theta)
+        problems = verify_tableau(tampered, theta)
         assert any(message in p for p in problems), problems
 
 
@@ -455,9 +439,11 @@ def test_certificate_read_back_walks_the_same_worlds(phi1_result):
 
 
 def test_stale_world_fields_in_a_certificate_are_ignored(phi1, phi1_result):
-    """A `world` key on a node, as certificates once carried, reads without
-    error and moves nothing: worlds come from the path alone."""
+    """A `world` key on a node and a `theta` key on the document, as
+    certificates once carried, read without error and move nothing: worlds
+    come from the path alone, and theta from the caller."""
     doc = json.loads(certificate_to_json(phi1_result.tableau))
+    doc["theta"] = "P0"
     stack = [doc["root"]]
     while stack:
         node = stack.pop()
@@ -466,12 +452,63 @@ def test_stale_world_fields_in_a_certificate_are_ignored(phi1, phi1_result):
     again = certificate_from_json(json.dumps(doc))
     assert [w for w, _ in again.walk()] == [w for w, _ in phi1_result.tableau.walk()]
     assert verify_tableau(again, phi1) == []
+    _, loaded, _ = iterate_extensions(phi1, again, 1)
+    _, direct, _ = iterate_extensions(phi1, phi1_result.tableau, 1)
+    assert trace_to_ndjson(loaded) == trace_to_ndjson(direct)
+
+
+def _with_field(doc, where, key, value):
+    """The certificate `doc` as text, with `key` set to `value` in its root
+    node, its first forest or that forest's first node."""
+    doc = copy.deepcopy(doc)
+    stack = [doc["root"]]
+    while where != "node":
+        node = stack.pop()
+        if isinstance(node["forest"], dict):
+            stack = [node["forest"]] if where == "forest" else node["forest"]["nodes"]
+            break
+        stack.extend(node["children"])
+    stack[0][key] = value
+    return json.dumps(doc)
 
 
 def test_certificate_rejects_malformed_documents():
-    for text in ["{", "{}", '{"theta": "P(x)"}', '{"theta": "P(x", "root": {}}']:
+    small = search(norm("<> forall x. exists y. [] P(x,y)")).tableau
+    doc = json.loads(certificate_to_json(small))
+    wrong_types = [
+        # A string where a list belongs once read one character at a time.
+        ("node", "rule", 7),
+        ("node", "gamma", "P"),
+        ("node", "s", "xy"),
+        ("node", "children", "x"),
+        ("forest", "var", ["x"]),
+        ("forest", "psi", ["P(x)"]),
+        ("forest", "nodes", "v0"),
+        ("forest node", "name", 0),
+        ("forest node", "parent", ["v0"]),
+        ("forest node", "atom", "P"),
+        ("forest node", "children", "v1"),
+    ]
+    texts = ["{", "{}", "[]", '{"theta": "P(x)"}', '{"theta": "P(x", "root": {}}']
+    texts += [_with_field(doc, *case) for case in wrong_types]
+    for text in texts:
         with pytest.raises(FomlError, match="malformed certificate"):
             certificate_from_json(text)
+
+
+def test_guided_search_renders_no_world_name(monkeypatch, phi1, phi1_result):
+    """Replay hints are keyed by world tuple, so a guided search names no
+    world unless a budget runs out."""
+    guidance = replay_guidance(phi1_result.tableau)
+    rendered = []
+
+    def counted(world):
+        rendered.append(world)
+        return render_world(world)
+
+    monkeypatch.setattr(foml.tableau, "render_world", counted)
+    assert search(phi1, guidance=guidance).status == SAT
+    assert rendered == []
 
 
 def test_tableau_structural_invariants(phi1_result):
@@ -493,10 +530,10 @@ def test_or_guidance_selects_requested_disjunct():
     pivot_key = formula_key(phi)
     plain = search(phi)
     assert plain.status == SAT
-    assert replay_guidance(plain.tableau).or_choice[("r", pivot_key)] == 0
-    guided = search(phi, guidance=Guidance(or_choice={("r", pivot_key): 1}))
+    assert replay_guidance(plain.tableau).or_choice[((), pivot_key)] == 0
+    guided = search(phi, guidance=Guidance(or_choice={((), pivot_key): 1}))
     assert guided.status == SAT
-    assert replay_guidance(guided.tableau).or_choice[("r", pivot_key)] == 1
+    assert replay_guidance(guided.tableau).or_choice[((), pivot_key)] == 1
     leaf = [n for w, n in guided.tableau.walk() if w == ()][-1]
     assert norm("Q(a,a)") in leaf.gamma
 
@@ -506,11 +543,11 @@ def test_diamond_guidance_reorders_successors():
     dq = norm("<> Q(a,a)")
     plain = search(phi)
     assert plain.status == SAT
-    order = replay_guidance(plain.tableau).diamond_order["r"]
+    order = replay_guidance(plain.tableau).diamond_order[()]
     assert order[0] == formula_key(norm("<> P(a)"))
-    guided = search(phi, guidance=Guidance(diamond_order={"r": [formula_key(dq)]}))
+    guided = search(phi, guidance=Guidance(diamond_order={(): [formula_key(dq)]}))
     assert guided.status == SAT
-    assert replay_guidance(guided.tableau).diamond_order["r"][0] == formula_key(dq)
+    assert replay_guidance(guided.tableau).diamond_order[()][0] == formula_key(dq)
     first_child = [n for w, n in guided.tableau.walk() if w == (0,)][-1]
     assert norm("Q(a,a)") in first_child.gamma
 
