@@ -322,6 +322,14 @@ def _foreign_forest(t):
     return bad, _at(w, "forest: forest was built for a different quantified formula")
 
 
+def _list_var_forest(t):
+    """A forest built in memory with a list for its `var` (the certificate
+    reader rejects one in JSON) is reported, not raised on."""
+    w, n = _first(t, lambda w, n: n.rule == "nestedForall")
+    bad = _corrupt(t, n, lambda n: replace(n, forest=replace(n.forest, var=["x"])))
+    return bad, _at(w, "forest: forest was built for a different quantified formula")
+
+
 def _domain_not_the_forest(t):
     w, n = _first(t, lambda w, n: n.rule == "nestedForall")
     bad = _corrupt(t, n, lambda n: replace(n, s=n.s | {"zz"}))
@@ -361,6 +369,7 @@ def _two_nested_universals(t):
         _two_children,
         _no_forest,
         _foreign_forest,
+        _list_var_forest,
         _domain_not_the_forest,
         _missing_diamond_child,
         _diamond_child_with_a_forest,
