@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import chain
 from typing import Iterable, Optional
 
@@ -544,19 +545,20 @@ def replay_guidance(tableau: TableauNode) -> Guidance:
     return guidance
 
 
-def _forest_to_json(forest) -> object:
+def _forest_to_json(forest, show=None) -> object:
+    show = show or print_formula
     if forest is NOT_INIT:
         return "NotInit"
     if forest is EMPTY_TREE:
         return "EmptyTree"
     return {
         "var": forest.var,
-        "psi": print_formula(forest.psi),
+        "psi": show(forest.psi),
         "nodes": [
             {
                 "name": n.name,
                 "parent": n.parent,
-                "atom": [print_formula(m) for m in n.atom.members],
+                "atom": list(map(show, n.atom.members)),
                 "children": list(n.children),
             }
             for n in forest.nodes
@@ -564,7 +566,8 @@ def _forest_to_json(forest) -> object:
     }
 
 
-def _forest_from_json(data) -> object:
+def _forest_from_json(data, read=None) -> object:
+    read = read or parse_formula
     if data == "NotInit":
         return NOT_INIT
     if data == "EmptyTree":
@@ -575,50 +578,58 @@ def _forest_from_json(data) -> object:
             parent=None if n["parent"] is None else checked(
                 n["parent"], str, "a parent name"
             ),
-            atom=Atom(tuple(map(parse_formula, checked(n["atom"], list, "a list")))),
+            atom=Atom(tuple(map(read, checked(n["atom"], list, "a list")))),
             children=names(n["children"]),
         )
         for n in checked(data["nodes"], list, "a list of forest nodes")
     )
     return SkolemForest(
         var=checked(data["var"], str, "a variable"),
-        psi=parse_formula(data["psi"]),
+        psi=read(data["psi"]),
         nodes=nodes,
     )
 
 
-def _node_to_json(node: TableauNode) -> dict:
+def _node_to_json(node: TableauNode, show) -> dict:
     return {
         "rule": node.rule,
-        "gamma": sorted(print_formula(g) for g in node.gamma),
+        "gamma": sorted(map(show, node.gamma)),
         "s": sorted(node.s, key=var_key),
-        "forest": _forest_to_json(node.forest),
-        "children": [_node_to_json(c) for c in node.children],
+        "forest": _forest_to_json(node.forest, show),
+        "children": [_node_to_json(c, show) for c in node.children],
     }
 
 
-def _node_from_json(data: dict) -> TableauNode:
+def _node_from_json(data: dict, read) -> TableauNode:
     return TableauNode(
-        gamma=frozenset(map(parse_formula, checked(data["gamma"], list, "a list"))),
+        gamma=frozenset(map(read, checked(data["gamma"], list, "a list"))),
         s=frozenset(names(data["s"])),
-        forest=_forest_from_json(data["forest"]),
+        forest=_forest_from_json(data["forest"], read),
         rule=checked(data["rule"], str, "a rule name"),
         children=tuple(
-            map(_node_from_json, checked(data["children"], list, "a list of nodes"))
+            _node_from_json(c, read)
+            for c in checked(data["children"], list, "a list of nodes")
         ),
     )
 
 
 def certificate_to_json(tableau: TableauNode) -> str:
-    """The tree under the root `tableau`; its gamma is {theta}."""
-    return json.dumps({"root": _node_to_json(tableau)}, sort_keys=True, indent=2) + "\n"
+    """The tree under the root `tableau` (gamma {theta}) as one line of
+    canonical JSON with sorted keys; each distinct formula is printed once."""
+    doc = {"root": _node_to_json(tableau, cache(print_formula))}
+    return json.dumps(doc, sort_keys=True) + "\n"
 
 
 def certificate_from_json(text: str) -> TableauNode:
-    """The root of a certificate's tree. Keys other than `root` and a node's
-    own are ignored, such as the `theta` and `world` keys certificates once
-    carried."""
+    """The root of a certificate's tree, in any JSON layout. Keys other than
+    `root` and a node's own, such as the `theta` and `world` keys certificates
+    once carried, are ignored. Each distinct string is parsed once."""
+    once = cache(parse_formula)
+
+    def read(t):  # any other JSON value fails in the parser, uncached
+        return once(t) if type(t) is str else parse_formula(t)
+
     try:
-        return _node_from_json(json.loads(text)["root"])
+        return _node_from_json(json.loads(text)["root"], read)
     except (KeyError, TypeError, ValueError, ParseError) as exc:
         raise FomlError(f"malformed certificate: {exc}") from exc

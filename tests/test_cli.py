@@ -3,10 +3,10 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from conftest import PHI1_TEXT
+from conftest import PHI1_TEXT, norm
 from foml.cli import main
 from foml.kripke import model_from_json, validate_model
-from foml.tableau import certificate_from_json, verify_tableau
+from foml.tableau import certificate_from_json, search, verify_tableau
 
 
 SIMPLE_TEXT = "<> forall x. exists y. [] P(x,y)"
@@ -30,6 +30,28 @@ def test_sat_writes_certificate(runner, tmp_path, phi1):
     assert result.output.splitlines()[0] == "SAT"
     cert = certificate_from_json((tmp_path / "phi.foml.cert.json").read_text())
     assert verify_tableau(cert, phi1) == []
+
+
+def test_sat_writes_a_deep_certificate_in_one_line(runner, tmp_path):
+    """A 300-literal conjunction makes a 300-deep tableau chain. Its
+    certificate is one line well under a megabyte (indented JSON took 39 MB)
+    and reads back to the same tree. Trees are compared by their walks: the
+    dataclass `==` of `TableauNode` recurses once per level."""
+    text = " & ".join(f"P{i}" for i in range(300))
+    path = write(tmp_path, "flat.foml", text)
+    result = runner.invoke(main, ["sat", path])
+    assert result.exit_code == 0, result.output
+    blob = (tmp_path / "flat.foml.cert.json").read_text()
+    assert blob.count("\n") == 1 and blob.endswith("\n")
+    assert len(blob.encode()) < 1_000_000
+    theta = norm(text)
+    cert = certificate_from_json(blob)
+    assert verify_tableau(cert, theta) == []
+
+    def states(t):
+        return [(w, n.rule, n.gamma, n.s) for w, n in t.walk()]
+
+    assert states(cert) == states(search(theta).tableau)
 
 
 def test_sat_json_format(runner, tmp_path):

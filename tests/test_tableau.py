@@ -423,6 +423,62 @@ def test_certificate_round_trip(phi1, phi1_result):
     assert verify_tableau(again, phi1) == []
 
 
+def _formula_texts(doc) -> set[str]:
+    """Every formula string in a certificate document: gamma members, forest
+    `psi` and forest atom members."""
+    texts, stack = set(), [doc["root"]]
+    while stack:
+        node = stack.pop()
+        texts.update(node["gamma"])
+        if isinstance(node["forest"], dict):
+            texts.add(node["forest"]["psi"])
+            for n in node["forest"]["nodes"]:
+                texts.update(n["atom"])
+        stack.extend(node["children"])
+    return texts
+
+
+def test_certificate_io_handles_each_distinct_formula_once(monkeypatch, phi1_result):
+    """A flagship round trip prints each distinct formula once and parses
+    each distinct formula text once, however many nodes repeat it."""
+    calls = {"parse": 0, "print": 0}
+
+    def counted(name, real):
+        def wrapper(arg):
+            calls[name] += 1
+            return real(arg)
+
+        return wrapper
+
+    monkeypatch.setattr(foml.tableau, "parse_formula", counted("parse", parse_formula))
+    monkeypatch.setattr(
+        foml.tableau, "print_formula", counted("print", foml.tableau.print_formula)
+    )
+    blob = certificate_to_json(phi1_result.tableau)
+    certificate_from_json(blob)
+    distinct = len(_formula_texts(json.loads(blob)))
+    assert distinct > 100
+    assert calls == {"parse": distinct, "print": distinct}
+
+
+def test_certificate_is_one_line_and_reads_the_indented_format(phi1, phi1_result):
+    """A certificate is one line of canonical JSON; one written indented,
+    as certificates once were, reads back to the same tree."""
+    t = phi1_result.tableau
+    blob = certificate_to_json(t)
+    assert blob == json.dumps(json.loads(blob), sort_keys=True) + "\n"
+    assert blob.count("\n") == 1
+    indented = json.dumps(json.loads(blob), sort_keys=True, indent=2) + "\n"
+    again = certificate_from_json(indented)
+
+    def states(t):
+        return [(w, n.rule, n.gamma, n.s, n.forest) for w, n in t.walk()]
+
+    assert states(again) == states(t)
+    assert verify_tableau(again, phi1) == []
+    assert certificate_to_json(again) == blob
+
+
 def test_certificate_read_back_walks_the_same_worlds(phi1_result):
     """A certificate names no world: the tableau read back from it walks
     the same (world, rule, gamma, s) sequence, and diamond child i of a
@@ -503,6 +559,13 @@ def test_certificate_rejects_malformed_documents():
     for text in texts:
         with pytest.raises(FomlError, match="malformed certificate"):
             certificate_from_json(text)
+    # A formula that is not a string fails in the parser, not in the memo.
+    with pytest.raises(TypeError) as direct:
+        parse_formula(["P(x)"])
+    for where, key, value in [("forest", "psi", ["P(x)"]), ("node", "gamma", [["P(x)"]])]:
+        with pytest.raises(FomlError) as err:
+            certificate_from_json(_with_field(doc, where, key, value))
+        assert str(err.value) == f"malformed certificate: {direct.value}"
 
 
 def test_guided_search_renders_no_world_name(monkeypatch, phi1, phi1_result):
