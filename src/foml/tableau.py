@@ -1,13 +1,14 @@
 """Tableau construction and search for the bundled fragment.
 
-A tableau node holds a state (gamma, s, forest), the rule that made it and
-its children; its world is its path of diamond indices (`walk`). Within one
-world the rules fire in a fixed priority: forest initialization first
-(answering the nested universal if one is present), then conjunctions,
-disjunctions, existentials, universals, and finally the modal step that
-spawns one child world per diamond. Search is depth-first over the AND-OR
-space: diamond children all have to succeed, disjuncts and forest choices
-are alternatives.
+A tableau node is its state (gamma, s, forest) and its children; the rule
+that made a node is its parent's `select_rule`. Within one world the rules
+fire in a fixed priority: forest initialization first (answering the nested
+universal if one is present), then conjunctions, disjunctions,
+existentials, universals, and finally the modal step that spawns one child
+world per diamond. Only that step makes a child whose forest is NOT_INIT,
+so a node's world is its path of diamond indices (`walk`). Search is
+depth-first over the AND-OR space: diamond children all have to succeed,
+disjuncts and forest choices are alternatives.
 
 `successors` is the one definition of the children of each same-world rule
 (`trivialSkolem`, `and`, `or`, `exists`, `forall`, `end`): search expands
@@ -79,31 +80,35 @@ def render_world(world: tuple[int, ...]) -> str:
     return "r" + "".join(f".{i}" for i in world)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TableauNode:
+    """A node compares and hashes by identity; compare trees by `walk`."""
+
     gamma: frozenset
     s: frozenset
     forest: object
-    rule: str
     children: tuple = ()
 
     def walk(self, world: tuple[int, ...] = ()):
         """(world, node) for this node, taken to sit at `world`, and its
-        descendants, in preorder. A child tagged `diamond` at index i sits
-        at world + (i,), every other child at its parent's world."""
+        descendants, in preorder. A child at index i whose forest is
+        NOT_INIT starts world + (i,), every other child sits at its
+        parent's world."""
         stack = [(world, self)]
         while stack:
             world, node = stack.pop()
             yield world, node
             for i in range(len(node.children) - 1, -1, -1):
                 c = node.children[i]
-                stack.append((world + (i,) if c.rule == "diamond" else world, c))
+                stack.append((world + (i,) if c.forest is NOT_INIT else world, c))
 
     def forest_points(self):
-        """(world, node) for each `nestedForall` node that carries a skolem
-        forest: the forest its world settled on."""
+        """(world, node) for the first node of each world that carries a
+        skolem forest: the forest its world settled on."""
+        seen = set()
         for world, node in self.walk():
-            if node.rule == "nestedForall" and isinstance(node.forest, SkolemForest):
+            if isinstance(node.forest, SkolemForest) and world not in seen:
+                seen.add(world)
                 yield world, node
 
 
@@ -181,11 +186,8 @@ def init_root(theta: Formula) -> TableauNode:
             f"formula is outside the decidable bundle (classified {fragment.category})"
         )
     z = fresh_var(all_vars(theta))
-    return TableauNode(
-        gamma=frozenset({theta}),
-        s=frozenset(free_vars(theta)) | outer_ex_vars(theta) | {z},
-        forest=NOT_INIT, rule="root",
-    )
+    s = frozenset(free_vars(theta)) | outer_ex_vars(theta) | {z}
+    return TableauNode(frozenset({theta}), s, NOT_INIT)
 
 
 def is_closed(gamma: frozenset) -> bool:
@@ -315,7 +317,7 @@ def search(
         limits = SearchLimits.derive(theta)
     ctx = _Ctx(limits, guidance)
     try:
-        node = _solve(ctx, (), root.gamma, root.s, root.forest, root.rule)
+        node = _solve(ctx, (), root.gamma, root.s, root.forest)
     except ResourceLimit as exc:
         ctx.stats.exhausted_by = str(exc)
         return SearchResult(EXHAUSTED, None, ctx.stats)
@@ -324,9 +326,7 @@ def search(
     return SearchResult(SAT, node, ctx.stats)
 
 
-def _solve(
-    ctx: _Ctx, world, gamma, s, forest, rule, added=None
-) -> Optional[TableauNode]:
+def _solve(ctx: _Ctx, world, gamma, s, forest, added=None) -> Optional[TableauNode]:
     """The open subtree for this state, or None when every alternative closes.
 
     `added` is what a same-world rule added to its open parent's gamma; only
@@ -345,7 +345,7 @@ def _solve(
                 ctx.stats.memo_hits += 1
                 return None
 
-        node = _apply(ctx, world, gamma, s, forest, rule)
+        node = _apply(ctx, world, gamma, s, forest)
         if node is None and memo_key is not None:
             ctx.memo.add(memo_key)
         return node
@@ -355,14 +355,14 @@ def _solve(
         raise ResourceLimit(exc.budget, exc.count, render_world(world)) from None
 
 
-def _apply(ctx: _Ctx, world, gamma, s, forest, rule) -> Optional[TableauNode]:
+def _apply(ctx: _Ctx, world, gamma, s, forest) -> Optional[TableauNode]:
     kind, pivot = select_rule(gamma, forest)
 
     if kind == "none":
-        return TableauNode(gamma, s, forest, rule)
+        return TableauNode(gamma, s, forest)
 
     if kind == "nestedForall":
-        return _forest_point(ctx, world, gamma, s, rule, pivot)
+        return _forest_point(ctx, world, gamma, s, pivot)
 
     if kind == "diamond":
         order = None
@@ -370,11 +370,11 @@ def _apply(ctx: _Ctx, world, gamma, s, forest, rule) -> Optional[TableauNode]:
             order = ctx.guidance.diamond_order.get(world)
         children = []
         for i, (_, gamma_i, s_i) in enumerate(diamond_outcomes(gamma, s, order)):
-            child = _solve(ctx, world + (i,), gamma_i, s_i, NOT_INIT, "diamond")
+            child = _solve(ctx, world + (i,), gamma_i, s_i, NOT_INIT)
             if child is None:
                 return None
             children.append(child)
-        return TableauNode(gamma, s, forest, rule, tuple(children))
+        return TableauNode(gamma, s, forest, tuple(children))
 
     options = successors(gamma, s, forest, kind, pivot)
     if kind == "or" and ctx.guidance is not None:
@@ -384,13 +384,13 @@ def _apply(ctx: _Ctx, world, gamma, s, forest, rule) -> Optional[TableauNode]:
     for gamma2, s2, forest2 in options:
         if kind == "or":
             ctx.stats.or_attempts += 1
-        child = _solve(ctx, world, gamma2, s2, forest2, kind, gamma2 - gamma)
+        child = _solve(ctx, world, gamma2, s2, forest2, gamma2 - gamma)
         if child is not None:
-            return TableauNode(gamma, s, forest, rule, (child,))
+            return TableauNode(gamma, s, forest, (child,))
     return None
 
 
-def _forest_point(ctx: _Ctx, world, gamma, s, rule, quant) -> Optional[TableauNode]:
+def _forest_point(ctx: _Ctx, world, gamma, s, quant) -> Optional[TableauNode]:
     """Try candidate forests for gamma's nested universal `quant` in turn:
     a valid preferred forest first, then the enumerated ones."""
     stream = enumerate_forests(quant, gamma, s, ctx.limits)
@@ -403,10 +403,10 @@ def _forest_point(ctx: _Ctx, world, gamma, s, rule, quant) -> Optional[TableauNo
         ctx.stats.forest_attempts += 1
         child = _solve(
             ctx, world, expand_forest(candidate, gamma),
-            frozenset(candidate.names()), candidate, "nestedForall",
+            frozenset(candidate.names()), candidate,
         )
         if child is not None:
-            return TableauNode(gamma, s, NOT_INIT, rule, (child,))
+            return TableauNode(gamma, s, NOT_INIT, (child,))
     return None
 
 
@@ -419,7 +419,7 @@ def verify_tableau(tableau: TableauNode, theta: Formula) -> list[str]:
     except FragmentError as exc:
         out.append(str(exc))
     else:
-        for name in ("gamma", "s", "forest", "rule"):
+        for name in ("gamma", "s", "forest"):
             if getattr(tableau, name) != getattr(want, name):
                 out.append(f"root {name} differs from init_root(theta)")
 
@@ -444,9 +444,6 @@ def _check_step(node: TableauNode) -> list[str]:
     except FomlError as exc:
         return [str(exc)]
     kids = node.children
-    tags = {c.rule for c in kids}
-    if tags != {kind}:
-        return [f"children tagged {sorted(tags)} but rule is {kind}"]
     if kind == "none":
         return ["children under a saturated node"]
     if kind == "diamond":
@@ -592,7 +589,6 @@ def _forest_from_json(data, read=None) -> object:
 
 def _node_to_json(node: TableauNode, show) -> dict:
     return {
-        "rule": node.rule,
         "gamma": sorted(map(show, node.gamma)),
         "s": sorted(node.s, key=var_key),
         "forest": _forest_to_json(node.forest, show),
@@ -605,7 +601,6 @@ def _node_from_json(data: dict, read) -> TableauNode:
         gamma=frozenset(map(read, checked(data["gamma"], list, "a list"))),
         s=frozenset(names(data["s"])),
         forest=_forest_from_json(data["forest"], read),
-        rule=checked(data["rule"], str, "a rule name"),
         children=tuple(
             _node_from_json(c, read)
             for c in checked(data["children"], list, "a list of nodes")
@@ -622,8 +617,8 @@ def certificate_to_json(tableau: TableauNode) -> str:
 
 def certificate_from_json(text: str) -> TableauNode:
     """The root of a certificate's tree, in any JSON layout. Keys other than
-    `root` and a node's own, such as the `theta` and `world` keys certificates
-    once carried, are ignored. Each distinct string is parsed once."""
+    `root` and a node's own, such as the `theta`, `world` and `rule` keys
+    certificates once carried, are ignored. Each distinct string is parsed once."""
     once = cache(parse_formula)
 
     def read(t):  # any other JSON value fails in the parser, uncached

@@ -33,7 +33,7 @@ SIMPLE = norm("<> forall x. exists y. [] P(x,y)")
 
 
 def forest_world(tableau):
-    return next(w for w, n in tableau.walk() if n.rule == "nestedForall")
+    return next(w for w, _ in tableau.forest_points())
 
 
 def test_extract_single_world_model():
@@ -57,13 +57,11 @@ def test_extract_flagship_model_shape(phi1_result):
 
 def test_extract_rejects_closed_and_unsaturated():
     closed = TableauNode(
-        frozenset({norm("P(x)"), norm("~P(x)")}), frozenset({"x"}), NOT_INIT, "root"
+        frozenset({norm("P(x)"), norm("~P(x)")}), frozenset({"x"}), NOT_INIT
     )
     with pytest.raises(FomlError, match="not open"):
         extract_model(closed)
-    stuck = TableauNode(
-        frozenset({norm("P(x) & Q(x,x)")}), frozenset({"x"}), NOT_INIT, "root"
-    )
+    stuck = TableauNode(frozenset({norm("P(x) & Q(x,x)")}), frozenset({"x"}), NOT_INIT)
     with pytest.raises(FomlError, match="not saturated"):
         extract_model(stuck)
 

@@ -1,7 +1,7 @@
 import copy
 import json
 import random
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, settings
@@ -32,6 +32,7 @@ from foml.tableau import (
     Guidance,
     SAT,
     SearchLimits,
+    TableauNode,
     UNSAT,
     certificate_from_json,
     certificate_to_json,
@@ -211,6 +212,21 @@ def test_verifier_accepts_search_output(phi1, phi1_result):
         assert verify_tableau(res.tableau, phi) == []
 
 
+def _kind(node):
+    return select_rule(node.gamma, node.forest)[0]
+
+
+def children_of(tableau, kind):
+    """(world, child) in preorder for each child of a node whose
+    `select_rule` kind is `kind`."""
+    made = {
+        id(c)
+        for _, n in tableau.walk() if n.children and _kind(n) == kind
+        for c in n.children
+    }
+    return ((w, n) for w, n in tableau.walk() if id(n) in made)
+
+
 def mutate_first(tableau, pred, fn):
     target = next(n for _, n in tableau.walk() if pred(n))
 
@@ -223,11 +239,9 @@ def mutate_first(tableau, pred, fn):
 
 
 def test_verifier_catches_corrupted_gamma(phi1, phi1_result):
-    bad = mutate_first(
-        phi1_result.tableau,
-        lambda n: n.rule == "trivialSkolem",
-        lambda n: replace(n, gamma=n.gamma | {norm("P(zz)")}),
-    )
+    t = phi1_result.tableau
+    _, child = next(children_of(t, "trivialSkolem"))
+    bad = _corrupt(t, child, lambda n: replace(n, gamma=n.gamma | {norm("P(zz)")}))
     problems = verify_tableau(bad, phi1)
     assert any("unexpected gamma" in p for p in problems)
 
@@ -238,11 +252,9 @@ def test_verifier_catches_corrupted_forest(phi1, phi1_result):
         cut = SkolemForest(var=forest.var, psi=forest.psi, nodes=forest.nodes[:-1])
         return replace(n, forest=cut)
 
-    bad = mutate_first(
-        phi1_result.tableau,
-        lambda n: n.rule == "nestedForall" and isinstance(n.forest, SkolemForest),
-        truncate,
-    )
+    t = phi1_result.tableau
+    _, child = next(children_of(t, "nestedForall"))
+    bad = _corrupt(t, child, truncate)
     problems = verify_tableau(bad, phi1)
     assert problems and any("forest" in p for p in problems)
 
@@ -267,7 +279,7 @@ def test_verifier_names_the_world_of_each_corrupted_rule(kind, phi1, phi1_result
         tableau = search(theta).tableau
     else:
         theta, tableau = phi1, phi1_result.tableau
-    world, child = next((w, n) for w, n in tableau.walk() if n.rule == kind)
+    world, child = next(children_of(tableau, kind))
     parent_world = world[:-1] if kind == "diamond" else world
     bad = mutate_first(
         tableau,
@@ -292,32 +304,33 @@ def _at(world, message):
 
 # Each case corrupts the flagship certificate in one way and gives the exact
 # line the verifier reports for it.
-def _mistagged_child(t):
-    w, n = _first(t, lambda w, n: n.rule == "and")
-    bad = _corrupt(t, n, lambda n: replace(n, rule="or"))
-    return bad, _at(w, "children tagged ['or'] but rule is and")
+def _child_starts_a_world(t):
+    w, n = _first(t, lambda w, n: n.children and _kind(n) == "and")
+    child = replace(n.children[0], forest=NOT_INIT)
+    bad = _corrupt(t, n, lambda n: replace(n, children=(child,)))
+    return bad, _at(w, "and produced an unexpected forest")
 
 
 def _child_under_a_leaf(t):
     w, n = _first(t, lambda w, n: not n.children)
-    bad = _corrupt(t, n, lambda n: replace(n, children=(replace(n, rule="none"),)))
+    bad = _corrupt(t, n, lambda n: replace(n, children=(n,)))
     return bad, _at(w, "children under a saturated node")
 
 
 def _two_children(t):
-    w, n = _first(t, lambda w, n: n.children and n.children[0].rule == "and")
+    w, n = _first(t, lambda w, n: n.children and _kind(n) == "and")
     bad = _corrupt(t, n, lambda n: replace(n, children=n.children * 2))
     return bad, _at(w, "and must produce exactly one child")
 
 
 def _no_forest(t):
-    w, n = _first(t, lambda w, n: n.rule == "nestedForall")
+    w, n = next(children_of(t, "nestedForall"))
     bad = _corrupt(t, n, lambda n: replace(n, forest=EMPTY_TREE))
     return bad, _at(w, "nestedForall child carries no forest")
 
 
 def _foreign_forest(t):
-    w, n = _first(t, lambda w, n: n.rule == "nestedForall")
+    w, n = next(children_of(t, "nestedForall"))
     bad = _corrupt(t, n, lambda n: replace(n, forest=replace(n.forest, var="zz")))
     return bad, _at(w, "forest: forest was built for a different quantified formula")
 
@@ -325,26 +338,26 @@ def _foreign_forest(t):
 def _list_var_forest(t):
     """A forest built in memory with a list for its `var` (the certificate
     reader rejects one in JSON) is reported, not raised on."""
-    w, n = _first(t, lambda w, n: n.rule == "nestedForall")
+    w, n = next(children_of(t, "nestedForall"))
     bad = _corrupt(t, n, lambda n: replace(n, forest=replace(n.forest, var=["x"])))
     return bad, _at(w, "forest: forest was built for a different quantified formula")
 
 
 def _domain_not_the_forest(t):
-    w, n = _first(t, lambda w, n: n.rule == "nestedForall")
+    w, n = next(children_of(t, "nestedForall"))
     bad = _corrupt(t, n, lambda n: replace(n, s=n.s | {"zz"}))
     return bad, _at(w, "domain set is not the forest node set")
 
 
 def _missing_diamond_child(t):
-    w, n = _first(t, lambda w, n: len(n.children) > 1 and n.children[0].rule == "diamond")
+    w, n = _first(t, lambda w, n: len(n.children) > 1 and _kind(n) == "diamond")
     k = len(n.children)
     bad = _corrupt(t, n, lambda n: replace(n, children=n.children[:-1]))
     return bad, _at(w, f"expected {k} diamond children, got {k - 1}")
 
 
 def _diamond_child_with_a_forest(t):
-    w, n = _first(t, lambda w, n: n.rule == "diamond" and w[-1] == 1)
+    w, n = next((w, n) for w, n in children_of(t, "diamond") if w[-1] == 1)
     bad = _corrupt(t, n, lambda n: replace(n, forest=EMPTY_TREE))
     return bad, _at(w[:-1], "diamond child 1 starts with a forest")
 
@@ -355,7 +368,7 @@ def _cut_root(t):
 
 
 def _two_nested_universals(t):
-    w, n = _first(t, lambda w, n: n.children and n.children[0].rule == "nestedForall")
+    w, n = _first(t, lambda w, n: n.children and _kind(n) == "nestedForall")
     extra = norm("forall x. (forall y. <> P(x,y)) & Q(x)")
     bad = _corrupt(t, n, lambda n: replace(n, gamma=n.gamma | {extra}))
     return bad, _at(w, "multiple nested universals in one gamma")
@@ -364,7 +377,7 @@ def _two_nested_universals(t):
 @pytest.mark.parametrize(
     "corrupt",
     [
-        _mistagged_child,
+        _child_starts_a_world,
         _child_under_a_leaf,
         _two_children,
         _no_forest,
@@ -472,7 +485,7 @@ def test_certificate_is_one_line_and_reads_the_indented_format(phi1, phi1_result
     again = certificate_from_json(indented)
 
     def states(t):
-        return [(w, n.rule, n.gamma, n.s, n.forest) for w, n in t.walk()]
+        return [(w, n.gamma, n.s, n.forest) for w, n in t.walk()]
 
     assert states(again) == states(t)
     assert verify_tableau(again, phi1) == []
@@ -481,9 +494,13 @@ def test_certificate_is_one_line_and_reads_the_indented_format(phi1, phi1_result
 
 def test_certificate_read_back_walks_the_same_worlds(phi1_result):
     """A certificate names no world: the tableau read back from it walks
-    the same (world, rule, gamma, s) sequence, and diamond child i of a
-    node at w sits at w + (i,), every other child at w. On the flagship
-    and every SAT verdict of the seed-2026 corpus."""
+    the same (world, gamma, s) sequence, and diamond child i of a node at
+    w sits at w + (i,), every other child at w. A child's forest is
+    NOT_INIT exactly when its parent's rule is `diamond`, which is what
+    lets a node carry no rule. On the flagship and every SAT verdict of
+    the seed-2026 corpus."""
+    names = [f.name for f in fields(TableauNode)]
+    assert names == ["gamma", "s", "forest", "children"]
     cfg, rng = GenConfig(seed=2026), random.Random(2026)
     tableaux = [phi1_result.tableau]
     for _ in range(1000):
@@ -493,26 +510,30 @@ def test_certificate_read_back_walks_the_same_worlds(phi1_result):
     assert len(tableaux) > 900
 
     def states(t):
-        return [(w, n.rule, n.gamma, n.s) for w, n in t.walk()]
+        return [(w, n.gamma, n.s) for w, n in t.walk()]
 
     for t in tableaux:
         assert states(certificate_from_json(certificate_to_json(t))) == states(t)
         at = {id(n): w for w, n in t.walk()}
         for w, node in t.walk():
+            diamond = bool(node.children) and _kind(node) == "diamond"
             for i, c in enumerate(node.children):
-                assert at[id(c)] == (w + (i,) if c.rule == "diamond" else w)
+                assert (c.forest is NOT_INIT) == diamond
+                assert at[id(c)] == (w + (i,) if diamond else w)
 
 
 def test_stale_world_fields_in_a_certificate_are_ignored(phi1, phi1_result):
-    """A `world` key on a node and a `theta` key on the document, as
-    certificates once carried, read without error and move nothing: worlds
-    come from the path alone, and theta from the caller."""
+    """`world` and `rule` keys on a node and a `theta` key on the
+    document, as certificates once carried, read without error and move
+    nothing: worlds come from the path alone, rules from each node's state
+    and theta from the caller. A `rule` of the wrong type is ignored too."""
     doc = json.loads(certificate_to_json(phi1_result.tableau))
     doc["theta"] = "P0"
     stack = [doc["root"]]
     while stack:
         node = stack.pop()
         node["world"] = "r.9"
+        node["rule"] = 7
         stack.extend(node["children"])
     again = certificate_from_json(json.dumps(doc))
     assert [w for w, _ in again.walk()] == [w for w, _ in phi1_result.tableau.walk()]
@@ -542,7 +563,6 @@ def test_certificate_rejects_malformed_documents():
     doc = json.loads(certificate_to_json(small))
     wrong_types = [
         # A string where a list belongs once read one character at a time.
-        ("node", "rule", 7),
         ("node", "gamma", "P"),
         ("node", "s", "xy"),
         ("node", "children", "x"),
@@ -588,8 +608,10 @@ def test_tableau_structural_invariants(phi1_result):
     first = {}
     for w, node in t.walk():
         first.setdefault(w, node)
-    for w, node in first.items():
-        assert w == () or (w[:-1] in first and node.rule == "diamond")
+    assert all(w == () or w[:-1] in first for w in first)
+    assert {w: id(n) for w, n in first.items() if w} == {
+        w: id(c) for w, c in children_of(t, "diamond")
+    }
     for _, node in t.walk():
         if node.forest is not NOT_INIT:
             assert not any(
