@@ -1,11 +1,12 @@
 """Command-line front end: satisfiability, model building, model checking,
 fragment classification, the brute-force oracle, and the test harness.
 
-Exit codes: 0 sat/true/ok, 1 unsat/false/discrepancies/none, 2 resource
-limit, 3 every other error: usage (click's own usage errors included), parse,
-fragment, invalid model, input nested too deeply to process, a file that
-cannot be read or written, input that is not UTF-8, or an internal error;
-130 when interrupted. Errors print one `error:` line, after the traceback for
+Exit codes: 0 sat/true/ok/valid, 1 unsat/false/discrepancies/none, 2
+resource limit, 3 every other error: usage (click's own usage errors
+included), parse, fragment, invalid model, a malformed or invalid
+certificate, input nested too deeply to process, a file that cannot be read
+or written, input that is not UTF-8, or an internal error; 130 when
+interrupted. Errors print one `error:` line, after the traceback for
 an internal error; `--limits` takes `forest=` and `tableau=` budgets.
 """
 
@@ -21,7 +22,12 @@ from pathlib import Path
 
 import click
 
-from .extraction import iterate_extensions, trace_to_ndjson
+from .extraction import (
+    extract_model,
+    find_leaf_violations,
+    iterate_extensions,
+    trace_to_ndjson,
+)
 from .formulas import (
     FomlError,
     ResourceLimit,
@@ -44,8 +50,10 @@ from .tableau import (
     SAT,
     SearchLimits,
     UNSAT,
+    certificate_from_json,
     certificate_to_json,
     search,
+    verify_tableau,
 )
 from .testgen import GenConfig, differential_run, gen_formula, report_to_jsonl
 
@@ -148,6 +156,32 @@ def sat(formula_file, limits_text, cert_path, fmt):
         if result.status == SAT:
             click.echo(f"certificate written to {out}")
     sys.exit({SAT: 0, UNSAT: 1, EXHAUSTED: 2}[result.status])
+
+
+@main.command()
+@click.argument("cert_file", type=click.Path(exists=True, dir_okay=False))
+@_format_opt
+def verify(cert_file, fmt):
+    """Re-check a certificate: rebuild its tableau from its choices, verify
+    the tree and the model read off it."""
+    tableau = certificate_from_json(Path(cert_file).read_text(encoding="utf-8"))
+    (theta,) = tableau.gamma
+    model = extract_model(tableau)
+    problems = verify_tableau(tableau, theta) + validate_model(model)
+    if problems:
+        raise FomlError("invalid certificate: " + "; ".join(problems))
+    left = len(find_leaf_violations(tableau, model))
+    if not left and not check(model, "r", {v: v for v in free_vars(theta)}, theta):
+        raise FomlError("no leaf violation is left, yet theta fails at the root")
+    if fmt == "json":
+        click.echo(json.dumps({"status": "valid", "leaf_violations": left}))
+    else:
+        click.echo("VALID")
+        if left:
+            click.echo(f"{left} leaf violation{'s' * (left > 1)} left in the model")
+        else:
+            click.echo("the model satisfies theta at its root")
+    sys.exit(0)
 
 
 @main.command()

@@ -498,9 +498,13 @@ def clean_rename(phi: Formula, forbidden: Iterable[Var] = ()) -> Formula:
 
     A binder is kept when its name is still unused; otherwise it becomes the
     first variable of the fixed enumeration that clashes with nothing. The
-    result is alpha-equivalent to the input and deterministic.
+    result is alpha-equivalent to the input and deterministic. A formula
+    without binders is its own result.
     """
-    used = set(forbidden) | set(free_vars(phi))
+    free = free_vars(phi)  # fills the binder count too
+    if phi._binders == 0:
+        return phi
+    used = set(forbidden) | set(free)
     taken = set(forbidden) | set(all_vars(phi))
 
     def bind(node: _Quant, ren: dict) -> tuple:

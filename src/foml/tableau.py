@@ -158,7 +158,9 @@ class Guidance:
     indices, and formulas are named by `alpha_key` (`or_choice` keys are
     world and pivot), so hints survive renamed binders.
     An extension rebuild also carries the old chain end's hints, renamed, to
-    the fresh element's diamond world (`extraction._carry_hints`)."""
+    the fresh element's diamond world (`extraction._carry_hints`). A
+    certificate is these hints, read off a tree, with theta and the tree's
+    node count (`certificate_to_json`)."""
 
     or_choice: dict = field(default_factory=dict)
     forest: dict = field(default_factory=dict)
@@ -511,19 +513,24 @@ def read_choices(root: TableauNode, world: tuple[int, ...] = ()):
     """The choices behind a verified subtree whose root sits at `world`, one
     per node that made one, as (world, node, kind, choice): at `or` the
     pivot and the kept disjunct's index, at `nestedForall` the forest, at
-    `diamond` the diamonds in successor order."""
+    `diamond` the diamonds in successor order. Where the tree's shape
+    names the rule, as `walk` and `forest_points` read it, no rule is
+    selected: children that start worlds sit under a diamond node, and a
+    world's first node whose child carries a forest is its forest point."""
     for w, node in root.walk(world):
         if not node.children:
             continue
-        kind, pivot = select_rule(node.gamma, node.forest)
-        if kind == "or":
-            c = node.children[0]
-            options = successors(node.gamma, node.s, node.forest, kind, pivot)
-            yield w, node, kind, (pivot, options.index((c.gamma, c.s, c.forest)))
-        elif kind == "nestedForall":
-            yield w, node, kind, node.children[0].forest
-        elif kind == "diamond":
-            yield w, node, kind, _match_diamonds(node)
+        c = node.children[0]
+        if c.forest is NOT_INIT:
+            yield w, node, "diamond", _match_diamonds(node)
+        elif node.forest is NOT_INIT:
+            if isinstance(c.forest, SkolemForest):
+                yield w, node, "nestedForall", c.forest
+        else:
+            kind, pivot = select_rule(node.gamma, node.forest)
+            if kind == "or":
+                options = successors(node.gamma, node.s, node.forest, kind, pivot)
+                yield w, node, kind, (pivot, options.index((c.gamma, c.s, c.forest)))
 
 
 def replay_guidance(tableau: TableauNode) -> Guidance:
@@ -542,12 +549,7 @@ def replay_guidance(tableau: TableauNode) -> Guidance:
     return guidance
 
 
-def _forest_to_json(forest, show=None) -> object:
-    show = show or print_formula
-    if forest is NOT_INIT:
-        return "NotInit"
-    if forest is EMPTY_TREE:
-        return "EmptyTree"
+def _forest_to_json(forest: SkolemForest, show) -> dict:
     return {
         "var": forest.var,
         "psi": show(forest.psi),
@@ -563,12 +565,7 @@ def _forest_to_json(forest, show=None) -> object:
     }
 
 
-def _forest_from_json(data, read=None) -> object:
-    read = read or parse_formula
-    if data == "NotInit":
-        return NOT_INIT
-    if data == "EmptyTree":
-        return EMPTY_TREE
+def _forest_from_json(data, read) -> SkolemForest:
     nodes = tuple(
         ForestNode(
             name=checked(n["name"], str, "a node name"),
@@ -587,44 +584,128 @@ def _forest_from_json(data, read=None) -> object:
     )
 
 
-def _node_to_json(node: TableauNode, show) -> dict:
-    return {
-        "gamma": sorted(map(show, node.gamma)),
-        "s": sorted(node.s, key=var_key),
-        "forest": _forest_to_json(node.forest, show),
-        "children": [_node_to_json(c, show) for c in node.children],
-    }
-
-
-def _node_from_json(data: dict, read) -> TableauNode:
-    return TableauNode(
-        gamma=frozenset(map(read, checked(data["gamma"], list, "a list"))),
-        s=frozenset(names(data["s"])),
-        forest=_forest_from_json(data["forest"], read),
-        children=tuple(
-            _node_from_json(c, read)
-            for c in checked(data["children"], list, "a list of nodes")
-        ),
-    )
-
-
 def certificate_to_json(tableau: TableauNode) -> str:
-    """The tree under the root `tableau` (gamma {theta}) as one line of
-    canonical JSON with sorted keys; each distinct formula is printed once."""
-    doc = {"root": _node_to_json(tableau, cache(print_formula))}
+    """The choices behind the tree under the root `tableau`, as one line of
+    canonical JSON: `theta`, the root's one formula; `nodes`, the tree's
+    node count; and the `replay_guidance` hints `or_choice`, `forest` and
+    `diamond_order`, each a list of entries sorted by world, a world written
+    as its list of diamond indices. Each distinct formula is printed once."""
+    show = cache(print_formula)
+    (theta,) = tableau.gamma
+    g = replay_guidance(tableau)
+    doc = {
+        "theta": show(theta),
+        "nodes": sum(1 for _ in tableau.walk()),
+        "or_choice": [[list(w), key, i] for (w, key), i in sorted(g.or_choice.items())],
+        "forest": [
+            [list(w), _forest_to_json(f, show)] for w, f in sorted(g.forest.items())
+        ],
+        "diamond_order": [[list(w), keys] for w, keys in sorted(g.diamond_order.items())],
+    }
     return json.dumps(doc, sort_keys=True) + "\n"
 
 
-def certificate_from_json(text: str) -> TableauNode:
-    """The root of a certificate's tree, in any JSON layout. Keys other than
-    `root` and a node's own, such as the `theta`, `world` and `rule` keys
-    certificates once carried, are ignored. Each distinct string is parsed once."""
+def _world(data) -> tuple[int, ...]:
+    if type(data) is not list or any(type(i) is not int for i in data):
+        raise TypeError(f"expected a world, a list of diamond indices, got {data!r}")
+    return tuple(data)
+
+
+def _table(entries, entry) -> dict:
+    """The dict of a certificate's list of entries, each read by `entry`
+    into a (key, value) pair; a key listed twice is malformed."""
+    pairs = [entry(*e) for e in checked(entries, list, "a list of entries")]
+    table = dict(pairs)
+    if len(table) < len(pairs):
+        raise ValueError("a choice is listed twice")
+    return table
+
+
+def _parse_certificate(text: str) -> tuple[Formula, int, Guidance]:
+    """A certificate's theta, node count and choices, in any JSON layout.
+    Only theta and the forests are parsed, each distinct string once."""
     once = cache(parse_formula)
 
     def read(t):  # any other JSON value fails in the parser, uncached
         return once(t) if type(t) is str else parse_formula(t)
 
+    def or_entry(world, key, index):
+        return (_world(world), checked(key, str, "a pivot key")), checked(
+            index, int, "a disjunct index"
+        )
+
+    def forest_entry(world, forest):
+        return _world(world), _forest_from_json(forest, read)
+
+    def diamond_entry(world, keys):
+        return _world(world), list(names(keys))
+
     try:
-        return _node_from_json(json.loads(text)["root"], read)
+        doc = checked(json.loads(text), dict, "an object")
+        if "root" in doc:
+            raise FomlError(
+                "certificate holds a whole tableau tree, a format no longer "
+                "read: regenerate it with `foml sat`"
+            )
+        guidance = Guidance(
+            or_choice=_table(doc["or_choice"], or_entry),
+            forest=_table(doc["forest"], forest_entry),
+            diamond_order=_table(doc["diamond_order"], diamond_entry),
+        )
+        nodes = checked(doc["nodes"], int, "a node count")
+        if nodes < 1:
+            raise ValueError(f"node count {nodes} is not positive")
+        return read(doc["theta"]), nodes, guidance
     except (KeyError, TypeError, ValueError, ParseError) as exc:
         raise FomlError(f"malformed certificate: {exc}") from exc
+
+
+def _first_difference(got: Guidance, want: Guidance) -> Optional[str]:
+    """How the choices a replay read back (`got`) first differ from the
+    certificate's (`want`), by field and then by world; None if they agree."""
+    if got == want:
+        return None
+    for name in ("or_choice", "forest", "diamond_order"):
+        have, claim = getattr(got, name), getattr(want, name)
+        for key in sorted(have.keys() | claim.keys()):
+            where = render_world(key[0] if name == "or_choice" else key)
+            if key not in have:
+                return f"{name} at {where} is never used"
+            if key not in claim:
+                return f"{name} at {where} is missing"
+            if have[key] != claim[key]:
+                return f"{name} at {where} differs from the replay's"
+    return None
+
+
+def certificate_from_json(text: str) -> TableauNode:
+    """The root of the tree a certificate's choices rebuild. The replay is
+    `search(theta)` under the certificate's guidance, with `nodes` as its
+    node budget; it stands only if it is SAT, visits exactly `nodes` nodes
+    and reads back the certificate's choices, so no alternative was tried,
+    no choice is missing and none is unused. Any other outcome, running out
+    of that budget included, is a `FomlError` that names the world where
+    one is known."""
+    theta, nodes, guidance = _parse_certificate(text)
+    try:
+        init_root(theta)  # a theta the search takes, before it sizes a budget
+        limits = SearchLimits(SearchLimits.derive(theta).max_forest_nodes, nodes)
+        result = search(theta, limits, guidance)
+    except FomlError as exc:
+        raise FomlError(f"invalid certificate: {exc}") from exc
+    if result.status == UNSAT:
+        raise FomlError("invalid certificate: the replay closes every branch")
+    if result.status == EXHAUSTED:
+        raise FomlError(
+            f"invalid certificate: the replay ran past its budget: "
+            f"{result.stats.exhausted_by}"
+        )
+    wrong = _first_difference(replay_guidance(result.tableau), guidance)
+    if wrong:
+        raise FomlError(f"invalid certificate: {wrong}")
+    if result.stats.nodes != nodes:
+        raise FomlError(
+            f"invalid certificate: the replay visited {result.stats.nodes} "
+            f"nodes, not {nodes}"
+        )
+    return result.tableau

@@ -20,6 +20,7 @@ from .formulas import (
     Exists,
     Forall,
     Formula,
+    FomlError,
     Not,
     Or,
     Pred,
@@ -32,7 +33,14 @@ from .formulas import (
 )
 from .kripke import bounded_model_search, check, validate_model
 from .parser import print_formula
-from .tableau import SAT, search, verify_tableau, render_world
+from .tableau import (
+    SAT,
+    certificate_from_json,
+    certificate_to_json,
+    render_world,
+    search,
+    verify_tableau,
+)
 
 
 _WEIGHTS = {
@@ -166,16 +174,34 @@ def forest_bound_violations(tableau) -> list[str]:
     return out
 
 
+def certificate_read_back_problems(tableau) -> list[str]:
+    """Whether the tableau's certificate reads back to this very tree: the
+    same (world, gamma, S, forest) at each step of the walk. Two choices
+    that shared a key would make the replay build another tree."""
+    try:
+        loaded = certificate_from_json(certificate_to_json(tableau))
+    except FomlError as exc:
+        return [str(exc)]
+
+    def states(t):
+        return [(w, n.gamma, n.s, n.forest) for w, n in t.walk()]
+
+    if states(loaded) != states(tableau):
+        return ["the certificate reads back to another tree"]
+    return []
+
+
 def differential_run(
     cfg: GenConfig, n: int, oracle_bounds: tuple[int, int, int] = (3, 2, 3)
 ) -> dict:
     """Generate n formulas and cross-examine tableau verdicts vs the oracle.
 
     A record goes bad when the oracle finds a model the tableau missed, a SAT
-    certificate fails re-verification, its extracted model fails validation
-    or its leftover literals, a forest outgrows its bound, or the model has
-    no leaf violation left and yet fails theta at the root. That last check
-    evaluates theta itself with `check`, independent of the tableau rules.
+    certificate fails re-verification or reads back to another tree, its
+    extracted model fails validation or its leftover literals, a forest
+    outgrows its bound, or the model has no leaf violation left and yet
+    fails theta at the root. That last check evaluates theta itself with
+    `check`, independent of the tableau rules.
     """
     rng = random.Random(cfg.seed)
     records = []
@@ -211,6 +237,7 @@ def differential_run(
             rec["discrepancy"] = None
         if res.status == SAT:
             problems.extend(verify_tableau(res.tableau, phi))
+            problems.extend(certificate_read_back_problems(res.tableau))
             m0 = extract_model(res.tableau)
             problems.extend(validate_model(m0))
             problems.extend(last_node_literal_violations(res.tableau, m0))

@@ -1,8 +1,8 @@
 """Regenerate the pinned flagship data from the current code.
 
 Writes, next to this script:
-  phi1_certificate.json  the certificate of a plain `search` of the flagship
-  phi1_guidance.json     the replay hints `replay_guidance` reads off it
+  phi1_certificate.json  the certificate of a plain `search` of the flagship:
+                         theta, the node count and the choices behind the tree
   phi1_trace5.jsonl      the NDJSON trace of five flagship extension rounds
   oracle_pins.jsonl      the bounded oracle's result on two 300-formula corpora
 
@@ -15,7 +15,6 @@ these files byte for byte and never run this script; CI runs it and fails
 when the files it writes differ from the checked-in ones.
 """
 
-import json
 import sys
 from pathlib import Path
 
@@ -24,32 +23,9 @@ sys.path.insert(0, str(HERE.parent))
 
 from conftest import PHI1_TEXT, norm, oracle_pins_text  # noqa: E402
 from foml.extraction import iterate_extensions, trace_to_ndjson  # noqa: E402
-from foml.tableau import (  # noqa: E402
-    SAT,
-    _forest_to_json,
-    certificate_to_json,
-    render_world,
-    replay_guidance,
-    search,
-)
+from foml.tableau import SAT, certificate_to_json, search  # noqa: E402
 
 ROUNDS = 5
-
-
-def guidance_to_json(guidance) -> str:
-    """The hints with each world key written as its name, like `r.0.3`."""
-    doc = {
-        "diamond_order": {
-            render_world(w): keys for w, keys in guidance.diamond_order.items()
-        },
-        "forest": {
-            render_world(w): _forest_to_json(f) for w, f in guidance.forest.items()
-        },
-        "or_choice": sorted(
-            [render_world(w), key, i] for (w, key), i in guidance.or_choice.items()
-        ),
-    }
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
 def main() -> None:
@@ -60,7 +36,6 @@ def main() -> None:
     _, trace, _ = iterate_extensions(phi1, result.tableau, ROUNDS)
     outputs = {
         "phi1_certificate.json": certificate_to_json(result.tableau),
-        "phi1_guidance.json": guidance_to_json(replay_guidance(result.tableau)),
         f"phi1_trace{ROUNDS}.jsonl": trace_to_ndjson(trace),
         "oracle_pins.jsonl": oracle_pins_text(),
     }

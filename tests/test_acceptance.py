@@ -4,7 +4,6 @@ Each test is intentionally self-contained and reads as a statement of the
 guarantee it pins down; `pytest -v` gives one pass/fail line per guarantee.
 """
 
-import json
 import random
 import time
 from pathlib import Path
@@ -47,10 +46,8 @@ from foml.formulas import (
 from foml.kripke import bounded_model_search, check
 from foml.parser import parse_formula, print_formula
 from foml.tableau import (
-    Guidance,
     SAT,
-    _forest_from_json,
-    certificate_from_json,
+    _parse_certificate,
     certificate_to_json,
     replay_guidance,
     search,
@@ -97,27 +94,19 @@ def test_flagship_sat_and_oracle_refutation(tmp_path, phi1):
     assert bounded_model_search(phi1, *ORACLE_BOUNDS) is None
 
 
-def _world(name):
-    """The world tuple behind a world name: `r.0.3` is (0, 3)."""
-    return tuple(int(i) for i in name.split(".")[1:])
-
-
 def test_scripted_replay_matches_golden_certificate(phi1):
-    """The recorded disjunct, forest, and successor choices are exactly the
-    ones read back off the checked-in certificate, and replaying them
-    rebuilds it byte for byte, with the documented shape."""
-    doc = json.loads((DATA / "phi1_guidance.json").read_text())
-    guidance = Guidance(
-        or_choice={(_world(w), key): idx for w, key, idx in doc["or_choice"]},
-        forest={_world(w): _forest_from_json(f) for w, f in doc["forest"].items()},
-        diamond_order={
-            _world(w): list(keys) for w, keys in doc["diamond_order"].items()
-        },
-    )
+    """The checked-in certificate holds theta, the node count and the
+    disjunct, forest and successor choices; replaying those choices
+    rebuilds a tree of that many nodes, with no other alternative tried,
+    whose certificate is the checked-in one byte for byte, with the
+    documented shape."""
     golden = (DATA / "phi1_certificate.json").read_text()
-    assert replay_guidance(certificate_from_json(golden)) == guidance
+    theta, nodes, guidance = _parse_certificate(golden)
+    assert theta is phi1
     res = search(phi1, guidance=guidance)
     assert res.status == SAT
+    assert res.stats.nodes == nodes == sum(1 for _ in res.tableau.walk())
+    assert replay_guidance(res.tableau) == guidance
     assert certificate_to_json(res.tableau) == golden
 
     forest = replay_guidance(res.tableau).forest[(0,)]
@@ -154,7 +143,9 @@ def test_extension_dynamics_through_five_rounds(phi1, phi1_result):
 
 def test_corpus_soundness_no_bad_certificates(corpus):
     """Every SAT verdict in the seeded corpus survives certificate
-    re-verification, model validation, and the last-node literal audit."""
+    re-verification, model validation, and the last-node literal audit, and
+    its certificate reads back to the tree the search built, state for
+    state (`differential_run` checks each)."""
     report, _ = corpus
     assert report["n"] == CORPUS_SIZE
     assert report["problem_records"] == 0

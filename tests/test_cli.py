@@ -66,6 +66,56 @@ def test_sat_json_format(runner, tmp_path):
     assert payload["certificate"].endswith(".cert.json")
 
 
+def test_verify_reads_back_a_certificate(runner, tmp_path):
+    """`foml verify` rebuilds the tree from the certificate's choices,
+    verifies it and its model, and says whether a leaf violation is left."""
+    deep = write(tmp_path, "deep.foml", PHI1_TEXT)
+    simple = write(tmp_path, "simple.foml", SIMPLE_TEXT)
+    for path in (deep, simple):
+        assert runner.invoke(main, ["sat", path]).exit_code == 0
+    result = runner.invoke(main, ["verify", deep + ".cert.json"])
+    assert result.exit_code == 0, result.stderr
+    assert result.output == "VALID\n1 leaf violation left in the model\n"
+    result = runner.invoke(main, ["verify", simple + ".cert.json"])
+    assert result.exit_code == 0, result.stderr
+    assert result.output == "VALID\nthe model satisfies theta at its root\n"
+    result = runner.invoke(main, ["verify", deep + ".cert.json", "--format", "json"])
+    assert json.loads(result.output) == {"status": "valid", "leaf_violations": 1}
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda doc: doc.update(nodes=doc["nodes"] - 1),
+         "error: invalid certificate: the replay ran past its budget: tableau "
+         "node budget exceeded at r.0.2.5 (work count 131)"),
+        (lambda doc: doc.update(nodes=doc["nodes"] + 1),
+         "error: invalid certificate: the replay visited 131 nodes, not 132"),
+        (lambda doc: doc["or_choice"].pop(3),
+         "error: invalid certificate: or_choice at r.0.0.0 is missing"),
+        (lambda doc: doc.update(nodes="many"),
+         "error: malformed certificate: expected a node count, got 'many'"),
+        (lambda doc: doc.update(root={}),
+         "error: certificate holds a whole tableau tree, a format no longer "
+         "read: regenerate it with `foml sat`"),
+    ],
+    ids=["nodes-too-low", "nodes-too-high", "dropped-pick", "malformed", "tree"],
+)
+def test_verify_rejects_a_bad_certificate_with_exit_3(runner, tmp_path, edit, message):
+    """A malformed or invalid certificate exits 3 with one `error:` line;
+    a replay that runs past the certificate's node count is invalid, not a
+    resource limit, so it never exits 2."""
+    path = write(tmp_path, "deep.foml", PHI1_TEXT)
+    assert runner.invoke(main, ["sat", path]).exit_code == 0
+    cert = tmp_path / "deep.foml.cert.json"
+    doc = json.loads(cert.read_text())
+    edit(doc)
+    cert.write_text(json.dumps(doc))
+    result = runner.invoke(main, ["verify", str(cert)])
+    assert result.exit_code == 3
+    assert result.stderr == message + "\n"
+
+
 def test_sat_unsat_exit_code(runner, tmp_path):
     path = write(tmp_path, "phi.foml", "P(x) & ~P(x)")
     result = runner.invoke(main, ["sat", path])
@@ -157,6 +207,8 @@ def write_model(tmp_path, name, **fields):
         ["check-model", "{delta_list}", "{simple}"],
         ["check-model", "{valuation_list}", "{simple}"],
         ["check-model", "{number_world}", "{simple}"],
+        ["verify", "{dir}/missing.cert.json"],
+        ["verify", "{simple}"],
     ],
     ids=[
         "missing-file", "unknown-option", "option-of-another-command",
@@ -164,7 +216,8 @@ def write_model(tmp_path, name, **fields):
         "gen-no-predicates", "gen-negative-count", "difftest-negative-count",
         "1500-literal-conjunction", "3000-nested-negations",
         "model-delta-is-a-list", "model-valuation-is-a-list",
-        "model-world-is-a-number",
+        "model-world-is-a-number", "verify-missing-file",
+        "verify-not-json",
     ],
 )
 def test_bad_input_exits_3_with_one_error_line(runner, tmp_path, args):

@@ -16,6 +16,7 @@ from foml.formulas import (
     FomlError,
     Forall,
     FragmentError,
+    ResourceLimit,
     all_vars,
     formula_key,
     fresh_var,
@@ -46,7 +47,7 @@ from foml.tableau import (
     successors,
     verify_tableau,
 )
-from foml.testgen import GenConfig, gen_formula
+from foml.testgen import GenConfig, certificate_read_back_problems, gen_formula
 
 
 def test_world_names_round_trip():
@@ -437,23 +438,20 @@ def test_certificate_round_trip(phi1, phi1_result):
 
 
 def _formula_texts(doc) -> set[str]:
-    """Every formula string in a certificate document: gamma members, forest
-    `psi` and forest atom members."""
-    texts, stack = set(), [doc["root"]]
-    while stack:
-        node = stack.pop()
-        texts.update(node["gamma"])
-        if isinstance(node["forest"], dict):
-            texts.add(node["forest"]["psi"])
-            for n in node["forest"]["nodes"]:
-                texts.update(n["atom"])
-        stack.extend(node["children"])
+    """Every formula string in a certificate document: theta, and each
+    forest's `psi` and atom members. Pivot and diamond keys are not parsed."""
+    texts = {doc["theta"]}
+    for _, forest in doc["forest"]:
+        texts.add(forest["psi"])
+        for n in forest["nodes"]:
+            texts.update(n["atom"])
     return texts
 
 
 def test_certificate_io_handles_each_distinct_formula_once(monkeypatch, phi1_result):
-    """A flagship round trip prints each distinct formula once and parses
-    each distinct formula text once, however many nodes repeat it."""
+    """A flagship round trip prints each distinct formula of theta and the
+    forests once and parses each distinct formula text once, however many
+    forest nodes repeat it; no gamma is printed or parsed."""
     calls = {"parse": 0, "print": 0}
 
     def counted(name, real):
@@ -470,13 +468,13 @@ def test_certificate_io_handles_each_distinct_formula_once(monkeypatch, phi1_res
     blob = certificate_to_json(phi1_result.tableau)
     certificate_from_json(blob)
     distinct = len(_formula_texts(json.loads(blob)))
-    assert distinct > 100
+    assert distinct == 5
     assert calls == {"parse": distinct, "print": distinct}
 
 
 def test_certificate_is_one_line_and_reads_the_indented_format(phi1, phi1_result):
-    """A certificate is one line of canonical JSON; one written indented,
-    as certificates once were, reads back to the same tree."""
+    """A certificate is one line of canonical JSON; one written indented
+    reads back to the same tree."""
     t = phi1_result.tableau
     blob = certificate_to_json(t)
     assert blob == json.dumps(json.loads(blob), sort_keys=True) + "\n"
@@ -523,18 +521,14 @@ def test_certificate_read_back_walks_the_same_worlds(phi1_result):
 
 
 def test_stale_world_fields_in_a_certificate_are_ignored(phi1, phi1_result):
-    """`world` and `rule` keys on a node and a `theta` key on the
-    document, as certificates once carried, read without error and move
-    nothing: worlds come from the path alone, rules from each node's state
-    and theta from the caller. A `rule` of the wrong type is ignored too."""
+    """Keys the format does not define, such as a `world` or `rule` key on
+    the document or on a forest node, read without error and move nothing:
+    worlds come from the choices' index lists, rules from each node's
+    state. The tree read back extends like the searched one."""
     doc = json.loads(certificate_to_json(phi1_result.tableau))
-    doc["theta"] = "P0"
-    stack = [doc["root"]]
-    while stack:
-        node = stack.pop()
+    doc["world"], doc["rule"] = "r.9", 7
+    for node in doc["forest"][0][1]["nodes"]:
         node["world"] = "r.9"
-        node["rule"] = 7
-        stack.extend(node["children"])
     again = certificate_from_json(json.dumps(doc))
     assert [w for w, _ in again.walk()] == [w for w, _ in phi1_result.tableau.walk()]
     assert verify_tableau(again, phi1) == []
@@ -543,49 +537,172 @@ def test_stale_world_fields_in_a_certificate_are_ignored(phi1, phi1_result):
     assert trace_to_ndjson(loaded) == trace_to_ndjson(direct)
 
 
-def _with_field(doc, where, key, value):
-    """The certificate `doc` as text, with `key` set to `value` in its root
-    node, its first forest or that forest's first node."""
+def _with_field(doc, where, value):
+    """The certificate `doc` as text, with the field at path `where` (keys
+    and list indices from the document down) set to `value`."""
     doc = copy.deepcopy(doc)
-    stack = [doc["root"]]
-    while where != "node":
-        node = stack.pop()
-        if isinstance(node["forest"], dict):
-            stack = [node["forest"]] if where == "forest" else node["forest"]["nodes"]
-            break
-        stack.extend(node["children"])
-    stack[0][key] = value
+    *path, last = where
+    slot = doc
+    for step in path:
+        slot = slot[step]
+    slot[last] = value
     return json.dumps(doc)
 
 
+_FOREST = ("forest", 0, 1)
+_FOREST_NODE = _FOREST + ("nodes", 0)
+
+
 def test_certificate_rejects_malformed_documents():
-    small = search(norm("<> forall x. exists y. [] P(x,y)")).tableau
-    doc = json.loads(certificate_to_json(small))
+    small = search(norm("(<> forall x. exists y. [] P(x,y)) & ([] Q(z) | R(z))"))
+    doc = json.loads(certificate_to_json(small.tableau))
+    assert doc["or_choice"] and doc["forest"] and doc["diamond_order"]
     wrong_types = [
+        (("nodes",), "7"),
+        (("nodes",), True),
+        (("nodes",), 0),
         # A string where a list belongs once read one character at a time.
-        ("node", "gamma", "P"),
-        ("node", "s", "xy"),
-        ("node", "children", "x"),
-        ("forest", "var", ["x"]),
-        ("forest", "psi", ["P(x)"]),
-        ("forest", "nodes", "v0"),
-        ("forest node", "name", 0),
-        ("forest node", "parent", ["v0"]),
-        ("forest node", "atom", "P"),
-        ("forest node", "children", "v1"),
+        (("or_choice",), "x"),
+        (("or_choice", 0), 5),
+        (("or_choice", 0), [[]]),
+        (("or_choice", 0, 0), "r"),
+        (("or_choice", 0, 0), [True]),
+        (("or_choice", 0, 1), 0),
+        (("or_choice", 0, 2), "0"),
+        (("forest", 0), [[0]]),
+        (("diamond_order", 0, 1), "<>P"),
+        (("diamond_order", 0, 1), [0]),
+        (_FOREST + ("var",), ["x"]),
+        (_FOREST + ("nodes",), "v0"),
+        (_FOREST_NODE + ("name",), 0),
+        (_FOREST_NODE + ("parent",), ["v0"]),
+        (_FOREST_NODE + ("atom",), "P"),
+        (_FOREST_NODE + ("children",), "v1"),
     ]
-    texts = ["{", "{}", "[]", '{"theta": "P(x)"}', '{"theta": "P(x", "root": {}}']
+    twice = copy.deepcopy(doc)
+    twice["or_choice"] *= 2
+    texts = ["{", "{}", "[]", '{"theta": "P(x)"}', json.dumps(twice)]
+    texts += [json.dumps({**doc, "theta": "P(x"})]
     texts += [_with_field(doc, *case) for case in wrong_types]
     for text in texts:
-        with pytest.raises(FomlError, match="malformed certificate"):
+        with pytest.raises(FomlError, match="^malformed certificate: "):
             certificate_from_json(text)
     # A formula that is not a string fails in the parser, not in the memo.
     with pytest.raises(TypeError) as direct:
         parse_formula(["P(x)"])
-    for where, key, value in [("forest", "psi", ["P(x)"]), ("node", "gamma", [["P(x)"]])]:
+    for where in [("theta",), _FOREST + ("psi",), _FOREST_NODE + ("atom", 0)]:
         with pytest.raises(FomlError) as err:
-            certificate_from_json(_with_field(doc, where, key, value))
+            certificate_from_json(_with_field(doc, where, ["P(x)"]))
         assert str(err.value) == f"malformed certificate: {direct.value}"
+
+
+# Each case breaks the flagship certificate in one way and gives the exact
+# error reading it back raises. The replay's node budget is the certificate's
+# node count, so a choice that sends it down another way runs past it, and
+# the error names the world where it ran out.
+def _flipped_pick(doc):
+    assert doc["or_choice"][0][0] == [0, 0]
+    doc["or_choice"][0][2] ^= 1
+    return (
+        "invalid certificate: the replay ran past its budget: tableau node "
+        "budget exceeded at r.0.1.3 (work count 132)"
+    )
+
+
+def _dropped_pick(doc):
+    # A pick of the left disjunct, which the replay makes unguided too.
+    world, _, index = doc["or_choice"].pop(3)
+    assert (world, index) == ([0, 0, 0], 0)
+    return "invalid certificate: or_choice at r.0.0.0 is missing"
+
+
+def _unused_pick(doc):
+    doc["or_choice"].append([[0, 0, 0], "P(v0)", 0])
+    return "invalid certificate: or_choice at r.0.0.0 is never used"
+
+
+def _foreign_forest(doc):
+    small = search(norm("<> forall x. exists y. [] P(x,y)")).tableau
+    doc["forest"][0][1] = json.loads(certificate_to_json(small))["forest"][0][1]
+    return "invalid certificate: forest at r.0 differs from the replay's"
+
+
+def _nodes_one_too_low(doc):
+    doc["nodes"] -= 1
+    return (
+        "invalid certificate: the replay ran past its budget: tableau node "
+        "budget exceeded at r.0.2.5 (work count 131)"
+    )
+
+
+def _nodes_one_too_high(doc):
+    doc["nodes"] += 1
+    return "invalid certificate: the replay visited 131 nodes, not 132"
+
+
+def _swapped_theta(doc):
+    doc["theta"] = "<> forall x. exists y. [] P(x, y)"
+    return "invalid certificate: or_choice at r.0.0 is never used"
+
+
+def _unsat_theta(doc):
+    doc["theta"] = "P(x) & ~P(x)"
+    return "invalid certificate: the replay closes every branch"
+
+
+def _tree_certificate(doc):
+    """The format before choice certificates: the whole tree under `root`."""
+    doc.clear()
+    doc["root"] = {"gamma": ["P(x)"], "s": ["v0", "x"], "forest": "NotInit", "children": []}
+    return (
+        "certificate holds a whole tableau tree, a format no longer read: "
+        "regenerate it with `foml sat`"
+    )
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        _flipped_pick,
+        _dropped_pick,
+        _unused_pick,
+        _foreign_forest,
+        _nodes_one_too_low,
+        _nodes_one_too_high,
+        _swapped_theta,
+        _unsat_theta,
+        _tree_certificate,
+    ],
+    ids=lambda f: f.__name__.strip("_"),
+)
+def test_certificate_reader_reports_each_fault(corrupt, phi1_result):
+    doc = json.loads(certificate_to_json(phi1_result.tableau))
+    message = corrupt(doc)
+    with pytest.raises(FomlError) as err:
+        certificate_from_json(json.dumps(doc))
+    assert str(err.value) == message
+    assert not isinstance(err.value, ResourceLimit)
+
+
+def test_flagship_rebuild_certificates_read_back_to_their_trees(
+    monkeypatch, phi1, phi1_result
+):
+    """The search behind each of three extension rounds gives a tree whose
+    certificate reads back to it, state for state: two `or` nodes of one
+    world whose pivots share an alpha key but keep different disjuncts
+    would read back to another tree."""
+    trees = [phi1_result.tableau]
+
+    def kept(*args):
+        result = search(*args)
+        trees.append(result.tableau)
+        return result
+
+    monkeypatch.setattr(foml.extraction, "search", kept)
+    iterate_extensions(phi1, phi1_result.tableau, 3)
+    assert len(trees) == 4
+    for t in trees:
+        assert certificate_read_back_problems(t) == []
 
 
 def test_guided_search_renders_no_world_name(monkeypatch, phi1, phi1_result):

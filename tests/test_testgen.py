@@ -19,6 +19,7 @@ from foml.parser import parse_formula, print_formula
 from foml.tableau import SAT, UNSAT, search
 from foml.testgen import (
     GenConfig,
+    certificate_read_back_problems,
     differential_run,
     forest_bound_violations,
     gen_formula,
@@ -144,3 +145,21 @@ def test_literal_audit_notices_missing_fact(phi1_result):
     weaker = replace(m0, valuation=dropped)
     problems = last_node_literal_violations(t, weaker)
     assert any("fails at" in p for p in problems)
+
+
+def test_read_back_audit_notices_another_tree(monkeypatch, phi1_result):
+    """The audit `differential_run` applies to each SAT certificate fails
+    when the certificate reads back to a tree other than the searched one,
+    or does not read back at all."""
+    t = phi1_result.tableau
+    assert certificate_read_back_problems(t) == []
+    other = search(norm("<> forall x. exists y. [] P(x,y)")).tableau
+    monkeypatch.setattr("foml.testgen.certificate_from_json", lambda text: other)
+    assert certificate_read_back_problems(t) == [
+        "the certificate reads back to another tree"
+    ]
+    monkeypatch.undo()
+    monkeypatch.setattr("foml.testgen.certificate_to_json", lambda tree: "{}")
+    assert certificate_read_back_problems(t) == [
+        "malformed certificate: 'or_choice'"
+    ]
