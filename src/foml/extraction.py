@@ -125,6 +125,7 @@ def extend_tableau(
     world: tuple[int, ...],
     leaf: str,
     limits: Optional[SearchLimits] = None,
+    instances: Optional[dict] = None,
 ) -> TableauNode:
     """Grow the forest the world settled on at the leaf and rebuild the
     tableau for theta around it.
@@ -136,12 +137,15 @@ def extend_tableau(
     picks, and surviving diamond successors keep their old indices so world
     names stay stable. The fresh element takes over the leaf's role, so the
     leaf's diamond worlds lend their hints to the fresh element's diamond
-    worlds (`_carry_hints`). Raises `ResourceLimit` when the rebuild runs out
-    of budget, and `FomlError` when it fails otherwise or settles on another
-    forest at the extended world.
+    worlds (`_carry_hints`). `instances` is the search's table of universal
+    instances (`tableau.successors`). Raises `ResourceLimit` when the
+    rebuild runs out of budget, and `FomlError` when it fails otherwise or
+    settles on another forest at the extended world.
     """
-    node = dict(tableau.forest_points()).get(world)
-    if node is None:
+    choices = list(read_choices(tableau))
+    guided = replay_guidance(tableau, choices)
+    forest = guided.forest.get(world)
+    if forest is None:
         raise FomlError(
             f"extension target {render_world(world)} carries no skolem forest"
         )
@@ -150,16 +154,16 @@ def extend_tableau(
     # the forest's names, so reusing one would shift renames at untouched
     # nodes and with them the diamond keys that pin world identities.
     avoid: set[str] = set()
+    formulas: set = set()
     for _, n in tableau.walk():
-        avoid |= set(n.s)
-        for g in n.gamma:
-            avoid |= all_vars(g)
-    grown = extend_forest(node.forest, leaf, avoid)
+        avoid |= n.s
+        formulas |= n.gamma
+    avoid.update(*map(all_vars, formulas))
+    grown = extend_forest(forest, leaf, avoid)
 
-    guided = replay_guidance(tableau)
     guided.forest[world] = grown
-    _carry_hints(guided, world, node, leaf, grown)
-    result = search(theta, limits, guided)
+    _carry_hints(guided, choices, world, leaf, forest, grown)
+    result = search(theta, limits, guided, instances)
     failure = f"extension rebuild failed at {render_world(world)} leaf {leaf!r}"
     if result.status == EXHAUSTED:
         raise ResourceLimit(f"{failure}: {result.stats.exhausted_by}")
@@ -174,7 +178,12 @@ def extend_tableau(
 
 
 def _carry_hints(
-    guided: Guidance, world: tuple, node: TableauNode, leaf: str, grown: SkolemForest
+    guided: Guidance,
+    choices: list,
+    world: tuple,
+    leaf: str,
+    old: SkolemForest,
+    grown: SkolemForest,
 ) -> None:
     """Add the leaf's diamond-world hints for each fresh element labeled
     like the leaf, where no hint exists yet.
@@ -183,35 +192,50 @@ def _carry_hints(
     the leaf renamed to the fresh element. The replayed order lists only
     the old diamonds, so the twins' successor worlds are numbered after
     theirs. The `or` picks and diamond orders of a diamond's successor
-    subtree are added for its twin's, with the leaf renamed in every pivot
-    and diamond. Hints only reorder alternatives, so a wrong guess costs
-    search, never a verdict.
+    subtree, read from `choices` (the old tree's `read_choices`), are added
+    for its twin's under two renamings, the second only where the first
+    gave no hint: the leaf to the fresh element, then the forest shift
+    that also takes the leaf's parent to the fresh element's. The fresh
+    element stands one step further down the forest than the leaf, so a
+    pivot about the leaf and its parent is met in the twin's subtree about
+    the fresh element and its parent. Hints only reorder alternatives, so
+    a wrong guess costs search, never a verdict.
     """
-    label = grown.by_name()[leaf].atom
-    old = node.forest.names()
-    fresh = [n.name for n in grown.nodes if n.name not in old and n.atom == label]
-    # The world's same-world steps form a chain, so its diamond node is the
-    # first diamond node below the forest point.
-    found = next((c for c in read_choices(node, world) if c[2] == "diamond"), None)
-    if found is None:
+    index = grown.by_name()
+    label, up = index[leaf].atom, index[leaf].parent
+    names = old.names()
+    fresh = [n for n in grown.nodes if n.name not in names and n.atom == label]
+    # A world has at most one diamond node, the last step of its chain.
+    diamonds = next(
+        (c for w, _, kind, c in choices if kind == "diamond" and w == world), None
+    )
+    if diamonds is None:
         return
-    _, at, _, diamonds = found
-    index = len(diamonds)
-    for name in fresh:
-        ren = {leaf: name}
-        for i, d in enumerate(diamonds):
-            if leaf not in free_vars(d):
-                continue
-            twin = world + (index,)
-            index += 1
-            for w, _, kind, choice in read_choices(at.children[i], twin):
-                if kind == "or":
-                    pivot, idx = choice
-                    key = (w, alpha_key(substitute(pivot, ren)))
-                    guided.or_choice.setdefault(key, idx)
-                elif kind == "diamond":
+    depth = len(world)
+    naming = [i for i, d in enumerate(diamonds) if leaf in free_vars(d)]
+    twins = len(diamonds)
+    for node in fresh:
+        ren = {leaf: node.name}
+        shift = {leaf: node.name, up: node.parent}
+        for i in naming:
+            twin = world + (twins,)
+            twins += 1
+            below = [
+                (twin + w[depth + 1:], kind, choice)
+                for w, _, kind, choice in choices
+                if len(w) > depth and w[depth] == i and w[:depth] == world
+            ]
+            picks = [(w, choice) for w, kind, choice in below if kind == "or"]
+            for w, kind, choice in below:
+                if kind == "diamond":
                     order = [alpha_key(substitute(g, ren)) for g in choice]
                     guided.diamond_order.setdefault(w, order)
+            # The shift differs from `ren` only at pivots that name `up`.
+            for mapping in (ren, shift):
+                for w, (pivot, idx) in picks:
+                    if mapping is ren or up in free_vars(pivot):
+                        key = (w, alpha_key(substitute(pivot, mapping)))
+                        guided.or_choice.setdefault(key, idx)
 
 
 def _monotone_violations(old: KripkeModel, new: KripkeModel) -> list[str]:
@@ -240,9 +264,14 @@ def iterate_extensions(
     Stops early with Satisfied once no leaf violation remains (the root check
     is asserted to pass then); otherwise reports ResidualViolations with the
     last model and the full trace of snapshots.
+
+    The rebuilds share one table of universal instances: each round's
+    search meets most of the last round's instances again. The table lives
+    for this call only, so no run starts with another's instances.
     """
     if k < 0:
         raise ValueError("extension count must be non-negative")
+    instances: dict = {}
     trace = ExtensionTrace()
     current = tableau
     model = extract_model(current)
@@ -258,7 +287,7 @@ def iterate_extensions(
         if i == k:
             return model, trace, RESIDUAL
         world, leaf, _ = violations[0]
-        current = extend_tableau(theta, current, world, leaf, limits)
+        current = extend_tableau(theta, current, world, leaf, limits, instances)
         new_model = extract_model(current)
         bad = _monotone_violations(model, new_model)
         if bad:

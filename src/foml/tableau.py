@@ -138,7 +138,9 @@ class SearchLimits:
     @classmethod
     def derive(cls, theta: Formula) -> "SearchLimits":
         """Defaults sized from the formula: the forest ceiling comes from the
-        per-quantifier node bound at a generous root-count estimate."""
+        per-quantifier node bound at a generous root-count estimate. Raises
+        `FragmentError`, as `search` does, on a theta not in NNF."""
+        _require_nnf(theta)
         n_est = len(all_vars(theta)) + 2
         forest_cap = 64
         for sub in post_order(theta):
@@ -157,8 +159,10 @@ class Guidance:
     rest are still enumerated if it fails. A world is its tuple of diamond
     indices, and formulas are named by `alpha_key` (`or_choice` keys are
     world and pivot), so hints survive renamed binders.
-    An extension rebuild also carries the old chain end's hints, renamed, to
-    the fresh element's diamond world (`extraction._carry_hints`). A
+    An extension rebuild also carries the old chain end's hints, renamed
+    twice, to the fresh element's diamond worlds: the leaf to the fresh
+    element, then, where that gave no hint, the pair (leaf, its forest
+    parent) to the fresh element and its parent (`extraction._carry_hints`). A
     certificate is these hints, read off a tree, with theta and the tree's
     node count (`certificate_to_json`)."""
 
@@ -178,8 +182,7 @@ def init_root(theta: Formula) -> TableauNode:
     """Root node: gamma = {theta} over the root domain, which holds theta's
     free variables, its outer existential witnesses and one fresh variable,
     so it is never empty."""
-    if not is_nnf(theta):
-        raise FragmentError("input formula must be in negation normal form")
+    _require_nnf(theta)
     if not is_clean(theta):
         raise FragmentError("input formula must be clean")
     fragment = classify_fragment(theta)
@@ -190,6 +193,11 @@ def init_root(theta: Formula) -> TableauNode:
     z = fresh_var(all_vars(theta))
     s = frozenset(free_vars(theta)) | outer_ex_vars(theta) | {z}
     return TableauNode(frozenset({theta}), s, NOT_INIT)
+
+
+def _require_nnf(theta: Formula) -> None:
+    if not is_nnf(theta):
+        raise FragmentError("input formula must be in negation normal form")
 
 
 def is_closed(gamma: frozenset) -> bool:
@@ -231,11 +239,21 @@ def select_rule(gamma: frozenset, forest) -> tuple[str, Optional[Formula]]:
 
 
 def successors(
-    gamma: frozenset, s: frozenset, forest, kind: str, pivot: Optional[Formula]
+    gamma: frozenset,
+    s: frozenset,
+    forest,
+    kind: str,
+    pivot: Optional[Formula],
+    instances: Optional[dict] = None,
 ) -> list[tuple[frozenset, frozenset, object]]:
     """The (gamma, S, forest) states a same-world rule allows: the two
     disjuncts of `or`, the single child of every other kind. Search, the
-    verifier and replay all read a rule's children from here."""
+    verifier and replay all read a rule's children from here.
+
+    `instances` maps (universal, element) to the universal's body at the
+    element, before its binders are freshened; the `forall` rule reads it
+    and fills it. It changes no state, so one table can serve many
+    searches."""
     if kind == "trivialSkolem":
         return [(gamma, s, EMPTY_TREE)]
     if kind == "end":
@@ -257,8 +275,12 @@ def successors(
         for g in rest:
             forbidden |= all_vars(g)
         out = set(rest)
+        table = {} if instances is None else instances
         for z in sorted(s, key=var_key):
-            inst = clean_rename(substitute(pivot.body, {pivot.var: z}), forbidden)
+            body = table.get((pivot, z))
+            if body is None:
+                body = table[pivot, z] = substitute(pivot.body, {pivot.var: z})
+            inst = clean_rename(body, forbidden)
             out.add(inst)
             forbidden |= all_vars(inst)
         return [(frozenset(out), s, forest)]
@@ -290,9 +312,15 @@ def diamond_outcomes(
 
 
 class _Ctx:
-    def __init__(self, limits: SearchLimits, guidance: Optional[Guidance]):
+    def __init__(
+        self,
+        limits: SearchLimits,
+        guidance: Optional[Guidance],
+        instances: Optional[dict],
+    ):
         self.limits = limits
         self.guidance = guidance
+        self.instances = instances
         self.stats = SearchStats()
         self.memo: set = set()
 
@@ -306,18 +334,20 @@ def search(
     theta: Formula,
     limits: Optional[SearchLimits] = None,
     guidance: Optional[Guidance] = None,
+    instances: Optional[dict] = None,
 ) -> SearchResult:
     """Depth-first AND-OR search for an open saturated tableau.
 
     Returns SAT with the certificate tableau's root and UNSAT when every
     alternative closed. A budget that runs out raises `ResourceLimit`
     wherever it fires, which ends the whole search: the result is then
-    EXHAUSTED, and `stats.exhausted_by` names the budget.
+    EXHAUSTED, and `stats.exhausted_by` names the budget. `instances` is
+    the `forall` rule's table of universal instances (`successors`).
     """
     root = init_root(theta)
     if limits is None:
         limits = SearchLimits.derive(theta)
-    ctx = _Ctx(limits, guidance)
+    ctx = _Ctx(limits, guidance, instances)
     try:
         node = _solve(ctx, (), root.gamma, root.s, root.forest)
     except ResourceLimit as exc:
@@ -378,7 +408,7 @@ def _apply(ctx: _Ctx, world, gamma, s, forest) -> Optional[TableauNode]:
             children.append(child)
         return TableauNode(gamma, s, forest, tuple(children))
 
-    options = successors(gamma, s, forest, kind, pivot)
+    options = successors(gamma, s, forest, kind, pivot, ctx.instances)
     if kind == "or" and ctx.guidance is not None:
         want = ctx.guidance.or_choice.get((world, alpha_key(pivot)))
         if want in (0, 1):
@@ -533,12 +563,15 @@ def read_choices(root: TableauNode, world: tuple[int, ...] = ()):
                 yield w, node, kind, (pivot, options.index((c.gamma, c.s, c.forest)))
 
 
-def replay_guidance(tableau: TableauNode) -> Guidance:
+def replay_guidance(tableau: TableauNode, choices: Optional[list] = None) -> Guidance:
     """The choices behind a verified tree, read back as replay hints: the
     disjunct kept at each `or` node, each world's forest and each diamond
-    node's successor order. Searching with them rebuilds the same tree."""
+    node's successor order. Searching with them rebuilds the same tree.
+    `choices` is the tree's `read_choices`, where a caller has listed it."""
     guidance = Guidance()
-    for world, _, kind, choice in read_choices(tableau):
+    if choices is None:
+        choices = read_choices(tableau)
+    for world, _, kind, choice in choices:
         if kind == "or":
             pivot, idx = choice
             guidance.or_choice[(world, alpha_key(pivot))] = idx

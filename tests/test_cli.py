@@ -146,17 +146,18 @@ def test_sat_resource_exit_code(runner, tmp_path):
 
 
 def test_model_rebuild_resource_exit_code(runner, tmp_path):
-    # 300 nodes admit the 295-node flagship search but not its rebuild.
+    # 300 nodes admit the 295-node flagship search and the 287-node first
+    # rebuild, but not the 544-node second one.
     path = write(tmp_path, "phi.foml", PHI1_TEXT)
     result = runner.invoke(
-        main, ["model", path, "--extensions", "1", "--limits", "tableau=300"]
+        main, ["model", path, "--extensions", "2", "--limits", "tableau=300"]
     )
     assert result.exit_code == 2
     assert result.stderr.startswith("resource limit: extension rebuild failed")
     assert result.stderr.count("tableau node budget exceeded") == 1
     # The rebuild names the extended world, then the world the budget hit.
     assert (
-        "failed at r.0 leaf 'v2': tableau node budget exceeded at r.0.3.6 "
+        "failed at r.0 leaf 'v7': tableau node budget exceeded at r.0.2.6 "
         "(work count 301)" in result.stderr
     )
     result = runner.invoke(main, ["model", path, "--limits", "tableau=5"])

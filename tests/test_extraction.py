@@ -25,6 +25,8 @@ from foml.tableau import (
     certificate_from_json,
     certificate_to_json,
     search,
+    select_rule,
+    successors,
     verify_tableau,
 )
 
@@ -118,21 +120,57 @@ def test_extend_tableau_searches_once_and_reports_exhaustion(
 
     monkeypatch.setattr(foml.extraction, "search", counted)
     t = phi1_result.tableau
-    limits = dataclasses.replace(SearchLimits.derive(phi1), max_tableau_nodes=300)
+    limits = dataclasses.replace(SearchLimits.derive(phi1), max_tableau_nodes=280)
     with pytest.raises(ResourceLimit, match="extension rebuild failed"):
         extend_tableau(phi1, t, forest_world(t), "v2", limits)
     assert len(calls) == 1
 
 
 def test_extend_tableau_rejects_rebuild_without_grown_forest(monkeypatch):
-    def forgetful(theta, limits, guidance):
+    def forgetful(theta, limits, guidance, instances):
         guidance.forest.pop((0,))
-        return search(theta, limits, guidance)
+        return search(theta, limits, guidance, instances)
 
     monkeypatch.setattr(foml.extraction, "search", forgetful)
     t = search(SIMPLE).tableau
     with pytest.raises(FomlError, match="grown forest was not kept"):
         extend_tableau(SIMPLE, t, forest_world(t), "v2")
+
+
+def test_rebuilds_share_one_instance_table_per_run(monkeypatch, phi1, phi1_result):
+    """Every rebuild of a run reads and fills the run's one table, a new
+    run starts an empty one, and at every `forall` node of the rebuilt
+    trees the table changes nothing `successors` gives."""
+    seen = []
+
+    def recorded(theta, limits, guidance, instances):
+        seen.append((instances, len(instances)))
+        result = search(theta, limits, guidance, instances)
+        seen[-1] += (result.tableau,)
+        return result
+
+    monkeypatch.setattr(foml.extraction, "search", recorded)
+    for _ in range(2):
+        iterate_extensions(phi1, phi1_result.tableau, 3)
+    first, second = seen[:3], seen[3:]
+    sizes = [size for _, size, _ in seen]
+    assert sizes[:3] == sizes[3:] and 0 == sizes[0] < sizes[1] < sizes[2]
+    assert all(table is first[0][0] for table, _, _ in first)
+    assert all(table is second[0][0] for table, _, _ in second)
+    assert first[0][0] is not second[0][0]
+
+    table = first[0][0]
+    checked = 0
+    for _, _, tree in first:
+        for _, node in tree.walk():
+            if not node.children or node.children[0].forest is NOT_INIT:
+                continue
+            kind, pivot = select_rule(node.gamma, node.forest)
+            if kind == "forall":
+                args = (node.gamma, node.s, node.forest, kind, pivot)
+                assert successors(*args, table) == successors(*args)
+                checked += 1
+    assert checked > 0
 
 
 def test_iterate_zero_rounds_statuses(phi1, phi1_result):
