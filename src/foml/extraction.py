@@ -62,14 +62,16 @@ class ExtensionTrace:
 
 def extract_model(tableau: TableauNode) -> KripkeModel:
     """The finite model read off the last node of every world of the tree
-    under the root `tableau`."""
+    under the root `tableau`. Only the nodes read are checked: the leaves
+    for saturation and each world's last node for a clash;
+    `verify_tableau` checks every node."""
     last: dict[tuple[int, ...], TableauNode] = {}
     for world, node in tableau.walk():
-        if is_closed(node.gamma):
-            raise FomlError("tableau is not open")
         if not node.children and any(not is_literal(g) for g in node.gamma):
             raise FomlError("tableau is not saturated")
         last[world] = node
+    if any(is_closed(node.gamma) for node in last.values()):
+        raise FomlError("tableau is not open")
 
     worlds = frozenset(render_world(w) for w in last)
     local: dict[str, frozenset[str]] = {}
@@ -125,7 +127,6 @@ def extend_tableau(
     world: tuple[int, ...],
     leaf: str,
     limits: Optional[SearchLimits] = None,
-    instances: Optional[dict] = None,
 ) -> TableauNode:
     """Grow the forest the world settled on at the leaf and rebuild the
     tableau for theta around it.
@@ -137,10 +138,9 @@ def extend_tableau(
     picks, and surviving diamond successors keep their old indices so world
     names stay stable. The fresh element takes over the leaf's role, so the
     leaf's diamond worlds lend their hints to the fresh element's diamond
-    worlds (`_carry_hints`). `instances` is the search's table of universal
-    instances (`tableau.successors`). Raises `ResourceLimit` when the
-    rebuild runs out of budget, and `FomlError` when it fails otherwise or
-    settles on another forest at the extended world.
+    worlds (`_carry_hints`). Raises `ResourceLimit` when the rebuild runs
+    out of budget, and `FomlError` when it fails otherwise or settles on
+    another forest at the extended world.
     """
     choices = list(read_choices(tableau))
     guided = replay_guidance(tableau, choices)
@@ -163,7 +163,7 @@ def extend_tableau(
 
     guided.forest[world] = grown
     _carry_hints(guided, choices, world, leaf, forest, grown)
-    result = search(theta, limits, guided, instances)
+    result = search(theta, limits, guided)
     failure = f"extension rebuild failed at {render_world(world)} leaf {leaf!r}"
     if result.status == EXHAUSTED:
         raise ResourceLimit(f"{failure}: {result.stats.exhausted_by}")
@@ -263,15 +263,12 @@ def iterate_extensions(
 
     Stops early with Satisfied once no leaf violation remains (the root check
     is asserted to pass then); otherwise reports ResidualViolations with the
-    last model and the full trace of snapshots.
-
-    The rebuilds share one table of universal instances: each round's
-    search meets most of the last round's instances again. The table lives
-    for this call only, so no run starts with another's instances.
+    last model and the full trace of snapshots. Each round's rebuild meets
+    most of the last round's universal instances again, and takes them from
+    the universals' caches (`formulas.instance`).
     """
     if k < 0:
         raise ValueError("extension count must be non-negative")
-    instances: dict = {}
     trace = ExtensionTrace()
     current = tableau
     model = extract_model(current)
@@ -287,7 +284,7 @@ def iterate_extensions(
         if i == k:
             return model, trace, RESIDUAL
         world, leaf, _ = violations[0]
-        current = extend_tableau(theta, current, world, leaf, limits, instances)
+        current = extend_tableau(theta, current, world, leaf, limits)
         new_model = extract_model(current)
         bad = _monotone_violations(model, new_model)
         if bad:

@@ -63,7 +63,8 @@ class _Node:
     A node is immutable. It holds its hash, computed once when built, and
     fills on first use the `formula_key` and `alpha_key` values; the fills of
     `nnf_complement`, and of `free_vars`, `all_vars` and the `_binders` count
-    with them, run over `post_order` and fill the node's whole DAG."""
+    with them, run over `post_order` and fill the node's whole DAG. A
+    `Forall` also keeps its `instance`s."""
 
     __slots__ = ("_hash", "_key", "_compl", "_free", "_all", "_binders", "_alpha",
                  "__weakref__")
@@ -242,8 +243,11 @@ class Exists(_Quant):
 
 
 class Forall(_Quant):
-    __slots__ = ()
+    __slots__ = ("_inst",)  # filled by `instance`
     _op = "forall"
+
+
+_set_inst = Forall._inst.__set__
 
 
 class Box(_Unary):
@@ -490,6 +494,20 @@ def substitute(phi: Formula, mapping: Mapping[Var, Var]) -> Formula:
         return node.var, live or None
 
     return _rename(phi, mapping, bind)
+
+
+def instance(q: Forall, z: Var) -> Formula:
+    """The universal's body at element z, before its binders are freshened:
+    `substitute(q.body, {q.var: z})`, cached on q per element, as its
+    complement is, so every search and check shares it."""
+    table = getattr(q, "_inst", None)
+    if table is None:
+        table = {}
+        _set_inst(q, table)
+    body = table.get(z)
+    if body is None:
+        body = table[z] = substitute(q.body, {q.var: z})
+    return body
 
 
 def clean_rename(phi: Formula, forbidden: Iterable[Var] = ()) -> Formula:

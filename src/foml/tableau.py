@@ -12,8 +12,10 @@ disjuncts and forest choices are alternatives.
 
 `successors` is the one definition of the children of each same-world rule
 (`trivialSkolem`, `and`, `or`, `exists`, `forall`, `end`): search expands
-them, the verifier checks a child against them and `read_choices` reads
-the kept disjunct off them. The forest and diamond steps keep their own
+them and the verifier checks a child against them. No tree reader applies
+a rule: `read_choices` reads the choices off the node states, and reading
+a certificate back replays them and compares the choices, which keeps the
+reader and the rules in step. The forest and diamond steps keep their own
 code, since forests are enumerated lazily and diamond children are all
 required at once.
 """
@@ -48,6 +50,7 @@ from .formulas import (
     formula_key,
     free_vars,
     fresh_var,
+    instance,
     is_clean,
     is_literal,
     is_nested_forall,
@@ -55,7 +58,6 @@ from .formulas import (
     nnf_complement,
     outer_ex_vars,
     post_order,
-    substitute,
     var_key,
 )
 from .forest import (
@@ -89,12 +91,12 @@ class TableauNode:
     forest: object
     children: tuple = ()
 
-    def walk(self, world: tuple[int, ...] = ()):
-        """(world, node) for this node, taken to sit at `world`, and its
+    def walk(self):
+        """(world, node) for this node, the root world (), and its
         descendants, in preorder. A child at index i whose forest is
         NOT_INIT starts world + (i,), every other child sits at its
         parent's world."""
-        stack = [(world, self)]
+        stack = [((), self)]
         while stack:
             world, node = stack.pop()
             yield world, node
@@ -239,21 +241,12 @@ def select_rule(gamma: frozenset, forest) -> tuple[str, Optional[Formula]]:
 
 
 def successors(
-    gamma: frozenset,
-    s: frozenset,
-    forest,
-    kind: str,
-    pivot: Optional[Formula],
-    instances: Optional[dict] = None,
+    gamma: frozenset, s: frozenset, forest, kind: str, pivot: Optional[Formula]
 ) -> list[tuple[frozenset, frozenset, object]]:
     """The (gamma, S, forest) states a same-world rule allows: the two
-    disjuncts of `or`, the single child of every other kind. Search, the
-    verifier and replay all read a rule's children from here.
-
-    `instances` maps (universal, element) to the universal's body at the
-    element, before its binders are freshened; the `forall` rule reads it
-    and fills it. It changes no state, so one table can serve many
-    searches."""
+    disjuncts of `or`, the single child of every other kind. Search and
+    the verifier read a rule's children from here; the `forall` rule takes
+    each instance from the universal's own cache (`instance`)."""
     if kind == "trivialSkolem":
         return [(gamma, s, EMPTY_TREE)]
     if kind == "end":
@@ -275,12 +268,8 @@ def successors(
         for g in rest:
             forbidden |= all_vars(g)
         out = set(rest)
-        table = {} if instances is None else instances
         for z in sorted(s, key=var_key):
-            body = table.get((pivot, z))
-            if body is None:
-                body = table[pivot, z] = substitute(pivot.body, {pivot.var: z})
-            inst = clean_rename(body, forbidden)
+            inst = clean_rename(instance(pivot, z), forbidden)
             out.add(inst)
             forbidden |= all_vars(inst)
         return [(frozenset(out), s, forest)]
@@ -312,15 +301,9 @@ def diamond_outcomes(
 
 
 class _Ctx:
-    def __init__(
-        self,
-        limits: SearchLimits,
-        guidance: Optional[Guidance],
-        instances: Optional[dict],
-    ):
+    def __init__(self, limits: SearchLimits, guidance: Optional[Guidance]):
         self.limits = limits
         self.guidance = guidance
-        self.instances = instances
         self.stats = SearchStats()
         self.memo: set = set()
 
@@ -334,20 +317,18 @@ def search(
     theta: Formula,
     limits: Optional[SearchLimits] = None,
     guidance: Optional[Guidance] = None,
-    instances: Optional[dict] = None,
 ) -> SearchResult:
     """Depth-first AND-OR search for an open saturated tableau.
 
     Returns SAT with the certificate tableau's root and UNSAT when every
     alternative closed. A budget that runs out raises `ResourceLimit`
     wherever it fires, which ends the whole search: the result is then
-    EXHAUSTED, and `stats.exhausted_by` names the budget. `instances` is
-    the `forall` rule's table of universal instances (`successors`).
+    EXHAUSTED, and `stats.exhausted_by` names the budget.
     """
     root = init_root(theta)
     if limits is None:
         limits = SearchLimits.derive(theta)
-    ctx = _Ctx(limits, guidance, instances)
+    ctx = _Ctx(limits, guidance)
     try:
         node = _solve(ctx, (), root.gamma, root.s, root.forest)
     except ResourceLimit as exc:
@@ -408,7 +389,7 @@ def _apply(ctx: _Ctx, world, gamma, s, forest) -> Optional[TableauNode]:
             children.append(child)
         return TableauNode(gamma, s, forest, tuple(children))
 
-    options = successors(gamma, s, forest, kind, pivot, ctx.instances)
+    options = successors(gamma, s, forest, kind, pivot)
     if kind == "or" and ctx.guidance is not None:
         want = ctx.guidance.or_choice.get((world, alpha_key(pivot)))
         if want in (0, 1):
@@ -539,15 +520,17 @@ def _match_diamonds(node: TableauNode) -> Optional[list[Diamond]]:
     return None if left else order
 
 
-def read_choices(root: TableauNode, world: tuple[int, ...] = ()):
-    """The choices behind a verified subtree whose root sits at `world`, one
-    per node that made one, as (world, node, kind, choice): at `or` the
-    pivot and the kept disjunct's index, at `nestedForall` the forest, at
-    `diamond` the diamonds in successor order. Where the tree's shape
-    names the rule, as `walk` and `forest_points` read it, no rule is
-    selected: children that start worlds sit under a diamond node, and a
-    world's first node whose child carries a forest is its forest point."""
-    for w, node in root.walk(world):
+def read_choices(root: TableauNode):
+    """The choices behind a verified tree, one per node that made one, as
+    (world, node, kind, choice): at `or` the pivot and the kept disjunct's
+    index, at `nestedForall` the forest, at `diamond` the diamonds in
+    successor order. Each is read off the node states, with no rule
+    applied: children that start worlds sit under a diamond node, and a
+    world's first node whose child carries a forest is its forest point.
+    Every other step takes from gamma its pivot alone, or at `end` its
+    boxes, so an `or` node is one whose child lost just an `Or`; the kept
+    index is the first `successors` option equal to the child."""
+    for w, node in root.walk():
         if not node.children:
             continue
         c = node.children[0]
@@ -557,10 +540,11 @@ def read_choices(root: TableauNode, world: tuple[int, ...] = ()):
             if isinstance(c.forest, SkolemForest):
                 yield w, node, "nestedForall", c.forest
         else:
-            kind, pivot = select_rule(node.gamma, node.forest)
-            if kind == "or":
-                options = successors(node.gamma, node.s, node.forest, kind, pivot)
-                yield w, node, kind, (pivot, options.index((c.gamma, c.s, c.forest)))
+            gone = node.gamma - c.gamma
+            pivot = next(iter(gone)) if len(gone) == 1 else None
+            if type(pivot) is Or:
+                first = c.gamma == (node.gamma - gone) | {pivot.left}
+                yield w, node, "or", (pivot, 0 if first else 1)
 
 
 def replay_guidance(tableau: TableauNode, choices: Optional[list] = None) -> Guidance:

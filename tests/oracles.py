@@ -25,6 +25,8 @@ from foml.formulas import (
     fresh_var,
     nnf_complement,
 )
+from foml.forest import NOT_INIT, SkolemForest
+from foml.tableau import _match_diamonds, select_rule, successors
 
 
 def brute_atoms(psi):
@@ -360,3 +362,24 @@ def ref_classify_fragment(phi):
     else:
         category = UNDECIDABLE
     return FragmentClass(frozenset(bundles), category)
+
+
+def ref_read_choices(root):
+    """`tableau.read_choices` by re-applying the rules: at each same-world
+    node whose forest is set, `select_rule` names the rule, and at `or` the
+    kept index is the position of the child's state among the two
+    `successors` options."""
+    for w, node in root.walk():
+        if not node.children:
+            continue
+        c = node.children[0]
+        if c.forest is NOT_INIT:
+            yield w, node, "diamond", _match_diamonds(node)
+        elif node.forest is NOT_INIT:
+            if isinstance(c.forest, SkolemForest):
+                yield w, node, "nestedForall", c.forest
+        else:
+            kind, pivot = select_rule(node.gamma, node.forest)
+            if kind == "or":
+                options = successors(node.gamma, node.s, node.forest, kind, pivot)
+                yield w, node, kind, (pivot, options.index((c.gamma, c.s, c.forest)))

@@ -1,10 +1,13 @@
 import dataclasses
+import gc
 import json
 
 import pytest
 
 import foml.extraction
-from conftest import norm
+import foml.formulas
+import foml.tableau
+from conftest import PHI1_TEXT, norm
 from foml.extraction import (
     RESIDUAL,
     SATISFIED,
@@ -16,7 +19,7 @@ from foml.extraction import (
     trace_to_ndjson,
 )
 from foml.forest import NOT_INIT
-from foml.formulas import FomlError, ResourceLimit
+from foml.formulas import FomlError, ResourceLimit, instance, substitute
 from foml.kripke import KripkeModel, check, validate_model
 
 from foml.tableau import (
@@ -25,8 +28,6 @@ from foml.tableau import (
     certificate_from_json,
     certificate_to_json,
     search,
-    select_rule,
-    successors,
     verify_tableau,
 )
 
@@ -127,9 +128,9 @@ def test_extend_tableau_searches_once_and_reports_exhaustion(
 
 
 def test_extend_tableau_rejects_rebuild_without_grown_forest(monkeypatch):
-    def forgetful(theta, limits, guidance, instances):
+    def forgetful(theta, limits, guidance):
         guidance.forest.pop((0,))
-        return search(theta, limits, guidance, instances)
+        return search(theta, limits, guidance)
 
     monkeypatch.setattr(foml.extraction, "search", forgetful)
     t = search(SIMPLE).tableau
@@ -137,40 +138,36 @@ def test_extend_tableau_rejects_rebuild_without_grown_forest(monkeypatch):
         extend_tableau(SIMPLE, t, forest_world(t), "v2")
 
 
-def test_rebuilds_share_one_instance_table_per_run(monkeypatch, phi1, phi1_result):
-    """Every rebuild of a run reads and fills the run's one table, a new
-    run starts an empty one, and at every `forall` node of the rebuilt
-    trees the table changes nothing `successors` gives."""
-    seen = []
+def test_a_universal_instance_is_substituted_once(monkeypatch):
+    """A flagship search, its certificate read-back, a verification and
+    three rebuilds take each (universal, element) instance from the
+    universal's cache, so `substitute` runs once per pair. The predicate
+    is renamed, so the universals are new nodes with empty caches."""
+    gc.collect()  # nodes of an earlier run of this test, kept by cycles
+    phi = norm(PHI1_TEXT.replace("P(", "Pinst("))
+    asked, made = set(), []
+    real_instance, real_substitute = instance, substitute
 
-    def recorded(theta, limits, guidance, instances):
-        seen.append((instances, len(instances)))
-        result = search(theta, limits, guidance, instances)
-        seen[-1] += (result.tableau,)
-        return result
+    def counted_instance(q, z):
+        asked.add((q, z))
+        return real_instance(q, z)
 
-    monkeypatch.setattr(foml.extraction, "search", recorded)
-    for _ in range(2):
-        iterate_extensions(phi1, phi1_result.tableau, 3)
-    first, second = seen[:3], seen[3:]
-    sizes = [size for _, size, _ in seen]
-    assert sizes[:3] == sizes[3:] and 0 == sizes[0] < sizes[1] < sizes[2]
-    assert all(table is first[0][0] for table, _, _ in first)
-    assert all(table is second[0][0] for table, _, _ in second)
-    assert first[0][0] is not second[0][0]
+    def counted_substitute(body, mapping):
+        made.append((body, *mapping.items()))
+        return real_substitute(body, mapping)
 
-    table = first[0][0]
-    checked = 0
-    for _, _, tree in first:
-        for _, node in tree.walk():
-            if not node.children or node.children[0].forest is NOT_INIT:
-                continue
-            kind, pivot = select_rule(node.gamma, node.forest)
-            if kind == "forall":
-                args = (node.gamma, node.s, node.forest, kind, pivot)
-                assert successors(*args, table) == successors(*args)
-                checked += 1
-    assert checked > 0
+    with monkeypatch.context() as m:
+        m.setattr(foml.tableau, "instance", counted_instance)
+        m.setattr(foml.formulas, "substitute", counted_substitute)
+        again = certificate_from_json(certificate_to_json(search(phi).tableau))
+        assert verify_tableau(again, phi) == []
+        iterate_extensions(phi, again, 3)
+    assert len(made) == len(set(made)) == len(asked) > 0
+    assert {(body, var, z) for body, (var, z) in made} == {
+        (q.body, q.var, z) for q, z in asked
+    }
+    for q, z in asked:
+        assert instance(q, z) is substitute(q.body, {q.var: z})
 
 
 def test_iterate_zero_rounds_statuses(phi1, phi1_result):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import foml.extraction
 import foml.tableau
 from conftest import norm, subformulas
+from oracles import ref_read_choices
 from foml.forest import EMPTY_TREE, NOT_INIT, SkolemForest, forest_size_bound
 from foml.extraction import iterate_extensions, trace_to_ndjson
 from foml.formulas import (
@@ -39,6 +40,7 @@ from foml.tableau import (
     certificate_from_json,
     certificate_to_json,
     init_root,
+    read_choices,
     render_world,
     replay_guidance,
     search,
@@ -448,10 +450,10 @@ def test_crash_under_a_preferred_forest_is_not_unsat(monkeypatch):
     assert guidance.forest
     real = foml.tableau.successors
 
-    def broken(gamma, s, forest, kind, pivot, instances=None):
+    def broken(gamma, s, forest, kind, pivot):
         if kind == "end":
             raise FomlError("end rule crashed")
-        return real(gamma, s, forest, kind, pivot, instances)
+        return real(gamma, s, forest, kind, pivot)
 
     monkeypatch.setattr(foml.tableau, "successors", broken)
     with pytest.raises(FomlError, match="end rule crashed"):
@@ -712,6 +714,40 @@ def test_certificate_reader_reports_each_fault(corrupt, phi1_result):
         certificate_from_json(json.dumps(doc))
     assert str(err.value) == message
     assert not isinstance(err.value, ResourceLimit)
+
+
+def test_read_choices_matches_the_rule_reader(monkeypatch, phi1, phi1_result):
+    """`read_choices` reads the choices off the node states, applying no
+    rule, and lists what `ref_read_choices` finds by re-applying them: on
+    the flagship after 0-3 extension rounds and on every SAT tree of the
+    seed-2026 corpus."""
+    trees = [phi1_result.tableau]
+
+    def kept(*args):
+        result = search(*args)
+        trees.append(result.tableau)
+        return result
+
+    with monkeypatch.context() as m:
+        m.setattr(foml.extraction, "search", kept)
+        iterate_extensions(phi1, phi1_result.tableau, 3)
+    assert len(trees) == 4
+    cfg, rng = GenConfig(seed=2026), random.Random(2026)
+    for _ in range(1000):
+        res = search(gen_formula(cfg, rng))
+        if res.status == SAT:
+            trees.append(res.tableau)
+    assert len(trees) == 4 + 969
+    want = [list(ref_read_choices(t)) for t in trees]
+    picks = {c[1] for choices in want for _, _, kind, c in choices if kind == "or"}
+    assert picks == {0, 1}
+
+    def no_rule(*args):
+        raise AssertionError("read_choices applied a rule")
+
+    monkeypatch.setattr(foml.tableau, "select_rule", no_rule)
+    monkeypatch.setattr(foml.tableau, "successors", no_rule)
+    assert [list(read_choices(t)) for t in trees] == want
 
 
 def test_flagship_rebuild_certificates_read_back_to_their_trees(
