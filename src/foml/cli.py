@@ -6,7 +6,11 @@ resource limit, 3 every other error: usage (click's own usage errors
 included), parse, fragment, invalid model, a malformed or invalid
 certificate, input nested too deeply to process, a file that cannot be read
 or written, input that is not UTF-8, or an internal error; 130 when
-interrupted. Errors print one `error:` line, after the traceback for
+interrupted. Input is too deep only for what still recurses: the parser on a
+chain of prefix operators (3000 `~`), `print_formula` and `kripke.check`. The
+search and forest enumeration take any depth, but `foml sat` on a
+1,500-literal conjunction still exits 3, since writing its certificate
+prints theta. Errors print one `error:` line, after the traceback for
 an internal error; `--limits` takes `forest=` and `tableau=` budgets.
 """
 

@@ -127,64 +127,61 @@ def enumerate_forests(
     if not atoms:
         return
 
-    avoid = set(roots)
+    used = set(roots)
     for g in gamma:
-        avoid |= all_vars(g)
+        used |= all_vars(g)
 
     order: list[str] = list(roots)
     parents: dict[str, Optional[str]] = {r: None for r in roots}
     labels: dict[str, Atom] = {}
     kids: dict[str, tuple[str, ...]] = {}
-    used = set(avoid)
     yielded = 0
 
-    def ancestor_atoms(name: str) -> list[Atom]:
-        out = []
-        cur = parents[name]
-        while cur is not None:
-            out.append(labels[cur])
-            cur = parents[cur]
-        return out
-
-    def walk(i: int) -> Iterator[SkolemForest]:
-        nonlocal yielded
-        if i == len(order):
-            nodes = tuple(
-                ForestNode(n, parents[n], labels[n], kids[n]) for n in order
-            )
+    # One entry per labelled position of `order`: the index in `atoms` of
+    # its label and its ancestors' atoms, computed once per node.
+    stack: list[list] = []
+    while True:
+        if len(stack) == len(order):
+            nodes = tuple(ForestNode(n, parents[n], labels[n], kids[n]) for n in order)
             yielded += 1
             yield SkolemForest(var=var, psi=psi, nodes=nodes)
-            return
-        z = order[i]
-        above = ancestor_atoms(z)
-        for atom in atoms:
-            labels[z] = atom
-            if _admissible(atom, above):
-                kids[z] = ()
-                yield from walk(i + 1)
-            else:
-                n_new = len(atom.exists_members)
-                if max_nodes is not None and len(order) + n_new > max_nodes:
-                    raise ResourceLimit(
-                        "skolem-forest node budget exceeded", yielded
-                    )
-                fresh = []
-                for _ in range(n_new):
-                    name = fresh_var(used)
-                    used.add(name)
-                    fresh.append(name)
-                    parents[name] = z
-                    order.append(name)
-                kids[z] = tuple(fresh)
-                yield from walk(i + 1)
-                for name in fresh:
-                    used.discard(name)
-                    del parents[name]
-                del order[len(order) - n_new :]
-            del labels[z]
-            del kids[z]
-
-    yield from walk(0)
+        else:
+            above, cur = [], parents[order[len(stack)]]
+            while cur is not None:
+                above.append(labels[cur])
+                cur = parents[cur]
+            stack.append([-1, above])
+        # Move the last position to its next label, dropping the children
+        # its old label made (a stale entry of `parents`, `labels` or `kids`
+        # is never read); a position out of labels is dropped too.
+        while True:
+            entry = stack[-1]
+            z = order[len(stack) - 1]
+            if entry[0] >= 0:
+                fresh = kids[z]
+                used.difference_update(fresh)
+                del order[len(order) - len(fresh) :]
+            entry[0] += 1
+            if entry[0] < len(atoms):
+                break
+            stack.pop()
+            if not stack:
+                return
+        atom = labels[z] = atoms[entry[0]]
+        if _admissible(atom, entry[1]):
+            kids[z] = ()
+            continue
+        n_new = len(atom.exists_members)
+        if max_nodes is not None and len(order) + n_new > max_nodes:
+            raise ResourceLimit("skolem-forest node budget exceeded", yielded)
+        fresh = []
+        for _ in range(n_new):
+            name = fresh_var(used)
+            used.add(name)
+            fresh.append(name)
+            parents[name] = z
+            order.append(name)
+        kids[z] = tuple(fresh)
 
 
 def validate_forest(

@@ -8,16 +8,21 @@ existentials, universals, and finally the modal step that spawns one child
 world per diamond. Only that step makes a child whose forest is NOT_INIT,
 so a node's world is its path of diamond indices (`walk`). Search is
 depth-first over the AND-OR space: diamond children all have to succeed,
-disjuncts and forest choices are alternatives.
+disjuncts and forest choices are alternatives. It is one loop over a stack
+of frames, and `_alternatives` lists each rule's alternatives in the order
+they are tried, so no call recurses and a tree is as deep as the node
+budget lets it be.
 
 `successors` is the one definition of the children of each same-world rule
 (`trivialSkolem`, `and`, `or`, `exists`, `forall`, `end`): search expands
 them and the verifier checks a child against them. No tree reader applies
 a rule: `read_choices` reads the choices off the node states, and reading
 a certificate back replays them and compares the choices, which keeps the
-reader and the rules in step. The forest and diamond steps keep their own
-code, since forests are enumerated lazily and diamond children are all
-required at once.
+reader and the rules in step. Forests are enumerated lazily, and diamond
+children are all required at once, so those two steps are listed apart.
+Writing a certificate prints theta, and `print_formula` recurses, so a
+theta nested about 500 deep (a 500-literal conjunction) is decided but its
+certificate cannot be written.
 """
 
 from __future__ import annotations
@@ -300,19 +305,6 @@ def diamond_outcomes(
     ]
 
 
-class _Ctx:
-    def __init__(self, limits: SearchLimits, guidance: Optional[Guidance]):
-        self.limits = limits
-        self.guidance = guidance
-        self.stats = SearchStats()
-        self.memo: set = set()
-
-    def bump_nodes(self):
-        self.stats.nodes += 1
-        if self.stats.nodes > self.limits.max_tableau_nodes:
-            raise ResourceLimit("tableau node budget exceeded", self.stats.nodes)
-
-
 def search(
     theta: Formula,
     limits: Optional[SearchLimits] = None,
@@ -323,104 +315,112 @@ def search(
     Returns SAT with the certificate tableau's root and UNSAT when every
     alternative closed. A budget that runs out raises `ResourceLimit`
     wherever it fires, which ends the whole search: the result is then
-    EXHAUSTED, and `stats.exhausted_by` names the budget.
+    EXHAUSTED, and `stats.exhausted_by` names the budget and the world of
+    the state being visited or of the frame drawing its next alternative.
+
+    The search is one loop over a stack of frames, one per open state whose
+    rule is being expanded, so its depth is bounded by the node budget
+    alone. A state that closes, or that the memo of failed states holds,
+    fails at once, and a saturated one is a leaf. A frame fails when every
+    alternative `_alternatives` lists has failed; unguided, its state then
+    enters the memo.
     """
     root = init_root(theta)
     if limits is None:
         limits = SearchLimits.derive(theta)
-    ctx = _Ctx(limits, guidance)
+    stats = SearchStats()
+    memo: set = set()
+    # A frame: [world, gamma, s, forest, kind, the alternatives left, the
+    # current alternative, its children built so far].
+    stack: list[list] = []
+    # A state to visit: (world, gamma, s, forest, base), where `base` is the
+    # parent's gamma when a same-world rule made the state, so that only what
+    # the rule added is checked for a clash, and None otherwise.
+    state = ((), root.gamma, root.s, root.forest, None)
     try:
-        node = _solve(ctx, (), root.gamma, root.s, root.forest)
+        while True:
+            world, gamma, s, forest, base = state
+            stats.nodes += 1
+            if stats.nodes > limits.max_tableau_nodes:
+                raise ResourceLimit("tableau node budget exceeded", stats.nodes)
+            node = None
+            if is_closed(gamma) if base is None else _clashes(gamma - base, gamma):
+                pass
+            elif guidance is None and (gamma, s, forest) in memo:
+                stats.memo_hits += 1
+            else:
+                kind, pivot = select_rule(gamma, forest)
+                if kind == "none":
+                    node = TableauNode(gamma, s, forest)
+                else:
+                    alts = _alternatives(
+                        world, gamma, s, forest, kind, pivot, limits, guidance
+                    )
+                    stack.append([world, gamma, s, forest, kind, alts, (), []])
+            # Hand `node`, None for a failed state, up the stack until a
+            # frame names the next state to visit.
+            while stack:
+                frame = stack[-1]
+                world, gamma, s, forest, kind, alts, alt, kids = frame
+                if node is not None:
+                    kids.append(node)
+                    if len(kids) < len(alt):
+                        state = alt[len(kids)]
+                        break
+                    stack.pop()
+                    node = TableauNode(gamma, s, forest, tuple(kids))
+                    continue
+                alt = next(alts, None)
+                if alt is None:
+                    stack.pop()
+                    if guidance is None:
+                        memo.add((gamma, s, forest))
+                    continue
+                if kind == "or":
+                    stats.or_attempts += 1
+                elif kind == "nestedForall":
+                    stats.forest_attempts += 1
+                frame[6:] = alt, []
+                state = alt[0]
+                break
+            else:
+                break
     except ResourceLimit as exc:
-        ctx.stats.exhausted_by = str(exc)
-        return SearchResult(EXHAUSTED, None, ctx.stats)
-    if node is None:
-        return SearchResult(UNSAT, None, ctx.stats)
-    return SearchResult(SAT, node, ctx.stats)
+        # `world` is that of the state being visited or of the frame
+        # drawing its next alternative.
+        stats.exhausted_by = str(ResourceLimit(exc.budget, exc.count, render_world(world)))
+        return SearchResult(EXHAUSTED, None, stats)
+    return SearchResult(UNSAT if node is None else SAT, node, stats)
 
 
-def _solve(ctx: _Ctx, world, gamma, s, forest, added=None) -> Optional[TableauNode]:
-    """The open subtree for this state, or None when every alternative closes.
-
-    `added` is what a same-world rule added to its open parent's gamma; only
-    it is checked for a clash. Without it, all of gamma is. A budget that
-    runs out below names the world of the innermost state it fired in."""
-    try:
-        ctx.bump_nodes()
-        closed = is_closed(gamma) if added is None else _clashes(added, gamma)
-        if closed:
-            return None
-
-        memo_key = None
-        if ctx.guidance is None:
-            memo_key = (gamma, s, forest)
-            if memo_key in ctx.memo:
-                ctx.stats.memo_hits += 1
-                return None
-
-        node = _apply(ctx, world, gamma, s, forest)
-        if node is None and memo_key is not None:
-            ctx.memo.add(memo_key)
-        return node
-    except ResourceLimit as exc:
-        if exc.world is not None:
-            raise
-        raise ResourceLimit(exc.budget, exc.count, render_world(world)) from None
-
-
-def _apply(ctx: _Ctx, world, gamma, s, forest) -> Optional[TableauNode]:
-    kind, pivot = select_rule(gamma, forest)
-
-    if kind == "none":
-        return TableauNode(gamma, s, forest)
-
-    if kind == "nestedForall":
-        return _forest_point(ctx, world, gamma, s, pivot)
-
+def _alternatives(world, gamma, s, forest, kind, pivot, limits, guidance):
+    """The alternatives of rule `kind` at this state, as an iterator in the
+    order search tries them; each is the list of child states that must all
+    be open: one per disjunct, one per candidate forest (a valid preferred
+    forest first, then the enumerated ones) and, at a diamond node, one
+    list of its successor worlds. Forests are enumerated lazily."""
     if kind == "diamond":
-        order = None
-        if ctx.guidance is not None:
-            order = ctx.guidance.diamond_order.get(world)
-        children = []
-        for i, (_, gamma_i, s_i) in enumerate(diamond_outcomes(gamma, s, order)):
-            child = _solve(ctx, world + (i,), gamma_i, s_i, NOT_INIT)
-            if child is None:
-                return None
-            children.append(child)
-        return TableauNode(gamma, s, forest, tuple(children))
-
+        order = None if guidance is None else guidance.diamond_order.get(world)
+        outcomes = diamond_outcomes(gamma, s, order)
+        return iter([[
+            (world + (i,), gamma_i, s_i, NOT_INIT, None)
+            for i, (_, gamma_i, s_i) in enumerate(outcomes)
+        ]])
+    if kind == "nestedForall":
+        stream = enumerate_forests(pivot, gamma, s, limits)
+        preferred = None if guidance is None else guidance.forest.get(world)
+        if preferred is not None and not validate_forest(preferred, pivot, s):
+            stream = chain([preferred], (f for f in stream if f != preferred))
+        return (
+            [(world, expand_forest(f, gamma), frozenset(f.names()), f, None)]
+            for f in stream
+        )
     options = successors(gamma, s, forest, kind, pivot)
-    if kind == "or" and ctx.guidance is not None:
-        want = ctx.guidance.or_choice.get((world, alpha_key(pivot)))
+    if kind == "or" and guidance is not None:
+        want = guidance.or_choice.get((world, alpha_key(pivot)))
         if want in (0, 1):
             options = [options[want], options[1 - want]]
-    for gamma2, s2, forest2 in options:
-        if kind == "or":
-            ctx.stats.or_attempts += 1
-        child = _solve(ctx, world, gamma2, s2, forest2, gamma2 - gamma)
-        if child is not None:
-            return TableauNode(gamma, s, forest, (child,))
-    return None
-
-
-def _forest_point(ctx: _Ctx, world, gamma, s, quant) -> Optional[TableauNode]:
-    """Try candidate forests for gamma's nested universal `quant` in turn:
-    a valid preferred forest first, then the enumerated ones."""
-    stream = enumerate_forests(quant, gamma, s, ctx.limits)
-    preferred = None
-    if ctx.guidance is not None:
-        preferred = ctx.guidance.forest.get(world)
-    if preferred is not None and not validate_forest(preferred, quant, s):
-        stream = chain([preferred], (f for f in stream if f != preferred))
-    for candidate in stream:
-        ctx.stats.forest_attempts += 1
-        child = _solve(
-            ctx, world, expand_forest(candidate, gamma),
-            frozenset(candidate.names()), candidate,
-        )
-        if child is not None:
-            return TableauNode(gamma, s, NOT_INIT, (child,))
-    return None
+    return iter([[(world, g, s2, f, gamma)] for g, s2, f in options])
 
 
 def verify_tableau(tableau: TableauNode, theta: Formula) -> list[str]:

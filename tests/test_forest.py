@@ -118,6 +118,17 @@ def test_enumeration_budget_raises_after_partial_yield():
     assert err.value.count == 2
 
 
+def test_a_forest_of_more_nodes_than_the_recursion_limit_is_enumerated():
+    # Ten members `exists yj . [] Pj(x, yj)`: each of the 12 roots heads
+    # 1 + 10 + 100 nodes, one label choice each.
+    body = " & ".join(f"(exists y{j} . [] P{j}(x, y{j}))" for j in range(10))
+    quant = norm(f"forall x . ({body})")
+    roots = [f"a{i}" for i in range(11)] + ["v0"]
+    forest = next(enumerate_forests(quant, [quant], roots))
+    assert (len(forest.nodes), len(forest.roots())) == (1332, 12)
+    assert validate_forest(forest, quant, roots) == []
+
+
 def test_empty_root_set_gives_empty_forest():
     (f,) = enumerate_forests(CHAIN_Q, [CHAIN_Q], [])
     assert f.nodes == ()

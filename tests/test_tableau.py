@@ -219,14 +219,32 @@ def test_a_wide_forest_is_decided():
     assert (res.status, res.stats.nodes) == (SAT, 465)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=RecursionError,
-    reason="_solve recurses once per same-world rule, about 500 levels "
-    "here, so `foml sat` exits 3 with 'input nested too deeply'",
-)
 def test_a_wider_forest_is_decided():
-    assert search(wide_forest(4, 25)).status == SAT
+    # About 500 same-world rules on one branch: deeper than a search that
+    # recursed once per rule could go under the default recursion limit.
+    res = search(wide_forest(4, 25))
+    assert (res.status, res.stats.nodes) == (SAT, 575)
+
+
+def wide_certificate(n):
+    """bench/README.md's wide-certificate family: one world of about n
+    literals and n disjuncts of which only the last is open."""
+    negs = " & ".join(f"~Q{i}(x)" for i in range(n - 1))
+    disj = " | ".join(f"(P(x) & Q{i}(x) & R(x,x))" for i in range(n))
+    return norm(f"(exists x . [] ({negs} & ({disj}))) & (<> forall y . (P(y) | ~P(y)))")
+
+
+def test_a_wide_certificate_is_decided_and_reads_back():
+    res = search(wide_certificate(400))
+    assert (res.status, res.stats.nodes, res.stats.or_attempts) == (SAT, 2006, 800)
+    text = certificate_to_json(res.tableau)
+    assert certificate_to_json(certificate_from_json(text)) == text
+
+
+def test_a_long_flat_conjunction_is_decided():
+    # One `and` step per conjunct, all in one world and on one branch.
+    res = search(norm(" & ".join(f"P{i}(x)" for i in range(1500))))
+    assert (res.status, res.stats.nodes) == (SAT, 1501)
 
 
 def test_search_is_deterministic(phi1, phi1_result):
