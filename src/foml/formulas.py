@@ -62,9 +62,9 @@ class _Node:
 
     A node is immutable. It holds its hash, computed once when built, and
     fills on first use the `formula_key` and `alpha_key` values; the fills of
-    `nnf_complement`, and of `free_vars`, `all_vars` and the `_binders` count
-    with them, run over `post_order` and fill the node's whole DAG. A
-    `Forall` also keeps its `instance`s."""
+    `formula_key`, of `nnf_complement`, and of `free_vars`, `all_vars` and
+    the `_binders` count with them, run over `post_order` and fill the
+    node's whole DAG. A `Forall` also keeps its `instance`s."""
 
     __slots__ = ("_hash", "_key", "_compl", "_free", "_all", "_binders", "_alpha",
                  "__weakref__")
@@ -265,10 +265,10 @@ Formula = Union[Pred, Not, And, Or, Exists, Forall, Box, Diamond]
 _ENUM_VAR = re.compile(r"v(\d+)\Z")
 
 
-def _render(phi: Formula, alpha: bool) -> str:
-    """The `formula_key` of phi or, with `alpha`, its `alpha_key`, built in
-    one walk with an explicit stack. Keys already cached below phi are
-    reused; alpha keys are not, since a binder's name depends on its depth."""
+def _render(phi: Formula) -> str:
+    """The `alpha_key` of phi, built in one walk with an explicit stack. No
+    key cached below phi is reused, since a binder's name depends on its
+    depth."""
     parts: list[str] = []
     stack: list = [(phi, {}, 0)]
     while stack:
@@ -277,19 +277,16 @@ def _render(phi: Formula, alpha: bool) -> str:
             parts.append(item)
             continue
         node, ren, depth = item
-        if not alpha and node._key is not None:
-            parts.append(node._key)
-        elif type(node) is Pred:
+        if type(node) is Pred:
             args = ",".join([ren.get(a, a) for a in node.args])
             parts.append(f"{node.name}({args})" if args else node.name)
         elif isinstance(node, _Binary):
             parts.append("(")
             stack += (")", (node.right, ren, depth), node._op, (node.left, ren, depth))
         elif isinstance(node, _Quant):
-            name = f"#{depth}" if alpha else node.var
+            name = f"#{depth}"
             parts.append(f"({node._op} {name}. ")
-            inner = {**ren, node.var: name} if alpha else ren
-            stack += (")", (node.body, inner, depth + 1))
+            stack += (")", (node.body, {**ren, node.var: name}, depth + 1))
         else:
             parts.append(node._op)
             stack.append((node.body, ren, depth))
@@ -298,11 +295,20 @@ def _render(phi: Formula, alpha: bool) -> str:
 
 def formula_key(phi: Formula) -> str:
     """Stable sort key so iteration over formula sets is deterministic: the
-    formula's `str`."""
+    formula's `str`. One fold over phi's DAG fills the key of every node
+    below phi that has none, each from its children's keys."""
     key = phi._key
     if key is None:
-        key = _render(phi, alpha=False)
-        _set_key(phi, key)
+        for node in post_order(phi, slot=_Node._key):
+            if type(node) is Pred:
+                key = f"{node.name}({','.join(node.args)})" if node.args else node.name
+            elif isinstance(node, _Binary):
+                key = f"({node.left._key}{node._op}{node.right._key})"
+            elif isinstance(node, _Quant):
+                key = f"({node._op} {node.var}. {node.body._key})"
+            else:
+                key = node._op + node.body._key
+            _set_key(node, key)
     return key
 
 
@@ -312,7 +318,7 @@ def alpha_key(phi: Formula) -> str:
     binders keeps its `formula_key`."""
     key = phi._alpha
     if key is None:
-        key = _render(phi, alpha=True)
+        key = _render(phi)
         _set_alpha(phi, key)
     return key
 

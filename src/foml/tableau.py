@@ -8,10 +8,12 @@ existentials, universals, and finally the modal step that spawns one child
 world per diamond. Only that step makes a child whose forest is NOT_INIT,
 so a node's world is its path of diamond indices (`walk`). Search is
 depth-first over the AND-OR space: diamond children all have to succeed,
-disjuncts and forest choices are alternatives. It is one loop over a stack
-of frames, and `_alternatives` lists each rule's alternatives in the order
-they are tried, so no call recurses and a tree is as deep as the node
-budget lets it be.
+disjuncts and forest choices are alternatives. The `or` rule propagates
+before it branches: it offers only the disjuncts gamma leaves open, so an
+`or` node that gamma decides has one child, or none and fails, and is no
+choice. The search is one loop over a stack of frames, and `_alternatives`
+lists each rule's alternatives in the order they are tried, so no call
+recurses and a tree is as deep as the node budget lets it be.
 
 `successors` is the one definition of the children of each same-world rule
 (`trivialSkolem`, `and`, `or`, `exists`, `forall`, `end`): search expands
@@ -160,12 +162,14 @@ class SearchLimits:
 
 @dataclass
 class Guidance:
-    """Replay hints: preferred disjunct indices, a preferred forest per world,
-    and a preferred diamond ordering per world. A hint only reorders the
-    alternatives: a preferred forest is validated and tried first, and the
-    rest are still enumerated if it fails. A world is its tuple of diamond
-    indices, and formulas are named by `alpha_key` (`or_choice` keys are
-    world and pivot), so hints survive renamed binders.
+    """Replay hints: preferred disjunct indices at the `or` nodes that are
+    choices (a hint at any other `or` node is ignored), a preferred forest
+    per world, and a preferred diamond ordering per world. A hint only
+    reorders the alternatives: a preferred forest is validated and tried
+    first, and the rest are still enumerated if it fails. A world is its
+    tuple of diamond indices, and formulas are named by `alpha_key`
+    (`or_choice` keys are world and pivot), so hints survive renamed
+    binders.
     An extension rebuild also carries the old chain end's hints, renamed
     twice, to the fresh element's diamond worlds: the leaf to the fresh
     element, then, where that gave no hint, the pair (leaf, its forest
@@ -245,13 +249,27 @@ def select_rule(gamma: frozenset, forest) -> tuple[str, Optional[Formula]]:
     raise FomlError("no rule applies to a non-literal gamma")
 
 
+def _open_disjuncts(rest: frozenset, pivot: Or) -> tuple[Formula, ...]:
+    """The disjuncts of `pivot` that `rest`, the rest of its gamma, leaves
+    open: the one disjunct already in `rest`, or the one the two disjuncts
+    are, alone; otherwise each disjunct whose complement is not in `rest`.
+    Two means the `or` node is a choice, none that it closes."""
+    left, right = pivot.left, pivot.right
+    if left in rest or left is right:
+        return (left,)
+    if right in rest:
+        return (right,)
+    return tuple(d for d in (left, right) if nnf_complement(d) not in rest)
+
+
 def successors(
     gamma: frozenset, s: frozenset, forest, kind: str, pivot: Optional[Formula]
 ) -> list[tuple[frozenset, frozenset, object]]:
-    """The (gamma, S, forest) states a same-world rule allows: the two
-    disjuncts of `or`, the single child of every other kind. Search and
-    the verifier read a rule's children from here; the `forall` rule takes
-    each instance from the universal's own cache (`instance`)."""
+    """The (gamma, S, forest) states a same-world rule allows: one per
+    disjunct gamma leaves open at `or` (`_open_disjuncts`: two, one or
+    none), the single child of every other kind. Search and the verifier
+    read a rule's children from here; the `forall` rule takes each instance
+    from the universal's own cache (`instance`)."""
     if kind == "trivialSkolem":
         return [(gamma, s, EMPTY_TREE)]
     if kind == "end":
@@ -260,7 +278,7 @@ def successors(
     if kind == "and":
         return [(rest | {pivot.left, pivot.right}, s, forest)]
     if kind == "or":
-        return [(rest | {pivot.left}, s, forest), (rest | {pivot.right}, s, forest)]
+        return [(rest | {d}, s, forest) for d in _open_disjuncts(rest, pivot)]
     if kind == "exists":
         if pivot.var not in s:
             raise FomlError(
@@ -396,9 +414,10 @@ def search(
 def _alternatives(world, gamma, s, forest, kind, pivot, limits, guidance):
     """The alternatives of rule `kind` at this state, as an iterator in the
     order search tries them; each is the list of child states that must all
-    be open: one per disjunct, one per candidate forest (a valid preferred
-    forest first, then the enumerated ones) and, at a diamond node, one
-    list of its successor worlds. Forests are enumerated lazily."""
+    be open: one per open disjunct (a hint reorders only two), one per
+    candidate forest (a valid preferred forest first, then the enumerated
+    ones) and, at a diamond node, one list of its successor worlds. Forests
+    are enumerated lazily."""
     if kind == "diamond":
         order = None if guidance is None else guidance.diamond_order.get(world)
         outcomes = diamond_outcomes(gamma, s, order)
@@ -416,7 +435,7 @@ def _alternatives(world, gamma, s, forest, kind, pivot, limits, guidance):
             for f in stream
         )
     options = successors(gamma, s, forest, kind, pivot)
-    if kind == "or" and guidance is not None:
+    if kind == "or" and guidance is not None and len(options) == 2:
         want = guidance.or_choice.get((world, alpha_key(pivot)))
         if want in (0, 1):
             options = [options[want], options[1 - want]]
@@ -528,8 +547,9 @@ def read_choices(root: TableauNode):
     applied: children that start worlds sit under a diamond node, and a
     world's first node whose child carries a forest is its forest point.
     Every other step takes from gamma its pivot alone, or at `end` its
-    boxes, so an `or` node is one whose child lost just an `Or`; the kept
-    index is the first `successors` option equal to the child."""
+    boxes, so an `or` node is one whose child lost just an `Or`. It is a
+    choice only where gamma leaves both disjuncts open (`_open_disjuncts`),
+    and the kept index is that of the disjunct the child added."""
     for w, node in root.walk():
         if not node.children:
             continue
@@ -542,15 +562,15 @@ def read_choices(root: TableauNode):
         else:
             gone = node.gamma - c.gamma
             pivot = next(iter(gone)) if len(gone) == 1 else None
-            if type(pivot) is Or:
-                first = c.gamma == (node.gamma - gone) | {pivot.left}
-                yield w, node, "or", (pivot, 0 if first else 1)
+            if type(pivot) is Or and len(_open_disjuncts(node.gamma - gone, pivot)) == 2:
+                yield w, node, "or", (pivot, 0 if pivot.left in c.gamma else 1)
 
 
 def replay_guidance(tableau: TableauNode, choices: Optional[list] = None) -> Guidance:
     """The choices behind a verified tree, read back as replay hints: the
-    disjunct kept at each `or` node, each world's forest and each diamond
-    node's successor order. Searching with them rebuilds the same tree.
+    disjunct kept at each `or` node that is a choice, each world's forest
+    and each diamond node's successor order. Searching with them rebuilds
+    the same tree.
     `choices` is the tree's `read_choices`, where a caller has listed it."""
     guidance = Guidance()
     if choices is None:

@@ -366,9 +366,9 @@ def ref_classify_fragment(phi):
 
 def ref_read_choices(root):
     """`tableau.read_choices` by re-applying the rules: at each same-world
-    node whose forest is set, `select_rule` names the rule, and at `or` the
-    kept index is the position of the child's state among the two
-    `successors` options."""
+    node whose forest is set, `select_rule` names the rule, and an `or` node
+    is a choice when `successors` offers two options; the kept index is the
+    position of the child's state among them."""
     for w, node in root.walk():
         if not node.children:
             continue
@@ -382,4 +382,6 @@ def ref_read_choices(root):
             kind, pivot = select_rule(node.gamma, node.forest)
             if kind == "or":
                 options = successors(node.gamma, node.s, node.forest, kind, pivot)
+                if len(options) < 2:
+                    continue
                 yield w, node, kind, (pivot, options.index((c.gamma, c.s, c.forest)))

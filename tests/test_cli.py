@@ -88,11 +88,11 @@ def test_verify_reads_back_a_certificate(runner, tmp_path):
     [
         (lambda doc: doc.update(nodes=doc["nodes"] - 1),
          "error: invalid certificate: the replay ran past its budget: tableau "
-         "node budget exceeded at r.0.2.5 (work count 131)"),
+         "node budget exceeded at r.0.2.5 (work count 123)"),
         (lambda doc: doc.update(nodes=doc["nodes"] + 1),
-         "error: invalid certificate: the replay visited 131 nodes, not 132"),
-        (lambda doc: doc["or_choice"].pop(3),
-         "error: invalid certificate: or_choice at r.0.0.0 is missing"),
+         "error: invalid certificate: the replay visited 123 nodes, not 124"),
+        (lambda doc: doc["or_choice"].pop(2),
+         "error: invalid certificate: or_choice at r.0.0 is missing"),
         (lambda doc: doc.update(nodes="many"),
          "error: malformed certificate: expected a node count, got 'many'"),
         (lambda doc: doc.update(root={}),
@@ -146,8 +146,8 @@ def test_sat_resource_exit_code(runner, tmp_path):
 
 
 def test_model_rebuild_resource_exit_code(runner, tmp_path):
-    # 300 nodes admit the 295-node flagship search and the 287-node first
-    # rebuild, but not the 544-node second one.
+    # 300 nodes admit the 207-node flagship search and the 235-node first
+    # rebuild, but not the 398-node second one.
     path = write(tmp_path, "phi.foml", PHI1_TEXT)
     result = runner.invoke(
         main, ["model", path, "--extensions", "2", "--limits", "tableau=300"]
@@ -157,7 +157,7 @@ def test_model_rebuild_resource_exit_code(runner, tmp_path):
     assert result.stderr.count("tableau node budget exceeded") == 1
     # The rebuild names the extended world, then the world the budget hit.
     assert (
-        "failed at r.0 leaf 'v7': tableau node budget exceeded at r.0.2.6 "
+        "failed at r.0 leaf 'v7': tableau node budget exceeded at r.0.3.8 "
         "(work count 301)" in result.stderr
     )
     result = runner.invoke(main, ["model", path, "--limits", "tableau=5"])

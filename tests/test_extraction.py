@@ -121,7 +121,7 @@ def test_extend_tableau_searches_once_and_reports_exhaustion(
 
     monkeypatch.setattr(foml.extraction, "search", counted)
     t = phi1_result.tableau
-    limits = dataclasses.replace(SearchLimits.derive(phi1), max_tableau_nodes=280)
+    limits = dataclasses.replace(SearchLimits.derive(phi1), max_tableau_nodes=230)
     with pytest.raises(ResourceLimit, match="extension rebuild failed"):
         extend_tableau(phi1, t, forest_world(t), "v2", limits)
     assert len(calls) == 1

@@ -42,6 +42,7 @@ from foml.formulas import (
 from foml.kripke import check
 from foml.parser import parse_formula, print_formula
 from foml.tableau import SearchLimits
+from foml.testgen import GenConfig, gen_formula
 from oracles import (
     ref_all_vars,
     ref_alpha_key,
@@ -422,6 +423,27 @@ def test_formula_keys_are_stable_strings():
     phi = norm("P(x) & <> Q(x,x)")
     assert formula_key(phi) == formula_key(norm("P(x) & <> Q(x,x)"))
     assert all_vars(phi) == frozenset({"x"})
+
+
+def test_formula_key_fills_every_subformula_key_in_one_fold():
+    """One `formula_key` call fills the key of every node below the one it
+    is asked for: each sub-chain of a left-nested chain, and each
+    subformula of the seed-2026 corpus, as the reference renderer gives it."""
+    chain, chains = Pred("Fold0", ()), []
+    for i in range(1, 300):
+        chains.append(chain)
+        chain = And(chain, Pred(f"Fold{i}", ("x",)))
+    assert all(c._key is None for c in chains)
+    want = "(" * 299 + "Fold0" + "".join(f" & Fold{i}(x))" for i in range(1, 300))
+    assert formula_key(chain) == want
+    for c in chains:
+        assert c._key == ref_key(c)
+    cfg, rng = GenConfig(seed=2026), random.Random(2026)
+    for _ in range(1000):
+        theta = gen_formula(cfg, rng)
+        formula_key(theta)
+        for f in subformulas(theta):
+            assert f._key == ref_key(f)
 
 
 def test_alpha_key_names_binders_by_depth():
