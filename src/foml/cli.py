@@ -1,6 +1,12 @@
 """Command-line front end: satisfiability, model building, model checking,
 fragment classification, the brute-force oracle, and the test harness.
 
+Every command builds a payload and its text lines and hands both to
+`_report`, which prints one JSON line with sorted keys under `--format
+json`, the lines otherwise, and exits. `foml verify` checks a certificate
+with `extraction.audit`, the check `foml difftest` applies to each SAT
+verdict.
+
 Exit codes: 0 sat/true/ok/valid, 1 unsat/false/discrepancies/none, 2
 resource limit, 3 every other error: usage (click's own usage errors
 included), parse, fragment, invalid model, a malformed or invalid
@@ -10,8 +16,9 @@ interrupted. Input is too deep only for what still recurses: the parser on a
 chain of prefix operators (3000 `~`), `print_formula` and `kripke.check`. The
 search and forest enumeration take any depth, but `foml sat` on a
 1,500-literal conjunction still exits 3, since writing its certificate
-prints theta. Errors print one `error:` line, after the traceback for
-an internal error; `--limits` takes `forest=` and `tableau=` budgets.
+prints theta. Errors print one `error:` line on stderr, through
+`_Main.main`, after the traceback for an internal error; `--limits` takes
+`forest=` and `tableau=` budgets.
 """
 
 from __future__ import annotations
@@ -23,15 +30,11 @@ import os
 import sys
 import traceback
 from pathlib import Path
+from typing import NoReturn
 
 import click
 
-from .extraction import (
-    extract_model,
-    find_leaf_violations,
-    iterate_extensions,
-    trace_to_ndjson,
-)
+from .extraction import audit, iterate_extensions, trace_to_ndjson
 from .formulas import (
     FomlError,
     ResourceLimit,
@@ -57,7 +60,6 @@ from .tableau import (
     certificate_from_json,
     certificate_to_json,
     search,
-    verify_tableau,
 )
 from .testgen import GenConfig, differential_run, gen_formula, report_to_jsonl
 
@@ -126,6 +128,29 @@ def _limits_for(theta, limits_text: str | None) -> SearchLimits:
         raise FomlError(f"bad --limits: {exc}") from exc
 
 
+def _report(fmt: str, payload: dict, lines: list[str], code: int = 0) -> NoReturn:
+    """Print the payload as one JSON line with sorted keys, or the text
+    lines, on stdout; then exit with code."""
+    if fmt == "json":
+        click.echo(json.dumps(payload, sort_keys=True))
+    else:
+        for line in lines:
+            click.echo(line)
+    sys.exit(code)
+
+
+_EXIT = {SAT: 0, UNSAT: 1, EXHAUSTED: 2}
+
+
+def _search_payload(result) -> dict:
+    """What `sat` and `model` report of a search."""
+    return {
+        "status": result.status,
+        "nodes_visited": result.stats.nodes,
+        "exhausted_by": result.stats.exhausted_by,
+    }
+
+
 _format_opt = click.option(
     "--format", "fmt", type=click.Choice(["text", "json"]), default="text",
     help="Output format.",
@@ -143,49 +168,35 @@ def sat(formula_file, limits_text, cert_path, fmt):
     limits = _limits_for(theta, limits_text)
     result = search(theta, limits)
     out = cert_path or formula_file + ".cert.json"
+    payload = {**_search_payload(result), "certificate": None}
+    if result.status == EXHAUSTED:
+        lines = [f"RESOURCE: {result.stats.exhausted_by}"]
+    else:
+        lines = [result.status.upper()]
     if result.status == SAT:
         Path(out).write_text(certificate_to_json(result.tableau), encoding="utf-8")
-    payload = {
-        "status": result.status,
-        "certificate": out if result.status == SAT else None,
-        "nodes_visited": result.stats.nodes,
-        "exhausted_by": result.stats.exhausted_by,
-    }
-    if fmt == "json":
-        click.echo(json.dumps(payload, sort_keys=True))
-    elif result.status == EXHAUSTED:
-        click.echo(f"RESOURCE: {result.stats.exhausted_by}")
-    else:
-        click.echo(result.status.upper())
-        if result.status == SAT:
-            click.echo(f"certificate written to {out}")
-    sys.exit({SAT: 0, UNSAT: 1, EXHAUSTED: 2}[result.status])
+        payload["certificate"] = out
+        lines.append(f"certificate written to {out}")
+    _report(fmt, payload, lines, _EXIT[result.status])
 
 
 @main.command()
 @click.argument("cert_file", type=click.Path(exists=True, dir_okay=False))
 @_format_opt
 def verify(cert_file, fmt):
-    """Re-check a certificate: rebuild its tableau from its choices, verify
-    the tree and the model read off it."""
+    """Re-check a certificate: rebuild its tableau from its choices, then
+    audit the tree and the model read off it."""
     tableau = certificate_from_json(Path(cert_file).read_text(encoding="utf-8"))
     (theta,) = tableau.gamma
-    model = extract_model(tableau)
-    problems = verify_tableau(tableau, theta) + validate_model(model)
+    _, violations, problems = audit(tableau, theta)
     if problems:
         raise FomlError("invalid certificate: " + "; ".join(problems))
-    left = len(find_leaf_violations(tableau, model))
-    if not left and not check(model, "r", {v: v for v in free_vars(theta)}, theta):
-        raise FomlError("no leaf violation is left, yet theta fails at the root")
-    if fmt == "json":
-        click.echo(json.dumps({"status": "valid", "leaf_violations": left}))
+    left = len(violations)
+    if left:
+        line = f"{left} leaf violation{'s' * (left > 1)} left in the model"
     else:
-        click.echo("VALID")
-        if left:
-            click.echo(f"{left} leaf violation{'s' * (left > 1)} left in the model")
-        else:
-            click.echo("the model satisfies theta at its root")
-    sys.exit(0)
+        line = "the model satisfies theta at its root"
+    _report(fmt, {"status": "valid", "leaf_violations": left}, ["VALID", line])
 
 
 @main.command()
@@ -201,35 +212,25 @@ def model(formula_file, k, limits_text, model_path, trace_path, fmt):
     limits = _limits_for(theta, limits_text)
     result = search(theta, limits)
     if result.status == UNSAT:
-        click.echo("UNSAT: no model to extract", err=True)
-        sys.exit(1)
+        _report(fmt, _search_payload(result), ["UNSAT: no model to extract"], 1)
     if result.status == EXHAUSTED:
-        click.echo(f"RESOURCE: {result.stats.exhausted_by}", err=True)
-        sys.exit(2)
+        line = f"RESOURCE: {result.stats.exhausted_by}"
+        _report(fmt, _search_payload(result), [line], 2)
     final, trace, status = iterate_extensions(theta, result.tableau, k, limits)
     model_out = model_path or formula_file + ".model.json"
     trace_out = trace_path or formula_file + ".trace.jsonl"
     Path(model_out).write_text(model_to_json(final), encoding="utf-8")
     Path(trace_out).write_text(trace_to_ndjson(trace), encoding="utf-8")
-    if fmt == "json":
-        click.echo(
-            json.dumps(
-                {
-                    "status": status,
-                    "model_file": model_out,
-                    "trace_file": trace_out,
-                    "worlds": len(final.worlds),
-                    "domain": len(final.domain),
-                    "extensions_run": len(trace.steps),
-                },
-                sort_keys=True,
-            )
-        )
-    else:
-        click.echo(status)
-        click.echo(f"model written to {model_out}")
-        click.echo(f"trace written to {trace_out}")
-    sys.exit(0)
+    payload = {
+        "status": status,
+        "model_file": model_out,
+        "trace_file": trace_out,
+        "worlds": len(final.worlds),
+        "domain": len(final.domain),
+        "extensions_run": len(trace.steps),
+    }
+    lines = [status, f"model written to {model_out}", f"trace written to {trace_out}"]
+    _report(fmt, payload, lines)
 
 
 @main.command("check-model")
@@ -255,11 +256,7 @@ def check_model(model_file, formula_file, world, assign_text, fmt):
                 raise FomlError(f"bad --assign entry {part!r}")
             sigma[var.strip()] = elem.strip()
     verdict = check(m, world, sigma, phi)
-    if fmt == "json":
-        click.echo(json.dumps({"result": verdict}))
-    else:
-        click.echo("true" if verdict else "false")
-    sys.exit(0 if verdict else 1)
+    _report(fmt, {"result": verdict}, ["true" if verdict else "false"], 0 if verdict else 1)
 
 
 @main.command()
@@ -269,20 +266,9 @@ def classify(formula_file, fmt):
     """Report which bundled-fragment class a formula falls in."""
     phi = _load_formula(formula_file, normalize=False)
     fragment = classify_fragment(phi)
-    if fmt == "json":
-        click.echo(
-            json.dumps(
-                {
-                    "category": fragment.category,
-                    "bundles": sorted(fragment.bundles_present),
-                },
-                sort_keys=True,
-            )
-        )
-    else:
-        bundles = ", ".join(sorted(fragment.bundles_present)) or "none"
-        click.echo(f"{fragment.category} (bundles: {bundles})")
-    sys.exit(0)
+    bundles = sorted(fragment.bundles_present)
+    line = f"{fragment.category} (bundles: {', '.join(bundles) or 'none'})"
+    _report(fmt, {"category": fragment.category, "bundles": bundles}, [line])
 
 
 @main.command()
@@ -296,28 +282,19 @@ def oracle(formula_file, max_worlds, max_domain, depth, fmt):
     phi = _load_formula(formula_file)
     found = bounded_model_search(phi, max_worlds, max_domain, depth)
     if found is None:
-        if fmt == "json":
-            click.echo(json.dumps({"status": "none"}))
-        else:
-            click.echo("none")
-        sys.exit(1)
+        _report(fmt, {"status": "none"}, ["none"], 1)
     m, world, sigma = found
-    if fmt == "json":
-        click.echo(
-            json.dumps(
-                {
-                    "status": "sat",
-                    "world": world,
-                    "assignment": sigma,
-                    "model": model_to_json_dict(m),
-                },
-                sort_keys=True,
-            )
-        )
-    else:
-        click.echo(f"model found; formula holds at {world} under {sigma}")
-        click.echo(model_to_json(m), nl=False)
-    sys.exit(0)
+    payload = {
+        "status": "sat",
+        "world": world,
+        "assignment": sigma,
+        "model": model_to_json_dict(m),
+    }
+    lines = [
+        f"model found; formula holds at {world} under {sigma}",
+        model_to_json(m).rstrip("\n"),
+    ]
+    _report(fmt, payload, lines)
 
 
 @main.command()
@@ -339,13 +316,7 @@ def gen(seed, count, max_depth, max_predicates, max_arity, fmt):
     )
     rng = random.Random(seed)
     formulas = [print_formula(gen_formula(cfg, rng)) for _ in range(count)]
-    if fmt == "json":
-        click.echo(json.dumps({"seed": seed, "formulas": formulas}, sort_keys=True))
-    else:
-        click.echo(f"# seed {seed}")
-        for f in formulas:
-            click.echo(f)
-    sys.exit(0)
+    _report(fmt, {"seed": seed, "formulas": formulas}, [f"# seed {seed}", *formulas])
 
 
 @main.command()
@@ -362,24 +333,16 @@ def difftest(seed, count, max_worlds, max_domain, depth, report_path, fmt):
     report = differential_run(cfg, count, (max_worlds, max_domain, depth))
     Path(report_path).write_text(report_to_jsonl(report), encoding="utf-8")
     clean = report["discrepancies"] == 0 and report["problem_records"] == 0
-    if fmt == "json":
-        click.echo(
-            json.dumps(
-                {
-                    "seed": seed,
-                    "n": count,
-                    "discrepancies": report["discrepancies"],
-                    "problem_records": report["problem_records"],
-                    "report": report_path,
-                },
-                sort_keys=True,
-            )
-        )
-    else:
-        click.echo(f"# seed {seed}")
-        click.echo(
-            f"{count} formulas, {report['discrepancies']} discrepancies, "
-            f"{report['problem_records']} problem records; "
-            f"report written to {report_path}"
-        )
-    sys.exit(0 if clean else 1)
+    payload = {
+        "seed": seed,
+        "n": count,
+        "discrepancies": report["discrepancies"],
+        "problem_records": report["problem_records"],
+        "report": report_path,
+    }
+    summary = (
+        f"{count} formulas, {report['discrepancies']} discrepancies, "
+        f"{report['problem_records']} problem records; "
+        f"report written to {report_path}"
+    )
+    _report(fmt, payload, [f"# seed {seed}", summary], 0 if clean else 1)

@@ -5,7 +5,8 @@ world names, the domain at a world is its final variable set, and facts are
 the positive literals left at the world's last node. Forest leaves that owe
 an existential witness mark where this finite model falls short; extending
 the forest at such a leaf and rebuilding yields the next, strictly larger
-model in the chain.
+model in the chain. `audit` is the one check of a SAT tableau: the
+verifier, then the model read off it.
 """
 
 from __future__ import annotations
@@ -27,8 +28,9 @@ from .formulas import (
     substitute,
     var_key,
 )
-from .forest import SkolemForest, extend_forest
-from .kripke import KripkeModel, check, model_to_json_dict
+from .forest import SkolemForest, extend_forest, forest_size_bound
+from .kripke import KripkeModel, check, model_to_json_dict, validate_model
+from .parser import print_formula
 from .tableau import (
     EXHAUSTED,
     SAT,
@@ -40,6 +42,7 @@ from .tableau import (
     render_world,
     replay_guidance,
     search,
+    verify_tableau,
 )
 
 SATISFIED = "Satisfied"
@@ -119,6 +122,51 @@ def find_leaf_violations(
         )
     )
     return out
+
+
+def audit(
+    tableau: TableauNode, theta: Formula
+) -> tuple[Optional[KripkeModel], list, list[str]]:
+    """The one check of a SAT tableau for theta, as (model, leaf
+    violations, problems); no problems means it stands.
+
+    `verify_tableau` runs first; on a tree it rejects, the result is
+    (None, [], its problems). Otherwise the model read off the tree must be
+    valid, every literal at a world's last node must hold there in it,
+    every forest must be within `forest_size_bound`, and, where no leaf
+    violation is left, theta must hold at `r`.
+    """
+    problems = verify_tableau(tableau, theta)
+    if problems:
+        return None, [], problems
+    model = extract_model(tableau)
+    problems = validate_model(model)
+    for w, node in sorted(dict(tableau.walk()).items()):
+        name = render_world(w)
+        for g in sorted(node.gamma, key=print_formula):
+            if not is_literal(g):
+                continue
+            if not check(model, name, {v: v for v in free_vars(g)}, g):
+                problems.append(f"literal {print_formula(g)} fails at {name}")
+    for w, node in tableau.forest_points():
+        f = node.forest
+        bound = forest_size_bound(f.psi, len(f.roots()))
+        if len(f.nodes) > bound:
+            problems.append(
+                f"forest at {render_world(w)} has {len(f.nodes)} nodes, bound {bound}"
+            )
+    violations = find_leaf_violations(tableau, model)
+    if not violations:
+        problems += _root_check(model, theta)
+    return model, violations, problems
+
+
+def _root_check(model: KripkeModel, theta: Formula) -> list[str]:
+    """Theta at `r` under the identity assignment, checked once no leaf
+    violation is left: the problem if it fails."""
+    if check(model, "r", {v: v for v in free_vars(theta)}, theta):
+        return []
+    return ["no leaf violations remain but the root check fails"]
 
 
 def extend_tableau(
@@ -277,9 +325,9 @@ def iterate_extensions(
     for i in range(k + 1):
         violations = find_leaf_violations(current, model)
         if not violations:
-            sigma = {v: v for v in free_vars(theta)}
-            if not check(model, "r", sigma, theta):
-                raise FomlError("no leaf violations remain but the root check fails")
+            failed = _root_check(model, theta)
+            if failed:
+                raise FomlError(failed[0])
             return model, trace, SATISFIED
         if i == k:
             return model, trace, RESIDUAL

@@ -10,8 +10,7 @@ import time
 from dataclasses import dataclass
 from typing import Optional
 
-from .extraction import extract_model, find_leaf_violations
-from .forest import forest_size_bound
+from .extraction import audit
 from .formulas import (
     And,
     Box,
@@ -28,19 +27,11 @@ from .formulas import (
     classify_fragment,
     free_vars,
     is_clean,
-    is_literal,
     is_nnf,
 )
-from .kripke import bounded_model_search, check, validate_model
+from .kripke import bounded_model_search
 from .parser import print_formula
-from .tableau import (
-    SAT,
-    certificate_from_json,
-    certificate_to_json,
-    render_world,
-    search,
-    verify_tableau,
-)
+from .tableau import SAT, certificate_from_json, certificate_to_json, search
 
 
 _WEIGHTS = {
@@ -145,35 +136,6 @@ def gen_formula(cfg: GenConfig, rng: Optional[random.Random] = None) -> Formula:
     return phi
 
 
-def last_node_literal_violations(tableau, model) -> list[str]:
-    """Every literal left at a world's last node must hold there."""
-    last = dict(tableau.walk())
-    out = []
-    for w, node in sorted(last.items()):
-        name = render_world(w)
-        for g in sorted(node.gamma, key=print_formula):
-            if not is_literal(g):
-                continue
-            sigma = {v: v for v in free_vars(g)}
-            if not check(model, name, sigma, g):
-                out.append(f"literal {print_formula(g)} fails at {name}")
-    return out
-
-
-def forest_bound_violations(tableau) -> list[str]:
-    """Enforce the node-count ceiling on every forest in the certificate."""
-    out = []
-    for world, node in tableau.forest_points():
-        f = node.forest
-        bound = forest_size_bound(f.psi, len(f.roots()))
-        if len(f.nodes) > bound:
-            out.append(
-                f"forest at {render_world(world)} has {len(f.nodes)} nodes, "
-                f"bound {bound}"
-            )
-    return out
-
-
 def certificate_read_back_problems(tableau) -> list[str]:
     """Whether the tableau's certificate reads back to this very tree: the
     same (world, gamma, S, forest) at each step of the walk. Two choices
@@ -196,12 +158,9 @@ def differential_run(
 ) -> dict:
     """Generate n formulas and cross-examine tableau verdicts vs the oracle.
 
-    A record goes bad when the oracle finds a model the tableau missed, a SAT
-    certificate fails re-verification or reads back to another tree, its
-    extracted model fails validation or its leftover literals, a forest
-    outgrows its bound, or the model has no leaf violation left and yet
-    fails theta at the root. That last check evaluates theta itself with
-    `check`, independent of the tableau rules.
+    A record goes bad when the oracle finds a model the tableau missed, or
+    a SAT tableau reads back from its certificate to another tree or fails
+    `extraction.audit`, the check `foml verify` applies to a certificate.
     """
     rng = random.Random(cfg.seed)
     records = []
@@ -236,17 +195,8 @@ def differential_run(
         else:
             rec["discrepancy"] = None
         if res.status == SAT:
-            problems.extend(verify_tableau(res.tableau, phi))
             problems.extend(certificate_read_back_problems(res.tableau))
-            m0 = extract_model(res.tableau)
-            problems.extend(validate_model(m0))
-            problems.extend(last_node_literal_violations(res.tableau, m0))
-            problems.extend(forest_bound_violations(res.tableau))
-            sigma = {v: v for v in free_vars(phi)}
-            if not find_leaf_violations(res.tableau, m0) and not check(
-                m0, "r", sigma, phi
-            ):
-                problems.append("no leaf violations remain but the root check fails")
+            problems.extend(audit(res.tableau, phi)[2])
 
         rec["problems"] = problems
         rec["ok"] = not problems and rec["discrepancy"] is None

@@ -28,6 +28,7 @@ from oracles import (
 from foml.cli import main
 from foml.extraction import (
     RESIDUAL,
+    audit,
     extract_model,
     iterate_extensions,
     trace_to_ndjson,
@@ -52,12 +53,7 @@ from foml.tableau import (
     replay_guidance,
     search,
 )
-from foml.testgen import (
-    GenConfig,
-    differential_run,
-    forest_bound_violations,
-    gen_formula,
-)
+from foml.testgen import GenConfig, differential_run, gen_formula
 
 DATA = Path(__file__).parent / "data"
 CORPUS_SEED = 2026
@@ -204,7 +200,7 @@ def test_forest_sizes_stay_within_bound():
         res = search(phi)
         if res.status != SAT:
             continue
-        assert forest_bound_violations(res.tableau) == []
+        assert audit(res.tableau, phi)[2] == []
         if any(res.tableau.forest_points()):
             audited += 1
     assert audited >= 5

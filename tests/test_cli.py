@@ -1,15 +1,20 @@
 import json
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
 from conftest import PHI1_TEXT, norm
 from foml.cli import main
-from foml.kripke import model_from_json, validate_model
-from foml.tableau import certificate_from_json, search, verify_tableau
+from foml.formulas import is_literal
+from foml.kripke import check, model_from_json, validate_model
+from foml.tableau import SAT, certificate_from_json, search, verify_tableau
+from foml.testgen import GenConfig, differential_run
 
 
 SIMPLE_TEXT = "<> forall x. exists y. [] P(x,y)"
+DEMO_TEXT = "(exists x . [] P(x)) & (<> forall y . Q(y, y))"
+GOLDEN_CERTIFICATE = Path(__file__).parent / "data" / "phi1_certificate.json"
 
 
 @pytest.fixture()
@@ -81,6 +86,39 @@ def test_verify_reads_back_a_certificate(runner, tmp_path):
     assert result.output == "VALID\nthe model satisfies theta at its root\n"
     result = runner.invoke(main, ["verify", deep + ".cert.json", "--format", "json"])
     assert json.loads(result.output) == {"status": "valid", "leaf_violations": 1}
+    assert result.output == '{"leaf_violations": 1, "status": "valid"}\n'
+
+
+def test_verify_applies_the_forest_bound(runner, monkeypatch):
+    """`foml verify` audits each forest against `forest_size_bound`, as
+    `foml difftest` does."""
+    monkeypatch.setattr("foml.extraction.forest_size_bound", lambda psi, roots: 0)
+    result = runner.invoke(main, ["verify", str(GOLDEN_CERTIFICATE)])
+    assert result.exit_code == 3
+    assert result.stderr == (
+        "error: invalid certificate: forest at r.0 has 3 nodes, bound 0\n"
+    )
+
+
+def test_verify_and_difftest_share_one_root_check(runner, tmp_path, monkeypatch):
+    """With a checker that rejects every compound formula, theta fails at
+    the root, and `foml verify` and `differential_run` say so in one
+    message. demo.foml's model has no forest leaf, so no leaf violation is
+    left to skip the root check."""
+    path = write(tmp_path, "demo.foml", DEMO_TEXT)
+    assert runner.invoke(main, ["sat", path]).exit_code == 0
+    monkeypatch.setattr(
+        "foml.extraction.check",
+        lambda model, w, sigma, phi: is_literal(phi) and check(model, w, sigma, phi),
+    )
+    message = "no leaf violations remain but the root check fails"
+    result = runner.invoke(main, ["verify", path + ".cert.json"])
+    assert result.exit_code == 3
+    assert result.stderr == f"error: invalid certificate: {message}\n"
+    report = differential_run(GenConfig(seed=2026), 5, (1, 1, 1))
+    sat = [rec for rec in report["records"] if rec["tableau"] == SAT]
+    assert sat
+    assert all(rec["problems"] == [message] for rec in sat)
 
 
 @pytest.mark.parametrize(
@@ -162,9 +200,10 @@ def test_model_rebuild_resource_exit_code(runner, tmp_path):
     )
     result = runner.invoke(main, ["model", path, "--limits", "tableau=5"])
     assert result.exit_code == 2
-    assert result.stderr.startswith(
+    assert result.output.startswith(
         "RESOURCE: tableau node budget exceeded at r.0 (work count 6)"
     )
+    assert result.stderr == ""
 
 
 def test_sat_rejects_bad_limits(runner, tmp_path):
@@ -319,7 +358,30 @@ def test_model_unsat_exit_code(runner, tmp_path):
     path = write(tmp_path, "phi.foml", "P(x) & ~P(x)")
     result = runner.invoke(main, ["model", path])
     assert result.exit_code == 1
-    assert "UNSAT" in result.stderr
+    assert "UNSAT" in result.output
+    assert result.stderr == ""
+
+
+def test_model_json_reports_every_outcome(runner, tmp_path):
+    """`foml model --format json` prints one JSON line on UNSAT and on
+    EXHAUSTED too, with `foml sat`'s keys, and keeps the exit codes."""
+    unsat = write(tmp_path, "unsat.foml", "P(x) & ~P(x)")
+    result = runner.invoke(main, ["model", unsat, "--format", "json"])
+    assert result.exit_code == 1
+    assert json.loads(result.output) == {
+        "status": "unsat", "nodes_visited": 3, "exhausted_by": None,
+    }
+    deep = write(tmp_path, "deep.foml", PHI1_TEXT)
+    result = runner.invoke(
+        main, ["model", deep, "--limits", "tableau=5", "--format", "json"]
+    )
+    assert result.exit_code == 2
+    assert json.loads(result.output) == {
+        "status": "exhausted",
+        "nodes_visited": 6,
+        "exhausted_by": "tableau node budget exceeded at r.0 (work count 6)",
+    }
+    assert result.stderr == ""
 
 
 def test_check_model_round_trip(runner, tmp_path):

@@ -12,6 +12,7 @@ from foml.extraction import (
     RESIDUAL,
     SATISFIED,
     _monotone_violations,
+    audit,
     extend_tableau,
     extract_model,
     find_leaf_violations,
@@ -65,6 +66,16 @@ def test_extract_rejects_closed_and_unsaturated():
     with pytest.raises(FomlError, match="not open"):
         extract_model(closed)
     stuck = TableauNode(frozenset({norm("P(x) & Q(x,x)")}), frozenset({"x"}), NOT_INIT)
+    with pytest.raises(FomlError, match="not saturated"):
+        extract_model(stuck)
+
+
+def test_audit_reports_what_the_verifier_rejects():
+    """On a tree the verifier rejects, `audit` reads no model off it (that
+    would raise) and returns the verifier's problems."""
+    theta = norm("P(x) & Q(x,x)")
+    stuck = TableauNode(frozenset({theta}), frozenset({"x", "v0"}), NOT_INIT)
+    assert audit(stuck, theta) == (None, [], ["r: unsaturated leaf"])
     with pytest.raises(FomlError, match="not saturated"):
         extract_model(stuck)
 

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from conftest import norm, subformulas
-from foml.extraction import extract_model
+from foml.extraction import audit, extract_model
 from foml.formulas import (
     EBBE,
     Forall,
@@ -21,9 +21,7 @@ from foml.testgen import (
     GenConfig,
     certificate_read_back_problems,
     differential_run,
-    forest_bound_violations,
     gen_formula,
-    last_node_literal_violations,
     report_to_jsonl,
 )
 
@@ -103,7 +101,7 @@ def test_root_check_gate_flags_a_model_that_fails_theta(monkeypatch):
     """With no leaf violation left, the extracted model must satisfy theta
     at the root; a checker that rejects every compound formula trips it."""
     monkeypatch.setattr(
-        "foml.testgen.check",
+        "foml.extraction.check",
         lambda model, w, sigma, phi: is_literal(phi) and check(model, w, sigma, phi),
     )
     report = differential_run(GenConfig(seed=2026), 5, (1, 1, 1))
@@ -127,14 +125,15 @@ def test_report_jsonl_structure():
     }
 
 
-def test_flagship_passes_certificate_audits(phi1_result):
+def test_flagship_passes_certificate_audits(phi1, phi1_result):
     t = phi1_result.tableau
     m0 = extract_model(t)
-    assert last_node_literal_violations(t, m0) == []
-    assert forest_bound_violations(t) == []
+    model, violations, problems = audit(t, phi1)
+    assert problems == []
+    assert model == m0 and len(violations) == 1
 
 
-def test_literal_audit_notices_missing_fact(phi1_result):
+def test_literal_audit_notices_missing_fact(monkeypatch, phi1, phi1_result):
     from dataclasses import replace
 
     t = phi1_result.tableau
@@ -143,7 +142,8 @@ def test_literal_audit_notices_missing_fact(phi1_result):
     dropped = dict(m0.valuation)
     dropped.pop(key)
     weaker = replace(m0, valuation=dropped)
-    problems = last_node_literal_violations(t, weaker)
+    monkeypatch.setattr("foml.extraction.extract_model", lambda tableau: weaker)
+    problems = audit(t, phi1)[2]
     assert any("fails at" in p for p in problems)
 
 
