@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .formulas import (
+    ORIGIN_SEP,
     Formula,
     FomlError,
     Pred,
@@ -184,9 +185,12 @@ def extend_tableau(
     extends like the one search returned: the extended world prefers the
     grown forest, other worlds prefer their previous forests and disjunct
     picks, and surviving diamond successors keep their old indices so world
-    names stay stable. The fresh element takes over the leaf's role, so the
-    leaf's diamond worlds lend their hints to the fresh element's diamond
-    worlds (`_carry_hints`). Raises `ResourceLimit` when the rebuild runs
+    names stay stable. The grown forest's new nodes take names that no
+    forest of the old tree and no variable of theta has, and existential
+    witnesses are named by their origin (`formulas.instance`), so the
+    rebuild gives each old element its old name. The fresh element takes over the leaf's role, so the leaf's diamond
+    worlds lend their hints to the fresh element's diamond worlds
+    (`_carry_hints`). Raises `ResourceLimit` when the rebuild runs
     out of budget, and `FomlError` when it fails otherwise or settles on
     another forest at the extended world.
     """
@@ -197,16 +201,9 @@ def extend_tableau(
         raise FomlError(
             f"extension target {render_world(world)} carries no skolem forest"
         )
-    # The fresh node name must dodge every variable the old tableau ever
-    # used, binders included: expansion freshens instance binders against
-    # the forest's names, so reusing one would shift renames at untouched
-    # nodes and with them the diamond keys that pin world identities.
-    avoid: set[str] = set()
-    formulas: set = set()
-    for _, n in tableau.walk():
-        avoid |= n.s
-        formulas |= n.gamma
-    avoid.update(*map(all_vars, formulas))
+    # Every `vN` element of the old tree is a forest node or a variable of
+    # theta; a witness bears a derived name (`b@e`).
+    avoid = set(all_vars(theta)).union(*(f.names() for f in guided.forest.values()))
     grown = extend_forest(forest, leaf, avoid)
 
     guided.forest[world] = grown
@@ -236,18 +233,20 @@ def _carry_hints(
     """Add the leaf's diamond-world hints for each fresh element labeled
     like the leaf, where no hint exists yet.
 
-    Every diamond at the extended world that names the leaf has a twin with
-    the leaf renamed to the fresh element. The replayed order lists only
-    the old diamonds, so the twins' successor worlds are numbered after
-    theirs. The `or` picks and diamond orders of a diamond's successor
+    Every diamond at the extended world that names the leaf, free or in a
+    binder named after it (`u@leaf`), has a twin with the leaf renamed to
+    the fresh element. The replayed order lists only the old diamonds, so
+    the twins' successor worlds are numbered after theirs. The `or` picks and diamond orders of a diamond's successor
     subtree, read from `choices` (the old tree's `read_choices`), are added
     for its twin's under two renamings, the second only where the first
     gave no hint: the leaf to the fresh element, then the forest shift
     that also takes the leaf's parent to the fresh element's. The fresh
     element stands one step further down the forest than the leaf, so a
     pivot about the leaf and its parent is met in the twin's subtree about
-    the fresh element and its parent. Hints only reorder alternatives, so
-    a wrong guess costs search, never a verdict.
+    the fresh element and its parent. A renaming reaches into derived
+    names too: a witness `y@leaf` stands for `y@fresh` (`_renamed`). Hints
+    only reorder alternatives, so a wrong guess costs search, never a
+    verdict.
     """
     index = grown.by_name()
     label, up = index[leaf].atom, index[leaf].parent
@@ -260,7 +259,10 @@ def _carry_hints(
     if diamonds is None:
         return
     depth = len(world)
-    naming = [i for i, d in enumerate(diamonds) if leaf in free_vars(d)]
+    naming = [
+        i for i, d in enumerate(diamonds)
+        if any(leaf in v.split(ORIGIN_SEP) for v in all_vars(d))
+    ]
     twins = len(diamonds)
     for node in fresh:
         ren = {leaf: node.name}
@@ -276,14 +278,23 @@ def _carry_hints(
             picks = [(w, choice) for w, kind, choice in below if kind == "or"]
             for w, kind, choice in below:
                 if kind == "diamond":
-                    order = [alpha_key(substitute(g, ren)) for g in choice]
+                    order = [alpha_key(_renamed(g, ren)) for g in choice]
                     guided.diamond_order.setdefault(w, order)
-            # The shift differs from `ren` only at pivots that name `up`.
             for mapping in (ren, shift):
                 for w, (pivot, idx) in picks:
-                    if mapping is ren or up in free_vars(pivot):
-                        key = (w, alpha_key(substitute(pivot, mapping)))
-                        guided.or_choice.setdefault(key, idx)
+                    key = (w, alpha_key(_renamed(pivot, mapping)))
+                    guided.or_choice.setdefault(key, idx)
+
+
+def _renamed(phi: Formula, ren: dict) -> Formula:
+    """phi with the elements `ren` maps renamed, alone or inside the free
+    names derived from them: with `{v2: v3}`, `y@v2@v0` becomes `y@v3@v0`."""
+    mapping = {}
+    for v in free_vars(phi):
+        new = ORIGIN_SEP.join([ren.get(p, p) for p in v.split(ORIGIN_SEP)])
+        if new != v:
+            mapping[v] = new
+    return substitute(phi, mapping)
 
 
 def _monotone_violations(old: KripkeModel, new: KripkeModel) -> list[str]:

@@ -13,16 +13,20 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
 from .formulas import (
+    ORIGIN_SEP,
+    And,
     Atom,
     Exists,
     Forall,
     Formula,
     FomlError,
+    Or,
     ResourceLimit,
     all_vars,
-    clean_rename,
     enumerate_atoms,
     fresh_var,
+    instance,
+    instances,
     substitute,
     var_key,
 )
@@ -109,7 +113,8 @@ def enumerate_forests(
     limits=None,
 ) -> Iterator[SkolemForest]:
     """All minimal skolem-forests for `quant`, gamma's nested universal,
-    lazily; fresh node names avoid gamma's variables.
+    lazily; fresh node names avoid gamma's variables and the origins of
+    their derived names.
 
     Label choices are tried in atom order per node (breadth-first node
     order), so the stream is canonical and duplicate-free. Shape carries no
@@ -130,6 +135,9 @@ def enumerate_forests(
     used = set(roots)
     for g in gamma:
         used |= all_vars(g)
+    # No node is named like the origin of a derived name (`b` of `b@e`), so
+    # the elements in a derived name can be read back off it.
+    used |= {v.partition(ORIGIN_SEP)[0] for v in used}
 
     order: list[str] = list(roots)
     parents: dict[str, Optional[str]] = {r: None for r in roots}
@@ -262,41 +270,50 @@ def expand_forest(forest: SkolemForest, gamma: Iterable[Formula]) -> frozenset[F
 
     Every node contributes its non-existential members instantiated at the
     node; every non-leaf additionally contributes one existential per member,
-    rebound to the designated child. Instances are freshened one by one so
-    the result stays clean as a set.
+    rebound to the designated child. A member's binders are named by origin
+    at the node (`formulas.instance`), so what a node contributes depends on
+    the node alone and is cached on the universal: expansion is lookups and
+    a set union.
     """
-    gamma = set(gamma)
     quant = Forall(forest.var, forest.psi)
     if quant not in gamma:
         raise FomlError("forest does not match the nested universal in gamma")
-
-    base = gamma - {quant}
-    forbidden: set[str] = set(forest.names())
-    for g in base:
-        forbidden |= all_vars(g)
-
-    out = set(base)
+    out = set(gamma)
+    out.remove(quant)
     for node in forest.nodes:
-        exists_seen = 0
-        for member in node.atom.members:
-            if isinstance(member, Exists):
-                slot = exists_seen
-                exists_seen += 1
-                if not node.children:
-                    continue
-                witness = node.children[slot]
-                inner = substitute(
-                    member.body, {forest.var: node.name, member.var: witness}
-                )
-                inner = clean_rename(inner, forbidden | {witness, node.name})
-                inst: Formula = Exists(witness, inner)
-            else:
-                inst = clean_rename(
-                    substitute(member, {forest.var: node.name}), forbidden
-                )
-            out.add(inst)
-            forbidden |= all_vars(inst)
+        out.update(_node_instances(quant, node))
     return frozenset(out)
+
+
+def _node_instances(quant: Forall, node: ForestNode) -> tuple[Formula, ...]:
+    """What one forest node adds to gamma: each member of its label as it
+    stands in `instance(quant, node.name)`, an existential member rebound to
+    its designated child, or left out at a leaf."""
+    table = instances(quant)
+    key = (node.name, node.atom, node.children)
+    out = table.get(key)
+    if out is None:
+        # The instance has the body's and/or skeleton, leaf for leaf.
+        at: dict[Formula, Formula] = {}
+        stack = [(quant.body, instance(quant, node.name))]
+        while stack:
+            a, b = stack.pop()
+            if type(a) is And or type(a) is Or:
+                stack += ((a.left, b.left), (a.right, b.right))
+            else:
+                at[a] = b
+        out = []
+        witnesses = iter(node.children)
+        for member in node.atom.members:
+            inst = at[member]
+            if type(member) is Exists:
+                witness = next(witnesses, None)
+                if witness is None:
+                    continue
+                inst = Exists(witness, substitute(inst.body, {inst.var: witness}))
+            out.append(inst)
+        out = table[key] = tuple(out)
+    return out
 
 
 def extend_forest(forest: SkolemForest, leaf: str, avoid: Iterable[str] = ()) -> SkolemForest:

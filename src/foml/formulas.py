@@ -64,7 +64,8 @@ class _Node:
     fills on first use the `formula_key` and `alpha_key` values; the fills of
     `formula_key`, of `nnf_complement`, and of `free_vars`, `all_vars` and
     the `_binders` count with them, run over `post_order` and fill the
-    node's whole DAG. A `Forall` also keeps its `instance`s."""
+    node's whole DAG. A `Forall` also keeps its named instances
+    (`instances`)."""
 
     __slots__ = ("_hash", "_key", "_compl", "_free", "_all", "_binders", "_alpha",
                  "__weakref__")
@@ -243,7 +244,7 @@ class Exists(_Quant):
 
 
 class Forall(_Quant):
-    __slots__ = ("_inst",)  # filled by `instance`
+    __slots__ = ("_inst",)  # filled by `instances`
     _op = "forall"
 
 
@@ -487,8 +488,7 @@ def substitute(phi: Formula, mapping: Mapping[Var, Var]) -> Formula:
     """Rename free occurrences of variables.
 
     Binders shadow the mapping. Capture (a binder equal to the new name of
-    a variable that occurs free below it) is an internal error; callers
-    freshen binders beforehand.
+    a variable that occurs free below it) is an internal error.
     """
     if mapping.keys().isdisjoint(free_vars(phi)):
         return phi
@@ -502,28 +502,61 @@ def substitute(phi: Formula, mapping: Mapping[Var, Var]) -> Formula:
     return _rename(phi, mapping, bind)
 
 
-def instance(q: Forall, z: Var) -> Formula:
-    """The universal's body at element z, before its binders are freshened:
-    `substitute(q.body, {q.var: z})`, cached on q per element, as its
-    complement is, so every search and check shares it."""
-    table = getattr(q, "_inst", None)
+# Joins a binder's name to the element its universal was instantiated at:
+# the binder `b` in a universal's instance at element `e` is named `b@e`, so
+# a name depends only on its origin, the input binder, and the elements on
+# the way. The parser reads it inside variable names, since certificates
+# print forests whose formulas carry such names; `clean_rename` renames an
+# input binder that carries it, and a search refuses an input variable that
+# does (`tableau.init_root`).
+ORIGIN_SEP = "@"
+
+
+def instances(q: Forall) -> dict:
+    """The universal's cache of named instances, made on first use: each
+    body `instance` named, under its element, and what each skolem-forest
+    node adds (`forest.expand_forest`), under the node's name, label and
+    children. Every search, check and rebuild shares it."""
+    table = getattr(q, "_inst", None)  # the slot is unset until first use
     if table is None:
         table = {}
         _set_inst(q, table)
+    return table
+
+
+def instance(q: Forall, z: Var) -> Formula:
+    """The universal's body at element z, each binder `b` in it named by
+    its origin, `b@z`: `forall w` in the instance at `v1` binds `w@v1`, and a
+    binder `z@v1` instantiated at `v5` becomes `z@v1@v5`. The name depends
+    only on the universal and the element, never on what else is in gamma,
+    so the instance is made once per (universal, element) and cached on the
+    universal (`instances`)."""
+    table = instances(q)
     body = table.get(z)
     if body is None:
-        body = table[z] = substitute(q.body, {q.var: z})
+        free_vars(q.body)  # fills the counts `_rename` reads
+        tag = ORIGIN_SEP + z
+
+        def bind(node: _Quant, ren: dict) -> tuple:
+            new = node.var + tag
+            if new in node._free:
+                raise FomlError(f"the instance at {z!r} would capture {new!r}")
+            return new, {**ren, node.var: new}
+
+        body = table[z] = _rename(q.body, {q.var: z}, bind)
     return body
 
 
 def clean_rename(phi: Formula, forbidden: Iterable[Var] = ()) -> Formula:
     """Rewrite binders one by one, in preorder, so the result is clean and
-    avoids the forbidden names.
+    avoids the forbidden names: the normalization of input formulas.
 
-    A binder is kept when its name is still unused; otherwise it becomes the
-    first variable of the fixed enumeration that clashes with nothing. The
-    result is alpha-equivalent to the input and deterministic. A formula
-    without binders is its own result.
+    A binder is kept when its name is still unused and carries no
+    `ORIGIN_SEP`, which instance binders own (`instance`); otherwise it
+    becomes the first variable of the fixed enumeration that clashes with
+    nothing. The result is alpha-equivalent to the input and deterministic.
+    A formula without binders is its own result. Search renames nothing:
+    instances name their binders by origin.
     """
     free = free_vars(phi)  # fills the binder count too
     if phi._binders == 0:
@@ -534,7 +567,7 @@ def clean_rename(phi: Formula, forbidden: Iterable[Var] = ()) -> Formula:
     def bind(node: _Quant, ren: dict) -> tuple:
         # A kept binder shadows no renamed one: those names are all used.
         name = node.var
-        if name not in used:
+        if name not in used and ORIGIN_SEP not in name:
             used.add(name)
             return name, ren
         new = fresh_var(used | taken)

@@ -118,10 +118,18 @@ def _eval(model: KripkeModel, w: str, sigma: Assignment, phi: Formula) -> bool:
         return args in model.facts(w, phi.name)
     if isinstance(phi, Not):
         return not _eval(model, w, sigma, phi.body)
-    if isinstance(phi, And):
-        return _eval(model, w, sigma, phi.left) and _eval(model, w, sigma, phi.right)
-    if isinstance(phi, Or):
-        return _eval(model, w, sigma, phi.left) or _eval(model, w, sigma, phi.right)
+    if isinstance(phi, (And, Or)):
+        # A chain of one connective is walked in a loop, left to right, so
+        # its length costs no depth; the first operand that decides it ends it.
+        kind, decides = type(phi), type(phi) is Or
+        stack = [phi]
+        while stack:
+            node = stack.pop()
+            if type(node) is kind:
+                stack += (node.right, node.left)
+            elif _eval(model, w, sigma, node) is decides:
+                return decides
+        return not decides
     if isinstance(phi, (Exists, Forall)):
         test = any if isinstance(phi, Exists) else all
         return test(
@@ -147,8 +155,9 @@ def model_to_json_dict(model: KripkeModel) -> dict:
 
 
 def model_to_json(model: KripkeModel) -> str:
-    """Canonical serialization: keys and lists sorted, stable byte for byte."""
-    return json.dumps(model_to_json_dict(model), sort_keys=True, indent=2) + "\n"
+    """Canonical serialization, one line: keys and lists sorted, stable byte
+    for byte. `model_from_json` reads any layout, indented files too."""
+    return json.dumps(model_to_json_dict(model), sort_keys=True) + "\n"
 
 
 _MODEL_KEYS = ["delta", "domain", "edges", "valuation", "worlds"]

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .formulas import (
+    ORIGIN_SEP,
     And,
     Box,
     Diamond,
@@ -65,10 +66,11 @@ class _Token(NamedTuple):
 # One named group per token kind, tried in order: `word` is a keyword,
 # predicate or variable, `skip` a comment, and `stray` and `bad` catch what
 # no token starts with. `finditer` steps over whitespace, which no group
-# matches.
+# matches. A word may carry `ORIGIN_SEP` after its first letter: instance
+# binders are named `b@e` (`formulas.instance`), and certificates print them.
 _TOKEN = re.compile(
-    r"""
-    (?P<word>[A-Za-z][A-Za-z0-9_]*)
+    rf"""
+    (?P<word>[A-Za-z][A-Za-z0-9_{ORIGIN_SEP}]*)
   | (?P<lparen>\()
   | (?P<rparen>\))
   | (?P<comma>,)
@@ -222,46 +224,70 @@ def parse_formula(text: str) -> Formula:
     return _Parser(text).parse()
 
 
-_LEVEL_OR = 1
-_LEVEL_AND = 2
-_LEVEL_UNARY = 3
-
-
-def _render(phi: Formula) -> tuple[str, int, bool]:
-    """Returns (text, precedence level, ends-in-open-quantifier-scope)."""
-    if isinstance(phi, Pred):
-        if phi.args:
-            return f"{phi.name}({', '.join(phi.args)})", _LEVEL_UNARY, False
-        return phi.name, _LEVEL_UNARY, False
-    if isinstance(phi, (Not, Box, Diamond)):
-        op = {"Not": "~", "Box": "[] ", "Diamond": "<> "}[type(phi).__name__]
-        text, level, open_scope = _render(phi.body)
-        if level < _LEVEL_UNARY:
-            text, open_scope = f"({text})", False
-        return op + text, _LEVEL_UNARY, open_scope
-    if isinstance(phi, (Exists, Forall)):
-        kw = "exists" if isinstance(phi, Exists) else "forall"
-        body, _, _ = _render(phi.body)
-        return f"{kw} {phi.var}. {body}", _LEVEL_UNARY, True
-    if isinstance(phi, And):
-        return _binary(phi, "&", _LEVEL_AND)
-    return _binary(phi, "|", _LEVEL_OR)
-
-
-def _binary(phi, op: str, level: int) -> tuple[str, int, bool]:
-    """`&` and `|` associate to the left: a right child at the same level is
-    parenthesised."""
-    ltext, llevel, lopen = _render(phi.left)
-    # The operator follows the left child, so an open quantifier scope there
-    # would swallow it on re-parse.
-    if llevel < level or lopen:
-        ltext = f"({ltext})"
-    rtext, rlevel, ropen = _render(phi.right)
-    if rlevel <= level:
-        rtext, ropen = f"({rtext})", False
-    return f"{ltext} {op} {rtext}", level, ropen
+# Binding levels: `|` 1, `&` 2, and 3, the tightest, for every other kind.
+_LEVEL = {Or: 1, And: 2}
+_PREFIX = {Not: "~", Box: "[] ", Diamond: "<> "}
 
 
 def print_formula(phi: Formula) -> str:
-    """Render with minimal parentheses; parse_formula inverts it exactly."""
-    return _render(phi)[0]
+    """Render with minimal parentheses; parse_formula inverts it exactly.
+
+    `&` and `|` associate to the left, so a right operand at the same level
+    is parenthesised, and so is a left operand whose text ends in an open
+    quantifier scope (`_ends_open`), which would swallow the operator on
+    re-parse. The text is written off an explicit stack, so any depth
+    prints."""
+    parts: list[str] = []
+    out = parts.append
+    stack: list = [phi]
+    push, pop = stack.append, stack.pop
+    while stack:
+        node = pop()
+        t = type(node)
+        if t is str:
+            out(node)
+        elif t is Pred:
+            out(f"{node.name}({', '.join(node.args)})" if node.args else node.name)
+        elif t is Exists or t is Forall:
+            out(f"{node._op} {node.var}. ")
+            push(node.body)
+        elif t in _PREFIX:
+            out(_PREFIX[t])
+            body = node.body
+            if type(body) in _LEVEL:
+                stack += (")", body, "(")
+            else:
+                push(body)
+        else:
+            level, left, right = _LEVEL[t], node.left, node.right
+            if _LEVEL.get(type(right), 3) <= level:
+                stack += (")", right, "(")
+            else:
+                push(right)
+            push(node._op)
+            if _LEVEL.get(type(left), 3) < level or _ends_open(left):
+                stack += (")", left, "(")
+            else:
+                push(left)
+    return "".join(parts)
+
+
+def _ends_open(phi: Formula) -> bool:
+    """Whether phi's text ends in an open quantifier scope: its right spine,
+    through unary bodies and unparenthesised right operands, reaches a
+    quantifier. Each node lies on the spine of one left operand, so the
+    checks of one print walk each node once."""
+    while True:
+        t = type(phi)
+        if t is Exists or t is Forall:
+            return True
+        if t is Pred:
+            return False
+        if t in _LEVEL:
+            if _LEVEL.get(type(phi.right), 3) <= _LEVEL[t]:
+                return False
+            phi = phi.right
+        elif type(phi.body) in _LEVEL:
+            return False
+        else:
+            phi = phi.body

@@ -22,9 +22,6 @@ a rule: `read_choices` reads the choices off the node states, and reading
 a certificate back replays them and compares the choices, which keeps the
 reader and the rules in step. Forests are enumerated lazily, and diamond
 children are all required at once, so those two steps are listed apart.
-Writing a certificate prints theta, and `print_formula` recurses, so a
-theta nested about 500 deep (a 500-literal conjunction) is decided but its
-certificate cannot be written.
 """
 
 from __future__ import annotations
@@ -36,6 +33,7 @@ from itertools import chain
 from typing import Iterable, Optional
 
 from .formulas import (
+    ORIGIN_SEP,
     And,
     Atom,
     Box,
@@ -53,7 +51,6 @@ from .formulas import (
     all_vars,
     alpha_key,
     classify_fragment,
-    clean_rename,
     formula_key,
     free_vars,
     fresh_var,
@@ -65,7 +62,6 @@ from .formulas import (
     nnf_complement,
     outer_ex_vars,
     post_order,
-    var_key,
 )
 from .forest import (
     EMPTY_TREE,
@@ -192,10 +188,15 @@ class SearchResult:
 def init_root(theta: Formula) -> TableauNode:
     """Root node: gamma = {theta} over the root domain, which holds theta's
     free variables, its outer existential witnesses and one fresh variable,
-    so it is never empty."""
+    so it is never empty. A variable of theta may not carry `ORIGIN_SEP`,
+    which names instance binders."""
     _require_nnf(theta)
     if not is_clean(theta):
         raise FragmentError("input formula must be clean")
+    if any(ORIGIN_SEP in v for v in all_vars(theta)):
+        raise FragmentError(
+            f"variable names with {ORIGIN_SEP!r} are kept for instance binders"
+        )
     fragment = classify_fragment(theta)
     if fragment.category != EBBE:
         raise FragmentError(
@@ -268,8 +269,10 @@ def successors(
     """The (gamma, S, forest) states a same-world rule allows: one per
     disjunct gamma leaves open at `or` (`_open_disjuncts`: two, one or
     none), the single child of every other kind. Search and the verifier
-    read a rule's children from here; the `forall` rule takes each instance
-    from the universal's own cache (`instance`)."""
+    read a rule's children from here. The `forall` rule adds the universal's
+    instance at each element of S, each taken from the universal's own
+    cache (`instance`): an instance names its binders by origin, so it
+    needs no renaming against gamma."""
     if kind == "trivialSkolem":
         return [(gamma, s, EMPTY_TREE)]
     if kind == "end":
@@ -286,16 +289,7 @@ def successors(
             )
         return [(rest | {pivot.body}, s, forest)]
     if kind == "forall":
-        # One freshened instance per domain variable, in domain order.
-        forbidden = set(s)
-        for g in rest:
-            forbidden |= all_vars(g)
-        out = set(rest)
-        for z in sorted(s, key=var_key):
-            inst = clean_rename(instance(pivot, z), forbidden)
-            out.add(inst)
-            forbidden |= all_vars(inst)
-        return [(frozenset(out), s, forest)]
+        return [(rest.union([instance(pivot, z) for z in s]), s, forest)]
     raise FomlError(f"{kind!r} is not a same-world rule")
 
 

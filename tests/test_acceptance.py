@@ -123,7 +123,7 @@ def test_extension_dynamics_through_five_rounds(phi1, phi1_result):
     pinned = (DATA / "phi1_trace5.jsonl").read_text(encoding="utf-8")
     assert trace_to_ndjson(trace) == pinned
     assert status == RESIDUAL
-    assert [s.leaf for s in trace.steps] == ["v2", "v7", "v10", "v13", "v16"]
+    assert [s.leaf for s in trace.steps] == ["v2", "v3", "v4", "v5", "v6"]
     for step, successor in zip(trace.steps, trace.steps[1:]):
         assert successor.leaf == step.fresh[0]
     assert [len(m.local_domain["r.0"]) for m in trace.snapshots] == [3, 4, 5, 6, 7, 8]

@@ -62,6 +62,33 @@ def test_sat_writes_a_deep_certificate_in_one_line(runner, tmp_path):
     assert (cert == tree) is False
 
 
+def test_sat_certifies_a_1500_literal_conjunction(runner, tmp_path):
+    """`print_formula` runs on an explicit stack, so `foml sat` writes the
+    certificate of a conjunction nested 1,500 deep, and `foml verify`
+    accepts it: the parser reads a flat conjunction in a loop."""
+    path = write(tmp_path, "conj.foml", " & ".join(f"P{i}(x)" for i in range(1500)))
+    result = runner.invoke(main, ["sat", path])
+    assert result.exit_code == 0, result.output
+    result = runner.invoke(main, ["verify", path + ".cert.json"])
+    assert result.exit_code == 0, result.output
+    assert result.output.splitlines() == [
+        "VALID", "the model satisfies theta at its root"
+    ]
+
+
+def test_sat_renames_an_input_binder_that_carries_the_separator(runner, tmp_path):
+    """`@` joins instance binder names; an input binder that carries it is
+    renamed on loading, and the certificate verifies. (A free variable that
+    carries it is an input error: `test_bad_input_exits_3_with_one_error_line`.)"""
+    path = write(tmp_path, "sep.foml", "<> forall x@v0 . exists y . [] P(x@v0, y)")
+    result = runner.invoke(main, ["sat", path])
+    assert result.exit_code == 0, result.output
+    assert '"theta": "<> forall v0. exists y. [] P(v0, y)"' in (
+        tmp_path / "sep.foml.cert.json"
+    ).read_text()
+    assert runner.invoke(main, ["verify", path + ".cert.json"]).exit_code == 0
+
+
 def test_sat_json_format(runner, tmp_path):
     path = write(tmp_path, "phi.foml", SIMPLE_TEXT)
     result = runner.invoke(main, ["sat", path, "--format", "json"])
@@ -184,7 +211,7 @@ def test_sat_resource_exit_code(runner, tmp_path):
 
 
 def test_model_rebuild_resource_exit_code(runner, tmp_path):
-    # 300 nodes admit the 207-node flagship search and the 235-node first
+    # 300 nodes admit the 199-node flagship search and the 235-node first
     # rebuild, but not the 398-node second one.
     path = write(tmp_path, "phi.foml", PHI1_TEXT)
     result = runner.invoke(
@@ -195,7 +222,7 @@ def test_model_rebuild_resource_exit_code(runner, tmp_path):
     assert result.stderr.count("tableau node budget exceeded") == 1
     # The rebuild names the extended world, then the world the budget hit.
     assert (
-        "failed at r.0 leaf 'v7': tableau node budget exceeded at r.0.3.8 "
+        "failed at r.0 leaf 'v3': tableau node budget exceeded at r.0.3.8 "
         "(work count 301)" in result.stderr
     )
     result = runner.invoke(main, ["model", path, "--limits", "tableau=5"])
@@ -242,8 +269,8 @@ def write_model(tmp_path, name, **fields):
         ["gen", "--max-predicates", "0", "--max-arity", "0"],
         ["gen", "--count", "-2"],
         ["difftest", "-n", "-5", "--report", "{dir}/r.jsonl"],
-        ["sat", "{conj}"],
         ["sat", "{neg}"],
+        ["sat", "{reserved}"],
         ["check-model", "{delta_list}", "{simple}"],
         ["check-model", "{valuation_list}", "{simple}"],
         ["check-model", "{number_world}", "{simple}"],
@@ -254,7 +281,7 @@ def write_model(tmp_path, name, **fields):
         "missing-file", "unknown-option", "option-of-another-command",
         "oracle-zero-worlds", "difftest-zero-worlds", "gen-zero-depth",
         "gen-no-predicates", "gen-negative-count", "difftest-negative-count",
-        "1500-literal-conjunction", "3000-nested-negations",
+        "3000-nested-negations", "free-variable-with-separator",
         "model-delta-is-a-list", "model-valuation-is-a-list",
         "model-world-is-a-number", "verify-missing-file",
         "verify-not-json",
@@ -264,8 +291,8 @@ def test_bad_input_exits_3_with_one_error_line(runner, tmp_path, args):
     paths = {
         "dir": str(tmp_path),
         "simple": write(tmp_path, "simple.foml", SIMPLE_TEXT),
-        "conj": write(tmp_path, "conj.foml", " & ".join(f"P{i}(x)" for i in range(1500))),
         "neg": write(tmp_path, "neg.foml", "~" * 3000 + "P(x)"),
+        "reserved": write(tmp_path, "reserved.foml", "P(a@v0) & <> Q(a@v0)"),
         "delta_list": write_model(tmp_path, "delta.json", delta=[]),
         "valuation_list": write_model(tmp_path, "valuation.json", valuation=[]),
         "number_world": write_model(
@@ -401,6 +428,21 @@ def test_check_model_round_trip(runner, tmp_path):
         main, ["check-model", model_path, fact, "--world", "r.0", "--assign", "x=v0"]
     )
     assert miss.exit_code == 1 and miss.output.strip() == "false"
+
+
+def test_model_file_is_one_line_and_check_model_reads_it_indented(runner, tmp_path):
+    """`foml model` writes one line of canonical JSON; `check-model` reads
+    that file and the same document indented alike."""
+    phi_path = write(tmp_path, "phi.foml", PHI1_TEXT)
+    assert runner.invoke(main, ["model", phi_path, "--extensions", "1"]).exit_code == 0
+    text = (tmp_path / "phi.foml.model.json").read_text()
+    assert text.count("\n") == 1 and text.endswith("\n")
+    assert text == json.dumps(json.loads(text), sort_keys=True) + "\n"
+    indented = write(tmp_path, "indented.json", json.dumps(json.loads(text), indent=2))
+    probe = write(tmp_path, "probe.foml", "P(v0, v1)")
+    for path in (str(tmp_path / "phi.foml.model.json"), indented):
+        hit = runner.invoke(main, ["check-model", path, probe, "--world", "r.0.0.0"])
+        assert (hit.exit_code, hit.output) == (0, "true\n")
 
 
 def test_check_model_rejects_invalid_model(runner, tmp_path):

@@ -1,6 +1,8 @@
 import dataclasses
 import gc
 import json
+import random
+import sys
 
 import pytest
 
@@ -20,9 +22,19 @@ from foml.extraction import (
     trace_to_ndjson,
 )
 from foml.forest import NOT_INIT
-from foml.formulas import FomlError, ResourceLimit, instance, substitute
+from foml.formulas import (
+    ORIGIN_SEP,
+    FomlError,
+    ResourceLimit,
+    all_vars,
+    clean_rename,
+    free_vars,
+    instance,
+    instances,
+)
 from foml.kripke import KripkeModel, check, validate_model
 
+from foml.testgen import GenConfig, gen_formula
 from foml.tableau import (
     SearchLimits,
     TableauNode,
@@ -109,7 +121,7 @@ def test_extend_tableau_moves_flagship_violation(phi1, phi1_result):
     m1 = extract_model(ext)
     violations = find_leaf_violations(ext, m1)
     assert [(leaf, str(f)) for _, leaf, f in violations] == [
-        ("v7", "(exists y. [][]P(v7,y))")
+        ("v3", "(exists y. [][]P(v3,y))")
     ]
 
 
@@ -149,36 +161,47 @@ def test_extend_tableau_rejects_rebuild_without_grown_forest(monkeypatch):
         extend_tableau(SIMPLE, t, forest_world(t), "v2")
 
 
-def test_a_universal_instance_is_substituted_once(monkeypatch):
+def test_a_universal_instance_is_substituted_once():
     """A flagship search, its certificate read-back, a verification and
     three rebuilds take each (universal, element) instance from the
-    universal's cache, so `substitute` runs once per pair. The predicate
-    is renamed, so the universals are new nodes with empty caches."""
+    universal's cache, so `instance` names each one once, and forest
+    expansion takes its instances from the same cache. Nothing renames
+    against gamma: `clean_rename` never runs. Calls are seen with a
+    profile hook, however a module imports the names. The predicate is
+    renamed, so the universals are new nodes with empty caches."""
     gc.collect()  # nodes of an earlier run of this test, kept by cycles
     phi = norm(PHI1_TEXT.replace("P(", "Pinst("))
-    asked, made = set(), []
-    real_instance, real_substitute = instance, substitute
+    asked, made, renamed = set(), [], []
+    name_once = instance.__code__
+    rename, clean = foml.formulas._rename.__code__, clean_rename.__code__
 
-    def counted_instance(q, z):
-        asked.add((q, z))
-        return real_instance(q, z)
+    def profile(frame, event, arg):
+        if event != "call":
+            return
+        code, args = frame.f_code, frame.f_locals
+        if code is name_once:
+            asked.add((args["q"], args["z"]))
+        elif code is rename and frame.f_back.f_code is name_once:
+            made.append((args["phi"], *args["ren"].items()))
+        elif code is clean:
+            renamed.append(args["phi"])
 
-    def counted_substitute(body, mapping):
-        made.append((body, *mapping.items()))
-        return real_substitute(body, mapping)
-
-    with monkeypatch.context() as m:
-        m.setattr(foml.tableau, "instance", counted_instance)
-        m.setattr(foml.formulas, "substitute", counted_substitute)
+    sys.setprofile(profile)
+    try:
         again = certificate_from_json(certificate_to_json(search(phi).tableau))
         assert verify_tableau(again, phi) == []
         iterate_extensions(phi, again, 3)
+    finally:
+        sys.setprofile(None)
+    assert renamed == []
     assert len(made) == len(set(made)) == len(asked) > 0
     assert {(body, var, z) for body, (var, z) in made} == {
         (q.body, q.var, z) for q, z in asked
     }
     for q, z in asked:
-        assert instance(q, z) is substitute(q.body, {q.var: z})
+        assert instance(q, z) is instances(q)[z]
+        assert all(ORIGIN_SEP + z in v for v in all_vars(instance(q, z)) - {z}
+                   - free_vars(q))
 
 
 def test_iterate_zero_rounds_statuses(phi1, phi1_result):
@@ -196,8 +219,8 @@ def test_iterate_zero_rounds_statuses(phi1, phi1_result):
 def test_iterate_flagship_progress(phi1, phi1_result):
     model, trace, status = iterate_extensions(phi1, phi1_result.tableau, 3)
     assert status == RESIDUAL
-    assert [s.leaf for s in trace.steps] == ["v2", "v7", "v10"]
-    assert [s.fresh for s in trace.steps] == [("v7",), ("v10",), ("v13",)]
+    assert [s.leaf for s in trace.steps] == ["v2", "v3", "v4"]
+    assert [s.fresh for s in trace.steps] == [("v3",), ("v4",), ("v5",)]
     assert [s.world for s in trace.steps] == ["r.0"] * 3
     assert [len(m.worlds) for m in trace.snapshots] == [23, 38, 57, 80]
     for k, snap in enumerate(trace.snapshots):
@@ -269,12 +292,6 @@ def test_extending_an_inner_forest_leaf_keeps_world_identity(text):
     assert len(trace.steps) == 1
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=FomlError,
-    reason="the rebuild renames existential witnesses, which are model "
-    "elements (v30 becomes v31 at r.0.21), so local domains shrink",
-)
 def test_extension_keeps_existential_witness_names():
     # Formula #126 of GenConfig(seed=33, max_depth=6).
     theta = norm(
@@ -286,6 +303,73 @@ def test_extension_keeps_existential_witness_names():
     assert res.status == "sat"
     _, trace, _ = iterate_extensions(theta, res.tableau, 1)
     assert len(trace.steps) == 1
+    # Witnesses are named by origin, so the rebuild keeps every old one, and
+    # each new element is the grown node or a witness named after it.
+    fresh = trace.steps[0].fresh
+    (grown,) = [e for e in fresh if ORIGIN_SEP not in e]
+    assert all(grown in e.split(ORIGIN_SEP) for e in fresh)
+    assert "b2@v3@v7" in fresh
+
+
+def test_hints_reach_the_witnesses_named_after_the_fresh_element(monkeypatch):
+    """A diamond that names the leaf only in a binder (`u@leaf`) has a twin
+    for the fresh element, and the `or` pick about the witness `u@leaf`
+    below it carries over as one about `u@fresh`: every rebuild searches
+    exactly what it keeps. Without either, each round tries the closing
+    left disjunct at the twin's first successor again."""
+    theta = norm(
+        "<> forall x . (exists y . [][] P(x,y)) & [][] ~P(x,x)"
+        " & <> (T & <> T & exists u . [] (((A(u) & <> C(u)) | B(u)) & [] ~C(u)))"
+    )
+    pairs = []
+
+    def counted(*args):
+        result = search(*args)
+        pairs.append((result.stats.nodes, sum(1 for _ in result.tableau.walk())))
+        return result
+
+    monkeypatch.setattr(foml.extraction, "search", counted)
+    _, trace, _ = iterate_extensions(theta, search(theta).tableau, 3)
+    assert pairs == [(47, 47), (58, 58), (69, 69)]
+    assert [s.fresh for s in trace.steps] == [
+        ("v3", "u@v3"), ("v4", "u@v4"), ("v5", "u@v5")
+    ]
+
+
+def test_one_extension_round_keeps_every_local_domain():
+    """On the SAT formulas of a slice of the seed-33 depth-6 corpus, #126
+    among them, one extension round renames no element: each round either
+    stops or extends, and never reports a local domain that shrank."""
+    rng, cfg = random.Random(33), GenConfig(seed=33, max_depth=6)
+    extended = 0
+    for _ in range(600):
+        theta = gen_formula(cfg, rng)
+        res = search(theta)
+        if res.status == "sat":
+            _, trace, _ = iterate_extensions(theta, res.tableau, 1)
+            extended += len(trace.steps)
+    assert extended >= 1
+
+
+def test_a_round_that_leaves_no_violation_checks_theta_at_the_root(
+    monkeypatch, phi1, phi1_result
+):
+    """After a repair round leaves no leaf violation, theta must hold at `r`
+    in the new model, or the loop raises the root check's message. No
+    corpus formula reaches that branch, so here the second look for leaf
+    violations is made to find none while the flagship still fails at `r`."""
+    real = find_leaf_violations
+    looks = []
+
+    def second_finds_none(tableau, model):
+        looks.append(model)
+        return real(tableau, model) if len(looks) == 1 else []
+
+    monkeypatch.setattr(foml.extraction, "find_leaf_violations", second_finds_none)
+    with pytest.raises(FomlError) as err:
+        iterate_extensions(phi1, phi1_result.tableau, 3)
+    assert str(err.value) == "no leaf violations remain but the root check fails"
+    assert len(looks) == 2
 
 
 def test_iterate_rejects_negative_rounds(phi1, phi1_result):

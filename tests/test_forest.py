@@ -129,6 +129,14 @@ def test_a_forest_of_more_nodes_than_the_recursion_limit_is_enumerated():
     assert validate_forest(forest, quant, roots) == []
 
 
+def test_node_names_avoid_the_origins_of_derived_names():
+    """`v1` is the origin of the name `v1@a` in gamma, so no node takes it:
+    the elements in a derived name stay readable off it."""
+    other = norm("P(v1@a)")
+    forest = next(enumerate_forests(CHAIN_Q, [CHAIN_Q, other], ["v0"]))
+    assert [n.name for n in forest.nodes] == ["v0", "v2", "v3"]
+
+
 def test_empty_root_set_gives_empty_forest():
     (f,) = enumerate_forests(CHAIN_Q, [CHAIN_Q], [])
     assert f.nodes == ()
@@ -146,8 +154,8 @@ def test_expand_no_exists_substitutes_directly():
     (f,) = enumerate_forests(CONJ_Q, [CONJ_Q], ["a", "b"])
     got = expand_forest(f, [CONJ_Q])
     assert sorted(str(g) for g in got) == [
-        "(forall v0. <>P(b,v0))",
-        "(forall y. <>P(a,y))",
+        "(forall y@a. <>P(a,y@a))",
+        "(forall y@b. <>P(b,y@b))",
         "Q(a)",
         "Q(b)",
     ]

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import norm, random_model, random_raw_formula, subformulas
 from foml.formulas import (
+    ORIGIN_SEP,
     And,
     ArityError,
     Box,
@@ -28,6 +29,8 @@ from foml.formulas import (
     formula_key,
     free_vars,
     fresh_var,
+    instance,
+    instances,
     is_clean,
     is_literal,
     is_module,
@@ -187,6 +190,32 @@ def test_clean_rename_properties(seed):
     assert not (set(ref_binders(out)) & forbidden)
     assert alpha_eq(phi, out)
     assert free_vars(out) == free_vars(phi)
+
+
+def test_clean_rename_gives_up_binder_names_with_the_separator():
+    """Instance binders own `ORIGIN_SEP`: normalizing an input renames a
+    binder that carries it, and keeps a free variable as it is."""
+    phi = parse_formula("(forall x@v0. <> P(x@v0)) & Q(a@b, a@b)")
+    assert str(clean_rename(phi)) == "((forall v0. <>P(v0)) & Q(a@b,a@b))"
+    assert ORIGIN_SEP == "@"
+
+
+def test_instance_names_binders_by_origin():
+    """A binder `b` in the instance at element `e` is `b@e`, and names grow
+    by one element per enclosing instantiation. Each instance is made once
+    per element and kept in the universal's cache."""
+    q = norm("forall x. <> ((forall w. <> exists z. [] P(x,w,z)) & exists y. [] P(x,y,y))")
+    at_v1 = instance(q, "v1")
+    assert str(at_v1) == (
+        "<>((forall w@v1. <>(exists z@v1. []P(v1,w@v1,z@v1)))"
+        " & (exists y@v1. []P(v1,y@v1,y@v1)))"
+    )
+    assert instance(q, "v1") is at_v1 is instances(q)["v1"]
+    inner = at_v1.body.left
+    assert str(instance(inner, "v5")) == "<>(exists z@v1@v5. []P(v1,v5,z@v1@v5))"
+    # A body whose free name is what a binder would become is refused.
+    with pytest.raises(FomlError, match="would capture 'y@v1'"):
+        instance(norm("forall x. <> exists y. [] P(x,y,y@v1)"), "v1")
 
 
 def test_fresh_var_enumeration_order():

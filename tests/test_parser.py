@@ -87,6 +87,14 @@ def test_error_spans_point_inside_input():
         assert 0 <= span.start <= span.end <= max(len(text), 1)
 
 
+def test_variable_names_may_carry_the_separator_after_a_letter():
+    """Certificates print instance binders such as `z@v1@v5`, so the parser
+    reads `@` inside a name; a word cannot start with it."""
+    phi = parse_formula("forall z@v1@v5. P(z@v1@v5, a)")
+    assert phi == Forall("z@v1@v5", Pred("P", ("z@v1@v5", "a")))
+    assert parse_formula(print_formula(phi)) is phi
+
+
 @pytest.mark.parametrize(
     "text, message, span",
     [

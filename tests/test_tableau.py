@@ -71,6 +71,8 @@ def test_init_root_rejects_bad_inputs():
         init_root(norm("forall x. P(x)"))
     with pytest.raises(FragmentError, match="Undecidable"):
         init_root(norm("(exists x . [] P(x)) & [] forall y . <> Q(y,y)"))
+    with pytest.raises(FragmentError, match="kept for instance binders"):
+        init_root(norm("P(a@v0) & <> forall x. exists y. [] Q(x,y)"))
 
 
 def test_select_rule_priorities():
@@ -126,7 +128,7 @@ def test_or_rule_offers_only_the_disjuncts_gamma_leaves_open():
 
 def test_flagship_is_satisfiable(phi1_result):
     assert phi1_result.status == SAT
-    assert phi1_result.stats.nodes == 207
+    assert phi1_result.stats.nodes == 199
 
 
 def test_flagship_rebuilds_search_pinned_node_counts(monkeypatch, phi1, phi1_result):
@@ -170,12 +172,12 @@ def test_flagship_rebuilds_search_exactly_what_they_keep(
 
 # sha256 of certificate_to_json of the flagship's rebuilds in rounds 1-6.
 REBUILD_CERTIFICATE_SHA256 = [
-    "e7392374461992cb2b6c6c85c4cbb4c2015ecea30b1f2083bc2ed05e6e6404ec",
-    "70a4280131d911dc8cfbb9538a4a6a55495ecabff3399b02075eafb10ed1da64",
-    "41e17816004630c07030081d7aa0e6c421da21614c070dbc31b0e9fd4b70e925",
-    "7e53fc056cab266d5a6b4927318793e5a454a6d5148197074d2982fe611f1324",
-    "fd029dd0486d201264830e12dfe46ad4fdd950274d7b743a6e693cb00e0655f9",
-    "2c5ed6584cc6aacd32c6609ff44f52e06cf051925c3338d8d823ba23698a86cb",
+    "08693c27b2f533f718e892d12b774e1e8a5827d00d5597f3166dcce0fa2b6271",
+    "6c8fdfd911318ea3ebd821bfc35e710d9b744c8416370a459da123c1f88a1b1f",
+    "99749f3c9030a73ab004ceb910ea850face4d7c06c8591b57988626a9097a36c",
+    "16ce3125cbb51ea07f6fad24d9e40371210fc60ae25674b5fce4e54af214c8ef",
+    "b808b661b7f7a41bb703ccc1823ac5ed733c683ecdcdfed8c55ffce8e2841953",
+    "82cb80ebd38bcc2703c05960dc8195dba918c4e70d2481e7aef345d92d361942",
 ]
 
 
@@ -677,7 +679,7 @@ def _flipped_pick(doc):
     doc["or_choice"][0][2] ^= 1
     return (
         "invalid certificate: the replay ran past its budget: tableau node "
-        "budget exceeded at r.0.2.0 (work count 124)"
+        "budget exceeded at r.0.2.4 (work count 124)"
     )
 
 
@@ -694,9 +696,9 @@ def _unused_pick(doc):
 
 
 def _decided_pick(doc):
-    # At r.0.0.0 gamma holds ~P(v1,v0), so this `or` is no choice: the replay
+    # At r.0.0.0 gamma holds ~P(v0,v0), so this `or` is no choice: the replay
     # keeps its left disjunct, as the entry says, and reads no pick back.
-    doc["or_choice"].append([[0, 0, 0], "((~P(v1,v1) | ~P(v1,v0)) | P(v1,v0))", 0])
+    doc["or_choice"].append([[0, 0, 0], "((~P(v0,v0) | ~P(v0,v1)) | P(v0,v1))", 0])
     return "invalid certificate: or_choice at r.0.0.0 is never used"
 
 
