@@ -22,10 +22,10 @@ from .formulas import (
     Pred,
     ResourceLimit,
     all_vars,
-    alpha_key,
     formula_key,
     free_vars,
     is_literal,
+    rename_vars,
     substitute,
     var_key,
 )
@@ -39,6 +39,7 @@ from .tableau import (
     SearchLimits,
     TableauNode,
     is_closed,
+    is_saturated,
     read_choices,
     render_world,
     replay_guidance,
@@ -71,7 +72,7 @@ def extract_model(tableau: TableauNode) -> KripkeModel:
     `verify_tableau` checks every node."""
     last: dict[tuple[int, ...], TableauNode] = {}
     for world, node in tableau.walk():
-        if not node.children and any(not is_literal(g) for g in node.gamma):
+        if not node.children and not is_saturated(node.gamma):
             raise FomlError("tableau is not saturated")
         last[world] = node
     if any(is_closed(node.gamma) for node in last.values()):
@@ -244,7 +245,8 @@ def _carry_hints(
     element stands one step further down the forest than the leaf, so a
     pivot about the leaf and its parent is met in the twin's subtree about
     the fresh element and its parent. A renaming reaches into derived
-    names too: a witness `y@leaf` stands for `y@fresh` (`_renamed`). Hints
+    names too, free or bound: a witness or binder `y@leaf` stands for
+    `y@fresh` (`_renamed`), since hints name formulas by `formula_key`. Hints
     only reorder alternatives, so a wrong guess costs search, never a
     verdict.
     """
@@ -278,23 +280,24 @@ def _carry_hints(
             picks = [(w, choice) for w, kind, choice in below if kind == "or"]
             for w, kind, choice in below:
                 if kind == "diamond":
-                    order = [alpha_key(_renamed(g, ren)) for g in choice]
+                    order = [formula_key(_renamed(g, ren)) for g in choice]
                     guided.diamond_order.setdefault(w, order)
             for mapping in (ren, shift):
                 for w, (pivot, idx) in picks:
-                    key = (w, alpha_key(_renamed(pivot, mapping)))
+                    key = (w, formula_key(_renamed(pivot, mapping)))
                     guided.or_choice.setdefault(key, idx)
 
 
 def _renamed(phi: Formula, ren: dict) -> Formula:
-    """phi with the elements `ren` maps renamed, alone or inside the free
-    names derived from them: with `{v2: v3}`, `y@v2@v0` becomes `y@v3@v0`."""
+    """phi with the elements `ren` maps renamed, alone or inside the names
+    derived from them, free or bound: with `{v2: v3}`, `y@v2@v0` becomes
+    `y@v3@v0`, and the binder `u@v2` becomes `u@v3`."""
     mapping = {}
-    for v in free_vars(phi):
+    for v in all_vars(phi):
         new = ORIGIN_SEP.join([ren.get(p, p) for p in v.split(ORIGIN_SEP)])
         if new != v:
             mapping[v] = new
-    return substitute(phi, mapping)
+    return rename_vars(phi, mapping)
 
 
 def _monotone_violations(old: KripkeModel, new: KripkeModel) -> list[str]:

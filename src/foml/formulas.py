@@ -61,13 +61,13 @@ class _Node:
     children alive, so their ids cannot be reused while it stands.
 
     A node is immutable. It holds its hash, computed once when built, and
-    fills on first use the `formula_key` and `alpha_key` values; the fills of
-    `formula_key`, of `nnf_complement`, and of `free_vars`, `all_vars` and
-    the `_binders` count with them, run over `post_order` and fill the
-    node's whole DAG. A `Forall` also keeps its named instances
-    (`instances`)."""
+    fills on first use what the tableau asks of it: `formula_key` with
+    `rule_rank`, `nnf_complement`, `free_vars`, `all_vars` and `_binders`,
+    each over `post_order` for the whole DAG; a `Forall` also keeps
+    `is_nested_forall` and `instances`, a `Box` or `Diamond` its
+    `outer_witnesses`."""
 
-    __slots__ = ("_hash", "_key", "_compl", "_free", "_all", "_binders", "_alpha",
+    __slots__ = ("_hash", "_key", "_compl", "_free", "_all", "_binders", "_rank",
                  "__weakref__")
     _fields: tuple[str, ...] = ()
     _op = ""
@@ -102,6 +102,7 @@ _MIN_SWEEP = 128
 _sweep_at = _MIN_SWEEP
 _ref = weakref.ref
 _blank = object.__new__
+_UNRANKED = ()  # sorts before every filled `rule_rank`
 
 
 def _sweep() -> None:
@@ -116,7 +117,7 @@ def _enter(node, key):
     _set_compl(node, None)
     _set_free(node, None)
     _set_all(node, None)
-    _set_alpha(node, None)
+    _set_rank(node, _UNRANKED)
     _TABLE[key] = _ref(node)
     if len(_TABLE) >= _sweep_at:
         _sweep()
@@ -130,7 +131,7 @@ _set_compl = _Node._compl.__set__
 _set_free = _Node._free.__set__
 _set_all = _Node._all.__set__
 _set_binders = _Node._binders.__set__
-_set_alpha = _Node._alpha.__set__
+_set_rank = _Node._rank.__set__
 
 
 class Pred(_Node):
@@ -173,6 +174,8 @@ class _Unary(_Node):
         node = _blank(cls)
         _set_body(node, body)
         _set_hash(node, hash((cls._op, body._hash)))
+        if cls is not Not:
+            _set_outer(node, None)
         return _enter(node, key)
 
 
@@ -216,6 +219,8 @@ class _Quant(_Node):
         _set_var(node, var)
         _set_quant_body(node, body)
         _set_hash(node, hash((cls._op, var, body._hash)))
+        if cls is Forall:
+            _set_nested(node, None)
         return _enter(node, key)
 
 
@@ -244,19 +249,27 @@ class Exists(_Quant):
 
 
 class Forall(_Quant):
-    __slots__ = ("_inst",)  # filled by `instances`
+    __slots__ = ("_inst", "_nested")  # see `instances`, `is_nested_forall`
     _op = "forall"
 
 
 _set_inst = Forall._inst.__set__
+_set_nested = Forall._nested.__set__
 
 
-class Box(_Unary):
+class _Modal(_Unary):
+    __slots__ = ("_outer",)  # see `outer_witnesses`
+
+
+_set_outer = _Modal._outer.__set__
+
+
+class Box(_Modal):
     __slots__ = ()
     _op = "[]"
 
 
-class Diamond(_Unary):
+class Diamond(_Modal):
     __slots__ = ()
     _op = "<>"
 
@@ -266,62 +279,57 @@ Formula = Union[Pred, Not, And, Or, Exists, Forall, Box, Diamond]
 _ENUM_VAR = re.compile(r"v(\d+)\Z")
 
 
-def _render(phi: Formula) -> str:
-    """The `alpha_key` of phi, built in one walk with an explicit stack. No
-    key cached below phi is reused, since a binder's name depends on its
-    depth."""
-    parts: list[str] = []
-    stack: list = [(phi, {}, 0)]
-    while stack:
-        item = stack.pop()
-        if type(item) is str:
-            parts.append(item)
-            continue
-        node, ren, depth = item
-        if type(node) is Pred:
-            args = ",".join([ren.get(a, a) for a in node.args])
-            parts.append(f"{node.name}({args})" if args else node.name)
-        elif isinstance(node, _Binary):
-            parts.append("(")
-            stack += (")", (node.right, ren, depth), node._op, (node.left, ren, depth))
-        elif isinstance(node, _Quant):
-            name = f"#{depth}"
-            parts.append(f"({node._op} {name}. ")
-            stack += (")", (node.body, {**ren, node.var: name}, depth + 1))
-        else:
-            parts.append(node._op)
-            stack.append((node.body, ren, depth))
-    return "".join(parts)
+# The tableau's rule priority by node kind (`tableau.select_rule`); no rule
+# takes a negation that is not a literal, nor a literal, which ranks last.
+RULE_PRIORITY = {And: 0, Or: 1, Exists: 2, Forall: 3, Diamond: 4, Box: 5, Not: 6}
+LITERAL_RANK = (7,)
+# The ranks of kinds whose rule takes no single pivot, known without a key.
+_KEYLESS_RANK = {Pred: LITERAL_RANK, **{t: (RULE_PRIORITY[t],) for t in (Diamond, Box)}}
 
 
 def formula_key(phi: Formula) -> str:
     """Stable sort key so iteration over formula sets is deterministic: the
     formula's `str`. One fold over phi's DAG fills the key of every node
-    below phi that has none, each from its children's keys."""
+    below phi that has none, each from its children's keys, and the node's
+    `rule_rank` with it."""
     key = phi._key
     if key is None:
         for node in post_order(phi, slot=_Node._key):
-            if type(node) is Pred:
+            t = type(node)
+            if t is Pred:
                 key = f"{node.name}({','.join(node.args)})" if node.args else node.name
-            elif isinstance(node, _Binary):
+                rank = LITERAL_RANK
+            elif t is And or t is Or:
                 key = f"({node.left._key}{node._op}{node.right._key})"
-            elif isinstance(node, _Quant):
+                rank = (RULE_PRIORITY[t], key)
+            elif t is Exists or t is Forall:
                 key = f"({node._op} {node.var}. {node.body._key})"
+                rank = (RULE_PRIORITY[t], key)
             else:
                 key = node._op + node.body._key
+                if t is not Not:
+                    rank = _KEYLESS_RANK[t]
+                elif type(node.body) is Pred:
+                    rank = LITERAL_RANK
+                else:
+                    rank = (RULE_PRIORITY[Not],)
             _set_key(node, key)
+            _set_rank(node, rank)
     return key
 
 
-def alpha_key(phi: Formula) -> str:
-    """`formula_key` up to bound-variable names: binder d levels deep is
-    named `#d`. Alpha-equivalent formulas share a key, and a formula without
-    binders keeps its `formula_key`."""
-    key = phi._alpha
-    if key is None:
-        key = _render(phi)
-        _set_alpha(phi, key)
-    return key
+def rule_rank(phi: Formula) -> tuple:
+    """The order in which the tableau takes a gamma's formulas: the
+    `RULE_PRIORITY` of phi's kind, then, if its rule takes one formula,
+    `formula_key`; every literal is `LITERAL_RANK`."""
+    rank = phi._rank
+    if not rank:
+        rank = _KEYLESS_RANK.get(type(phi))
+        if rank is None:
+            formula_key(phi)
+            return phi._rank
+        _set_rank(phi, rank)
+    return rank
 
 
 def var_key(name: Var) -> tuple:
@@ -502,6 +510,14 @@ def substitute(phi: Formula, mapping: Mapping[Var, Var]) -> Formula:
     return _rename(phi, mapping, bind)
 
 
+def rename_vars(phi: Formula, mapping: Mapping[Var, Var]) -> Formula:
+    """Rename the variables `mapping` names, free or bound, binders
+    included; for renamings that keep distinct names apart."""
+    if mapping.keys().isdisjoint(all_vars(phi)):  # fills the counts `_rename` reads
+        return phi
+    return _rename(phi, mapping, lambda node, ren: (ren.get(node.var, node.var), ren))
+
+
 # Joins a binder's name to the element its universal was instantiated at:
 # the binder `b` in a universal's instance at element `e` is named `b@e`, so
 # a name depends only on its origin, the input binder, and the elements on
@@ -547,9 +563,9 @@ def instance(q: Forall, z: Var) -> Formula:
     return body
 
 
-def clean_rename(phi: Formula, forbidden: Iterable[Var] = ()) -> Formula:
-    """Rewrite binders one by one, in preorder, so the result is clean and
-    avoids the forbidden names: the normalization of input formulas.
+def clean_rename(phi: Formula) -> Formula:
+    """Rewrite binders one by one, in preorder, so the result is clean: the
+    normalization of input formulas.
 
     A binder is kept when its name is still unused and carries no
     `ORIGIN_SEP`, which instance binders own (`instance`); otherwise it
@@ -561,8 +577,8 @@ def clean_rename(phi: Formula, forbidden: Iterable[Var] = ()) -> Formula:
     free = free_vars(phi)  # fills the binder count too
     if phi._binders == 0:
         return phi
-    used = set(forbidden) | set(free)
-    taken = set(forbidden) | set(all_vars(phi))
+    used = set(free)
+    taken = set(all_vars(phi))
 
     def bind(node: _Quant, ren: dict) -> tuple:
         # A kept binder shadows no renamed one: those names are all used.
@@ -657,16 +673,33 @@ def outer_ex_vars(phi: Formula) -> frozenset[Var]:
     return frozenset(found)
 
 
+_NO_VARS: frozenset[Var] = frozenset()  # shared by every empty result
+
+
+def outer_witnesses(phi: Box | Diamond) -> frozenset[Var]:
+    """The `outer_ex_vars` of the modality's body, cached on the node."""
+    found = phi._outer
+    if found is None:
+        found = outer_ex_vars(phi.body) or _NO_VARS
+        _set_outer(phi, found)
+    return found
+
+
 def is_nested_forall(phi: Formula) -> bool:
     """True when the and/or skeleton of a universal's body has a quantified
     leaf, that is, when a quantifier is evaluated at the universal's world.
+    Computed once per universal and cached on it.
 
     Such formulas are the source of unbounded witness chains and get the
     skolem-forest treatment instead of plain instantiation.
     """
     if not isinstance(phi, Forall):
         raise ValueError(f"expected a universally quantified formula: {phi}")
-    return any(isinstance(c, _Quant) for c in skeleton_leaves(phi.body))
+    nested = phi._nested
+    if nested is None:
+        nested = any(isinstance(c, _Quant) for c in skeleton_leaves(phi.body))
+        _set_nested(phi, nested)
+    return nested
 
 
 @dataclass(frozen=True)

@@ -30,26 +30,23 @@ import json
 from dataclasses import dataclass, field
 from functools import cache
 from itertools import chain
+from operator import attrgetter
 from typing import Iterable, Optional
 
 from .formulas import (
+    LITERAL_RANK,
     ORIGIN_SEP,
-    And,
     Atom,
     Box,
     Diamond,
     EBBE,
-    Exists,
     Forall,
     Formula,
     FomlError,
     FragmentError,
-    Not,
     Or,
-    Pred,
     ResourceLimit,
     all_vars,
-    alpha_key,
     classify_fragment,
     formula_key,
     free_vars,
@@ -61,7 +58,9 @@ from .formulas import (
     is_nnf,
     nnf_complement,
     outer_ex_vars,
+    outer_witnesses,
     post_order,
+    rule_rank,
 )
 from .forest import (
     EMPTY_TREE,
@@ -163,9 +162,9 @@ class Guidance:
     per world, and a preferred diamond ordering per world. A hint only
     reorders the alternatives: a preferred forest is validated and tried
     first, and the rest are still enumerated if it fails. A world is its
-    tuple of diamond indices, and formulas are named by `alpha_key`
-    (`or_choice` keys are world and pivot), so hints survive renamed
-    binders.
+    tuple of diamond indices, and formulas are named by `formula_key`
+    (`or_choice` keys are world and pivot): instance binders are named by
+    their origin, so a rebuild meets the old tree's formulas again.
     An extension rebuild also carries the old chain end's hints, renamed
     twice, to the fresh element's diamond worlds: the leaf to the fresh
     element, then, where that gave no hint, the pair (leaf, its forest
@@ -219,35 +218,65 @@ def is_closed(gamma: frozenset) -> bool:
 def _clashes(added: Iterable[Formula], gamma: frozenset) -> bool:
     """Whether a formula of `added` meets its complement in gamma. Over the
     formulas a rule added to an open gamma, this decides `is_closed` of the
-    result: a clash among the rest was already in the open parent."""
-    return not gamma.isdisjoint(map(nnf_complement, added))
+    result: a clash among the rest was already in the open parent. Each
+    complement is read off its node, and made only where it is not filled."""
+    for f in added:
+        compl = f._compl
+        if compl is None:
+            compl = nnf_complement(f)
+        if compl in gamma:
+            return True
+    return False
 
 
-# The same-world rules that take a pivot, in priority order.
-_PIVOT_RULES = ((And, "and"), (Or, "or"), (Exists, "exists"), (Forall, "forall"))
+_rank = attrgetter("_rank")
+
+
+def _top(gamma: frozenset) -> Optional[Formula]:
+    """Gamma's formula first in `rule_rank` order, None when gamma is
+    saturated: empty, or literals only. An unranked formula sorts first, so
+    the ranks are filled only where one is missing."""
+    top = min(gamma, key=_rank, default=None)
+    if top is not None and not top._rank:
+        top = min(gamma, key=rule_rank)
+    if top is None or top._rank is LITERAL_RANK:
+        return None
+    return top
+
+
+def is_saturated(gamma: frozenset) -> bool:
+    """No rule applies: gamma is empty or holds literals only."""
+    return _top(gamma) is None
+
+
+# The rule of each `RULE_PRIORITY`, and whether it takes a pivot.
+_RULES = (
+    ("and", True), ("or", True), ("exists", True), ("forall", True),
+    ("diamond", False), ("end", False),
+)
 
 
 def select_rule(gamma: frozenset, forest) -> tuple[str, Optional[Formula]]:
-    """The unique rule class for this node state, with its pivot formula: of
-    the first kind present, the one first in `formula_key` order."""
-    kinds = {type(g) for g in gamma}
-    if kinds <= {Pred, Not} and all(is_literal(g) for g in gamma):
+    """The unique rule class for this node state, with its pivot formula.
+    At a world's first node, the forest rule: `nestedForall` on the one
+    nested universal, else `trivialSkolem`. Past it, the rule of gamma's
+    first formula in `rule_rank` order, whose rank is the rule priority,
+    and that formula as the pivot of a rule that takes one."""
+    top = _top(gamma)
+    if top is None:
         return "none", None
     if forest is NOT_INIT:
-        nested = [g for g in gamma if isinstance(g, Forall) and is_nested_forall(g)]
+        nested = [g for g in gamma if type(g) is Forall and is_nested_forall(g)]
         if len(nested) > 1:
             raise FomlError("multiple nested universals in one gamma")
         if nested:
             return "nestedForall", nested[0]
         return "trivialSkolem", None
-    for kind, name in _PIVOT_RULES:
-        if kind in kinds:
-            return name, min((g for g in gamma if type(g) is kind), key=formula_key)
-    if Diamond in kinds:
-        return "diamond", None
-    if Box in kinds:
-        return "end", None
-    raise FomlError("no rule applies to a non-literal gamma")
+    priority = top._rank[0]
+    if priority >= len(_RULES):
+        raise FomlError("no rule applies to a non-literal gamma")
+    kind, takes_pivot = _RULES[priority]
+    return kind, top if takes_pivot else None
 
 
 def _open_disjuncts(rest: frozenset, pivot: Or) -> tuple[Formula, ...]:
@@ -296,23 +325,18 @@ def successors(
 def diamond_outcomes(
     gamma: frozenset, s: frozenset, order: Optional[list[str]] = None
 ) -> list[tuple[Diamond, frozenset, frozenset]]:
-    """Per-diamond successor states in `formula_key` order, but those named
-    by `order`, a list of alpha keys, first. A key listed k times stands for
-    its k alpha-equivalent diamonds, taken in `formula_key` order."""
+    """Per-diamond successor states in `formula_key` order, but those whose
+    keys `order` lists first, in its order."""
     diamonds = sorted((g for g in gamma if isinstance(g, Diamond)), key=formula_key)
     if order:
-        pool: dict[str, list[Diamond]] = {}
-        for d in diamonds:
-            pool.setdefault(alpha_key(d), []).append(d)
-        first = [pool[key].pop(0) for key in order if pool.get(key)]
-        diamonds = first + [d for d in diamonds if d not in first]
+        pool = {formula_key(d): d for d in diamonds}
+        first = [pool.pop(key) for key in order if key in pool]
+        diamonds = first + list(pool.values())
     boxes = [g for g in gamma if isinstance(g, Box)]
-    box_bodies = frozenset(b.body for b in boxes)
-    shared = frozenset(s)
-    for b in boxes:
-        shared |= outer_ex_vars(b.body)
+    box_bodies = frozenset([b.body for b in boxes])
+    shared = frozenset(s).union(*map(outer_witnesses, boxes))
     return [
-        (d, frozenset({d.body}) | box_bodies, shared | outer_ex_vars(d.body))
+        (d, frozenset({d.body}) | box_bodies, shared | outer_witnesses(d))
         for d in diamonds
     ]
 
@@ -430,7 +454,7 @@ def _alternatives(world, gamma, s, forest, kind, pivot, limits, guidance):
         )
     options = successors(gamma, s, forest, kind, pivot)
     if kind == "or" and guidance is not None and len(options) == 2:
-        want = guidance.or_choice.get((world, alpha_key(pivot)))
+        want = guidance.or_choice.get((world, formula_key(pivot)))
         if want in (0, 1):
             options = [options[want], options[1 - want]]
     return iter([[(world, g, s2, f, gamma)] for g, s2, f in options])
@@ -455,7 +479,7 @@ def verify_tableau(tableau: TableauNode, theta: Formula) -> list[str]:
             errs.append("gamma contains a formula and its complement")
         if node.children:
             errs.extend(_check_step(node))
-        elif any(not is_literal(g) for g in node.gamma):
+        elif not is_saturated(node.gamma):
             errs.append("unsaturated leaf")
         if errs:
             where = render_world(world)
@@ -572,11 +596,11 @@ def replay_guidance(tableau: TableauNode, choices: Optional[list] = None) -> Gui
     for world, _, kind, choice in choices:
         if kind == "or":
             pivot, idx = choice
-            guidance.or_choice[(world, alpha_key(pivot))] = idx
+            guidance.or_choice[(world, formula_key(pivot))] = idx
         elif kind == "nestedForall":
             guidance.forest[world] = choice
         else:
-            guidance.diamond_order[world] = [alpha_key(d) for d in choice]
+            guidance.diamond_order[world] = [formula_key(d) for d in choice]
     return guidance
 
 

@@ -22,7 +22,10 @@ from foml.formulas import (
     Not,
     Or,
     Pred,
+    formula_key,
     fresh_var,
+    is_literal,
+    is_nested_forall,
     nnf_complement,
 )
 from foml.forest import NOT_INIT, SkolemForest
@@ -125,27 +128,30 @@ _UNARY_OPS = {Not: "~", Box: "[]", Diamond: "<>"}
 _QUANT_KW = {Exists: "exists", Forall: "forall"}
 
 
-def ref_key(phi, ren=None, depth=None):
-    """`formula_key`; with `ren`, the `alpha_key` of phi under that binder
-    renaming, the next binder being `#depth`."""
+def ref_key(phi):
+    """`formula_key`."""
     t = type(phi)
     if t is Pred:
-        args = [ren.get(a, a) for a in phi.args] if ren is not None else phi.args
-        return f"{phi.name}({','.join(args)})" if args else phi.name
+        return f"{phi.name}({','.join(phi.args)})" if phi.args else phi.name
     if t in _BINARY_OPS:
-        left = ref_key(phi.left, ren, depth)
-        right = ref_key(phi.right, ren, depth)
-        return f"({left}{_BINARY_OPS[t]}{right})"
+        return f"({ref_key(phi.left)}{_BINARY_OPS[t]}{ref_key(phi.right)})"
     if t in _QUANT_KW:
-        if ren is None:
-            return f"({_QUANT_KW[t]} {phi.var}. {ref_key(phi.body)})"
-        inner = ref_key(phi.body, {**ren, phi.var: f"#{depth}"}, depth + 1)
-        return f"({_QUANT_KW[t]} #{depth}. {inner})"
-    return _UNARY_OPS[t] + ref_key(phi.body, ren, depth)
+        return f"({_QUANT_KW[t]} {phi.var}. {ref_key(phi.body)})"
+    return _UNARY_OPS[t] + ref_key(phi.body)
 
 
-def ref_alpha_key(phi):
-    return ref_key(phi, {}, 0)
+_PRIORITY = {And: 0, Or: 1, Exists: 2, Forall: 3, Diamond: 4, Box: 5, Not: 6}
+
+
+def ref_rank(phi):
+    """`rule_rank`: the priority of the rule that takes phi, then, for a
+    kind whose rule takes one pivot, the key; a literal, which no rule
+    takes, `(7,)`."""
+    if type(phi) is Pred or (type(phi) is Not and type(phi.body) is Pred):
+        return (7,)
+    if type(phi) in (Diamond, Box, Not):
+        return (_PRIORITY[type(phi)],)
+    return _PRIORITY[type(phi)], ref_key(phi)
 
 
 def ref_free_vars(phi):
@@ -267,9 +273,9 @@ def ref_binders(phi):
     return ref_binders(phi.body)
 
 
-def ref_clean_rename(phi, forbidden=()):
-    used = set(forbidden) | set(ref_free_vars(phi))
-    taken = set(forbidden) | set(ref_all_vars(phi))
+def ref_clean_rename(phi):
+    used = set(ref_free_vars(phi))
+    taken = set(ref_all_vars(phi))
 
     def walk(node, ren):
         t = type(node)
@@ -385,3 +391,31 @@ def ref_read_choices(root):
                 if len(options) < 2:
                     continue
                 yield w, node, kind, (pivot, options.index((c.gamma, c.s, c.forest)))
+
+
+# `tableau.select_rule` by a scan of gamma's kinds, then of the first kind's
+# formulas in `formula_key` order: the reference for the pick by rank.
+_PIVOT_RULES = ((And, "and"), (Or, "or"), (Exists, "exists"), (Forall, "forall"))
+
+
+def ref_select_rule(gamma, forest):
+    """The unique rule class for this node state, with its pivot formula: of
+    the first kind present, the one first in `formula_key` order."""
+    kinds = {type(g) for g in gamma}
+    if kinds <= {Pred, Not} and all(is_literal(g) for g in gamma):
+        return "none", None
+    if forest is NOT_INIT:
+        nested = [g for g in gamma if isinstance(g, Forall) and is_nested_forall(g)]
+        if len(nested) > 1:
+            raise FomlError("multiple nested universals in one gamma")
+        if nested:
+            return "nestedForall", nested[0]
+        return "trivialSkolem", None
+    for kind, name in _PIVOT_RULES:
+        if kind in kinds:
+            return name, min((g for g in gamma if type(g) is kind), key=formula_key)
+    if Diamond in kinds:
+        return "diamond", None
+    if Box in kinds:
+        return "end", None
+    raise FomlError("no rule applies to a non-literal gamma")

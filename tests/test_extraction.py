@@ -282,9 +282,8 @@ def test_monotone_violations_list_lost_facts_in_sorted_order():
     ids=["seed24-d5-297", "seed32-d6-217"],
 )
 def test_extending_an_inner_forest_leaf_keeps_world_identity(text):
-    # The extended leaf is not the last forest node, so its new instances
-    # shift the binder names of later forest nodes; alpha-invariant replay
-    # keys still find every diamond and disjunct.
+    # The extended leaf is not the last forest node; binders are named by
+    # origin, so the replay keys still find every diamond and disjunct.
     theta = norm(text)
     res = search(theta)
     assert res.status == "sat"
@@ -311,16 +310,16 @@ def test_extension_keeps_existential_witness_names():
     assert "b2@v3@v7" in fresh
 
 
-def test_hints_reach_the_witnesses_named_after_the_fresh_element(monkeypatch):
-    """A diamond that names the leaf only in a binder (`u@leaf`) has a twin
-    for the fresh element, and the `or` pick about the witness `u@leaf`
-    below it carries over as one about `u@fresh`: every rebuild searches
-    exactly what it keeps. Without either, each round tries the closing
-    left disjunct at the twin's first successor again."""
-    theta = norm(
-        "<> forall x . (exists y . [][] P(x,y)) & [][] ~P(x,x)"
-        " & <> (T & <> T & exists u . [] (((A(u) & <> C(u)) | B(u)) & [] ~C(u)))"
-    )
+# Each element of its forest chain gets a diamond named after it only in a
+# binder (`u@v3`), with an `or` below it about the witness `u@v3`.
+U_CHAIN = (
+    "<> forall x . (exists y . [][] P(x,y)) & [][] ~P(x,x)"
+    " & <> (T & <> T & exists u . [] (((A(u) & <> C(u)) | B(u)) & [] ~C(u)))"
+)
+
+
+def rebuild_counts(monkeypatch):
+    """The list each rebuild appends its (nodes searched, nodes kept) to."""
     pairs = []
 
     def counted(*args):
@@ -329,11 +328,38 @@ def test_hints_reach_the_witnesses_named_after_the_fresh_element(monkeypatch):
         return result
 
     monkeypatch.setattr(foml.extraction, "search", counted)
+    return pairs
+
+
+def test_hints_reach_the_witnesses_named_after_the_fresh_element(monkeypatch):
+    """A diamond that names the leaf only in a binder (`u@leaf`) has a twin
+    for the fresh element, and the `or` pick about the witness `u@leaf`
+    below it carries over as one about `u@fresh`: every rebuild searches
+    exactly what it keeps. Without either, each round tries the closing
+    left disjunct at the twin's first successor again."""
+    theta = norm(U_CHAIN)
+    pairs = rebuild_counts(monkeypatch)
     _, trace, _ = iterate_extensions(theta, search(theta).tableau, 3)
     assert pairs == [(47, 47), (58, 58), (69, 69)]
     assert [s.fresh for s in trace.steps] == [
         ("v3", "u@v3"), ("v4", "u@v4"), ("v5", "u@v5")
     ]
+
+
+def test_a_fresh_name_that_sorts_first_takes_no_old_world(monkeypatch):
+    """In round 8 the fresh element is v10, and the diamond about `u@v10`
+    sorts before the one about `u@v2`. The replayed diamond order names
+    each diamond by `formula_key`, binder names and all, so every old
+    diamond keeps its successor world and the twin comes after them: all
+    12 rounds keep every local domain and search exactly what they keep.
+    Hints named up to binder names took the twin for the old diamond, gave
+    it the old world r.0.2, and broke monotonicity in round 8."""
+    theta = norm(U_CHAIN)
+    pairs = rebuild_counts(monkeypatch)
+    _, trace, status = iterate_extensions(theta, search(theta).tableau, 12)
+    assert status == RESIDUAL
+    assert pairs == [(47 + 11 * i,) * 2 for i in range(12)]
+    assert trace.steps[7].fresh == ("v10", "u@v10")
 
 
 def test_one_extension_round_keeps_every_local_domain():

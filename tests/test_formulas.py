@@ -17,11 +17,11 @@ from foml.formulas import (
     Exists,
     FomlError,
     Forall,
+    RULE_PRIORITY,
     Not,
     Or,
     Pred,
     all_vars,
-    alpha_key,
     check_arities,
     classify_fragment,
     clean_rename,
@@ -38,6 +38,8 @@ from foml.formulas import (
     is_nnf,
     nnf_complement,
     outer_ex_vars,
+    rename_vars,
+    rule_rank,
     skeleton_leaves,
     substitute,
     to_nnf,
@@ -48,7 +50,6 @@ from foml.tableau import SearchLimits
 from foml.testgen import GenConfig, gen_formula
 from oracles import (
     ref_all_vars,
-    ref_alpha_key,
     ref_binders,
     ref_check_arities,
     ref_classify_fragment,
@@ -59,6 +60,7 @@ from oracles import (
     ref_is_nnf,
     ref_key,
     ref_outer_ex_vars,
+    ref_rank,
     ref_skeleton_leaves,
     ref_substitute,
     ref_to_nnf,
@@ -175,7 +177,7 @@ def test_clean_rename_bound_and_free_clash():
 
 def test_clean_rename_fixed_point():
     phi = And(Exists("a", Box(P("a"))), Q("x", "x"))
-    assert clean_rename(phi, frozenset({"z"})) == phi
+    assert clean_rename(phi) == phi
 
 
 @given(st.integers(0, 100_000))
@@ -183,11 +185,9 @@ def test_clean_rename_fixed_point():
 def test_clean_rename_properties(seed):
     rng = random.Random(seed)
     phi = random_raw_formula(rng, 5, ["x", "u"])
-    forbidden = frozenset(rng.sample(["q0", "q1", "q2", "a", "b"], 3))
-    out = clean_rename(phi, forbidden)
+    out = clean_rename(phi)
     assert is_clean(out)
     assert naive_is_clean(out)
-    assert not (set(ref_binders(out)) & forbidden)
     assert alpha_eq(phi, out)
     assert free_vars(out) == free_vars(phi)
 
@@ -475,24 +475,6 @@ def test_formula_key_fills_every_subformula_key_in_one_fold():
             assert f._key == ref_key(f)
 
 
-def test_alpha_key_names_binders_by_depth():
-    key = alpha_key(norm("forall x. <> ((forall y. Q(x,y)) & exists y. P(y))"))
-    assert key == "(forall #0. <>((forall #1. Q(#0,#1)) & (exists #1. P(#1))))"
-    assert alpha_key(norm("forall y. <> ((forall x. Q(y,x)) & exists x. P(x))")) == key
-    assert alpha_key(norm("forall x. <> ((forall y. Q(y,x)) & exists y. P(y))")) != key
-
-
-@given(st.integers(0, 100_000))
-@settings(max_examples=200, deadline=None)
-def test_alpha_key_is_formula_key_up_to_binder_names(seed):
-    rng = random.Random(seed)
-    phi = random_raw_formula(rng, 5, ["x", "u"])
-    if not ref_binders(phi):
-        assert alpha_key(phi) == formula_key(phi)
-    forbidden = frozenset(rng.sample(["q0", "q1", "q2", "a", "b"], 3))
-    assert alpha_key(clean_rename(phi, forbidden)) == alpha_key(phi)
-
-
 # --- hash-consing ------------------------------------------------------------
 
 
@@ -550,7 +532,7 @@ def test_deep_formula_hashes_compares_and_sits_in_a_set():
 @pytest.mark.parametrize("which", ["left-and", "right-and", "box-exists-or"])
 def test_every_formula_walk_runs_at_any_depth(which):
     deep = deep_chains(5000)[["left-and", "right-and", "box-exists-or"].index(which)]
-    assert alpha_key(deep).count("(") == str(deep).count("(")
+    assert rule_rank(deep) == (RULE_PRIORITY[type(deep)], str(deep))
     assert free_vars(deep) >= {"x"} and all_vars(deep) >= free_vars(deep)
     assert nnf_complement(nnf_complement(deep)) is deep
     assert is_nnf(deep) and not is_nnf(Not(deep))
@@ -564,9 +546,9 @@ def test_every_formula_walk_runs_at_any_depth(which):
     assert "x" not in free_vars(renamed) and "w" in free_vars(renamed)
     assert is_clean(deep) and clean_rename(deep) is deep
     if which == "box-exists-or":
-        # forbidding the innermost binder renames it under the whole chain
-        out = clean_rename(deep, {"z1"})
-        assert is_clean(out) and alpha_key(out) == alpha_key(deep)
+        # freeing the innermost binder's name renames it under the whole chain
+        out = clean_rename(And(deep, P("z1")))
+        assert is_clean(out) and out.left is rename_vars(deep, {"z1": "v0"})
         assert all_vars(out) - all_vars(deep) == {"v0"}
 
 
@@ -599,7 +581,7 @@ def test_cached_fields_match_uncached_references(seed):
         assert str(f) == formula_key(f) == ref_key(f)
         assert free_vars(f) == ref_free_vars(f)
         assert all_vars(f) == ref_all_vars(f)
-        assert alpha_key(f) == ref_alpha_key(f)
+        assert rule_rank(f) == ref_rank(f)
 
 
 def iff_chain(operands):
@@ -645,8 +627,7 @@ def test_walkers_match_their_recursive_references(seed):
     bound = ref_binders(phi)
     clean = len(bound) == len(set(bound)) and not set(bound) & ref_free_vars(phi)
     assert is_clean(phi) == clean
-    forbidden = frozenset(rng.sample(["q0", "q1", "x", "v0", "v1"], 2))
-    assert clean_rename(phi, forbidden) is ref_clean_rename(phi, forbidden)
+    assert clean_rename(phi) is ref_clean_rename(phi)
     mapping = {v: rng.choice(["x", "u", "q0", "w"]) for v in rng.sample(["x", "u"], 2)}
     assert outcome(substitute, phi, mapping) == outcome(ref_substitute, phi, mapping)
     if not isinstance(outcome(to_nnf, phi), tuple):

@@ -9,15 +9,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import foml.extraction
+import foml.forest
+import foml.formulas
 import foml.tableau
-from conftest import norm, subformulas
-from oracles import ref_read_choices
+from conftest import PHI1_TEXT, norm, subformulas
+from oracles import ref_read_choices, ref_select_rule
 from foml.forest import EMPTY_TREE, NOT_INIT, SkolemForest, forest_size_bound
 from foml.extraction import iterate_extensions, trace_to_ndjson
 from foml.formulas import (
     FomlError,
     Forall,
     FragmentError,
+    Pred,
     ResourceLimit,
     all_vars,
     formula_key,
@@ -47,6 +50,7 @@ from foml.tableau import (
     select_rule,
     _clashes,
     is_closed,
+    is_saturated,
     successors,
     verify_tableau,
 )
@@ -93,6 +97,94 @@ def test_select_rule_priorities():
     dia = norm("<> P(x)")
     assert select_rule(frozenset({dia, box}), EMPTY_TREE) == ("diamond", None)
     assert select_rule(frozenset({lit, box}), EMPTY_TREE) == ("end", None)
+
+
+def test_select_rule_agrees_with_the_kind_scan(rule_trees):
+    """One `min` over the ranks cached on the nodes picks the rule and the
+    pivot that `ref_select_rule`, a scan of gamma's kinds, picks: at every
+    node of the flagship after 0-3 extension rounds and of every SAT tree
+    of the seed-2026 corpus."""
+    nodes = [n for t in rule_trees for _, n in t.walk()]
+    assert len(nodes) > 7000
+    for node in nodes:
+        want = ref_select_rule(node.gamma, node.forest)
+        assert select_rule(node.gamma, node.forest) == want
+        assert is_saturated(node.gamma) == (want[0] == "none")
+
+
+def outcome(pick, gamma, forest):
+    """What pick returns, or the type and text of the error it raises."""
+    try:
+        return pick(gamma, forest)
+    except FomlError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("forest", [NOT_INIT, EMPTY_TREE], ids=["not-init", "set"])
+def test_select_rule_edge_cases(forest):
+    """Gammas no tableau node holds, on formulas built here, whose ranks
+    are filled on the pick: each outcome, errors included, is the kind
+    scan's."""
+    lit, not_lit = Pred("Edge", ("x",)), norm("~Edge(y)")
+    not_and = parse_formula("~(Edge(x) & Edge(y))")
+    nested = [norm(f"forall x. exists y. [] Edge{i}(x,y)") for i in (1, 2)]
+    ranked = norm("Edge(x) | Edge(y)")
+    formula_key(ranked)
+    late = norm("exists z. [] Edge(z)")  # unranked, and ranked after `ranked`
+    cases = {
+        "empty": (frozenset(), ("none", None)),
+        "literals": (frozenset({lit, not_lit}), ("none", None)),
+        "not-and": (
+            frozenset({not_and, lit}),
+            ("trivialSkolem", None) if forest is NOT_INIT
+            else (FomlError, "no rule applies to a non-literal gamma"),
+        ),
+        "two-nested": (
+            frozenset(nested),
+            (FomlError, "multiple nested universals in one gamma")
+            if forest is NOT_INIT else ("forall", min(nested, key=formula_key)),
+        ),
+        "unranked-last": (
+            frozenset({ranked, late}),
+            ("trivialSkolem", None) if forest is NOT_INIT else ("or", ranked),
+        ),
+    }
+    for name, (gamma, want) in cases.items():
+        assert outcome(select_rule, gamma, forest) == want, name
+        assert outcome(ref_select_rule, gamma, forest) == want, name
+        assert is_saturated(gamma) == (name in ("empty", "literals"))
+
+
+def test_each_universal_skeleton_is_walked_once_for_nestedness(monkeypatch):
+    """Whether a universal is nested is computed once per universal and
+    kept on it: over one flagship search, its verification and 3 extension
+    rounds, `skeleton_leaves` walks no universal's body twice outside the
+    forest layer's atom enumeration. The predicate is renamed so that every
+    universal is a new node."""
+    theta = norm(PHI1_TEXT.replace("P(", "Walked("))
+    walks: dict[int, int] = {}
+    in_atoms = []
+    skeleton, atoms = foml.formulas.skeleton_leaves, foml.forest.enumerate_atoms
+
+    def counted(psi):
+        if not in_atoms:
+            walks[id(psi)] = walks.get(id(psi), 0) + 1
+        return skeleton(psi)
+
+    def enumerated(psi):
+        in_atoms.append(psi)
+        try:
+            return atoms(psi)
+        finally:
+            in_atoms.pop()
+
+    monkeypatch.setattr(foml.formulas, "skeleton_leaves", counted)
+    monkeypatch.setattr(foml.forest, "enumerate_atoms", enumerated)
+    res = search(theta)
+    assert verify_tableau(res.tableau, theta) == []
+    iterate_extensions(theta, res.tableau, 3)
+    assert len(walks) > 10
+    assert set(walks.values()) == {1}
 
 
 def test_end_rule_drops_boxes():
@@ -172,12 +264,12 @@ def test_flagship_rebuilds_search_exactly_what_they_keep(
 
 # sha256 of certificate_to_json of the flagship's rebuilds in rounds 1-6.
 REBUILD_CERTIFICATE_SHA256 = [
-    "08693c27b2f533f718e892d12b774e1e8a5827d00d5597f3166dcce0fa2b6271",
-    "6c8fdfd911318ea3ebd821bfc35e710d9b744c8416370a459da123c1f88a1b1f",
-    "99749f3c9030a73ab004ceb910ea850face4d7c06c8591b57988626a9097a36c",
-    "16ce3125cbb51ea07f6fad24d9e40371210fc60ae25674b5fce4e54af214c8ef",
-    "b808b661b7f7a41bb703ccc1823ac5ed733c683ecdcdfed8c55ffce8e2841953",
-    "82cb80ebd38bcc2703c05960dc8195dba918c4e70d2481e7aef345d92d361942",
+    "8ed5a6caf25a6b21768856f22651bf52a2c9a7867a2e583e554f28d32d631a04",
+    "a7916a9d852017bea53e85b988a6ef9fd8c66107269301b9e91b7936e83f72c8",
+    "888f21deaa0855a349778b051801436320da1b49ea25681d8f200b47cf95d63e",
+    "3ee4e10823c1e4ee07fc891ab8ab7d03655ffbef20a965b5e43997529400b9f2",
+    "0664aa5c88462794f7b356f1ed103b8183106e2bd4e3d42cf274c8596171b5d0",
+    "4ba34e581bf81429776560ca7cbaa4eec05ae52e5e1156ac53684a8a4cbe9644",
 ]
 
 
@@ -766,11 +858,10 @@ def test_certificate_reader_reports_each_fault(corrupt, phi1_result):
     assert not isinstance(err.value, ResourceLimit)
 
 
-def test_read_choices_matches_the_rule_reader(monkeypatch, phi1, phi1_result):
-    """`read_choices` reads the choices off the node states, applying no
-    rule, and lists what `ref_read_choices` finds by re-applying them: on
-    the flagship after 0-3 extension rounds and on every SAT tree of the
-    seed-2026 corpus."""
+@pytest.fixture(scope="module")
+def rule_trees(phi1, phi1_result):
+    """The flagship's tree after 0-3 extension rounds, then every SAT tree
+    of the seed-2026 corpus, n = 1000."""
     trees = [phi1_result.tableau]
 
     def kept(*args):
@@ -778,7 +869,7 @@ def test_read_choices_matches_the_rule_reader(monkeypatch, phi1, phi1_result):
         trees.append(result.tableau)
         return result
 
-    with monkeypatch.context() as m:
+    with pytest.MonkeyPatch.context() as m:
         m.setattr(foml.extraction, "search", kept)
         iterate_extensions(phi1, phi1_result.tableau, 3)
     assert len(trees) == 4
@@ -788,6 +879,15 @@ def test_read_choices_matches_the_rule_reader(monkeypatch, phi1, phi1_result):
         if res.status == SAT:
             trees.append(res.tableau)
     assert len(trees) == 4 + 969
+    return trees
+
+
+def test_read_choices_matches_the_rule_reader(monkeypatch, rule_trees):
+    """`read_choices` reads the choices off the node states, applying no
+    rule, and lists what `ref_read_choices` finds by re-applying them: on
+    the flagship after 0-3 extension rounds and on every SAT tree of the
+    seed-2026 corpus."""
+    trees = rule_trees
     want = [list(ref_read_choices(t)) for t in trees]
     picks = {c[1] for choices in want for _, _, kind, c in choices if kind == "or"}
     assert picks == {0, 1}
