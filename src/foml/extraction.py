@@ -6,7 +6,8 @@ the positive literals left at the world's last node. Forest leaves that owe
 an existential witness mark where this finite model falls short; extending
 the forest at such a leaf and rebuilding yields the next, strictly larger
 model in the chain. `audit` is the one check of a SAT tableau: the
-verifier, then the model read off it.
+verifier, then the model read off it, which must satisfy every formula of
+every node wherever no leaf violation is left.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from typing import Optional
 
 from .formulas import (
     ORIGIN_SEP,
+    Forall,
     Formula,
     FomlError,
     Pred,
@@ -136,7 +138,8 @@ def audit(
     (None, [], its problems). Otherwise the model read off the tree must be
     valid, every literal at a world's last node must hold there in it,
     every forest must be within `forest_size_bound`, and, where no leaf
-    violation is left, theta must hold at `r`.
+    violation is left, theta must hold at `r` and, if it does, every
+    formula of every node at the node's world (`_node_check`).
     """
     problems = verify_tableau(tableau, theta)
     if problems:
@@ -152,14 +155,14 @@ def audit(
                 problems.append(f"literal {print_formula(g)} fails at {name}")
     for w, node in tableau.forest_points():
         f = node.forest
-        bound = forest_size_bound(f.psi, len(f.roots()))
+        bound = forest_size_bound(Forall(f.var, f.psi), len(f.roots()))
         if len(f.nodes) > bound:
             problems.append(
                 f"forest at {render_world(w)} has {len(f.nodes)} nodes, bound {bound}"
             )
     violations = find_leaf_violations(tableau, model)
     if not violations:
-        problems += _root_check(model, theta)
+        problems += _root_check(model, theta) or _node_check(tableau, model)
     return model, violations, problems
 
 
@@ -169,6 +172,27 @@ def _root_check(model: KripkeModel, theta: Formula) -> list[str]:
     if check(model, "r", {v: v for v in free_vars(theta)}, theta):
         return []
     return ["no leaf violations remain but the root check fails"]
+
+
+def _node_check(tableau: TableauNode, model: KripkeModel) -> list[str]:
+    """The semantic gate, for a model with no leaf violation left: every
+    formula of every node's gamma must hold at the node's world under the
+    identity assignment, each (world, formula) checked once. It applies no
+    tableau rule, so it catches a rule fault that search and the verifier
+    share (both run `_saturate`). One problem per failing pair, sorted by
+    world and formula."""
+    seen = set()
+    failed = []
+    for w, node in tableau.walk():
+        name = render_world(w)
+        for g in node.gamma:
+            if (w, g) in seen:
+                continue
+            seen.add((w, g))
+            if not check(model, name, {v: v for v in free_vars(g)}, g):
+                message = f"formula {print_formula(g)} fails at {name}"
+                failed.append((w, formula_key(g), message))
+    return [message for _, _, message in sorted(failed)]
 
 
 def extend_tableau(

@@ -23,7 +23,7 @@ from .formulas import (
     Or,
     ResourceLimit,
     all_vars,
-    enumerate_atoms,
+    forall_atoms,
     fresh_var,
     instance,
     instances,
@@ -88,13 +88,14 @@ def _above(index: dict[str, ForestNode], name: str) -> list[ForestNode]:
     return out
 
 
-def forest_size_bound(psi: Formula, n_roots: int) -> int:
-    """Node-count ceiling for minimal forests over psi with n_roots roots.
+def forest_size_bound(quant: Forall, n_roots: int) -> int:
+    """Node-count ceiling for minimal forests for the nested universal
+    `quant` with n_roots roots.
 
     With A atoms and at most b existential members per atom, branches repeat
     a label after at most 2A+1 nodes, so max(b, 2)^(2A+2) majorizes any tree.
     """
-    atoms = enumerate_atoms(psi)
+    atoms = forall_atoms(quant)
     n_atoms = len(atoms)
     branching = max((len(a.exists_members) for a in atoms), default=0)
     return n_roots * max(branching, 2) ** (2 * n_atoms + 2)
@@ -122,7 +123,7 @@ def enumerate_forests(
     growing past the node budget raises with the count yielded so far.
     """
     var, psi = quant.var, quant.body
-    atoms = enumerate_atoms(psi)
+    atoms = forall_atoms(quant)
     roots = sorted(set(s), key=var_key)
     max_nodes = getattr(limits, "max_forest_nodes", None) if limits else None
 
@@ -242,7 +243,7 @@ def validate_forest(
             f"{sorted(expected, key=var_key)}"
         )
 
-    valid_atoms = set(enumerate_atoms(quant.body))
+    valid_atoms = set(forall_atoms(quant))
     for node in forest.nodes:
         if node.atom not in valid_atoms:
             out.append(f"node {node.name!r} carries an invalid atom")

@@ -221,6 +221,7 @@ class _Quant(_Node):
         _set_hash(node, hash((cls._op, var, body._hash)))
         if cls is Forall:
             _set_nested(node, None)
+            _set_atoms(node, None)
         return _enter(node, key)
 
 
@@ -249,12 +250,14 @@ class Exists(_Quant):
 
 
 class Forall(_Quant):
-    __slots__ = ("_inst", "_nested")  # see `instances`, `is_nested_forall`
+    # See `instances`, `is_nested_forall` and `forall_atoms`.
+    __slots__ = ("_inst", "_nested", "_atoms")
     _op = "forall"
 
 
 _set_inst = Forall._inst.__set__
 _set_nested = Forall._nested.__set__
+_set_atoms = Forall._atoms.__set__
 
 
 class _Modal(_Unary):
@@ -759,6 +762,17 @@ def enumerate_atoms(psi: Formula) -> list[Atom]:
     minimal = [c for c in consistent if not any(o < c for o in consistent)]
     minimal.sort(key=lambda c: tuple(sorted(c)))
     return [Atom(tuple(leaves[i] for i in sorted(c))) for c in minimal]
+
+
+def forall_atoms(q: Forall) -> tuple[Atom, ...]:
+    """`enumerate_atoms` of the universal's body, made once and kept on the
+    universal: the forest layer asks for them at every enumeration,
+    validation and size bound."""
+    atoms = q._atoms
+    if atoms is None:
+        atoms = tuple(enumerate_atoms(q.body))
+        _set_atoms(q, atoms)
+    return atoms
 
 
 BUNDLE_FORALL_BOX = "forall-box"

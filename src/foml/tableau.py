@@ -1,27 +1,32 @@
 """Tableau construction and search for the bundled fragment.
 
-A tableau node is its state (gamma, s, forest) and its children; the rule
-that made a node is its parent's `select_rule`. Within one world the rules
-fire in a fixed priority: forest initialization first (answering the nested
-universal if one is present), then conjunctions, disjunctions,
-existentials, universals, and finally the modal step that spawns one child
-world per diamond. Only that step makes a child whose forest is NOT_INIT,
-so a node's world is its path of diamond indices (`walk`). Search is
-depth-first over the AND-OR space: diamond children all have to succeed,
-disjuncts and forest choices are alternatives. The `or` rule propagates
-before it branches: it offers only the disjuncts gamma leaves open, so an
-`or` node that gamma decides has one child, or none and fails, and is no
-choice. The search is one loop over a stack of frames, and `_alternatives`
-lists each rule's alternatives in the order they are tried, so no call
+A tableau node is its state (gamma, s, forest) and its children. Within one
+world the rules fire in a fixed priority: forest initialization first
+(answering the nested universal if one is present), then conjunctions,
+disjunctions, existentials, universals, and finally the modal step that
+spawns one child world per diamond. Only that step makes a child whose
+forest is NOT_INIT, so a node's world is its path of diamond indices
+(`walk`). Search is depth-first over the AND-OR space: diamond children all
+have to succeed, disjuncts and forest choices are alternatives.
+
+A node is kept only where the tableau branches or a world ends: at a
+world's first node, at an `or` whose disjuncts gamma both leaves open (a
+choice, which records the disjunct it kept in `pick`), at a diamond node
+and at a leaf. `_saturate` is the one definition of the single-child rules
+(`and`, an `or` that gamma decides, `exists`, `forall`, `end`, and the
+`trivialSkolem` step that precedes them): it runs them inside one node,
+on one mutable set, in rank order, checking each formula it adds for a
+clash, so that `or` propagates before it branches. Search calls it to make
+each node in a world, and the verifier calls it again to check each edge.
+The search is one loop over a stack of frames, and `_alternatives` lists
+each branching rule's alternatives in the order they are tried, so no call
 recurses and a tree is as deep as the node budget lets it be.
 
-`successors` is the one definition of the children of each same-world rule
-(`trivialSkolem`, `and`, `or`, `exists`, `forall`, `end`): search expands
-them and the verifier checks a child against them. No tree reader applies
-a rule: `read_choices` reads the choices off the node states, and reading
-a certificate back replays them and compares the choices, which keeps the
-reader and the rules in step. Forests are enumerated lazily, and diamond
-children are all required at once, so those two steps are listed apart.
+No tree reader applies a rule: `read_choices` reads the choices off the
+tree, and reading a certificate back replays them and compares the
+choices, which keeps the reader and the rules in step. Forests are
+enumerated lazily, and diamond children are all required at once, so those
+two steps are listed apart.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cache
+from heapq import heapify, heappop, heappush
 from itertools import chain
 from operator import attrgetter
 from typing import Iterable, Optional
@@ -36,10 +42,12 @@ from typing import Iterable, Optional
 from .formulas import (
     LITERAL_RANK,
     ORIGIN_SEP,
+    And,
     Atom,
     Box,
     Diamond,
     EBBE,
+    Exists,
     Forall,
     Formula,
     FomlError,
@@ -86,12 +94,15 @@ def render_world(world: tuple[int, ...]) -> str:
 
 @dataclass(frozen=True, eq=False)
 class TableauNode:
-    """A node compares and hashes by identity; compare trees by `walk`."""
+    """A node compares and hashes by identity; compare trees by `walk`.
+    An `or` choice keeps in `pick` the index of the disjunct its child
+    took, which the child's saturated gamma may no longer show."""
 
     gamma: frozenset
     s: frozenset
     forest: object
     children: tuple = ()
+    pick: Optional[int] = None
 
     def walk(self):
         """(world, node) for this node, the root world (), and its
@@ -118,6 +129,11 @@ class TableauNode:
 
 @dataclass
 class SearchStats:
+    """What a search did: `nodes` counts the nodes it visited, each a
+    world's first node or a state saturated by `_saturate`, closed ones
+    included; `or_attempts` the disjuncts tried at `or` choices;
+    `forest_attempts` the forests tried at forest points."""
+
     nodes: int = 0
     or_attempts: int = 0
     forest_attempts: int = 0
@@ -129,8 +145,10 @@ class SearchStats:
 class SearchLimits:
     """Practical guards on a search that terminates without them: world
     depth is bounded by theta's modal depth and minimal skolem forests are
-    finite. Exceeding either budget raises `ResourceLimit` and ends the
-    whole search as EXHAUSTED."""
+    finite. `max_tableau_nodes` caps `SearchStats.nodes`, the nodes
+    visited; the single-child rules inside a node cost none of it.
+    Exceeding either budget raises `ResourceLimit` and ends the whole
+    search as EXHAUSTED."""
 
     max_forest_nodes: int = 10_000
     max_tableau_nodes: int = 200_000
@@ -149,28 +167,27 @@ class SearchLimits:
         forest_cap = 64
         for sub in post_order(theta):
             if isinstance(sub, Forall) and is_nested_forall(sub):
-                forest_cap = max(
-                    forest_cap, forest_size_bound(sub.body, n_est)
-                )
+                forest_cap = max(forest_cap, forest_size_bound(sub, n_est))
         return cls(max_forest_nodes=forest_cap)
 
 
 @dataclass
 class Guidance:
-    """Replay hints: preferred disjunct indices at the `or` nodes that are
-    choices (a hint at any other `or` node is ignored), a preferred forest
-    per world, and a preferred diamond ordering per world. A hint only
-    reorders the alternatives: a preferred forest is validated and tried
-    first, and the rest are still enumerated if it fails. A world is its
-    tuple of diamond indices, and formulas are named by `formula_key`
-    (`or_choice` keys are world and pivot): instance binders are named by
-    their origin, so a rebuild meets the old tree's formulas again.
-    An extension rebuild also carries the old chain end's hints, renamed
-    twice, to the fresh element's diamond worlds: the leaf to the fresh
-    element, then, where that gave no hint, the pair (leaf, its forest
-    parent) to the fresh element and its parent (`extraction._carry_hints`). A
-    certificate is these hints, read off a tree, with theta and the tree's
-    node count (`certificate_to_json`)."""
+    """Replay hints: preferred disjunct indices at the `or` choices (an
+    `or` that gamma decides is taken inside a node, and a hint for it is
+    never read), a preferred forest per world, and a preferred diamond
+    ordering per world. A hint only reorders the alternatives: a preferred
+    forest is validated and tried first, and the rest are still enumerated
+    if it fails. A world is its tuple of diamond indices, and formulas are
+    named by `formula_key` (`or_choice` keys are world and pivot): instance
+    binders are named by their origin, so a rebuild meets the old tree's
+    formulas again. An extension rebuild also carries the old chain end's
+    hints, renamed twice, to the fresh element's diamond worlds: the leaf
+    to the fresh element, then, where that gave no hint, the pair (leaf,
+    its forest parent) to the fresh element and its parent
+    (`extraction._carry_hints`). A certificate is these hints, read off a
+    tree, with theta and the tree's count of kept nodes
+    (`certificate_to_json`)."""
 
     or_choice: dict = field(default_factory=dict)
     forest: dict = field(default_factory=dict)
@@ -212,15 +229,8 @@ def _require_nnf(theta: Formula) -> None:
 
 
 def is_closed(gamma: frozenset) -> bool:
-    return _clashes(gamma, gamma)
-
-
-def _clashes(added: Iterable[Formula], gamma: frozenset) -> bool:
-    """Whether a formula of `added` meets its complement in gamma. Over the
-    formulas a rule added to an open gamma, this decides `is_closed` of the
-    result: a clash among the rest was already in the open parent. Each
-    complement is read off its node, and made only where it is not filled."""
-    for f in added:
+    """Whether a formula of gamma meets its complement in it."""
+    for f in gamma:
         compl = f._compl
         if compl is None:
             compl = nnf_complement(f)
@@ -279,47 +289,98 @@ def select_rule(gamma: frozenset, forest) -> tuple[str, Optional[Formula]]:
     return kind, top if takes_pivot else None
 
 
-def _open_disjuncts(rest: frozenset, pivot: Or) -> tuple[Formula, ...]:
-    """The disjuncts of `pivot` that `rest`, the rest of its gamma, leaves
-    open: the one disjunct already in `rest`, or the one the two disjuncts
-    are, alone; otherwise each disjunct whose complement is not in `rest`.
-    Two means the `or` node is a choice, none that it closes."""
+def _open_disjuncts(gamma, pivot: Or) -> tuple[Formula, ...]:
+    """The disjuncts of `pivot` that gamma leaves open: the one disjunct
+    already in gamma, or the one the two disjuncts are, alone; otherwise
+    each disjunct whose complement is not in gamma. Two means the `or` is a
+    choice, none that it closes. That gamma holds the pivot decides
+    nothing: no disjunct, nor its complement, is the pivot."""
     left, right = pivot.left, pivot.right
-    if left in rest or left is right:
+    if left in gamma or left is right:
         return (left,)
-    if right in rest:
+    if right in gamma:
         return (right,)
-    return tuple(d for d in (left, right) if nnf_complement(d) not in rest)
+    return tuple(d for d in (left, right) if nnf_complement(d) not in gamma)
 
 
-def successors(
-    gamma: frozenset, s: frozenset, forest, kind: str, pivot: Optional[Formula]
-) -> list[tuple[frozenset, frozenset, object]]:
-    """The (gamma, S, forest) states a same-world rule allows: one per
-    disjunct gamma leaves open at `or` (`_open_disjuncts`: two, one or
-    none), the single child of every other kind. Search and the verifier
-    read a rule's children from here. The `forall` rule adds the universal's
-    instance at each element of S, each taken from the universal's own
-    cache (`instance`): an instance names its binders by origin, so it
-    needs no renaming against gamma."""
-    if kind == "trivialSkolem":
-        return [(gamma, s, EMPTY_TREE)]
-    if kind == "end":
-        return [(frozenset(g for g in gamma if is_literal(g)), s, forest)]
-    rest = gamma - {pivot}
-    if kind == "and":
-        return [(rest | {pivot.left, pivot.right}, s, forest)]
-    if kind == "or":
-        return [(rest | {d}, s, forest) for d in _open_disjuncts(rest, pivot)]
-    if kind == "exists":
-        if pivot.var not in s:
-            raise FomlError(
-                f"existential witness {pivot.var!r} is missing from the domain set"
-            )
-        return [(rest | {pivot.body}, s, forest)]
-    if kind == "forall":
-        return [(rest.union([instance(pivot, z) for z in s]), s, forest)]
-    raise FomlError(f"{kind!r} is not a same-world rule")
+def _saturate(
+    s: frozenset, forest, base: Iterable[Formula], added: Iterable[Formula]
+) -> Optional[tuple[frozenset, str, Optional[Formula]]]:
+    """The one definition of the single-child rules: the node a state
+    becomes once they have run. The state's gamma is `base`, a set with no
+    clash in it, joined by `added`. The rules then run on one mutable set,
+    each on gamma's first formula in `rule_rank` order: `and`; `or` where
+    gamma leaves one disjunct open (`_open_disjuncts`); `exists`; `forall`,
+    which adds the universal's cached `instance` at each element of S; and
+    `end`, which drops every formula but the literals. They stop at an `or`
+    that leaves both disjuncts open, at a diamond or at a saturated gamma.
+    Returns that gamma with the rule that comes next, `or` with its pivot,
+    `diamond` or `none`; or None when a formula meets its complement, each
+    checked as it is added, or an `or` has no open disjunct. S and the
+    forest do not change.
+
+    The formulas whose rule takes a pivot wait on a heap keyed by rank,
+    which their `formula_key` makes unique, so no tie is broken. The
+    pivotless ranks (diamond, box, a negation that is no literal) are never
+    taken off gamma here, so the lowest of them is all that is kept: it
+    decides what happens once the heap is empty."""
+    gamma = set(base)
+    heap = []
+    low = LITERAL_RANK  # the lowest pivotless rank in gamma
+    for f in gamma:
+        rank = f._rank or rule_rank(f)
+        if len(rank) == 2:
+            heap.append((rank, f))
+        elif rank < low:
+            low = rank
+    heapify(heap)
+    add = gamma.add
+    while True:
+        for f in added:
+            n = len(gamma)
+            add(f)
+            if len(gamma) == n:
+                continue
+            compl = f._compl
+            if compl is None:
+                compl = nnf_complement(f)
+            if compl in gamma:
+                return None
+            rank = f._rank or rule_rank(f)
+            if len(rank) == 2:
+                heappush(heap, (rank, f))
+            elif rank < low:
+                low = rank
+        if not heap:
+            break
+        pivot = heap[0][1]
+        t = type(pivot)
+        if t is And:
+            added = (pivot.left, pivot.right)
+        elif t is Exists:
+            if pivot.var not in s:
+                raise FomlError(
+                    f"existential witness {pivot.var!r} is missing from the domain set"
+                )
+            added = (pivot.body,)
+        elif t is Or:
+            added = _open_disjuncts(gamma, pivot)
+            if len(added) == 2:
+                return frozenset(gamma), "or", pivot
+            if not added:
+                return None
+        else:
+            added = [instance(pivot, z) for z in s]
+        heappop(heap)
+        gamma.remove(pivot)
+    if low is LITERAL_RANK:
+        return frozenset(gamma), "none", None
+    priority = low[0]
+    if priority >= len(_RULES):
+        raise FomlError("no rule applies to a non-literal gamma")
+    if _RULES[priority][0] == "diamond":
+        return frozenset(gamma), "diamond", None
+    return frozenset(g for g in gamma if is_literal(g)), "none", None  # `end`
 
 
 def diamond_outcomes(
@@ -354,12 +415,14 @@ def search(
     EXHAUSTED, and `stats.exhausted_by` names the budget and the world of
     the state being visited or of the frame drawing its next alternative.
 
-    The search is one loop over a stack of frames, one per open state whose
+    The search is one loop over a stack of frames, one per open node whose
     rule is being expanded, so its depth is bounded by the node budget
-    alone. A state that closes, or that the memo of failed states holds,
-    fails at once, and a saturated one is a leaf. A frame fails when every
-    alternative `_alternatives` lists has failed; unguided, its state then
-    enters the memo.
+    alone. Each state visited is a node and counts against the budget: a
+    world's first node as it stands, any other state once `_saturate` has
+    run its single-child rules. A node that closes, or that the memo of
+    failed nodes holds, fails at once, and a saturated one is a leaf. A
+    frame fails when every alternative `_alternatives` lists has failed;
+    unguided, its node then enters the memo.
     """
     root = init_root(theta)
     if limits is None:
@@ -367,46 +430,52 @@ def search(
     stats = SearchStats()
     memo: set = set()
     # A frame: [world, gamma, s, forest, kind, the alternatives left, the
-    # current alternative, its children built so far].
+    # current alternative's states, its pick, its children built so far].
     stack: list[list] = []
-    # A state to visit: (world, gamma, s, forest, base), where `base` is the
-    # parent's gamma when a same-world rule made the state, so that only what
-    # the rule added is checked for a clash, and None otherwise.
-    state = ((), root.gamma, root.s, root.forest, None)
+    # A state to visit: (world, s, forest, base, added). At a world's first
+    # node (forest NOT_INIT) gamma is `base`, checked in full for a clash;
+    # elsewhere it is what `_saturate` makes of `base` and `added`.
+    state = ((), root.s, root.forest, root.gamma, ())
     try:
         while True:
-            world, gamma, s, forest, base = state
+            world, s, forest, base, added = state
             stats.nodes += 1
             if stats.nodes > limits.max_tableau_nodes:
                 raise ResourceLimit("tableau node budget exceeded", stats.nodes)
             node = None
-            if is_closed(gamma) if base is None else _clashes(gamma - base, gamma):
+            if forest is not NOT_INIT:
+                kept = _saturate(s, forest, base, added)
+            elif is_closed(base):
+                kept = None
+            else:
+                kept = (base, *select_rule(base, forest))
+            if kept is None:
                 pass
-            elif guidance is None and (gamma, s, forest) in memo:
+            elif guidance is None and (kept[0], s, forest) in memo:
                 stats.memo_hits += 1
             else:
-                kind, pivot = select_rule(gamma, forest)
+                gamma, kind, pivot = kept
                 if kind == "none":
                     node = TableauNode(gamma, s, forest)
                 else:
                     alts = _alternatives(
                         world, gamma, s, forest, kind, pivot, limits, guidance
                     )
-                    stack.append([world, gamma, s, forest, kind, alts, (), []])
+                    stack.append([world, gamma, s, forest, kind, alts, (), None, []])
             # Hand `node`, None for a failed state, up the stack until a
             # frame names the next state to visit.
             while stack:
                 frame = stack[-1]
-                world, gamma, s, forest, kind, alts, alt, kids = frame
+                world, gamma, s, forest, kind, alts, alt, pick, kids = frame
                 if node is not None:
                     kids.append(node)
                     if len(kids) < len(alt):
                         state = alt[len(kids)]
                         break
                     stack.pop()
-                    node = TableauNode(gamma, s, forest, tuple(kids))
+                    node = TableauNode(gamma, s, forest, tuple(kids), pick)
                     continue
-                alt = next(alts, None)
+                pick, alt = next(alts, (None, None))
                 if alt is None:
                     stack.pop()
                     if guidance is None:
@@ -416,7 +485,7 @@ def search(
                     stats.or_attempts += 1
                 elif kind == "nestedForall":
                     stats.forest_attempts += 1
-                frame[6:] = alt, []
+                frame[6:] = alt, pick, []
                 state = alt[0]
                 break
             else:
@@ -430,39 +499,44 @@ def search(
 
 
 def _alternatives(world, gamma, s, forest, kind, pivot, limits, guidance):
-    """The alternatives of rule `kind` at this state, as an iterator in the
-    order search tries them; each is the list of child states that must all
-    be open: one per open disjunct (a hint reorders only two), one per
+    """The alternatives of a node's rule `kind`, as an iterator of (pick,
+    states) in the order search tries them, where the states are the
+    children that must all be open: at a world's first node, one per
     candidate forest (a valid preferred forest first, then the enumerated
-    ones) and, at a diamond node, one list of its successor worlds. Forests
-    are enumerated lazily."""
+    ones, lazily) or the one `trivialSkolem` child; at an `or` choice, one
+    per disjunct, `pick` its index (a hint reorders them); at a diamond
+    node, one list of its successor worlds."""
     if kind == "diamond":
         order = None if guidance is None else guidance.diamond_order.get(world)
         outcomes = diamond_outcomes(gamma, s, order)
-        return iter([[
-            (world + (i,), gamma_i, s_i, NOT_INIT, None)
+        return iter([(None, [
+            (world + (i,), s_i, NOT_INIT, gamma_i, ())
             for i, (_, gamma_i, s_i) in enumerate(outcomes)
-        ]])
+        ])])
     if kind == "nestedForall":
         stream = enumerate_forests(pivot, gamma, s, limits)
         preferred = None if guidance is None else guidance.forest.get(world)
         if preferred is not None and not validate_forest(preferred, pivot, s):
             stream = chain([preferred], (f for f in stream if f != preferred))
         return (
-            [(world, expand_forest(f, gamma), frozenset(f.names()), f, None)]
+            (None, [(world, frozenset(f.names()), f, (), expand_forest(f, gamma))])
             for f in stream
         )
-    options = successors(gamma, s, forest, kind, pivot)
-    if kind == "or" and guidance is not None and len(options) == 2:
-        want = guidance.or_choice.get((world, formula_key(pivot)))
-        if want in (0, 1):
-            options = [options[want], options[1 - want]]
-    return iter([[(world, g, s2, f, gamma)] for g, s2, f in options])
+    if kind == "trivialSkolem":
+        return iter([(None, [(world, s, EMPTY_TREE, gamma, ())])])
+    picks = (0, 1)
+    if guidance is not None:
+        if guidance.or_choice.get((world, formula_key(pivot))) == 1:
+            picks = (1, 0)
+    rest = gamma - {pivot}
+    disjuncts = (pivot.left, pivot.right)
+    return iter([(i, [(world, s, forest, rest, (disjuncts[i],))]) for i in picks])
 
 
 def verify_tableau(tableau: TableauNode, theta: Formula) -> list[str]:
     """Re-derive every edge of the certificate, the tree under the root
-    `tableau`; empty list means it stands."""
+    `tableau`, an edge within a world by running `_saturate` again; empty
+    list means it stands."""
     out: list[str] = []
     try:
         want = init_root(theta)
@@ -487,8 +561,19 @@ def verify_tableau(tableau: TableauNode, theta: Formula) -> list[str]:
     return out
 
 
+# How the verifier names a forest point's child that differs, by part.
+_FOREST_STEP_ERRORS = {
+    "gamma": "forest expansion mismatch",
+    "domain set": "domain set is not the forest node set",
+}
+
+
 def _check_step(node: TableauNode) -> list[str]:
-    """What is wrong with the step from this node to its children."""
+    """What is wrong with the step from this node to its children. Past a
+    world's first node only an `or` choice and a diamond node have
+    children, and a child in the node's world must be the node `_saturate`
+    makes of the forest's expansion, of the `trivialSkolem` state or of
+    the picked disjunct."""
     try:
         kind, pivot = select_rule(node.gamma, node.forest)
     except FomlError as exc:
@@ -498,33 +583,41 @@ def _check_step(node: TableauNode) -> list[str]:
         return ["children under a saturated node"]
     if kind == "diamond":
         return _check_diamond(node)
+    if kind not in ("nestedForall", "trivialSkolem", "or"):
+        return [f"{kind} left to apply at a node with children"]
     if len(kids) != 1:
         return [f"{kind} must produce exactly one child"]
+    if node.pick not in ((0, 1) if kind == "or" else (None,)):
+        return [f"{kind} node with a pick of {node.pick!r}"]
     c = kids[0]
+    s, forest, base, added = node.s, node.forest, node.gamma, ()
     if kind == "nestedForall":
         if not isinstance(c.forest, SkolemForest):
             return ["nestedForall child carries no forest"]
         bad = validate_forest(c.forest, pivot, node.s)
         if bad:
             return [f"forest: {v}" for v in bad]
-        errs = []
-        if c.gamma != expand_forest(c.forest, node.gamma):
-            errs.append("forest expansion mismatch")
-        if c.s != frozenset(c.forest.names()):
-            errs.append("domain set is not the forest node set")
-        return errs
+        s, forest = frozenset(c.forest.names()), c.forest
+        base, added = (), expand_forest(c.forest, node.gamma)
+    elif kind == "trivialSkolem":
+        forest = EMPTY_TREE
+    else:
+        if len(_open_disjuncts(node.gamma, pivot)) < 2:
+            return ["or node that gamma decides is kept as a choice"]
+        base, added = node.gamma - {pivot}, ((pivot.left, pivot.right)[node.pick],)
     try:
-        allowed = successors(node.gamma, node.s, node.forest, kind, pivot)
+        want = _saturate(s, forest, base, added)
     except FomlError as exc:
         return [str(exc)]
-    state = (c.gamma, c.s, c.forest)
-    if state in allowed:
-        return []
-    wrong = [
-        part for i, part in enumerate(("gamma", "domain set", "forest"))
-        if all(state[i] != want[i] for want in allowed)
-    ]
-    return [f"{kind} produced an unexpected {' and '.join(wrong)}"]
+    if want is None:
+        return [f"{kind} child closes"]
+    parts = (
+        ("gamma", c.gamma, want[0]), ("domain set", c.s, s), ("forest", c.forest, forest)
+    )
+    wrong = [part for part, got, expect in parts if got != expect]
+    if kind == "nestedForall":
+        return [_FOREST_STEP_ERRORS[part] for part in wrong]
+    return [f"{kind} produced an unexpected {' and '.join(wrong)}"] if wrong else []
 
 
 def _check_diamond(node: TableauNode) -> list[str]:
@@ -561,13 +654,11 @@ def read_choices(root: TableauNode):
     """The choices behind a verified tree, one per node that made one, as
     (world, node, kind, choice): at `or` the pivot and the kept disjunct's
     index, at `nestedForall` the forest, at `diamond` the diamonds in
-    successor order. Each is read off the node states, with no rule
-    applied: children that start worlds sit under a diamond node, and a
-    world's first node whose child carries a forest is its forest point.
-    Every other step takes from gamma its pivot alone, or at `end` its
-    boxes, so an `or` node is one whose child lost just an `Or`. It is a
-    choice only where gamma leaves both disjuncts open (`_open_disjuncts`),
-    and the kept index is that of the disjunct the child added."""
+    successor order. Each is read off the tree, with no rule applied:
+    children that start worlds sit under a diamond node, a world's first
+    node whose child carries a forest is its forest point, and every other
+    node with a child is an `or` choice, whose pivot is gamma's first
+    formula in `rule_rank` order and whose kept index is its `pick`."""
     for w, node in root.walk():
         if not node.children:
             continue
@@ -578,15 +669,12 @@ def read_choices(root: TableauNode):
             if isinstance(c.forest, SkolemForest):
                 yield w, node, "nestedForall", c.forest
         else:
-            gone = node.gamma - c.gamma
-            pivot = next(iter(gone)) if len(gone) == 1 else None
-            if type(pivot) is Or and len(_open_disjuncts(node.gamma - gone, pivot)) == 2:
-                yield w, node, "or", (pivot, 0 if pivot.left in c.gamma else 1)
+            yield w, node, "or", (_top(node.gamma), node.pick)
 
 
 def replay_guidance(tableau: TableauNode, choices: Optional[list] = None) -> Guidance:
     """The choices behind a verified tree, read back as replay hints: the
-    disjunct kept at each `or` node that is a choice, each world's forest
+    disjunct kept at each `or` choice, each world's forest
     and each diamond node's successor order. Searching with them rebuilds
     the same tree.
     `choices` is the tree's `read_choices`, where a caller has listed it."""
@@ -642,9 +730,11 @@ def _forest_from_json(data, read) -> SkolemForest:
 def certificate_to_json(tableau: TableauNode) -> str:
     """The choices behind the tree under the root `tableau`, as one line of
     canonical JSON: `theta`, the root's one formula; `nodes`, the tree's
-    node count; and the `replay_guidance` hints `or_choice`, `forest` and
-    `diamond_order`, each a list of entries sorted by world, a world written
-    as its list of diamond indices. Each distinct formula is printed once."""
+    node count, which a replay must visit exactly (the kept nodes only:
+    world starts, `or` choices, diamond nodes and leaves); and the
+    `replay_guidance` hints `or_choice`, `forest` and `diamond_order`, each
+    a list of entries sorted by world, a world written as its list of
+    diamond indices. Each distinct formula is printed once."""
     show = cache(print_formula)
     (theta,) = tableau.gamma
     g = replay_guidance(tableau)

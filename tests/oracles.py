@@ -24,12 +24,13 @@ from foml.formulas import (
     Pred,
     formula_key,
     fresh_var,
+    instance,
     is_literal,
     is_nested_forall,
     nnf_complement,
 )
 from foml.forest import NOT_INIT, SkolemForest
-from foml.tableau import _match_diamonds, select_rule, successors
+from foml.tableau import _match_diamonds
 
 
 def brute_atoms(psi):
@@ -370,11 +371,68 @@ def ref_classify_fragment(phi):
     return FragmentClass(frozenset(bundles), category)
 
 
+def ref_step(gamma, s, kind, pivot):
+    """The gammas one same-world rule allows, as the tableau applied the
+    rules one node at a time: one per disjunct gamma leaves open at `or`
+    (the one already in gamma, or the one both disjuncts are, alone; else
+    each whose complement is not in gamma), the single gamma of every other
+    kind."""
+    if kind == "end":
+        return [frozenset(g for g in gamma if is_literal(g))]
+    rest = gamma - {pivot}
+    if kind == "and":
+        return [rest | {pivot.left, pivot.right}]
+    if kind == "or":
+        left, right = pivot.left, pivot.right
+        if left in rest or left is right:
+            return [rest | {left}]
+        if right in rest:
+            return [rest | {right}]
+        return [rest | {d} for d in (left, right) if nnf_complement(d) not in rest]
+    if kind == "exists":
+        if pivot.var not in s:
+            raise FomlError(
+                f"existential witness {pivot.var!r} is missing from the domain set"
+            )
+        return [rest | {pivot.body}]
+    assert kind == "forall", kind
+    return [rest | {instance(pivot, z) for z in s}]
+
+
+def _closed(gamma):
+    return any(nnf_complement(f) in gamma for f in gamma)
+
+
+def ref_saturate(gamma, s, forest):
+    """`tableau._saturate` of a state, one rule at a time: `ref_select_rule`
+    picks each rule, `ref_step` applies it, and every state is checked in
+    full for a clash. Returns the steps taken, each (kind, pivot, the gamma
+    it applied to), and the node they end at, (gamma, kind, pivot) with kind `or` (a choice), `diamond`
+    or `none`, or None where a state closes or an `or` has no open
+    disjunct."""
+    steps = []
+    while True:
+        if _closed(gamma):
+            return steps, None
+        kind, pivot = ref_select_rule(gamma, forest)
+        if kind in ("none", "diamond"):
+            return steps, (gamma, kind, pivot)
+        options = ref_step(gamma, s, kind, pivot)
+        if len(options) == 2:
+            return steps, (gamma, kind, pivot)
+        if not options:
+            return steps, None
+        steps.append((kind, pivot, gamma))
+        gamma = options[0]
+
+
 def ref_read_choices(root):
     """`tableau.read_choices` by re-applying the rules: at each same-world
-    node whose forest is set, `select_rule` names the rule, and an `or` node
-    is a choice when `successors` offers two options; the kept index is the
-    position of the child's state among them."""
+    node whose forest is set, `ref_select_rule` names the rule, and an `or`
+    node is a choice when `ref_step` offers two options; the kept index is
+    the node's `pick`, whose option `ref_saturate` must take to the child's
+    gamma. Both options can saturate to one gamma, so the pick is read, not
+    found."""
     for w, node in root.walk():
         if not node.children:
             continue
@@ -385,12 +443,12 @@ def ref_read_choices(root):
             if isinstance(c.forest, SkolemForest):
                 yield w, node, "nestedForall", c.forest
         else:
-            kind, pivot = select_rule(node.gamma, node.forest)
-            if kind == "or":
-                options = successors(node.gamma, node.s, node.forest, kind, pivot)
-                if len(options) < 2:
-                    continue
-                yield w, node, kind, (pivot, options.index((c.gamma, c.s, c.forest)))
+            kind, pivot = ref_select_rule(node.gamma, node.forest)
+            options = ref_step(node.gamma, node.s, kind, pivot)
+            if kind == "or" and len(options) == 2:
+                end = ref_saturate(options[node.pick], node.s, node.forest)[1]
+                assert end[0] == c.gamma, "the pick does not lead to the child"
+                yield w, node, kind, (pivot, node.pick)
 
 
 # `tableau.select_rule` by a scan of gamma's kinds, then of the first kind's

@@ -153,9 +153,9 @@ def test_verify_and_difftest_share_one_root_check(runner, tmp_path, monkeypatch)
     [
         (lambda doc: doc.update(nodes=doc["nodes"] - 1),
          "error: invalid certificate: the replay ran past its budget: tableau "
-         "node budget exceeded at r.0.2.5 (work count 123)"),
+         "node budget exceeded at r.0.2.5 (work count 46)"),
         (lambda doc: doc.update(nodes=doc["nodes"] + 1),
-         "error: invalid certificate: the replay visited 123 nodes, not 124"),
+         "error: invalid certificate: the replay visited 46 nodes, not 47"),
         (lambda doc: doc["or_choice"].pop(2),
          "error: invalid certificate: or_choice at r.0.0 is missing"),
         (lambda doc: doc.update(nodes="many"),
@@ -194,7 +194,7 @@ def test_sat_resource_exit_code(runner, tmp_path):
     assert result.exit_code == 2
     # The budget, the world where it fired and the work done by then.
     assert (
-        "RESOURCE: tableau node budget exceeded at r.0 (work count 6)"
+        "RESOURCE: tableau node budget exceeded at r.0.0 (work count 6)"
         in result.output
     )
     result = runner.invoke(
@@ -203,7 +203,7 @@ def test_sat_resource_exit_code(runner, tmp_path):
     assert result.exit_code == 2
     payload = json.loads(result.output)
     assert payload["exhausted_by"] == (
-        "tableau node budget exceeded at r.0 (work count 6)"
+        "tableau node budget exceeded at r.0.0 (work count 6)"
     )
     result = runner.invoke(main, ["sat", path, "--limits", "forest=1"])
     assert result.exit_code == 2
@@ -211,24 +211,24 @@ def test_sat_resource_exit_code(runner, tmp_path):
 
 
 def test_model_rebuild_resource_exit_code(runner, tmp_path):
-    # 300 nodes admit the 199-node flagship search and the 235-node first
-    # rebuild, but not the 398-node second one.
+    # 100 nodes admit the 76-node flagship search and the 76-node first
+    # rebuild, but not the 114-node second one.
     path = write(tmp_path, "phi.foml", PHI1_TEXT)
     result = runner.invoke(
-        main, ["model", path, "--extensions", "2", "--limits", "tableau=300"]
+        main, ["model", path, "--extensions", "2", "--limits", "tableau=100"]
     )
     assert result.exit_code == 2
     assert result.stderr.startswith("resource limit: extension rebuild failed")
     assert result.stderr.count("tableau node budget exceeded") == 1
     # The rebuild names the extended world, then the world the budget hit.
     assert (
-        "failed at r.0 leaf 'v3': tableau node budget exceeded at r.0.3.8 "
-        "(work count 301)" in result.stderr
+        "failed at r.0 leaf 'v3': tableau node budget exceeded at r.0.4.0 "
+        "(work count 101)" in result.stderr
     )
     result = runner.invoke(main, ["model", path, "--limits", "tableau=5"])
     assert result.exit_code == 2
     assert result.output.startswith(
-        "RESOURCE: tableau node budget exceeded at r.0 (work count 6)"
+        "RESOURCE: tableau node budget exceeded at r.0.0 (work count 6)"
     )
     assert result.stderr == ""
 
@@ -396,7 +396,7 @@ def test_model_json_reports_every_outcome(runner, tmp_path):
     result = runner.invoke(main, ["model", unsat, "--format", "json"])
     assert result.exit_code == 1
     assert json.loads(result.output) == {
-        "status": "unsat", "nodes_visited": 3, "exhausted_by": None,
+        "status": "unsat", "nodes_visited": 2, "exhausted_by": None,
     }
     deep = write(tmp_path, "deep.foml", PHI1_TEXT)
     result = runner.invoke(
@@ -406,7 +406,7 @@ def test_model_json_reports_every_outcome(runner, tmp_path):
     assert json.loads(result.output) == {
         "status": "exhausted",
         "nodes_visited": 6,
-        "exhausted_by": "tableau node budget exceeded at r.0 (work count 6)",
+        "exhausted_by": "tableau node budget exceeded at r.0.0 (work count 6)",
     }
     assert result.stderr == ""
 

@@ -24,6 +24,7 @@ from foml.extraction import (
 from foml.forest import NOT_INIT
 from foml.formulas import (
     ORIGIN_SEP,
+    And,
     FomlError,
     ResourceLimit,
     all_vars,
@@ -31,6 +32,7 @@ from foml.formulas import (
     free_vars,
     instance,
     instances,
+    is_literal,
 )
 from foml.kripke import KripkeModel, check, validate_model
 
@@ -92,6 +94,31 @@ def test_audit_reports_what_the_verifier_rejects():
         extract_model(stuck)
 
 
+def test_the_semantic_gate_catches_a_rule_fault_search_and_verifier_share(
+    monkeypatch,
+):
+    """A planted fault in `_saturate`, an `and` of literals that drops its
+    right conjunct, sits in search and in the verifier alike, so the
+    verifier accepts the tree. Theta still holds at `r` (r.1 satisfies
+    both diamonds), so only the per-node gate sees that the `or` kept at
+    r.0's first node fails in the model. The sound rule passes the gate."""
+    theta = norm("<> ((P(a) & Q(a)) | R(a)) & <> R(a)")
+    real = foml.tableau._saturate
+
+    def drops_a_conjunct(s, forest, base, added):
+        added = [f.left if type(f) is And and is_literal(f.right) else f for f in added]
+        return real(s, forest, base, added)
+
+    monkeypatch.setattr(foml.tableau, "_saturate", drops_a_conjunct)
+    tableau = search(theta).tableau
+    assert verify_tableau(tableau, theta) == []
+    model, violations, problems = audit(tableau, theta)
+    assert violations == [] and check(model, "r", {"a": "a"}, theta)
+    assert problems == ["formula P(a) & Q(a) | R(a) fails at r.0"]
+    monkeypatch.undo()
+    assert audit(search(theta).tableau, theta)[1:] == ([], [])
+
+
 def test_flagship_has_one_canonical_violation(phi1_result):
     t = phi1_result.tableau
     violations = find_leaf_violations(t, extract_model(t))
@@ -144,7 +171,8 @@ def test_extend_tableau_searches_once_and_reports_exhaustion(
 
     monkeypatch.setattr(foml.extraction, "search", counted)
     t = phi1_result.tableau
-    limits = dataclasses.replace(SearchLimits.derive(phi1), max_tableau_nodes=230)
+    # Below the 76 nodes of the first rebuild.
+    limits = dataclasses.replace(SearchLimits.derive(phi1), max_tableau_nodes=70)
     with pytest.raises(ResourceLimit, match="extension rebuild failed"):
         extend_tableau(phi1, t, forest_world(t), "v2", limits)
     assert len(calls) == 1
@@ -340,7 +368,7 @@ def test_hints_reach_the_witnesses_named_after_the_fresh_element(monkeypatch):
     theta = norm(U_CHAIN)
     pairs = rebuild_counts(monkeypatch)
     _, trace, _ = iterate_extensions(theta, search(theta).tableau, 3)
-    assert pairs == [(47, 47), (58, 58), (69, 69)]
+    assert pairs == [(24, 24), (29, 29), (34, 34)]
     assert [s.fresh for s in trace.steps] == [
         ("v3", "u@v3"), ("v4", "u@v4"), ("v5", "u@v5")
     ]
@@ -358,7 +386,7 @@ def test_a_fresh_name_that_sorts_first_takes_no_old_world(monkeypatch):
     pairs = rebuild_counts(monkeypatch)
     _, trace, status = iterate_extensions(theta, search(theta).tableau, 12)
     assert status == RESIDUAL
-    assert pairs == [(47 + 11 * i,) * 2 for i in range(12)]
+    assert pairs == [(24 + 5 * i,) * 2 for i in range(12)]
     assert trace.steps[7].fresh == ("v10", "u@v10")
 
 

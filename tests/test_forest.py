@@ -54,7 +54,7 @@ def test_single_chain_forest():
 
 
 def test_size_bound_covers_chain():
-    assert forest_size_bound(CHAIN_Q.body, 1) == 16
+    assert forest_size_bound(CHAIN_Q, 1) == 16
     assert len(chain_forest().nodes) <= 16
 
 

@@ -13,10 +13,11 @@ import foml.forest
 import foml.formulas
 import foml.tableau
 from conftest import PHI1_TEXT, norm, subformulas
-from oracles import ref_read_choices, ref_select_rule
+from oracles import ref_read_choices, ref_saturate, ref_select_rule, ref_step
 from foml.forest import EMPTY_TREE, NOT_INIT, SkolemForest, forest_size_bound
 from foml.extraction import iterate_extensions, trace_to_ndjson
 from foml.formulas import (
+    Box,
     FomlError,
     Forall,
     FragmentError,
@@ -48,10 +49,9 @@ from foml.tableau import (
     replay_guidance,
     search,
     select_rule,
-    _clashes,
+    _saturate,
     is_closed,
     is_saturated,
-    successors,
     verify_tableau,
 )
 from foml.testgen import GenConfig, certificate_read_back_problems, gen_formula
@@ -105,11 +105,64 @@ def test_select_rule_agrees_with_the_kind_scan(rule_trees):
     node of the flagship after 0-3 extension rounds and of every SAT tree
     of the seed-2026 corpus."""
     nodes = [n for t in rule_trees for _, n in t.walk()]
-    assert len(nodes) > 7000
+    assert len(nodes) > 4000
     for node in nodes:
         want = ref_select_rule(node.gamma, node.forest)
         assert select_rule(node.gamma, node.forest) == want
         assert is_saturated(node.gamma) == (want[0] == "none")
+
+
+def test_kept_nodes_away_from_a_world_start_are_fixpoints(rule_trees):
+    """Every node past a world's first node is one `_saturate` stops at:
+    `select_rule` gives an `or` that leaves both disjuncts open, a diamond
+    or `none`, and only a leaf gives `none`. A world's first node is the
+    only one with a forest rule. On the flagship after 0-3 extension rounds
+    and on every SAT tree of the seed-2026 corpus."""
+    kinds = set()
+    for t in rule_trees:
+        for _, node in t.walk():
+            kind, pivot = select_rule(node.gamma, node.forest)
+            kinds.add(kind)
+            assert (kind == "none") == (not node.children)
+            if node.forest is NOT_INIT:
+                assert kind in ("nestedForall", "trivialSkolem", "none")
+                continue
+            assert kind in ("or", "diamond", "none")
+            if kind == "or":
+                assert len(ref_step(node.gamma, node.s, kind, pivot)) == 2
+    assert kinds == {"nestedForall", "trivialSkolem", "or", "diamond", "none"}
+
+
+def ref_edge(node):
+    """The rule of a node whose one child sits in its world, with what
+    `ref_saturate` makes of the step, one rule at a time: the steps it takes
+    from the forest's expansion, the `trivialSkolem` state or the picked
+    disjunct, and the node they end at."""
+    kind, pivot = select_rule(node.gamma, node.forest)
+    c = node.children[0]
+    if kind == "trivialSkolem":
+        start = (node.gamma, node.s, EMPTY_TREE)
+    elif kind == "nestedForall":
+        start = (foml.tableau.expand_forest(c.forest, node.gamma), c.s, c.forest)
+    else:
+        gamma = ref_step(node.gamma, node.s, kind, pivot)[node.pick]
+        start = (gamma, node.s, node.forest)
+    return (kind, *ref_saturate(*start))
+
+
+def test_saturate_agrees_with_one_rule_at_a_time(rule_trees):
+    """Each child in its parent's world is the node `ref_saturate` reaches
+    by applying the rules one at a time, each state checked in full for a
+    clash: on the flagship after 0-3 extension rounds and on every SAT tree
+    of the seed-2026 corpus."""
+    steps = 0
+    for t in rule_trees:
+        for _, node in t.walk():
+            if node.children and node.children[0].forest is not NOT_INIT:
+                _, taken, end = ref_edge(node)
+                assert end[0] == node.children[0].gamma
+                steps += len(taken)
+    assert steps > 3000
 
 
 def outcome(pick, gamma, forest):
@@ -155,6 +208,30 @@ def test_select_rule_edge_cases(forest):
         assert is_saturated(gamma) == (name in ("empty", "literals"))
 
 
+def test_each_nested_universal_enumerates_its_atoms_once(monkeypatch):
+    """A nested universal keeps its atoms (`forall_atoms`): one flagship
+    search, its certificate read-back, a verification and 3 extension
+    rounds enumerate the atoms of its one nested universal once, where the
+    size bound, each forest enumeration and each forest validation asked
+    for them again. The predicate is renamed so that the universal is a
+    new node."""
+    theta = norm(PHI1_TEXT.replace("P(", "Atoms("))
+    calls = []
+    real = foml.formulas.enumerate_atoms
+
+    def counted(psi):
+        calls.append(psi)
+        return real(psi)
+
+    monkeypatch.setattr(foml.formulas, "enumerate_atoms", counted)
+    res = search(theta)
+    again = certificate_from_json(certificate_to_json(res.tableau))
+    assert verify_tableau(again, theta) == []
+    iterate_extensions(theta, again, 3)
+    (nested,) = [q for q in subformulas(theta) if type(q) is Forall and is_nested_forall(q)]
+    assert calls == [nested.body]
+
+
 def test_each_universal_skeleton_is_walked_once_for_nestedness(monkeypatch):
     """Whether a universal is nested is computed once per universal and
     kept on it: over one flagship search, its verification and 3 extension
@@ -164,7 +241,7 @@ def test_each_universal_skeleton_is_walked_once_for_nestedness(monkeypatch):
     theta = norm(PHI1_TEXT.replace("P(", "Walked("))
     walks: dict[int, int] = {}
     in_atoms = []
-    skeleton, atoms = foml.formulas.skeleton_leaves, foml.forest.enumerate_atoms
+    skeleton, atoms = foml.formulas.skeleton_leaves, foml.formulas.enumerate_atoms
 
     def counted(psi):
         if not in_atoms:
@@ -179,7 +256,7 @@ def test_each_universal_skeleton_is_walked_once_for_nestedness(monkeypatch):
             in_atoms.pop()
 
     monkeypatch.setattr(foml.formulas, "skeleton_leaves", counted)
-    monkeypatch.setattr(foml.forest, "enumerate_atoms", enumerated)
+    monkeypatch.setattr(foml.formulas, "enumerate_atoms", enumerated)
     res = search(theta)
     assert verify_tableau(res.tableau, theta) == []
     iterate_extensions(theta, res.tableau, 3)
@@ -187,40 +264,48 @@ def test_each_universal_skeleton_is_walked_once_for_nestedness(monkeypatch):
     assert set(walks.values()) == {1}
 
 
+def test_saturate_refuses_a_negation_that_is_no_literal():
+    """As `select_rule` does, once such a negation is gamma's first formula."""
+    gamma = frozenset({parse_formula("~(Edge(x) & Edge(y))"), Pred("Edge", ("x",))})
+    with pytest.raises(FomlError, match="no rule applies to a non-literal gamma"):
+        _saturate(frozenset({"x", "y"}), EMPTY_TREE, gamma, ())
+
+
 def test_end_rule_drops_boxes():
     g = frozenset({norm("P(x)"), norm("[] Q(x,x)")})
     s = frozenset({"x"})
-    assert successors(g, s, EMPTY_TREE, "end", None) == [
-        (frozenset({norm("P(x)")}), s, EMPTY_TREE)
-    ]
+    assert _saturate(s, EMPTY_TREE, g, ()) == (frozenset({norm("P(x)")}), "none", None)
 
 
 def test_or_rule_offers_only_the_disjuncts_gamma_leaves_open():
-    """A disjunct already in gamma, or one the two disjuncts are, is the one
-    child; a disjunct whose complement is in gamma is dropped, and when both
-    are the node has no child and fails."""
+    """A disjunct already in gamma, or one the two disjuncts are, is taken
+    inside the node; so is the one disjunct whose complement is not in
+    gamma, and when both complements are the node closes. Only an `or`
+    that leaves both disjuncts open ends the saturation, as a choice."""
     p, q, r = norm("P(a)"), norm("Q(a)"), norm("R(a)")
     s = frozenset({"a"})
 
-    def children(pivot, *others):
+    def saturated(pivot, *others):
         gamma = frozenset({pivot, *others})
         assert select_rule(gamma, EMPTY_TREE) == ("or", pivot)
-        return [g for g, _, _ in successors(gamma, s, EMPTY_TREE, "or", pivot)]
+        return _saturate(s, EMPTY_TREE, gamma, ())
 
     p_or_q, not_p, not_q = norm("P(a) | Q(a)"), norm("~P(a)"), norm("~Q(a)")
-    assert children(p_or_q, r) == [frozenset({p, r}), frozenset({q, r})]
-    assert children(p_or_q, q) == [frozenset({q})]
-    assert children(p_or_q, p, q) == [frozenset({p, q})]
-    assert children(norm("P(a) | P(a)")) == [frozenset({p})]
-    assert children(p_or_q, not_p) == [frozenset({not_p, q})]
-    assert children(p_or_q, not_q) == [frozenset({not_q, p})]
-    assert children(p_or_q, not_p, not_q) == []
+    assert saturated(p_or_q, r) == (frozenset({p_or_q, r}), "or", p_or_q)
+    assert saturated(p_or_q, q) == (frozenset({q}), "none", None)
+    assert saturated(p_or_q, p, q) == (frozenset({p, q}), "none", None)
+    assert saturated(norm("P(a) | P(a)")) == (frozenset({p}), "none", None)
+    assert saturated(p_or_q, not_p) == (frozenset({not_p, q}), "none", None)
+    assert saturated(p_or_q, not_q) == (frozenset({not_q, p}), "none", None)
+    assert saturated(p_or_q, not_p, not_q) is None
     assert search(norm("(P(a) | Q(a)) & ~P(a) & ~Q(a)")).status == UNSAT
 
 
 def test_flagship_is_satisfiable(phi1_result):
+    # 76 nodes visited, 46 of them kept; a disjunct is tried only at an
+    # `or` choice.
     assert phi1_result.status == SAT
-    assert phi1_result.stats.nodes == 199
+    assert (phi1_result.stats.nodes, phi1_result.stats.or_attempts) == (76, 27)
 
 
 def test_flagship_rebuilds_search_pinned_node_counts(monkeypatch, phi1, phi1_result):
@@ -235,7 +320,7 @@ def test_flagship_rebuilds_search_pinned_node_counts(monkeypatch, phi1, phi1_res
 
     monkeypatch.setattr(foml.extraction, "search", counted)
     iterate_extensions(phi1, phi1_result.tableau, 3)
-    assert nodes == [235, 398, 621]
+    assert nodes == [76, 114, 160]
 
 
 def test_flagship_rebuilds_search_exactly_what_they_keep(
@@ -257,19 +342,19 @@ def test_flagship_rebuilds_search_exactly_what_they_keep(
     monkeypatch.setattr(foml.extraction, "search", counted)
     iterate_extensions(phi1, phi1_result.tableau, 6)
     assert pairs == [
-        (235, 235), (398, 398), (621, 621),
-        (913, 913), (1283, 1283), (1740, 1740),
+        (76, 76), (114, 114), (160, 160),
+        (214, 214), (276, 276), (346, 346),
     ]
 
 
 # sha256 of certificate_to_json of the flagship's rebuilds in rounds 1-6.
 REBUILD_CERTIFICATE_SHA256 = [
-    "8ed5a6caf25a6b21768856f22651bf52a2c9a7867a2e583e554f28d32d631a04",
-    "a7916a9d852017bea53e85b988a6ef9fd8c66107269301b9e91b7936e83f72c8",
-    "888f21deaa0855a349778b051801436320da1b49ea25681d8f200b47cf95d63e",
-    "3ee4e10823c1e4ee07fc891ab8ab7d03655ffbef20a965b5e43997529400b9f2",
-    "0664aa5c88462794f7b356f1ed103b8183106e2bd4e3d42cf274c8596171b5d0",
-    "4ba34e581bf81429776560ca7cbaa4eec05ae52e5e1156ac53684a8a4cbe9644",
+    "4e902dc66d1349e055add8d94c92909c950d7851444727c20b21f14d3c29fac8",
+    "c6e9fafd08533ed1a1350e8b7209fcc56d642128c97c532ceebb28273da68c0f",
+    "1744fb00d78dd99766c702e842c70b18ac37cae6fd14b1cf0135bdd7efdbb6e7",
+    "1ddd20ad0fdcb5c06305ab3575e54353f54694473d06ef96bc69a6e350035d1e",
+    "f6c16fc44832d4a59ebc831eb583299e84be0c9601272ea5e76c3f2ab34f9ab4",
+    "2b7127f7be86634182e117c1d0a13ab33e834c35dc551c3400b4b9a968583b4b",
 ]
 
 
@@ -331,15 +416,16 @@ def wide_forest(inner, outer):
 
 
 def test_a_wide_forest_is_decided():
+    # The root, its diamond node, r.0 and its forest point: every other
+    # step saturates inside one of them.
     res = search(wide_forest(4, 20))
-    assert (res.status, res.stats.nodes) == (SAT, 465)
+    assert (res.status, res.stats.nodes) == (SAT, 4)
 
 
 def test_a_wider_forest_is_decided():
-    # About 500 same-world rules on one branch: deeper than a search that
-    # recursed once per rule could go under the default recursion limit.
+    # About 500 same-world rules on one branch, all inside two nodes.
     res = search(wide_forest(4, 25))
-    assert (res.status, res.stats.nodes) == (SAT, 575)
+    assert (res.status, res.stats.nodes) == (SAT, 4)
 
 
 def wide_certificate(n):
@@ -351,16 +437,33 @@ def wide_certificate(n):
 
 
 def test_a_wide_certificate_is_decided_and_reads_back():
+    # Each of the 399 closing disjuncts is an `or` choice that fails.
     res = search(wide_certificate(400))
-    assert (res.status, res.stats.nodes, res.stats.or_attempts) == (SAT, 2006, 800)
+    assert (res.status, res.stats.nodes, res.stats.or_attempts) == (SAT, 803, 799)
     text = certificate_to_json(res.tableau)
     assert certificate_to_json(certificate_from_json(text)) == text
 
 
 def test_a_long_flat_conjunction_is_decided():
-    # One `and` step per conjunct, all in one world and on one branch.
+    # One `and` step per conjunct, all inside the root's one child.
     res = search(norm(" & ".join(f"P{i}(x)" for i in range(1500))))
-    assert (res.status, res.stats.nodes) == (SAT, 1501)
+    assert (res.status, res.stats.nodes) == (SAT, 2)
+
+
+def test_the_widest_corpus_tree_is_decided_and_reads_back():
+    """`GenConfig(seed=11, max_depth=6)` formula 236, the widest tree of the
+    corpora in use: 9,704 worlds, and 180,408 `and`, `exists` and `forall`
+    steps that saturate inside its 19,408 nodes. Its certificate reads
+    back to the same tree."""
+    cfg, rng = GenConfig(seed=11, max_depth=6), random.Random(11)
+    for _ in range(237):
+        theta = gen_formula(cfg, rng)
+    res = search(theta)
+    assert (res.status, res.stats.nodes) == (SAT, 19_408)
+    text = certificate_to_json(res.tableau)
+    again = certificate_from_json(text)
+    assert certificate_to_json(again) == text
+    assert len({w for w, _ in again.walk()}) == 9_704
 
 
 def test_search_is_deterministic(phi1, phi1_result):
@@ -426,35 +529,62 @@ def test_verifier_catches_corrupted_forest(phi1, phi1_result):
     assert problems and any("forest" in p for p in problems)
 
 
-# The message the verifier gives when a child of each rule kind is corrupted.
-STEP_ERRORS = {
+# The message the verifier gives when the child of a node with each rule
+# kind is corrupted.
+KEPT_STEP_ERRORS = {
     "trivialSkolem": "trivialSkolem produced an unexpected gamma",
-    "and": "and produced an unexpected gamma",
     "or": "or produced an unexpected gamma",
-    "exists": "exists produced an unexpected gamma",
-    "forall": "forall produced an unexpected gamma",
-    "end": "end produced an unexpected gamma",
     "diamond": "diamond successors do not match the rule outcomes",
     "nestedForall": "forest expansion mismatch",
 }
+# The single-child rules, which run inside the saturated step that makes a
+# node's child in its world.
+INNER_RULES = ("and", "exists", "forall", "end")
 
 
-@pytest.mark.parametrize("kind", sorted(STEP_ERRORS))
+def _inner_fault(tableau, rule):
+    """The first step of `rule` inside a saturated step, as (world, the
+    node, the node's rule, the formula a faulty `rule` would have left in
+    gamma): its pivot, or for `end` a box, which is not in the child."""
+    for w, n in tableau.walk():
+        if not n.children or n.children[0].forest is NOT_INIT:
+            continue
+        kind, steps, _ = ref_edge(n)
+        for k, pivot, before in steps:
+            if k != rule:
+                continue
+            if k == "end":
+                pivot = min((g for g in before if type(g) is Box), key=formula_key)
+            if pivot not in n.children[0].gamma:
+                return w, n, kind, pivot
+    raise AssertionError(f"no {rule} step in the tree")
+
+
+@pytest.mark.parametrize("kind", sorted([*KEPT_STEP_ERRORS, *INNER_RULES]))
 def test_verifier_names_the_world_of_each_corrupted_rule(kind, phi1, phi1_result):
+    """A corrupted child is reported at the world of the node whose step
+    made it. A fault in a single-child rule sits inside a saturated step:
+    the child keeps the rule's pivot, or `end` a box, and is reported as a
+    corrupted child of the node whose step saturated it."""
     if kind == "end":
         theta = norm("P(x) & [] Q(x,x)")
         tableau = search(theta).tableau
     else:
         theta, tableau = phi1, phi1_result.tableau
-    world, child = next(children_of(tableau, kind))
-    parent_world = world[:-1] if kind == "diamond" else world
+    if kind in KEPT_STEP_ERRORS:
+        world, child = next(children_of(tableau, kind))
+        world = world[:-1] if kind == "diamond" else world
+        extra, line = norm("P(zz)"), KEPT_STEP_ERRORS[kind]
+    else:
+        world, node, made_by, extra = _inner_fault(tableau, kind)
+        child, line = node.children[0], KEPT_STEP_ERRORS[made_by]
     bad = mutate_first(
         tableau,
         lambda n: n is child,
-        lambda n: replace(n, gamma=n.gamma | {norm("P(zz)")}),
+        lambda n: replace(n, gamma=n.gamma | {extra}),
     )
     problems = verify_tableau(bad, theta)
-    assert f"{render_world(parent_world)}: {STEP_ERRORS[kind]}" in problems
+    assert f"{render_world(world)}: {line}" in problems
 
 
 def _first(tableau, pick):
@@ -472,10 +602,10 @@ def _at(world, message):
 # Each case corrupts the flagship certificate in one way and gives the exact
 # line the verifier reports for it.
 def _child_starts_a_world(t):
-    w, n = _first(t, lambda w, n: n.children and _kind(n) == "and")
+    w, n = _first(t, lambda w, n: n.children and _kind(n) == "or")
     child = replace(n.children[0], forest=NOT_INIT)
     bad = _corrupt(t, n, lambda n: replace(n, children=(child,)))
-    return bad, _at(w, "and produced an unexpected forest")
+    return bad, _at(w, "or produced an unexpected forest")
 
 
 def _child_under_a_leaf(t):
@@ -485,9 +615,9 @@ def _child_under_a_leaf(t):
 
 
 def _two_children(t):
-    w, n = _first(t, lambda w, n: n.children and _kind(n) == "and")
+    w, n = _first(t, lambda w, n: n.children and _kind(n) == "or")
     bad = _corrupt(t, n, lambda n: replace(n, children=n.children * 2))
-    return bad, _at(w, "and must produce exactly one child")
+    return bad, _at(w, "or must produce exactly one child")
 
 
 def _no_forest(t):
@@ -582,17 +712,17 @@ def test_crash_under_a_preferred_forest_is_not_unsat(monkeypatch):
     phi = norm("<> forall x . (exists y . [] P(x,y))")
     guidance = replay_guidance(search(phi).tableau)
     assert guidance.forest
-    real = foml.tableau.successors
+    real = foml.tableau._saturate
 
-    def broken(gamma, s, forest, kind, pivot):
-        if kind == "end":
-            raise FomlError("end rule crashed")
-        return real(gamma, s, forest, kind, pivot)
+    def broken(s, forest, base, added):
+        if isinstance(forest, SkolemForest):
+            raise FomlError("saturation crashed")
+        return real(s, forest, base, added)
 
-    monkeypatch.setattr(foml.tableau, "successors", broken)
-    with pytest.raises(FomlError, match="end rule crashed"):
+    monkeypatch.setattr(foml.tableau, "_saturate", broken)
+    with pytest.raises(FomlError, match="saturation crashed"):
         search(phi)
-    with pytest.raises(FomlError, match="end rule crashed"):
+    with pytest.raises(FomlError, match="saturation crashed"):
         search(phi, guidance=guidance)
 
 
@@ -661,10 +791,10 @@ def test_certificate_read_back_walks_the_same_worlds(phi1_result):
     the same (world, gamma, s) sequence, and diamond child i of a node at
     w sits at w + (i,), every other child at w. A child's forest is
     NOT_INIT exactly when its parent's rule is `diamond`, which is what
-    lets a node carry no rule. On the flagship and every SAT verdict of
-    the seed-2026 corpus."""
+    lets a node carry no rule; an `or` choice carries only its `pick`. On
+    the flagship and every SAT verdict of the seed-2026 corpus."""
     names = [f.name for f in fields(TableauNode)]
-    assert names == ["gamma", "s", "forest", "children"]
+    assert names == ["gamma", "s", "forest", "children", "pick"]
     cfg, rng = GenConfig(seed=2026), random.Random(2026)
     tableaux = [phi1_result.tableau]
     for _ in range(1000):
@@ -771,7 +901,7 @@ def _flipped_pick(doc):
     doc["or_choice"][0][2] ^= 1
     return (
         "invalid certificate: the replay ran past its budget: tableau node "
-        "budget exceeded at r.0.2.4 (work count 124)"
+        "budget exceeded at r.0.2.5 (work count 47)"
     )
 
 
@@ -804,13 +934,13 @@ def _nodes_one_too_low(doc):
     doc["nodes"] -= 1
     return (
         "invalid certificate: the replay ran past its budget: tableau node "
-        "budget exceeded at r.0.2.5 (work count 123)"
+        "budget exceeded at r.0.2.5 (work count 46)"
     )
 
 
 def _nodes_one_too_high(doc):
     doc["nodes"] += 1
-    return "invalid certificate: the replay visited 123 nodes, not 124"
+    return "invalid certificate: the replay visited 46 nodes, not 47"
 
 
 def _swapped_theta(doc):
@@ -883,10 +1013,10 @@ def rule_trees(phi1, phi1_result):
 
 
 def test_read_choices_matches_the_rule_reader(monkeypatch, rule_trees):
-    """`read_choices` reads the choices off the node states, applying no
-    rule, and lists what `ref_read_choices` finds by re-applying them: on
-    the flagship after 0-3 extension rounds and on every SAT tree of the
-    seed-2026 corpus."""
+    """`read_choices` reads the choices off the tree, applying no rule, and
+    lists what `ref_read_choices` finds by re-applying the rules one at a
+    time: on the flagship after 0-3 extension rounds and on every SAT tree
+    of the seed-2026 corpus."""
     trees = rule_trees
     want = [list(ref_read_choices(t)) for t in trees]
     picks = {c[1] for choices in want for _, _, kind, c in choices if kind == "or"}
@@ -896,7 +1026,8 @@ def test_read_choices_matches_the_rule_reader(monkeypatch, rule_trees):
         raise AssertionError("read_choices applied a rule")
 
     monkeypatch.setattr(foml.tableau, "select_rule", no_rule)
-    monkeypatch.setattr(foml.tableau, "successors", no_rule)
+    monkeypatch.setattr(foml.tableau, "_saturate", no_rule)
+    monkeypatch.setattr(foml.tableau, "_open_disjuncts", no_rule)
     assert [list(read_choices(t)) for t in trees] == want
 
 
@@ -1026,7 +1157,7 @@ def test_derived_limits_match_a_walk_over_every_path(phi1):
         cap = 64
         for sub in subformulas(theta):
             if isinstance(sub, Forall) and is_nested_forall(sub):
-                cap = max(cap, forest_size_bound(sub.body, len(all_vars(theta)) + 2))
+                cap = max(cap, forest_size_bound(sub, len(all_vars(theta)) + 2))
         return SearchLimits(max_forest_nodes=cap)
 
     cfg, rng = GenConfig(seed=2026), random.Random(2026)
@@ -1037,8 +1168,10 @@ def test_derived_limits_match_a_walk_over_every_path(phi1):
 @given(st.integers(0, 100_000))
 @settings(max_examples=150, deadline=None)
 def test_clash_check_on_added_formulas_agrees_with_is_closed(seed):
-    """Down a random path of same-world rules from a random open gamma, each
-    child closes exactly when a formula the rule added meets its complement."""
+    """From a random open gamma, `_saturate`, which checks each formula as
+    it is added, closes exactly where one of the states `ref_saturate`
+    passes through, each checked in full with `is_closed`, closes (or an
+    `or` has no open disjunct), and otherwise ends at the same node."""
     rng = random.Random(seed)
     theta = gen_formula(GenConfig(seed=seed), rng)
     pool = list(dict.fromkeys(subformulas(theta)))
@@ -1048,20 +1181,13 @@ def test_clash_check_on_added_formulas_agrees_with_is_closed(seed):
         if nnf_complement(f) not in gamma:
             gamma.add(f)
     gamma = frozenset(gamma)
+    assert not is_closed(gamma)
     s = frozenset({"v0"}).union(*map(free_vars, gamma), *map(outer_ex_vars, gamma))
-    for _ in range(8):
-        assert not is_closed(gamma)
-        kind, pivot = select_rule(gamma, EMPTY_TREE)
-        if kind in ("none", "diamond"):
-            return
-        try:
-            options = successors(gamma, s, EMPTY_TREE, kind, pivot)
-        except FomlError:  # a binder of one member is free in another
-            return
-        children = [c for c, _, _ in options]
-        for child in children:
-            assert _clashes(child - gamma, child) == is_closed(child)
-        open_children = [c for c in children if not is_closed(c)]
-        if not open_children:
-            return
-        gamma = rng.choice(open_children)
+    added = rng.sample(pool, min(len(pool), rng.randint(0, 3)))
+    try:
+        want = ref_saturate(gamma | set(added), s, EMPTY_TREE)[1]
+    except FomlError:  # a binder of one member is free in another
+        return
+    if is_closed(gamma | set(added)):
+        want = None
+    assert _saturate(s, EMPTY_TREE, gamma, added) == want
