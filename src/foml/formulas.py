@@ -60,15 +60,17 @@ class _Node:
     name fields and the children's identities; a live entry keeps its
     children alive, so their ids cannot be reused while it stands.
 
-    A node is immutable. It holds its hash, computed once when built, and
-    fills on first use what the tableau asks of it: `formula_key` with
+    A node is immutable and hashes by identity, as `object` does, so a set
+    of nodes iterates in an order that follows memory addresses: each
+    reader of one whose result reaches an output sorts by `formula_key`,
+    takes a `min` by `rule_rank`, or yields a set or a bool. A node fills
+    on first use what the tableau asks of it: `formula_key` with
     `rule_rank`, `nnf_complement`, `free_vars`, `all_vars` and `_binders`,
     each over `post_order` for the whole DAG; a `Forall` also keeps
     `is_nested_forall` and `instances`, a `Box` or `Diamond` its
     `outer_witnesses`."""
 
-    __slots__ = ("_hash", "_key", "_compl", "_free", "_all", "_binders", "_rank",
-                 "__weakref__")
+    __slots__ = ("_key", "_compl", "_free", "_all", "_binders", "_rank", "__weakref__")
     _fields: tuple[str, ...] = ()
     _op = ""
 
@@ -77,9 +79,6 @@ class _Node:
 
     def __delattr__(self, name):
         raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __str__(self) -> str:
         return formula_key(self)
@@ -125,7 +124,6 @@ def _enter(node, key):
 
 
 # Nodes are filled in through the slot descriptors, past the guard.
-_set_hash = _Node._hash.__set__
 _set_key = _Node._key.__set__
 _set_compl = _Node._compl.__set__
 _set_free = _Node._free.__set__
@@ -152,7 +150,6 @@ class Pred(_Node):
         node = _blank(cls)
         _set_name(node, name)
         _set_args(node, args)
-        _set_hash(node, hash(key))
         return _enter(node, key)
 
 
@@ -173,7 +170,6 @@ class _Unary(_Node):
                 return node
         node = _blank(cls)
         _set_body(node, body)
-        _set_hash(node, hash((cls._op, body._hash)))
         if cls is not Not:
             _set_outer(node, None)
         return _enter(node, key)
@@ -196,7 +192,6 @@ class _Binary(_Node):
         node = _blank(cls)
         _set_left(node, left)
         _set_right(node, right)
-        _set_hash(node, hash((cls._op, left._hash, right._hash)))
         return _enter(node, key)
 
 
@@ -218,7 +213,6 @@ class _Quant(_Node):
         node = _blank(cls)
         _set_var(node, var)
         _set_quant_body(node, body)
-        _set_hash(node, hash((cls._op, var, body._hash)))
         if cls is Forall:
             _set_nested(node, None)
             _set_atoms(node, None)

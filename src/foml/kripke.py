@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from itertools import product
+from functools import cached_property
+from itertools import groupby, product
 from typing import Mapping, Optional
 
 from .formulas import (
@@ -44,7 +45,9 @@ class RelevanceError(FomlError):
 
 @dataclass(frozen=True, eq=True)
 class KripkeModel:
-    """Finite increasing-domain model (W, D, R, delta, rho)."""
+    """Finite increasing-domain model (W, D, R, delta, rho). Each world's
+    successors are listed on first use and kept beside the fields, so `==`,
+    `repr` and `model_to_json` never see them."""
 
     worlds: frozenset[str]
     domain: frozenset[str]
@@ -54,8 +57,14 @@ class KripkeModel:
         default_factory=dict
     )
 
-    def successors(self, w: str) -> list[str]:
-        return sorted(v for (u, v) in self.edges if u == w)
+    def successors(self, w: str) -> tuple[str, ...]:
+        """w's edge successors, sorted."""
+        return self._successors.get(w, ())
+
+    @cached_property
+    def _successors(self) -> dict[str, tuple[str, ...]]:
+        by_source = groupby(sorted(self.edges), key=lambda edge: edge[0])
+        return {u: tuple(v for _, v in edges) for u, edges in by_source}
 
     def facts(self, w: str, pred: str) -> frozenset[tuple[str, ...]]:
         return self.valuation.get((w, pred), frozenset())

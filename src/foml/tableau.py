@@ -304,7 +304,7 @@ def _open_disjuncts(gamma, pivot: Or) -> tuple[Formula, ...]:
 
 
 def _saturate(
-    s: frozenset, forest, base: Iterable[Formula], added: Iterable[Formula]
+    s: frozenset, base: Iterable[Formula], added: Iterable[Formula]
 ) -> Optional[tuple[frozenset, str, Optional[Formula]]]:
     """The one definition of the single-child rules: the node a state
     becomes once they have run. The state's gamma is `base`, a set with no
@@ -316,8 +316,8 @@ def _saturate(
     that leaves both disjuncts open, at a diamond or at a saturated gamma.
     Returns that gamma with the rule that comes next, `or` with its pivot,
     `diamond` or `none`; or None when a formula meets its complement, each
-    checked as it is added, or an `or` has no open disjunct. S and the
-    forest do not change.
+    checked as it is added, or an `or` has no open disjunct. S does not
+    change, and no rule here reads the forest.
 
     The formulas whose rule takes a pivot wait on a heap keyed by rank,
     which their `formula_key` makes unique, so no tie is broken. The
@@ -444,7 +444,7 @@ def search(
                 raise ResourceLimit("tableau node budget exceeded", stats.nodes)
             node = None
             if forest is not NOT_INIT:
-                kept = _saturate(s, forest, base, added)
+                kept = _saturate(s, base, added)
             elif is_closed(base):
                 kept = None
             else:
@@ -606,7 +606,7 @@ def _check_step(node: TableauNode) -> list[str]:
             return ["or node that gamma decides is kept as a choice"]
         base, added = node.gamma - {pivot}, ((pivot.left, pivot.right)[node.pick],)
     try:
-        want = _saturate(s, forest, base, added)
+        want = _saturate(s, base, added)
     except FomlError as exc:
         return [str(exc)]
     if want is None:

@@ -105,9 +105,9 @@ def test_the_semantic_gate_catches_a_rule_fault_search_and_verifier_share(
     theta = norm("<> ((P(a) & Q(a)) | R(a)) & <> R(a)")
     real = foml.tableau._saturate
 
-    def drops_a_conjunct(s, forest, base, added):
+    def drops_a_conjunct(s, base, added):
         added = [f.left if type(f) is And and is_literal(f.right) else f for f in added]
-        return real(s, forest, base, added)
+        return real(s, base, added)
 
     monkeypatch.setattr(foml.tableau, "_saturate", drops_a_conjunct)
     tableau = search(theta).tableau

@@ -495,7 +495,7 @@ def test_nodes_are_immutable():
     with pytest.raises(AttributeError):
         del phi.right
     with pytest.raises(AttributeError):
-        phi._hash = 0
+        phi._key = "P(x)"
     assert phi.left is P("x")
 
 

@@ -15,7 +15,7 @@ from conftest import (
     random_raw_formula,
     random_relevant_sigma,
 )
-from foml.extraction import extract_model
+from foml.extraction import extract_model, iterate_extensions
 from foml.formulas import (
     And,
     Box,
@@ -302,3 +302,20 @@ def test_oracle_imports_only_formulas():
                 if a.name.startswith("foml")
             )
     assert local == {"formulas"}
+
+
+def test_successors_match_the_edge_scan(phi1, phi1_result):
+    """`successors` reads tuples built once per model. At every world of the
+    flagship's 3-round model they are the sorted scan of its edges, empty
+    at the leaves, and the model's fields, `repr` and JSON do not show
+    them."""
+    model = iterate_extensions(phi1, phi1_result.tableau, 3)[0]
+    fresh = dataclasses.replace(model)  # the same fields, nothing built yet
+    empty = 0
+    for w in sorted(model.worlds):
+        want = tuple(sorted(v for (u, v) in model.edges if u == w))
+        assert model.successors(w) == want
+        empty += not want
+    assert empty > 0
+    assert model == fresh and repr(model) == repr(fresh)
+    assert model_to_json(model) == model_to_json(fresh)

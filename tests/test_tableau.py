@@ -268,13 +268,13 @@ def test_saturate_refuses_a_negation_that_is_no_literal():
     """As `select_rule` does, once such a negation is gamma's first formula."""
     gamma = frozenset({parse_formula("~(Edge(x) & Edge(y))"), Pred("Edge", ("x",))})
     with pytest.raises(FomlError, match="no rule applies to a non-literal gamma"):
-        _saturate(frozenset({"x", "y"}), EMPTY_TREE, gamma, ())
+        _saturate(frozenset({"x", "y"}), gamma, ())
 
 
 def test_end_rule_drops_boxes():
     g = frozenset({norm("P(x)"), norm("[] Q(x,x)")})
     s = frozenset({"x"})
-    assert _saturate(s, EMPTY_TREE, g, ()) == (frozenset({norm("P(x)")}), "none", None)
+    assert _saturate(s, g, ()) == (frozenset({norm("P(x)")}), "none", None)
 
 
 def test_or_rule_offers_only_the_disjuncts_gamma_leaves_open():
@@ -288,7 +288,7 @@ def test_or_rule_offers_only_the_disjuncts_gamma_leaves_open():
     def saturated(pivot, *others):
         gamma = frozenset({pivot, *others})
         assert select_rule(gamma, EMPTY_TREE) == ("or", pivot)
-        return _saturate(s, EMPTY_TREE, gamma, ())
+        return _saturate(s, gamma, ())
 
     p_or_q, not_p, not_q = norm("P(a) | Q(a)"), norm("~P(a)"), norm("~Q(a)")
     assert saturated(p_or_q, r) == (frozenset({p_or_q, r}), "or", p_or_q)
@@ -714,10 +714,10 @@ def test_crash_under_a_preferred_forest_is_not_unsat(monkeypatch):
     assert guidance.forest
     real = foml.tableau._saturate
 
-    def broken(s, forest, base, added):
-        if isinstance(forest, SkolemForest):
+    def broken(s, base, added):
+        if not base:  # all of gamma is added: a forest's expansion
             raise FomlError("saturation crashed")
-        return real(s, forest, base, added)
+        return real(s, base, added)
 
     monkeypatch.setattr(foml.tableau, "_saturate", broken)
     with pytest.raises(FomlError, match="saturation crashed"):
@@ -1190,4 +1190,4 @@ def test_clash_check_on_added_formulas_agrees_with_is_closed(seed):
         return
     if is_closed(gamma | set(added)):
         want = None
-    assert _saturate(s, EMPTY_TREE, gamma, added) == want
+    assert _saturate(s, gamma, added) == want
