@@ -80,23 +80,30 @@ def extract_model(tableau: TableauNode) -> KripkeModel:
     if any(is_closed(node.gamma) for node in last.values()):
         raise FomlError("tableau is not open")
 
-    worlds = frozenset(render_world(w) for w in last)
+    # Each world is named once; w[:-1], a world's parent, is in `last` too.
+    named = {w: render_world(w) for w in last}
     local: dict[str, frozenset[str]] = {}
     valuation: dict[tuple[str, str], set] = {}
     for w, node in last.items():
-        name = render_world(w)
+        name = named[w]
         local[name] = node.s
         for g in node.gamma:
             if isinstance(g, Pred):
                 valuation.setdefault((name, g.name), set()).add(tuple(g.args))
-    edges = frozenset((render_world(w[:-1]), render_world(w)) for w in last if w)
+    edges = frozenset((named[w[:-1]], named[w]) for w in last if w)
     return KripkeModel(
-        worlds=worlds,
+        worlds=frozenset(named.values()),
         domain=frozenset().union(*local.values()),
         edges=edges,
         local_domain=local,
         valuation={k: frozenset(v) for k, v in valuation.items()},
     )
+
+
+def _holds(model: KripkeModel, world: str, phi: Formula) -> bool:
+    """Whether phi holds at the world under the identity assignment, the
+    one the tableau's formulas are read under."""
+    return check(model, world, {v: v for v in free_vars(phi)}, phi)
 
 
 def find_leaf_violations(
@@ -114,8 +121,7 @@ def find_leaf_violations(
         for leaf in node.forest.leaves():
             for member in leaf.atom.exists_members:
                 inst = substitute(member, {node.forest.var: leaf.name})
-                sigma = {v: v for v in free_vars(inst)}
-                if not check(model, name, sigma, inst):
+                if not _holds(model, name, inst):
                     out.append((world, leaf.name, inst))
     out.sort(
         key=lambda t: (
@@ -151,7 +157,7 @@ def audit(
         for g in sorted(node.gamma, key=print_formula):
             if not is_literal(g):
                 continue
-            if not check(model, name, {v: v for v in free_vars(g)}, g):
+            if not _holds(model, name, g):
                 problems.append(f"literal {print_formula(g)} fails at {name}")
     for w, node in tableau.forest_points():
         f = node.forest
@@ -169,7 +175,7 @@ def audit(
 def _root_check(model: KripkeModel, theta: Formula) -> list[str]:
     """Theta at `r` under the identity assignment, checked once no leaf
     violation is left: the problem if it fails."""
-    if check(model, "r", {v: v for v in free_vars(theta)}, theta):
+    if _holds(model, "r", theta):
         return []
     return ["no leaf violations remain but the root check fails"]
 
@@ -189,7 +195,7 @@ def _node_check(tableau: TableauNode, model: KripkeModel) -> list[str]:
             if (w, g) in seen:
                 continue
             seen.add((w, g))
-            if not check(model, name, {v: v for v in free_vars(g)}, g):
+            if not _holds(model, name, g):
                 message = f"formula {print_formula(g)} fails at {name}"
                 failed.append((w, formula_key(g), message))
     return [message for _, _, message in sorted(failed)]

@@ -12,21 +12,23 @@ have to succeed, disjuncts and forest choices are alternatives.
 A node is kept only where the tableau branches or a world ends: at a
 world's first node, at an `or` whose disjuncts gamma both leaves open (a
 choice, which records the disjunct it kept in `pick`), at a diamond node
-and at a leaf. `_saturate` is the one definition of the single-child rules
-(`and`, an `or` that gamma decides, `exists`, `forall`, `end`, and the
+(which records its diamonds in child order in `pick`) and at a leaf.
+`_saturate` is the one definition of the single-child rules (`and`, an
+`or` that gamma decides, `exists`, `forall`, `end`, and the
 `trivialSkolem` step that precedes them): it runs them inside one node,
 on one mutable set, in rank order, checking each formula it adds for a
-clash, so that `or` propagates before it branches. Search calls it to make
-each node in a world, and the verifier calls it again to check each edge.
+clash, so that `or` propagates before it branches. `_child_states` is the
+one definition of each branching rule's children for one choice: a
+forest, the `trivialSkolem` step, a disjunct index or the diamonds in
+order. Search and the verifier both call the two: search to make each
+node, the verifier to check each edge against the node's recorded choice.
 The search is one loop over a stack of frames, and `_alternatives` lists
-each branching rule's alternatives in the order they are tried, so no call
-recurses and a tree is as deep as the node budget lets it be.
+each branching rule's choices in the order they are tried, hints first,
+so no call recurses and a tree is as deep as the node budget lets it be.
 
 No tree reader applies a rule: `read_choices` reads the choices off the
 tree, and reading a certificate back replays them and compares the
-choices, which keeps the reader and the rules in step. Forests are
-enumerated lazily, and diamond children are all required at once, so those
-two steps are listed apart.
+choices, which keeps the reader and the rules in step.
 """
 
 from __future__ import annotations
@@ -95,8 +97,11 @@ def render_world(world: tuple[int, ...]) -> str:
 @dataclass(frozen=True, eq=False)
 class TableauNode:
     """A node compares and hashes by identity; compare trees by `walk`.
-    An `or` choice keeps in `pick` the index of the disjunct its child
-    took, which the child's saturated gamma may no longer show."""
+    `pick` is the choice a node's rule made where its children do not show
+    it: at an `or` choice the index of the disjunct its child took, which
+    the child's saturated gamma may no longer show; at a diamond node its
+    diamonds in child order, since several diamonds can start one world.
+    It is None elsewhere; a forest point's child carries its forest."""
 
     gamma: frozenset
     s: frozenset
@@ -384,22 +389,40 @@ def _saturate(
 
 
 def diamond_outcomes(
-    gamma: frozenset, s: frozenset, order: Optional[list[str]] = None
-) -> list[tuple[Diamond, frozenset, frozenset]]:
-    """Per-diamond successor states in `formula_key` order, but those whose
-    keys `order` lists first, in its order."""
-    diamonds = sorted((g for g in gamma if isinstance(g, Diamond)), key=formula_key)
-    if order:
-        pool = {formula_key(d): d for d in diamonds}
-        first = [pool.pop(key) for key in order if key in pool]
-        diamonds = first + list(pool.values())
+    gamma: frozenset, s: frozenset, diamonds: Iterable[Diamond]
+) -> list[tuple[frozenset, object, frozenset, tuple]]:
+    """The successor world of each of `diamonds`, in their order, as the
+    state (s, forest, base, added) of its first node: the diamond's body
+    and every box body of gamma, over S and the outer witnesses of the
+    boxes and the diamond."""
     boxes = [g for g in gamma if isinstance(g, Box)]
     box_bodies = frozenset([b.body for b in boxes])
     shared = frozenset(s).union(*map(outer_witnesses, boxes))
     return [
-        (d, frozenset({d.body}) | box_bodies, shared | outer_witnesses(d))
+        (shared | outer_witnesses(d), NOT_INIT, frozenset({d.body}) | box_bodies, ())
         for d in diamonds
     ]
+
+
+def _child_states(gamma, s, forest, kind, pivot, choice) -> list[tuple]:
+    """The one definition of each branching rule's children: the states
+    (s, forest, base, added) the rule `kind` of a node (gamma, s, forest)
+    makes for one `choice`, all of which must be open. At `nestedForall`
+    the choice is a forest, and its child is the forest's expansion over
+    its node names; at `trivialSkolem` it is None, and the child is the
+    node under the empty forest; at `or` it is a disjunct index, and the
+    child is gamma with the pivot replaced by that disjunct; at `diamond`
+    it is the diamonds in child order (`diamond_outcomes`). A child that
+    starts a world (forest NOT_INIT) is its state as it stands; any other
+    child is what `_saturate` makes of it. Search and the verifier both
+    call this."""
+    if kind == "diamond":
+        return diamond_outcomes(gamma, s, choice)
+    if kind == "nestedForall":
+        return [(frozenset(choice.names()), choice, (), expand_forest(choice, gamma))]
+    if kind == "trivialSkolem":
+        return [(s, EMPTY_TREE, gamma, ())]
+    return [(s, forest, gamma - {pivot}, ((pivot.left, pivot.right)[choice],))]
 
 
 def search(
@@ -432,13 +455,13 @@ def search(
     # A frame: [world, gamma, s, forest, kind, the alternatives left, the
     # current alternative's states, its pick, its children built so far].
     stack: list[list] = []
-    # A state to visit: (world, s, forest, base, added). At a world's first
-    # node (forest NOT_INIT) gamma is `base`, checked in full for a clash;
-    # elsewhere it is what `_saturate` makes of `base` and `added`.
-    state = ((), root.s, root.forest, root.gamma, ())
+    # A state to visit: (world, (s, forest, base, added)). At a world's
+    # first node (forest NOT_INIT) gamma is `base`, checked in full for a
+    # clash; elsewhere it is what `_saturate` makes of `base` and `added`.
+    state = ((), (root.s, root.forest, root.gamma, ()))
     try:
         while True:
-            world, s, forest, base, added = state
+            world, (s, forest, base, added) = state
             stats.nodes += 1
             if stats.nodes > limits.max_tableau_nodes:
                 raise ResourceLimit("tableau node budget exceeded", stats.nodes)
@@ -470,7 +493,6 @@ def search(
                 if node is not None:
                     kids.append(node)
                     if len(kids) < len(alt):
-                        state = alt[len(kids)]
                         break
                     stack.pop()
                     node = TableauNode(gamma, s, forest, tuple(kids), pick)
@@ -485,11 +507,16 @@ def search(
                     stats.or_attempts += 1
                 elif kind == "nestedForall":
                     stats.forest_attempts += 1
-                frame[6:] = alt, pick, []
-                state = alt[0]
+                kids = []
+                frame[6:] = alt, pick, kids
                 break
             else:
                 break
+            # Child i of the frame's node starts world + (i,) if its forest
+            # is NOT_INIT, and sits at the node's world otherwise.
+            i = len(kids)
+            child = alt[i]
+            state = (world + (i,) if child[1] is NOT_INIT else world, child)
     except ResourceLimit as exc:
         # `world` is that of the state being visited or of the frame
         # drawing its next alternative.
@@ -500,37 +527,35 @@ def search(
 
 def _alternatives(world, gamma, s, forest, kind, pivot, limits, guidance):
     """The alternatives of a node's rule `kind`, as an iterator of (pick,
-    states) in the order search tries them, where the states are the
-    children that must all be open: at a world's first node, one per
-    candidate forest (a valid preferred forest first, then the enumerated
-    ones, lazily) or the one `trivialSkolem` child; at an `or` choice, one
-    per disjunct, `pick` its index (a hint reorders them); at a diamond
-    node, one list of its successor worlds."""
-    if kind == "diamond":
-        order = None if guidance is None else guidance.diamond_order.get(world)
-        outcomes = diamond_outcomes(gamma, s, order)
-        return iter([(None, [
-            (world + (i,), s_i, NOT_INIT, gamma_i, ())
-            for i, (_, gamma_i, s_i) in enumerate(outcomes)
-        ])])
+    states) in the order search tries them: each choice the rule offers,
+    a hinted one first, with the child states `_child_states` makes for
+    it. At a world's first node the choices are the candidate forests (a
+    valid preferred forest first, then the enumerated ones, lazily), whose
+    pick is None since the child carries its forest, or the one
+    `trivialSkolem` step; at an `or` choice the two disjunct indices; at a
+    diamond node one order of its diamonds, by `formula_key` but those
+    whose keys the hint lists first, in its order."""
     if kind == "nestedForall":
-        stream = enumerate_forests(pivot, gamma, s, limits)
+        choices = enumerate_forests(pivot, gamma, s, limits)
         preferred = None if guidance is None else guidance.forest.get(world)
         if preferred is not None and not validate_forest(preferred, pivot, s):
-            stream = chain([preferred], (f for f in stream if f != preferred))
-        return (
-            (None, [(world, frozenset(f.names()), f, (), expand_forest(f, gamma))])
-            for f in stream
-        )
-    if kind == "trivialSkolem":
-        return iter([(None, [(world, s, EMPTY_TREE, gamma, ())])])
-    picks = (0, 1)
-    if guidance is not None:
-        if guidance.or_choice.get((world, formula_key(pivot))) == 1:
-            picks = (1, 0)
-    rest = gamma - {pivot}
-    disjuncts = (pivot.left, pivot.right)
-    return iter([(i, [(world, s, forest, rest, (disjuncts[i],))]) for i in picks])
+            choices = chain([preferred], (f for f in choices if f != preferred))
+    elif kind == "diamond":
+        diamonds = sorted((g for g in gamma if isinstance(g, Diamond)), key=formula_key)
+        order = None if guidance is None else guidance.diamond_order.get(world)
+        if order:
+            pool = {formula_key(d): d for d in diamonds}
+            first = [pool.pop(key) for key in order if key in pool]
+            diamonds = first + list(pool.values())
+        choices = [tuple(diamonds)]
+    elif kind == "trivialSkolem":
+        choices = [None]
+    else:
+        hint = guidance and guidance.or_choice.get((world, formula_key(pivot)))
+        choices = (1, 0) if hint == 1 else (0, 1)
+    for choice in choices:
+        pick = None if kind == "nestedForall" else choice
+        yield pick, _child_states(gamma, s, forest, kind, pivot, choice)
 
 
 def verify_tableau(tableau: TableauNode, theta: Formula) -> list[str]:
@@ -561,110 +586,82 @@ def verify_tableau(tableau: TableauNode, theta: Formula) -> list[str]:
     return out
 
 
-# How the verifier names a forest point's child that differs, by part.
-_FOREST_STEP_ERRORS = {
-    "gamma": "forest expansion mismatch",
-    "domain set": "domain set is not the forest node set",
-}
-
-
 def _check_step(node: TableauNode) -> list[str]:
-    """What is wrong with the step from this node to its children. Past a
-    world's first node only an `or` choice and a diamond node have
-    children, and a child in the node's world must be the node `_saturate`
-    makes of the forest's expansion, of the `trivialSkolem` state or of
-    the picked disjunct."""
+    """What is wrong with the step from this node to its children. The
+    node's choice, the child's forest at a forest point and `pick` at
+    every other node, must be one its rule offers, and each child must be
+    the state `_child_states` makes for it: a child that starts a world as
+    the state stands, any other once `_saturate` has run. Past a world's
+    first node only an `or` choice and a diamond node have children."""
     try:
         kind, pivot = select_rule(node.gamma, node.forest)
     except FomlError as exc:
         return [str(exc)]
-    kids = node.children
+    kids, choice = node.children, node.pick
     if kind == "none":
         return ["children under a saturated node"]
     if kind == "diamond":
-        return _check_diamond(node)
-    if kind not in ("nestedForall", "trivialSkolem", "or"):
-        return [f"{kind} left to apply at a node with children"]
-    if len(kids) != 1:
-        return [f"{kind} must produce exactly one child"]
-    if node.pick not in ((0, 1) if kind == "or" else (None,)):
-        return [f"{kind} node with a pick of {node.pick!r}"]
-    c = kids[0]
-    s, forest, base, added = node.s, node.forest, node.gamma, ()
-    if kind == "nestedForall":
-        if not isinstance(c.forest, SkolemForest):
-            return ["nestedForall child carries no forest"]
-        bad = validate_forest(c.forest, pivot, node.s)
-        if bad:
-            return [f"forest: {v}" for v in bad]
-        s, forest = frozenset(c.forest.names()), c.forest
-        base, added = (), expand_forest(c.forest, node.gamma)
-    elif kind == "trivialSkolem":
-        forest = EMPTY_TREE
-    else:
+        diamonds = sorted((g for g in node.gamma if isinstance(g, Diamond)), key=id)
+        # Nodes are unique, so the pick lists each diamond of gamma once
+        # exactly when the two sort alike by id.
+        if type(choice) is not tuple or sorted(choice, key=id) != diamonds:
+            return ["diamond pick does not list each diamond of gamma once"]
+    elif kind == "or":
+        if choice not in (0, 1):
+            return [f"or node with a pick of {choice!r}"]
         if len(_open_disjuncts(node.gamma, pivot)) < 2:
             return ["or node that gamma decides is kept as a choice"]
-        base, added = node.gamma - {pivot}, ((pivot.left, pivot.right)[node.pick],)
-    try:
-        want = _saturate(s, base, added)
-    except FomlError as exc:
-        return [str(exc)]
-    if want is None:
-        return [f"{kind} child closes"]
-    parts = (
-        ("gamma", c.gamma, want[0]), ("domain set", c.s, s), ("forest", c.forest, forest)
-    )
-    wrong = [part for part, got, expect in parts if got != expect]
-    if kind == "nestedForall":
-        return [_FOREST_STEP_ERRORS[part] for part in wrong]
-    return [f"{kind} produced an unexpected {' and '.join(wrong)}"] if wrong else []
-
-
-def _check_diamond(node: TableauNode) -> list[str]:
-    """Order-insensitive child matching; a child's world is its position."""
-    kids = node.children
-    n_outcomes = sum(1 for g in node.gamma if isinstance(g, Diamond))
-    if len(kids) != n_outcomes:
-        return [f"expected {n_outcomes} diamond children, got {len(kids)}"]
-    errs = [
-        f"diamond child {i} starts with a forest"
-        for i, c in enumerate(kids) if c.forest is not NOT_INIT
-    ]
-    if _match_diamonds(node) is None:
-        errs.append("diamond successors do not match the rule outcomes")
+    elif kind not in ("nestedForall", "trivialSkolem"):
+        return [f"{kind} left to apply at a node with children"]
+    elif choice is not None:
+        return [f"{kind} node with a pick of {choice!r}"]
+    elif kind == "nestedForall":
+        choice = kids[0].forest
+        if not isinstance(choice, SkolemForest):
+            return ["nestedForall child carries no forest"]
+        bad = validate_forest(choice, pivot, node.s)
+        if bad:
+            return [f"forest: {v}" for v in bad]
+    states = _child_states(node.gamma, node.s, node.forest, kind, pivot, choice)
+    if len(kids) != len(states):
+        return [f"{kind} node has {len(kids)} children, its choice makes {len(states)}"]
+    errs = []
+    for i, (c, (s, forest, gamma, added)) in enumerate(zip(kids, states)):
+        if forest is not NOT_INIT:
+            try:
+                made = _saturate(s, gamma, added)
+            except FomlError as exc:
+                errs.append(str(exc))
+                continue
+            if made is None:
+                errs.append(f"{kind} child {i} closes")
+                continue
+            gamma = made[0]
+        parts = (
+            ("gamma", c.gamma, gamma), ("domain set", c.s, s), ("forest", c.forest, forest)
+        )
+        wrong = [part for part, got, want in parts if got != want]
+        if wrong:
+            errs.append(f"{kind} child {i} has an unexpected {' and '.join(wrong)}")
     return errs
-
-
-def _match_diamonds(node: TableauNode) -> Optional[list[Diamond]]:
-    """The diamond behind each child of a diamond node, in child order, or
-    None when the children are not the rule's outcomes in some order.
-    Several diamonds can yield one successor state: each is used once."""
-    left = diamond_outcomes(node.gamma, node.s)
-    order = []
-    for c in node.children:
-        want = (c.gamma, c.s)
-        i = next((i for i, (_, g, sv) in enumerate(left) if (g, sv) == want), None)
-        if i is None:
-            return None
-        order.append(left.pop(i)[0])
-    return None if left else order
 
 
 def read_choices(root: TableauNode):
     """The choices behind a verified tree, one per node that made one, as
     (world, node, kind, choice): at `or` the pivot and the kept disjunct's
     index, at `nestedForall` the forest, at `diamond` the diamonds in
-    successor order. Each is read off the tree, with no rule applied:
-    children that start worlds sit under a diamond node, a world's first
-    node whose child carries a forest is its forest point, and every other
-    node with a child is an `or` choice, whose pivot is gamma's first
-    formula in `rule_rank` order and whose kept index is its `pick`."""
+    child order, the order the search used. Each is read off the tree,
+    with no rule applied: children that start worlds sit under a diamond
+    node, whose `pick` is its diamonds, a world's first node whose child
+    carries a forest is its forest point, and every other node with a
+    child is an `or` choice, whose pivot is gamma's first formula in
+    `rule_rank` order and whose kept index is its `pick`."""
     for w, node in root.walk():
         if not node.children:
             continue
         c = node.children[0]
         if c.forest is NOT_INIT:
-            yield w, node, "diamond", _match_diamonds(node)
+            yield w, node, "diamond", node.pick
         elif node.forest is NOT_INIT:
             if isinstance(c.forest, SkolemForest):
                 yield w, node, "nestedForall", c.forest

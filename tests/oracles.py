@@ -28,9 +28,9 @@ from foml.formulas import (
     is_literal,
     is_nested_forall,
     nnf_complement,
+    outer_witnesses,
 )
 from foml.forest import NOT_INIT, SkolemForest
-from foml.tableau import _match_diamonds
 
 
 def brute_atoms(psi):
@@ -426,19 +426,36 @@ def ref_saturate(gamma, s, forest):
         gamma = options[0]
 
 
+def ref_diamond_world(gamma, s, diamond):
+    """The first (gamma, S) of the world `diamond` spawns: its body and
+    every box body of gamma, over S and the outer witnesses of the boxes
+    and the diamond."""
+    boxes = [g for g in gamma if isinstance(g, Box)]
+    body = frozenset([diamond.body] + [b.body for b in boxes])
+    return body, frozenset(s).union(outer_witnesses(diamond), *map(outer_witnesses, boxes))
+
+
 def ref_read_choices(root):
     """`tableau.read_choices` by re-applying the rules: at each same-world
     node whose forest is set, `ref_select_rule` names the rule, and an `or`
     node is a choice when `ref_step` offers two options; the kept index is
     the node's `pick`, whose option `ref_saturate` must take to the child's
     gamma. Both options can saturate to one gamma, so the pick is read, not
-    found."""
+    found. So is a diamond node's order, its `pick`: it must list each
+    diamond of gamma once, and child i must start the world of its i-th
+    diamond, though several diamonds can spawn one world."""
     for w, node in root.walk():
         if not node.children:
             continue
         c = node.children[0]
         if c.forest is NOT_INIT:
-            yield w, node, "diamond", _match_diamonds(node)
+            order = node.pick
+            diamonds = [g for g in node.gamma if type(g) is Diamond]
+            assert sorted(order, key=formula_key) == sorted(diamonds, key=formula_key)
+            assert [(k.gamma, k.s) for k in node.children] == [
+                ref_diamond_world(node.gamma, node.s, d) for d in order
+            ], "the pick does not lead to the children"
+            yield w, node, "diamond", order
         elif node.forest is NOT_INIT:
             if isinstance(c.forest, SkolemForest):
                 yield w, node, "nestedForall", c.forest

@@ -42,6 +42,7 @@ from foml.tableau import (
     TableauNode,
     certificate_from_json,
     certificate_to_json,
+    render_world,
     search,
     verify_tableau,
 )
@@ -71,6 +72,18 @@ def test_extract_flagship_model_shape(phi1_result):
     assert sorted(m.local_domain["r"]) == ["v0"]
     assert sorted(m.local_domain["r.0"]) == ["v0", "v1", "v2"]
     assert validate_model(m) == []
+
+
+def test_extract_model_names_each_world_once(monkeypatch, phi1_result):
+    names = []
+
+    def counted(world):
+        names.append(world)
+        return render_world(world)
+
+    monkeypatch.setattr(foml.extraction, "render_world", counted)
+    m = extract_model(phi1_result.tableau)
+    assert len(names) == len(set(names)) == len(m.worlds) == 23
 
 
 def test_extract_rejects_closed_and_unsaturated():

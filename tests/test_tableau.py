@@ -15,7 +15,7 @@ import foml.tableau
 from conftest import PHI1_TEXT, norm, subformulas
 from oracles import ref_read_choices, ref_saturate, ref_select_rule, ref_step
 from foml.forest import EMPTY_TREE, NOT_INIT, SkolemForest, forest_size_bound
-from foml.extraction import iterate_extensions, trace_to_ndjson
+from foml.extraction import audit, iterate_extensions, trace_to_ndjson
 from foml.formulas import (
     Box,
     FomlError,
@@ -349,12 +349,12 @@ def test_flagship_rebuilds_search_exactly_what_they_keep(
 
 # sha256 of certificate_to_json of the flagship's rebuilds in rounds 1-6.
 REBUILD_CERTIFICATE_SHA256 = [
-    "4e902dc66d1349e055add8d94c92909c950d7851444727c20b21f14d3c29fac8",
-    "c6e9fafd08533ed1a1350e8b7209fcc56d642128c97c532ceebb28273da68c0f",
-    "1744fb00d78dd99766c702e842c70b18ac37cae6fd14b1cf0135bdd7efdbb6e7",
-    "1ddd20ad0fdcb5c06305ab3575e54353f54694473d06ef96bc69a6e350035d1e",
-    "f6c16fc44832d4a59ebc831eb583299e84be0c9601272ea5e76c3f2ab34f9ab4",
-    "2b7127f7be86634182e117c1d0a13ab33e834c35dc551c3400b4b9a968583b4b",
+    "def3a8e5f15bba7d2f18835491d58cc87bc8d67836a868c9fbd7f1448fabb41b",
+    "2f9826a63da5525ac81bbf23ad06fb92506052294b39b877eeb521769894e55a",
+    "ff69193c2d214343277124952954e63a69c9c0f3241052485eda35854c0622e5",
+    "7b86c6ec2980bbbb4c13e2a45bb86dbd5d5467352ac515ac4bd67c4cca83a583",
+    "07ed9986c6b140271aff756b9e7da87494009b621f75ee6201107a487a556989",
+    "33a34e31026eb8e4cc5134211879f1d78d36a7a0803b3777d6397b17f7586551",
 ]
 
 
@@ -529,13 +529,11 @@ def test_verifier_catches_corrupted_forest(phi1, phi1_result):
     assert problems and any("forest" in p for p in problems)
 
 
-# The message the verifier gives when the child of a node with each rule
-# kind is corrupted.
+# The message the verifier gives when the first child of a node with each
+# rule kind is corrupted.
 KEPT_STEP_ERRORS = {
-    "trivialSkolem": "trivialSkolem produced an unexpected gamma",
-    "or": "or produced an unexpected gamma",
-    "diamond": "diamond successors do not match the rule outcomes",
-    "nestedForall": "forest expansion mismatch",
+    kind: f"{kind} child 0 has an unexpected gamma"
+    for kind in ("trivialSkolem", "or", "diamond", "nestedForall")
 }
 # The single-child rules, which run inside the saturated step that makes a
 # node's child in its world.
@@ -605,7 +603,7 @@ def _child_starts_a_world(t):
     w, n = _first(t, lambda w, n: n.children and _kind(n) == "or")
     child = replace(n.children[0], forest=NOT_INIT)
     bad = _corrupt(t, n, lambda n: replace(n, children=(child,)))
-    return bad, _at(w, "or produced an unexpected forest")
+    return bad, _at(w, "or child 0 has an unexpected forest")
 
 
 def _child_under_a_leaf(t):
@@ -617,7 +615,7 @@ def _child_under_a_leaf(t):
 def _two_children(t):
     w, n = _first(t, lambda w, n: n.children and _kind(n) == "or")
     bad = _corrupt(t, n, lambda n: replace(n, children=n.children * 2))
-    return bad, _at(w, "or must produce exactly one child")
+    return bad, _at(w, "or node has 2 children, its choice makes 1")
 
 
 def _no_forest(t):
@@ -643,20 +641,56 @@ def _list_var_forest(t):
 def _domain_not_the_forest(t):
     w, n = next(children_of(t, "nestedForall"))
     bad = _corrupt(t, n, lambda n: replace(n, s=n.s | {"zz"}))
-    return bad, _at(w, "domain set is not the forest node set")
+    return bad, _at(w, "nestedForall child 0 has an unexpected domain set")
 
 
 def _missing_diamond_child(t):
     w, n = _first(t, lambda w, n: len(n.children) > 1 and _kind(n) == "diamond")
     k = len(n.children)
     bad = _corrupt(t, n, lambda n: replace(n, children=n.children[:-1]))
-    return bad, _at(w, f"expected {k} diamond children, got {k - 1}")
+    return bad, _at(w, f"diamond node has {k - 1} children, its choice makes {k}")
 
 
 def _diamond_child_with_a_forest(t):
     w, n = next((w, n) for w, n in children_of(t, "diamond") if w[-1] == 1)
     bad = _corrupt(t, n, lambda n: replace(n, forest=EMPTY_TREE))
-    return bad, _at(w[:-1], "diamond child 1 starts with a forest")
+    return bad, _at(w[:-1], "diamond child 1 has an unexpected forest")
+
+
+def _diamond_pick_in_another_order(t):
+    """The children stay, and the pick lists the diamonds the other way
+    round."""
+    w, n = _first(t, lambda w, n: len(n.children) > 1 and _kind(n) == "diamond")
+    bad = _corrupt(t, n, lambda n: replace(n, pick=n.pick[::-1]))
+    return bad, _at(w, "diamond child 0 has an unexpected gamma")
+
+
+def _diamond_pick_repeats_a_diamond(t):
+    w, n = _first(t, lambda w, n: len(n.children) > 1 and _kind(n) == "diamond")
+    bad = _corrupt(t, n, lambda n: replace(n, pick=(n.pick[0],) * len(n.pick)))
+    return bad, _at(w, "diamond pick does not list each diamond of gamma once")
+
+
+def _or_pick_out_of_range(t):
+    w, n = _first(t, lambda w, n: n.children and _kind(n) == "or")
+    bad = _corrupt(t, n, lambda n: replace(n, pick=2))
+    return bad, _at(w, "or node with a pick of 2")
+
+
+def _decided_or_kept(t):
+    """Gamma holds the complement of the pivot's left disjunct, so the `or`
+    is no choice."""
+    w, n = _first(t, lambda w, n: n.children and _kind(n) == "or")
+    pivot = select_rule(n.gamma, n.forest)[1]
+    extra = nnf_complement(pivot.left)
+    bad = _corrupt(t, n, lambda n: replace(n, gamma=n.gamma | {extra}))
+    return bad, _at(w, "or node that gamma decides is kept as a choice")
+
+
+def _forest_point_with_a_pick(t):
+    w, n = _first(t, lambda w, n: n.children and _kind(n) == "nestedForall")
+    bad = _corrupt(t, n, lambda n: replace(n, pick=0))
+    return bad, _at(w, "nestedForall node with a pick of 0")
 
 
 def _cut_root(t):
@@ -683,6 +717,11 @@ def _two_nested_universals(t):
         _domain_not_the_forest,
         _missing_diamond_child,
         _diamond_child_with_a_forest,
+        _diamond_pick_in_another_order,
+        _diamond_pick_repeats_a_diamond,
+        _or_pick_out_of_range,
+        _decided_or_kept,
+        _forest_point_with_a_pick,
         _cut_root,
         _two_nested_universals,
     ],
@@ -1025,10 +1064,30 @@ def test_read_choices_matches_the_rule_reader(monkeypatch, rule_trees):
     def no_rule(*args):
         raise AssertionError("read_choices applied a rule")
 
-    monkeypatch.setattr(foml.tableau, "select_rule", no_rule)
-    monkeypatch.setattr(foml.tableau, "_saturate", no_rule)
-    monkeypatch.setattr(foml.tableau, "_open_disjuncts", no_rule)
+    for name in (
+        "select_rule", "_saturate", "_open_disjuncts", "diamond_outcomes",
+        "_child_states", "_alternatives",
+    ):
+        monkeypatch.setattr(foml.tableau, name, no_rule)
     assert [list(read_choices(t)) for t in trees] == want
+
+
+def test_a_diamond_node_keeps_the_order_the_search_used():
+    """Both diamonds of `<>P & <>Q & []P & []Q` start the world {P, Q},
+    so the children do not show which diamond each answers: the diamond
+    node keeps the order the search used in `pick`, and the certificate
+    lists that order, a hinted one too, and reads back to it."""
+    phi = norm("<>P & <>Q & []P & []Q")
+    for order in (["<>P", "<>Q"], ["<>Q", "<>P"]):
+        res = search(phi, guidance=Guidance(diamond_order={(): order}))
+        assert res.status == SAT
+        (node,) = [n for _, n in res.tableau.walk() if isinstance(n.pick, tuple)]
+        assert [formula_key(d) for d in node.pick] == order
+        assert {c.gamma for c in node.children} == {frozenset({norm("P"), norm("Q")})}
+        cert = certificate_to_json(res.tableau)
+        assert json.loads(cert)["diamond_order"] == [[[], order]]
+        assert certificate_to_json(certificate_from_json(cert)) == cert
+        assert verify_tableau(res.tableau, phi) == []
 
 
 def test_flagship_or_choices_leave_both_disjuncts_open(monkeypatch, phi1, phi1_result):
@@ -1060,10 +1119,11 @@ def test_flagship_or_choices_leave_both_disjuncts_open(monkeypatch, phi1, phi1_r
 def test_flagship_rebuild_certificates_read_back_to_their_trees(
     monkeypatch, phi1, phi1_result
 ):
-    """The search behind each of three extension rounds gives a tree whose
-    certificate reads back to it, state for state: two `or` nodes of one
-    world whose pivots share an alpha key but keep different disjuncts
-    would read back to another tree."""
+    """The search behind each of six extension rounds gives a tree whose
+    certificate reads back to it, state for state and byte for byte, and
+    the tree passes `audit`: two `or` nodes of one world whose pivots share
+    an alpha key but keep different disjuncts would read back to another
+    tree."""
     trees = [phi1_result.tableau]
 
     def kept(*args):
@@ -1072,10 +1132,13 @@ def test_flagship_rebuild_certificates_read_back_to_their_trees(
         return result
 
     monkeypatch.setattr(foml.extraction, "search", kept)
-    iterate_extensions(phi1, phi1_result.tableau, 3)
-    assert len(trees) == 4
+    iterate_extensions(phi1, phi1_result.tableau, 6)
+    assert len(trees) == 7
     for t in trees:
+        cert = certificate_to_json(t)
+        assert certificate_to_json(certificate_from_json(cert)) == cert
         assert certificate_read_back_problems(t) == []
+        assert audit(t, phi1)[2] == []
 
 
 def test_guided_search_renders_no_world_name(monkeypatch, phi1, phi1_result):
