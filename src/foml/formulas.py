@@ -66,11 +66,13 @@ class _Node:
     takes a `min` by `rule_rank`, or yields a set or a bool. A node fills
     on first use what the tableau asks of it: `formula_key` with
     `rule_rank`, `nnf_complement`, `free_vars`, `all_vars` and `_binders`,
-    each over `post_order` for the whole DAG; a `Forall` also keeps
-    `is_nested_forall` and `instances`, a `Box` or `Diamond` its
-    `outer_witnesses`."""
+    each over `post_order` for the whole DAG, and `classify_fragment` its
+    result; a `Forall` also keeps `is_nested_forall` and `instances`, a `Box`
+    or `Diamond` its `outer_witnesses`."""
 
-    __slots__ = ("_key", "_compl", "_free", "_all", "_binders", "_rank", "__weakref__")
+    __slots__ = (
+        "_key", "_compl", "_free", "_all", "_binders", "_rank", "_fragment", "__weakref__"
+    )
     _fields: tuple[str, ...] = ()
     _op = ""
 
@@ -130,6 +132,7 @@ _set_free = _Node._free.__set__
 _set_all = _Node._all.__set__
 _set_binders = _Node._binders.__set__
 _set_rank = _Node._rank.__set__
+_set_fragment = _Node._fragment.__set__
 
 
 class Pred(_Node):
@@ -568,11 +571,14 @@ def clean_rename(phi: Formula) -> Formula:
     `ORIGIN_SEP`, which instance binders own (`instance`); otherwise it
     becomes the first variable of the fixed enumeration that clashes with
     nothing. The result is alpha-equivalent to the input and deterministic.
-    A formula without binders is its own result. Search renames nothing:
-    instances name their binders by origin.
+    A clean formula whose binders carry no `ORIGIN_SEP` keeps every binder,
+    so it is its own result. Search renames nothing: instances name their
+    binders by origin.
     """
     free = free_vars(phi)  # fills the binder count too
-    if phi._binders == 0:
+    if phi._binders == 0 or (
+        is_clean(phi) and not any(ORIGIN_SEP in v for v in all_vars(phi) - free)
+    ):
         return phi
     used = set(free)
     taken = set(all_vars(phi))
@@ -807,8 +813,11 @@ def classify_fragment(phi: Formula) -> FragmentClass:
     otherwise a modal body makes the bundle, and a quantifier adjacent to no
     modality at all rules the formula out of every bundled fragment. Any
     bundle set within {exists-box, box-exists} is EBBE, including strict
-    subsets and the empty set.
+    subsets and the empty set. The class is kept on phi.
     """
+    found = getattr(phi, "_fragment", None)  # the slot is unset until first use
+    if found is not None:
+        return found
     bundles: set[str] = set()
     unbundled = False
     nnf = to_nnf(phi)
@@ -837,4 +846,6 @@ def classify_fragment(phi: Formula) -> FragmentClass:
         category = FMP_DECIDABLE
     else:
         category = UNDECIDABLE
-    return FragmentClass(present, category)
+    found = FragmentClass(present, category)
+    _set_fragment(phi, found)
+    return found

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import groupby, product
 from typing import Mapping, Optional
 
@@ -212,8 +212,10 @@ def model_from_json(text: str) -> KripkeModel:
         raise FomlError(f"malformed model document: {exc}") from exc
 
 
-def _tree_shapes(n: int, max_depth: int) -> list[tuple[int, ...]]:
-    """Parent vectors of rooted trees on n nodes, one per isomorphism class."""
+@cache
+def _tree_shapes(n: int, max_depth: int) -> tuple[tuple[int, ...], ...]:
+    """Parent vectors of rooted trees on n nodes, one per isomorphism class;
+    made once per (n, max_depth)."""
 
     def canon(parents: tuple[int, ...]) -> tuple:
         children: list[list[int]] = [[] for _ in range(n)]
@@ -247,7 +249,7 @@ def _tree_shapes(n: int, max_depth: int) -> list[tuple[int, ...]]:
             depth.pop()
 
     build([0], [1])
-    return shapes
+    return tuple(shapes)
 
 
 def _ground(phi: Formula, w: int, sigma: dict, delta: list[frozenset[str]],

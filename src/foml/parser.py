@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .formulas import (
     ORIGIN_SEP,
@@ -52,176 +51,164 @@ class ParseError(FomlError):
         self.span = span
 
 
-class _Token(NamedTuple):
-    kind: str
-    text: str
-    start: int
-    end: int
-
-    @property
-    def span(self) -> SourceSpan:
-        return SourceSpan(self.start, self.end)
-
-
-# One named group per token kind, tried in order: `word` is a keyword,
-# predicate or variable, `skip` a comment, and `stray` and `bad` catch what
-# no token starts with. `finditer` steps over whitespace, which no group
-# matches. A word may carry `ORIGIN_SEP` after its first letter: instance
+# A token is a word (a keyword, predicate or variable), one of the longer
+# operators, a comment, or any other non-blank character; `finditer` steps
+# over blanks. A word may carry `ORIGIN_SEP` after its first letter: instance
 # binders are named `b@e` (`formulas.instance`), and certificates print them.
-_TOKEN = re.compile(
-    rf"""
-    (?P<word>[A-Za-z][A-Za-z0-9_{ORIGIN_SEP}]*)
-  | (?P<lparen>\()
-  | (?P<rparen>\))
-  | (?P<comma>,)
-  | (?P<dot>\.)
-  | (?P<and>[&∧])
-  | (?P<or>[|∨])
-  | (?P<not>[~¬])
-  | (?P<iff><->|↔)
-  | (?P<implies>->|→)
-  | (?P<diamond><>|[◇◊])
-  | (?P<box>\[\]|□)
-  | (?P<forall>∀)
-  | (?P<exists>∃)
-  | (?P<skip>\#[^\n]*)
-  | (?P<stray>[-<\[])
-  | (?P<bad>[^ \t\r\n])
-    """,
-    re.VERBOSE,
-)
+_TOKEN = re.compile(rf"[A-Za-z][A-Za-z0-9_{ORIGIN_SEP}]*|<->|->|<>|\[\]|#.*|[^ \t\r\n]")
+
+# The kind of each keyword and operator, aliases included; a quantifier's is
+# its symbol. Any other word is its own kind: a predicate if it starts
+# uppercase, else a variable.
+_KIND = {
+    "(": "(", ")": ")", ",": ",", ".": ".", "&": "&", "∧": "&", "|": "|",
+    "∨": "|", "~": "~", "¬": "~", "<->": "<->", "↔": "<->", "->": "->",
+    "→": "->", "<>": "<>", "◇": "<>", "◊": "<>", "[]": "[]", "□": "[]",
+    "forall": "∀", "∀": "∀", "exists": "∃", "∃": "∃",
+}
+_STRAY = "-<["  # what starts an operator but is none
 
 
-def _tokenize(text: str) -> list[_Token]:
-    toks: list[_Token] = []
+def _tokenize(text: str) -> tuple[list[str], list[re.Match]]:
+    """Each token's kind, then "" for the end, and each token's match."""
+    kinds: list[str] = []
+    marks: list[re.Match] = []
     for m in _TOKEN.finditer(text):
-        kind = m.lastgroup
-        if kind == "skip":
-            continue
         word = m.group()
-        start, end = m.span()
-        if kind == "word":
-            if word in ("forall", "exists"):
-                kind = word
-            else:
-                kind = "pred" if word[0].isupper() else "var"
-        elif kind == "stray":
-            raise ParseError(f"stray {word!r}", SourceSpan(start, end))
-        elif kind == "bad":
-            raise ParseError(f"unexpected character {word!r}", SourceSpan(start, end))
-        toks.append(_Token(kind, word, start, end))
-    toks.append(_Token("eof", "", len(text), len(text)))
-    return toks
+        kind = _KIND.get(word)
+        if kind is None:
+            c = word[0]
+            if c == "#":
+                continue
+            if c in _STRAY:
+                raise ParseError(f"stray {word!r}", SourceSpan(*m.span()))
+            if not ("a" <= c <= "z" or "A" <= c <= "Z"):
+                raise ParseError(f"unexpected character {word!r}", SourceSpan(*m.span()))
+            kind = word
+        kinds.append(kind)
+        marks.append(m)
+    kinds.append("")
+    return kinds, marks
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.pos = 0
-        self.arities: dict[str, int] = {}
+def _at(text: str, marks: list[re.Match], i: int) -> tuple[str, SourceSpan]:
+    """Token i's text and span; "" at the end of the input."""
+    if i < len(marks):
+        return marks[i].group(), SourceSpan(*marks[i].span())
+    return "", SourceSpan(len(text), len(text))
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
 
-    def take(self, kind: str, what: str | None = None) -> _Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != kind:
-            expected = what or f"'{kind}'"
-            raise ParseError(
-                f"expected {expected}, found {tok.text or 'end of input'!r}", tok.span
-            )
-        self.pos += 1
-        return tok
+def _expected(what: str, text: str, marks: list[re.Match], i: int) -> ParseError:
+    found, span = _at(text, marks, i)
+    return ParseError(f"expected {what}, found {found or 'end of input'!r}", span)
 
-    def parse(self) -> Formula:
-        phi = self.iff()
-        tok = self.peek()
-        if tok.kind != "eof":
-            raise ParseError(f"unexpected {tok.text!r} after formula", tok.span)
-        return phi
 
-    def iff(self) -> Formula:
-        left = self.implies()
-        if self.peek().kind == "iff":
-            self.pos += 1
-            right = self.iff()
-            return Or(And(left, right), And(Not(left), Not(right)))
-        return left
+def _implies(a: Formula, b: Formula) -> Formula:
+    return Or(Not(a), b)
 
-    def implies(self) -> Formula:
-        left = self.disjunction()
-        if self.peek().kind == "implies":
-            self.pos += 1
-            return Or(Not(left), self.implies())
-        return left
 
-    def disjunction(self) -> Formula:
-        phi = self.conjunction()
-        while self.peek().kind == "or":
-            self.pos += 1
-            phi = Or(phi, self.conjunction())
-        return phi
+def _iff(a: Formula, b: Formula) -> Formula:
+    return Or(And(a, b), And(Not(a), Not(b)))
 
-    def conjunction(self) -> Formula:
-        phi = self.unary()
-        while self.peek().kind == "and":
-            self.pos += 1
-            phi = And(phi, self.unary())
-        return phi
 
-    def unary(self) -> Formula:
-        tok = self.peek()
-        if tok.kind == "not":
-            self.pos += 1
-            return Not(self.unary())
-        if tok.kind == "box":
-            self.pos += 1
-            return Box(self.unary())
-        if tok.kind == "diamond":
-            self.pos += 1
-            return Diamond(self.unary())
-        if tok.kind in ("forall", "exists"):
-            self.pos += 1
-            var = self.take("var", "a variable")
-            self.take("dot", "'.'")
-            body = self.iff()
-            return (Forall if tok.kind == "forall" else Exists)(var.text, body)
-        return self.atom()
-
-    def atom(self) -> Formula:
-        tok = self.peek()
-        if tok.kind == "lparen":
-            self.pos += 1
-            phi = self.iff()
-            self.take("rparen", "')'")
-            return phi
-        if tok.kind == "pred":
-            self.pos += 1
-            args: list[str] = []
-            end = tok.end
-            if self.peek().kind == "lparen":
-                self.pos += 1
-                args.append(self.take("var", "a variable").text)
-                while self.peek().kind == "comma":
-                    self.pos += 1
-                    args.append(self.take("var", "a variable").text)
-                end = self.take("rparen", "')'").end
-            known = self.arities.setdefault(tok.text, len(args))
-            if known != len(args):
-                raise ParseError(
-                    f"predicate {tok.text!r} used with arity {len(args)},"
-                    f" earlier with arity {known}",
-                    SourceSpan(tok.start, end),
-                )
-            return Pred(tok.text, tuple(args))
-        raise ParseError(
-            f"expected a formula, found {tok.text or 'end of input'!r}", tok.span
-        )
+# The operator stack holds (level, build) for a prefix operator or a binary
+# one, (_QUANT, class, variable) for a quantifier head and (_OPEN,) for an open
+# parenthesis, above a (_BOTTOM,) entry. A binary operator first reduces every
+# entry at or above its floor: its own level when it associates to the left,
+# the next one up when to the right. A quantifier's body runs to the closing
+# parenthesis or the end of the input, which reduce down to the floor _QUANT.
+_BOTTOM, _OPEN, _QUANT, _TIGHTEST = -2, -1, 0, 5
+_UNARY = {"~": (_TIGHTEST, Not), "[]": (_TIGHTEST, Box), "<>": (_TIGHTEST, Diamond)}
+_QUANTIFIER = {"∀": Forall, "∃": Exists}
+_BINARY = {  # kind: (floor, entry)
+    "&": (4, (4, And)),
+    "|": (3, (3, Or)),
+    "->": (3, (2, _implies)),
+    "<->": (2, (1, _iff)),
+}
 
 
 def parse_formula(text: str) -> Formula:
-    """Parse one formula. Raises ParseError with a span on bad input."""
-    return _Parser(text).parse()
+    """Parse one formula. Raises ParseError with a span on bad input.
+
+    One loop over the tokens with an explicit operator stack (operator
+    precedence, after Pratt's "Top Down Operator Precedence"), so any depth
+    parses. It reads an operand's prefix operators, quantifier heads and
+    open parentheses up to a predicate, then the closing parentheses and
+    the binary operator after it, reducing the stack as it goes."""
+    kinds, marks = _tokenize(text)
+    arities: dict[str, int] = {}
+    values: list[Formula] = []
+    ops: list[tuple] = [(_BOTTOM,)]
+    opened = 0  # parentheses open
+    i = 0
+    while True:
+        kind = kinds[i]
+        i += 1
+        if kind in _UNARY:
+            ops.append(_UNARY[kind])
+            continue
+        if kind in _QUANTIFIER:
+            var = kinds[i]
+            if not "a" <= var[:1] <= "z":
+                raise _expected("a variable", text, marks, i)
+            if kinds[i + 1] != ".":
+                raise _expected("'.'", text, marks, i + 1)
+            ops.append((_QUANT, _QUANTIFIER[kind], var))
+            i += 2
+            continue
+        if kind == "(":
+            ops.append((_OPEN,))
+            opened += 1
+            continue
+        if not "A" <= kind[:1] <= "Z":
+            raise _expected("a formula", text, marks, i - 1)
+        first, args = i - 1, []
+        if kinds[i] == "(":
+            while True:
+                var = kinds[i + 1]
+                if not "a" <= var[:1] <= "z":
+                    raise _expected("a variable", text, marks, i + 1)
+                args.append(var)
+                i += 2
+                if kinds[i] != ",":
+                    break
+            if kinds[i] != ")":
+                raise _expected("')'", text, marks, i)
+            i += 1
+        known = arities.setdefault(kind, len(args))
+        if known != len(args):
+            raise ParseError(
+                f"predicate {kind!r} used with arity {len(args)}, earlier with arity {known}",
+                SourceSpan(marks[first].start(), marks[i - 1].end()),
+            )
+        values.append(Pred(kind, tuple(args)))
+        while True:  # after an operand
+            kind = kinds[i]
+            i += 1
+            floor, entry = _BINARY.get(kind, (_QUANT, None))
+            while ops[-1][0] >= floor:
+                op = ops.pop()
+                if op[0] == _TIGHTEST:
+                    values[-1] = op[1](values[-1])
+                elif op[0] == _QUANT:
+                    values[-1] = op[1](op[2], values[-1])
+                else:
+                    right = values.pop()
+                    values[-1] = op[1](values[-1], right)
+            if entry is not None:
+                ops.append(entry)
+                break
+            if kind == ")" and opened:
+                ops.pop()
+                opened -= 1
+            elif opened:
+                raise _expected("')'", text, marks, i - 1)
+            elif kind:
+                found, span = _at(text, marks, i - 1)
+                raise ParseError(f"unexpected {found!r} after formula", span)
+            else:
+                return values[0]
 
 
 # Binding levels: `|` 1, `&` 2, and 3, the tightest, for every other kind.

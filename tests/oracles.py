@@ -1,6 +1,8 @@
 """Brute-force reference generators and checks the package code never touches."""
 
+import re
 from itertools import product
+from typing import NamedTuple
 
 from foml.formulas import (
     BUNDLE_BOX_EXISTS,
@@ -10,6 +12,7 @@ from foml.formulas import (
     EBBE,
     FMP_DECIDABLE,
     NOT_BUNDLED,
+    ORIGIN_SEP,
     UNDECIDABLE,
     And,
     ArityError,
@@ -18,6 +21,7 @@ from foml.formulas import (
     Exists,
     FomlError,
     Forall,
+    Formula,
     FragmentClass,
     Not,
     Or,
@@ -31,6 +35,7 @@ from foml.formulas import (
     outer_witnesses,
 )
 from foml.forest import NOT_INIT, SkolemForest
+from foml.parser import ParseError, SourceSpan
 
 
 def brute_atoms(psi):
@@ -494,3 +499,176 @@ def ref_select_rule(gamma, forest):
     if Box in kinds:
         return "end", None
     raise FomlError("no rule applies to a non-literal gamma")
+
+
+# The recursive-descent parser, one method per binding level, over one token
+# per regular-expression group: the reference for `parser.parse_formula`.
+class _Token(NamedTuple):
+    kind: str
+    text: str
+    start: int
+    end: int
+
+    @property
+    def span(self) -> SourceSpan:
+        return SourceSpan(self.start, self.end)
+
+
+# One named group per token kind, tried in order: `word` is a keyword,
+# predicate or variable, `skip` a comment, and `stray` and `bad` catch what
+# no token starts with. `finditer` steps over whitespace, which no group
+# matches. A word may carry `ORIGIN_SEP` after its first letter: instance
+# binders are named `b@e` (`formulas.instance`), and certificates print them.
+_TOKEN = re.compile(
+    rf"""
+    (?P<word>[A-Za-z][A-Za-z0-9_{ORIGIN_SEP}]*)
+  | (?P<lparen>\()
+  | (?P<rparen>\))
+  | (?P<comma>,)
+  | (?P<dot>\.)
+  | (?P<and>[&∧])
+  | (?P<or>[|∨])
+  | (?P<not>[~¬])
+  | (?P<iff><->|↔)
+  | (?P<implies>->|→)
+  | (?P<diamond><>|[◇◊])
+  | (?P<box>\[\]|□)
+  | (?P<forall>∀)
+  | (?P<exists>∃)
+  | (?P<skip>\#[^\n]*)
+  | (?P<stray>[-<\[])
+  | (?P<bad>[^ \t\r\n])
+    """,
+    re.VERBOSE,
+)
+
+
+def _tokenize(text: str) -> list[_Token]:
+    toks: list[_Token] = []
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind == "skip":
+            continue
+        word = m.group()
+        start, end = m.span()
+        if kind == "word":
+            if word in ("forall", "exists"):
+                kind = word
+            else:
+                kind = "pred" if word[0].isupper() else "var"
+        elif kind == "stray":
+            raise ParseError(f"stray {word!r}", SourceSpan(start, end))
+        elif kind == "bad":
+            raise ParseError(f"unexpected character {word!r}", SourceSpan(start, end))
+        toks.append(_Token(kind, word, start, end))
+    toks.append(_Token("eof", "", len(text), len(text)))
+    return toks
+
+
+class _Parser:
+    def __init__(self, text: str):
+        self.tokens = _tokenize(text)
+        self.pos = 0
+        self.arities: dict[str, int] = {}
+
+    def peek(self) -> _Token:
+        return self.tokens[self.pos]
+
+    def take(self, kind: str, what: str | None = None) -> _Token:
+        tok = self.tokens[self.pos]
+        if tok.kind != kind:
+            expected = what or f"'{kind}'"
+            raise ParseError(
+                f"expected {expected}, found {tok.text or 'end of input'!r}", tok.span
+            )
+        self.pos += 1
+        return tok
+
+    def parse(self) -> Formula:
+        phi = self.iff()
+        tok = self.peek()
+        if tok.kind != "eof":
+            raise ParseError(f"unexpected {tok.text!r} after formula", tok.span)
+        return phi
+
+    def iff(self) -> Formula:
+        left = self.implies()
+        if self.peek().kind == "iff":
+            self.pos += 1
+            right = self.iff()
+            return Or(And(left, right), And(Not(left), Not(right)))
+        return left
+
+    def implies(self) -> Formula:
+        left = self.disjunction()
+        if self.peek().kind == "implies":
+            self.pos += 1
+            return Or(Not(left), self.implies())
+        return left
+
+    def disjunction(self) -> Formula:
+        phi = self.conjunction()
+        while self.peek().kind == "or":
+            self.pos += 1
+            phi = Or(phi, self.conjunction())
+        return phi
+
+    def conjunction(self) -> Formula:
+        phi = self.unary()
+        while self.peek().kind == "and":
+            self.pos += 1
+            phi = And(phi, self.unary())
+        return phi
+
+    def unary(self) -> Formula:
+        tok = self.peek()
+        if tok.kind == "not":
+            self.pos += 1
+            return Not(self.unary())
+        if tok.kind == "box":
+            self.pos += 1
+            return Box(self.unary())
+        if tok.kind == "diamond":
+            self.pos += 1
+            return Diamond(self.unary())
+        if tok.kind in ("forall", "exists"):
+            self.pos += 1
+            var = self.take("var", "a variable")
+            self.take("dot", "'.'")
+            body = self.iff()
+            return (Forall if tok.kind == "forall" else Exists)(var.text, body)
+        return self.atom()
+
+    def atom(self) -> Formula:
+        tok = self.peek()
+        if tok.kind == "lparen":
+            self.pos += 1
+            phi = self.iff()
+            self.take("rparen", "')'")
+            return phi
+        if tok.kind == "pred":
+            self.pos += 1
+            args: list[str] = []
+            end = tok.end
+            if self.peek().kind == "lparen":
+                self.pos += 1
+                args.append(self.take("var", "a variable").text)
+                while self.peek().kind == "comma":
+                    self.pos += 1
+                    args.append(self.take("var", "a variable").text)
+                end = self.take("rparen", "')'").end
+            known = self.arities.setdefault(tok.text, len(args))
+            if known != len(args):
+                raise ParseError(
+                    f"predicate {tok.text!r} used with arity {len(args)},"
+                    f" earlier with arity {known}",
+                    SourceSpan(tok.start, end),
+                )
+            return Pred(tok.text, tuple(args))
+        raise ParseError(
+            f"expected a formula, found {tok.text or 'end of input'!r}", tok.span
+        )
+
+
+def ref_parse_formula(text):
+    return _Parser(text).parse()

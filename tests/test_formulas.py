@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import foml.formulas
 from conftest import norm, random_model, random_raw_formula, subformulas
 from foml.formulas import (
     ORIGIN_SEP,
@@ -200,6 +201,24 @@ def test_clean_rename_gives_up_binder_names_with_the_separator():
     assert ORIGIN_SEP == "@"
 
 
+def test_a_clean_input_is_its_own_result_without_a_rename_walk(monkeypatch):
+    """`clean_rename` hands back a clean formula whose binders carry no
+    `ORIGIN_SEP` without walking it; a reused binder and a binder named
+    `b@e` are still renamed by the walk."""
+    walked = []
+    real = foml.formulas._rename
+    monkeypatch.setattr(
+        foml.formulas, "_rename", lambda phi, *rest: walked.append(phi) or real(phi, *rest)
+    )
+    clean = parse_formula("(exists x. [] P(x)) & <> forall y. Q(y, z)")
+    assert clean_rename(clean) is clean and walked == []
+    reused = Or(Exists("x", Box(P("x"))), Forall("x", Diamond(Q("x", "x"))))
+    tagged = parse_formula("(forall x@v0. <> P(x@v0)) & Q(a@b, a@b)")
+    assert str(clean_rename(reused)) == "((exists x. []P(x)) | (forall v0. <>Q(v0,v0)))"
+    assert str(clean_rename(tagged)) == "((forall v0. <>P(v0)) & Q(a@b,a@b))"
+    assert walked == [reused, tagged]
+
+
 def test_instance_names_binders_by_origin():
     """A binder `b` in the instance at element `e` is `b@e`, and names grow
     by one element per enclosing instantiation. Each instance is made once
@@ -380,6 +399,12 @@ def test_classify_single_bundle_subset():
     fc = classify_fragment(norm("<> forall x . P(x)"))
     assert fc.category == EBBE
     assert fc.bundles_present == frozenset({"box-exists"})
+
+
+def test_classify_keeps_the_class_on_the_formula():
+    phi = norm("<> forall x . P(x)")
+    fc = classify_fragment(phi)
+    assert classify_fragment(phi) is fc
 
 
 def test_classify_unbundled():

@@ -1,6 +1,7 @@
 """Static check, read with `ast`: no function in the formula layer, the
-tableau search or the forest layer lies on a cycle of calls, so every
-formula walk, the search and forest enumeration run at any depth. Nested
+parser, the tableau search or the forest layer lies on a cycle of calls, so
+every formula walk, parsing, the search and forest enumeration run at any
+depth. Nested
 functions and methods are functions of their own, named by their path
 (`outer.walk`, `Class.method`), so recursion through a nested helper,
 through `self.` or `cls.` and through other functions is caught too."""
@@ -12,9 +13,11 @@ import pytest
 
 import foml.forest
 import foml.formulas
+import foml.parser
 import foml.tableau
 
 FORMULAS = Path(foml.formulas.__file__)
+PARSER = Path(foml.parser.__file__)
 SEARCH_AND_FOREST = [Path(foml.tableau.__file__), Path(foml.forest.__file__)]
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
@@ -96,6 +99,10 @@ def functions_on_call_cycles(source):
 
 def test_no_formula_function_calls_itself():
     assert functions_on_call_cycles(FORMULAS.read_text(encoding="utf-8")) == []
+
+
+def test_no_parser_function_lies_on_a_call_cycle():
+    assert functions_on_call_cycles(PARSER.read_text(encoding="utf-8")) == []
 
 
 @pytest.mark.parametrize("path", SEARCH_AND_FOREST, ids=lambda p: p.name)

@@ -1,10 +1,12 @@
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import PHI1_TEXT, random_raw_formula
+from oracles import ref_parse_formula
 from foml.formulas import (
     And,
     Box,
@@ -136,3 +138,54 @@ def test_round_trip_generated_fragment(seed):
 def test_round_trip_after_normalization(seed):
     phi = clean_rename(to_nnf(random_raw_formula(random.Random(seed), 4, ["x"])))
     assert parse_formula(print_formula(phi)) == phi
+
+
+# Pieces of text for the parser fuzz test: what may start an operand, what
+# may follow one, and pieces that break the grammar or the tokenizer.
+_OPERAND = (
+    "P", "Q(x)", "R(x, y@v0)", "(", "~", "¬", "[]", "□", "<>", "◇", "◊",
+    "forall x.", "exists y@v0 .", "∀x.", "∃ y.",
+)
+_AFTER = (")", "&", "∧", "|", "∨", "->", "→", "<->", "↔", "# note\n")
+_WRONG = (
+    "P(x", "Q(x,", "R()", "Q", "x", ".", ",", "forall", "exists x", "(", ")",
+    "<", "-", "[", "@", "1", "é",
+)
+
+
+def token_soup(rng):
+    """Up to 16 pieces, each one the grammar allows in 19 of 20 cases; most
+    soups are then completed to a formula, so both outcomes are common."""
+    parts, after = [], False
+    for _ in range(rng.randint(0, 16)):
+        piece = rng.choice(_WRONG if rng.random() < 0.05 else _AFTER if after else _OPERAND)
+        parts.append(piece + rng.choice(("", " ")))
+        if piece[0] != "#":
+            after = piece[0].isupper() or piece == ")"
+    if rng.random() < 0.8:
+        text = "".join(parts)
+        parts.append(("" if after else "P") + ")" * (text.count("(") - text.count(")")))
+    return "".join(parts)
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except ParseError as exc:
+        return str(exc), exc.span
+
+
+def test_the_parser_agrees_with_the_recursive_descent_reference():
+    """On the seed-2026 corpus texts and 20,000 seeded token soups, the
+    parser returns the reference parser's node (`tests/oracles.py`), or
+    raises its error message at its span."""
+    cfg, gen = GenConfig(seed=2026), random.Random(2026)
+    texts = [print_formula(gen_formula(cfg, gen)) for _ in range(1000)]
+    rng = random.Random(29)
+    texts += [token_soup(rng) for _ in range(20_000)]
+    parsed = Counter()
+    for text in texts:
+        want, got = _outcome(ref_parse_formula, text), _outcome(parse_formula, text)
+        assert got is want or (type(want) is tuple and got == want), text
+        parsed[type(want) is not tuple] += 1
+    assert parsed[True] > 5_000 and parsed[False] > 5_000

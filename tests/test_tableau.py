@@ -17,6 +17,7 @@ from oracles import ref_read_choices, ref_saturate, ref_select_rule, ref_step
 from foml.forest import EMPTY_TREE, NOT_INIT, SkolemForest, forest_size_bound
 from foml.extraction import audit, iterate_extensions, trace_to_ndjson
 from foml.formulas import (
+    FMP_DECIDABLE,
     Box,
     FomlError,
     Forall,
@@ -24,6 +25,7 @@ from foml.formulas import (
     Pred,
     ResourceLimit,
     all_vars,
+    classify_fragment,
     formula_key,
     fresh_var,
     free_vars,
@@ -743,6 +745,15 @@ def test_verifier_compares_the_root_with_init_root(phi1, phi1_result):
     ]:
         problems = verify_tableau(tampered, theta)
         assert any(message in p for p in problems), problems
+
+
+def test_verifier_refuses_a_theta_whose_kept_class_is_outside_ebbe(phi1_result):
+    """The class `classify_fragment` keeps on theta is the one the
+    verifier's `init_root` reads, and it still refuses theta."""
+    fmp = norm("forall x . [] P(x)")
+    assert classify_fragment(fmp).category == FMP_DECIDABLE
+    problems = verify_tableau(phi1_result.tableau, fmp)
+    assert "formula is outside the decidable bundle (classified FMP-decidable)" in problems
 
 
 def test_crash_under_a_preferred_forest_is_not_unsat(monkeypatch):
