@@ -13,12 +13,14 @@ included), parse, fragment, invalid model, a malformed or invalid
 certificate, input nested too deeply to process, a file that cannot be read
 or written, input that is not UTF-8, or an internal error; 130 when
 interrupted. Input is too deep only for what still recurses: `kripke.check`
-on nested quantifiers and modalities. The parser, the search, forest
-enumeration and `print_formula` take any depth, and `kripke.check` walks a
-chain of one connective in a loop, so `foml sat` writes, and `foml verify`
-accepts, the certificate of a 1,500-literal conjunction. Errors print one
-`error:` line on stderr, through `_Main.main`, after the traceback for an
-internal error; `--limits` takes `forest=` and `tableau=` budgets.
+on nested quantifiers and modalities, and `foml oracle` where Or-like nodes
+(`|`, `exists`, `<>`) and And-like ones nest in turn. The parser, the
+search, forest enumeration and `print_formula` take any depth, and
+`kripke.check` walks a chain of one connective in a loop, so `foml sat`
+writes, and `foml verify` accepts, the certificate of a 1,500-literal
+conjunction. Errors print one `error:` line on stderr, through
+`_Main.main`, after the traceback for an internal error; `--limits` takes
+`forest=` and `tableau=` budgets.
 """
 
 from __future__ import annotations

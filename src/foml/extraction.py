@@ -270,11 +270,12 @@ def _carry_hints(
     the twins' successor worlds are numbered after theirs. The `or` picks and diamond orders of a diamond's successor
     subtree, read from `choices` (the old tree's `read_choices`), are added
     for its twin's under two renamings, the second only where the first
-    gave no hint: the leaf to the fresh element, then the forest shift
-    that also takes the leaf's parent to the fresh element's. The fresh
-    element stands one step further down the forest than the leaf, so a
-    pivot about the leaf and its parent is met in the twin's subtree about
-    the fresh element and its parent. A renaming reaches into derived
+    gave no hint: the leaf to the fresh element, then, for the picks whose
+    pivot names the leaf's parent, the forest shift that also takes that
+    parent to the fresh element's. The fresh element stands one step
+    further down the forest than the leaf, so a pivot about the leaf and
+    its parent is met in the twin's subtree about the fresh element and its
+    parent. A renaming reaches into derived
     names too, free or bound: a witness or binder `y@leaf` stands for
     `y@fresh` (`_renamed`), since hints name formulas by `formula_key`. Hints
     only reorder alternatives, so a wrong guess costs search, never a
@@ -312,8 +313,14 @@ def _carry_hints(
                 if kind == "diamond":
                     order = [formula_key(_renamed(g, ren)) for g in choice]
                     guided.diamond_order.setdefault(w, order)
-            for mapping in (ren, shift):
-                for w, (pivot, idx) in picks:
+            # The shift renames a pivot otherwise than `ren` only where the
+            # pivot names the leaf's parent.
+            shifted = [
+                (w, pick) for w, pick in picks
+                if any(up in v.split(ORIGIN_SEP) for v in all_vars(pick[0]))
+            ]
+            for mapping, group in ((ren, picks), (shift, shifted)):
+                for w, (pivot, idx) in group:
                     key = (w, formula_key(_renamed(pivot, mapping)))
                     guided.or_choice.setdefault(key, idx)
 

@@ -46,8 +46,9 @@ class RelevanceError(FomlError):
 @dataclass(frozen=True, eq=True)
 class KripkeModel:
     """Finite increasing-domain model (W, D, R, delta, rho). Each world's
-    successors are listed on first use and kept beside the fields, so `==`,
-    `repr` and `model_to_json` never see them."""
+    successors and its local domain as a sorted tuple are listed on first
+    use and kept beside the fields, so `==`, `repr` and `model_to_json`
+    never see them."""
 
     worlds: frozenset[str]
     domain: frozenset[str]
@@ -65,6 +66,10 @@ class KripkeModel:
     def _successors(self) -> dict[str, tuple[str, ...]]:
         by_source = groupby(sorted(self.edges), key=lambda edge: edge[0])
         return {u: tuple(v for _, v in edges) for u, edges in by_source}
+
+    @cached_property
+    def _sorted_domain(self) -> dict[str, tuple[str, ...]]:
+        return {w: tuple(sorted(dom)) for w, dom in self.local_domain.items()}
 
     def facts(self, w: str, pred: str) -> frozenset[tuple[str, ...]]:
         return self.valuation.get((w, pred), frozenset())
@@ -115,22 +120,22 @@ def validate_model(model: KripkeModel) -> list[str]:
 def check(model: KripkeModel, w: str, sigma: Assignment, phi: Formula) -> bool:
     """The inductive satisfaction relation at world w under assignment sigma."""
     dom = model.local_domain.get(w, frozenset())
-    for v in sorted(free_vars(phi), key=var_key):
-        if v not in sigma or sigma[v] not in dom:
-            raise RelevanceError(v, w)
+    outside = [v for v in free_vars(phi) if v not in sigma or sigma[v] not in dom]
+    if outside:
+        raise RelevanceError(min(outside, key=var_key), w)
     return _eval(model, w, sigma, phi)
 
 
 def _eval(model: KripkeModel, w: str, sigma: Assignment, phi: Formula) -> bool:
-    if isinstance(phi, Pred):
-        args = tuple(sigma[a] for a in phi.args)
-        return args in model.facts(w, phi.name)
-    if isinstance(phi, Not):
+    kind = type(phi)
+    if kind is Pred:
+        return tuple(sigma[a] for a in phi.args) in model.facts(w, phi.name)
+    if kind is Not:
         return not _eval(model, w, sigma, phi.body)
-    if isinstance(phi, (And, Or)):
+    if kind is And or kind is Or:
         # A chain of one connective is walked in a loop, left to right, so
         # its length costs no depth; the first operand that decides it ends it.
-        kind, decides = type(phi), type(phi) is Or
+        decides = kind is Or
         stack = [phi]
         while stack:
             node = stack.pop()
@@ -139,14 +144,17 @@ def _eval(model: KripkeModel, w: str, sigma: Assignment, phi: Formula) -> bool:
             elif _eval(model, w, sigma, node) is decides:
                 return decides
         return not decides
-    if isinstance(phi, (Exists, Forall)):
-        test = any if isinstance(phi, Exists) else all
-        return test(
-            _eval(model, w, {**sigma, phi.var: d}, phi.body)
-            for d in sorted(model.local_domain[w])
-        )
-    test = all if isinstance(phi, Box) else any
-    return test(_eval(model, v, sigma, phi.body) for v in model.successors(w))
+    if kind is Exists or kind is Forall:
+        decides = kind is Exists
+        for d in model._sorted_domain[w]:
+            if _eval(model, w, {**sigma, phi.var: d}, phi.body) is decides:
+                return decides
+        return not decides
+    decides = kind is Diamond
+    for v in model.successors(w):
+        if _eval(model, v, sigma, phi.body) is decides:
+            return decides
+    return not decides
 
 
 def model_to_json_dict(model: KripkeModel) -> dict:
@@ -252,50 +260,67 @@ def _tree_shapes(n: int, max_depth: int) -> tuple[tuple[int, ...], ...]:
     return tuple(shapes)
 
 
-def _ground(phi: Formula, w: int, sigma: dict, delta: list[frozenset[str]],
+_OR_LIKE = frozenset({Or, Exists, Diamond})
+_AND_LIKE = frozenset({And, Forall, Box})
+
+
+def _ground(phi: Formula, w: int, sigma: dict, delta: list,
             children: list[list[int]], atom_ids: dict):
     """Expand NNF phi at world w into a folded propositional DAG.
 
     A node is True, False, a literal (2 * atom id, plus 1 when negated; ids
     are handed out in `atom_ids`, keyed (world, predicate, tuple)), or
     (is_or, parts) with at least two parts. Quantifiers become Or/And over
-    the sorted local domain and modalities Or/And over the children.
+    the local domain, in the order `delta` lists it, and modalities Or/And
+    over the children.
+
+    The Or-like nodes (Or, Exists, Diamond) below an Or-like phi are walked
+    in one loop, as are the And-like ones below an And-like phi, and so are
+    the literals under them, so a chain of them costs no depth. Parts are folded as if each node were folded on
+    its own: constants absorb or drop, duplicates drop, and grounding stops
+    at the first part that decides a node, or at the end of the first node
+    that holds a literal and its complement. `out` maps each part to the
+    index of its latest occurrence, `met` is the latest index of a
+    complement met, and an int on the stack ends the node that starts at
+    that index.
     """
-    if isinstance(phi, Pred):
-        key = (w, phi.name, tuple(sigma[a] for a in phi.args))
-        return 2 * atom_ids.setdefault(key, len(atom_ids))
-    if isinstance(phi, Not):
-        return _ground(phi.body, w, sigma, delta, children, atom_ids) | 1
-    if isinstance(phi, (And, Or)):
-        return _join(isinstance(phi, Or), (
-            _ground(part, w, sigma, delta, children, atom_ids)
-            for part in (phi.left, phi.right)
-        ))
-    if isinstance(phi, (Exists, Forall)):
-        return _join(isinstance(phi, Exists), (
-            _ground(phi.body, w, {**sigma, phi.var: d}, delta, children, atom_ids)
-            for d in sorted(delta[w])
-        ))
-    return _join(isinstance(phi, Diamond), (
-        _ground(phi.body, v, sigma, delta, children, atom_ids) for v in children[w]
-    ))
-
-
-def _join(is_or: bool, parts):
-    """Fold an Or (is_or) or And of ground parts: constants absorb or drop,
-    nested nodes of the same kind flatten, duplicates drop, and a literal
-    next to its complement decides the node."""
+    is_or = type(phi) in _OR_LIKE
+    same = _OR_LIKE if is_or else _AND_LIKE
     out: dict = {}
-    for part in parts:
-        if type(part) is bool:
-            if part is is_or:
+    met, at = -1, 0
+    stack: list = [(phi, w, sigma)]
+    while stack:
+        item = stack.pop()
+        if type(item) is int:
+            if met >= item:
                 return is_or
-        elif type(part) is tuple and part[0] is is_or:
-            out.update(dict.fromkeys(part[1]))
+            continue
+        node, v, s = item
+        kind = type(node)
+        if kind is Pred or kind is Not:
+            atom = node.body if kind is Not else node
+            key = (v, atom.name, tuple(s[a] for a in atom.args))
+            part = 2 * atom_ids.setdefault(key, len(atom_ids)) + (kind is Not)
+        elif kind in same:
+            stack.append(at)
+            if kind is Or or kind is And:
+                stack += ((node.right, v, s), (node.left, v, s))
+            elif kind is Exists or kind is Forall:
+                stack += [(node.body, v, {**s, node.var: d}) for d in reversed(delta[v])]
+            else:
+                stack += [(node.body, u, s) for u in reversed(children[v])]
+            continue
         else:
-            out[part] = None
-    if any(type(p) is int and (p ^ 1) in out for p in out):
-        return is_or
+            part = _ground(node, v, s, delta, children, atom_ids)
+            if type(part) is bool:
+                if part is is_or:
+                    return is_or
+                continue
+        for p in part[1] if type(part) is tuple and part[0] is is_or else (part,):
+            if type(p) is int and (p ^ 1) in out:
+                met = max(met, out[p ^ 1])
+            out[p] = at
+            at += 1
     if len(out) < 2:
         return next(iter(out), not is_or)
     return (is_or, tuple(out))
@@ -360,8 +385,8 @@ def bounded_model_search(
             children: list[list[int]] = [[] for _ in range(n)]
             for i in range(1, n):
                 children[parents[i]].append(i)
-            for delta in _delta_assignments(parents, n, max_domain):
-                for sigma_vals in product(sorted(delta[0]), repeat=len(fvars)):
+            for delta in _delta_assignments(parents, max_domain):
+                for sigma_vals in product(delta[0], repeat=len(fvars)):
                     sigma = dict(zip(fvars, sigma_vals))
                     model, steps = _search_valuations(
                         phi, sigma, parents, children, delta, max_steps, steps
@@ -371,55 +396,61 @@ def bounded_model_search(
     return None
 
 
-def _delta_assignments(parents, n: int, max_domain: int):
-    """Monotone local domains; new elements numbered in world order."""
+@cache
+def _delta_assignments(parents: tuple[int, ...], max_domain: int) -> tuple:
+    """Monotone local domains, each a sorted tuple, new elements numbered in
+    world order; they depend on no formula, so they are made once per
+    (parents, max_domain)."""
+    n, out = len(parents), []
 
-    def elems(k: int, start: int) -> frozenset[str]:
-        return frozenset(f"a{j}" for j in range(start, start + k))
-
-    def assign(i: int, delta: list[frozenset[str]], used: int):
+    def assign(i: int, delta: list[tuple[str, ...]], used: int) -> None:
         if i == n:
-            yield list(delta)
+            out.append(tuple(delta))
             return
-        base = delta[parents[i]] if i > 0 else frozenset()
-        low = 1 if i == 0 else 0
-        for extra in range(low, max_domain - len(base) + 1):
-            delta.append(base | elems(extra, used))
-            yield from assign(i + 1, delta, used + extra)
+        base = delta[parents[i]] if i > 0 else ()
+        for extra in range(1 if i == 0 else 0, max_domain - len(base) + 1):
+            new = tuple(f"a{j}" for j in range(used, used + extra))
+            delta.append(tuple(sorted(base + new)))
+            assign(i + 1, delta, used + extra)
             delta.pop()
 
-    yield from assign(0, [], 0)
+    assign(0, [], 0)
+    return tuple(out)
 
 
 def _search_valuations(phi, sigma, parents, children, delta,
                        max_steps: int, steps: int):
     """The least valuation, in (world, predicate, tuple) order with false
-    before true, that satisfies phi at w0 under sigma on this frame."""
+    before true, that satisfies phi at w0 under sigma on this frame: a
+    depth-first search with atoms ids[:i] set, one step per evaluation of
+    the DAG."""
     atom_ids: dict[tuple[int, str, tuple[str, ...]], int] = {}
     dag = _ground(phi, 0, sigma, delta, children, atom_ids)
-    used = _dag_atoms(dag, set())
-    order = sorted(a for a, i in atom_ids.items() if i in used)
+    order: list = []
+    if type(dag) is not bool:  # a constant is decided by the first step
+        used = _dag_atoms(dag, set())
+        order = sorted(a for a, i in atom_ids.items() if i in used)
     ids = [atom_ids[a] for a in order]
     val: list = [None] * len(atom_ids)
-
-    def dfs(i: int, steps: int):
+    i = 0
+    while True:
         steps += 1
         if steps > max_steps:
             raise ResourceLimit("oracle enumeration budget exceeded", steps)
         r = _kleene(dag, val)
-        if r is not None:
-            return r, steps
-        for b in (False, True):
-            val[ids[i]] = b
-            found, steps = dfs(i + 1, steps)
-            if found:
-                return True, steps
-        val[ids[i]] = None
-        return False, steps
-
-    found, steps = dfs(0, steps)
-    if not found:
-        return None, steps
+        if r is None:
+            val[ids[i]] = False
+            i += 1
+            continue
+        if r:
+            break
+        # Back to the deepest atom still false, which turns true.
+        while i and val[ids[i - 1]]:
+            i -= 1
+            val[ids[i]] = None
+        if not i:
+            return None, steps
+        val[ids[i - 1]] = True
     true_atoms = [a for a in order if val[atom_ids[a]]]
     return _build_model(parents, delta, true_atoms), steps
 
@@ -433,8 +464,8 @@ def _build_model(parents, delta, true_atoms) -> KripkeModel:
         valuation.setdefault((f"w{w}", p), set()).add(t)
     return KripkeModel(
         worlds=worlds,
-        domain=frozenset().union(*delta) if delta else frozenset(),
+        domain=frozenset().union(*delta),
         edges=edges,
-        local_domain={f"w{i}": delta[i] for i in range(n)},
+        local_domain={f"w{i}": frozenset(delta[i]) for i in range(n)},
         valuation={k: frozenset(v) for k, v in valuation.items()},
     )

@@ -2,7 +2,7 @@
 
 import re
 from itertools import product
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 from foml.formulas import (
     BUNDLE_BOX_EXISTS,
@@ -26,15 +26,21 @@ from foml.formulas import (
     Not,
     Or,
     Pred,
+    ResourceLimit,
+    check_arities,
     formula_key,
+    free_vars,
     fresh_var,
     instance,
     is_literal,
     is_nested_forall,
+    is_nnf,
     nnf_complement,
     outer_witnesses,
+    var_key,
 )
 from foml.forest import NOT_INIT, SkolemForest
+from foml.kripke import KripkeModel, _tree_shapes
 from foml.parser import ParseError, SourceSpan
 
 
@@ -672,3 +678,195 @@ class _Parser:
 
 def ref_parse_formula(text):
     return _Parser(text).parse()
+
+
+# The bounded model finder as it stood with a recursive `dfs` and a nested
+# `_join` per connective: the reference for `kripke.bounded_model_search`,
+# which must return the same first model, world and assignment, and raise
+# `ResourceLimit` with the same count, for every budget.
+def ref_ground(phi: Formula, w: int, sigma: dict, delta: list[frozenset[str]],
+               children: list[list[int]], atom_ids: dict):
+    """Expand NNF phi at world w into a folded propositional DAG.
+
+    A node is True, False, a literal (2 * atom id, plus 1 when negated; ids
+    are handed out in `atom_ids`, keyed (world, predicate, tuple)), or
+    (is_or, parts) with at least two parts. Quantifiers become Or/And over
+    the sorted local domain and modalities Or/And over the children.
+    """
+    if isinstance(phi, Pred):
+        key = (w, phi.name, tuple(sigma[a] for a in phi.args))
+        return 2 * atom_ids.setdefault(key, len(atom_ids))
+    if isinstance(phi, Not):
+        return ref_ground(phi.body, w, sigma, delta, children, atom_ids) | 1
+    if isinstance(phi, (And, Or)):
+        return ref_join(isinstance(phi, Or), (
+            ref_ground(part, w, sigma, delta, children, atom_ids)
+            for part in (phi.left, phi.right)
+        ))
+    if isinstance(phi, (Exists, Forall)):
+        return ref_join(isinstance(phi, Exists), (
+            ref_ground(phi.body, w, {**sigma, phi.var: d}, delta, children, atom_ids)
+            for d in sorted(delta[w])
+        ))
+    return ref_join(isinstance(phi, Diamond), (
+        ref_ground(phi.body, v, sigma, delta, children, atom_ids) for v in children[w]
+    ))
+
+
+def ref_join(is_or: bool, parts):
+    """Fold an Or (is_or) or And of ground parts: constants absorb or drop,
+    nested nodes of the same kind flatten, duplicates drop, and a literal
+    next to its complement decides the node."""
+    out: dict = {}
+    for part in parts:
+        if type(part) is bool:
+            if part is is_or:
+                return is_or
+        elif type(part) is tuple and part[0] is is_or:
+            out.update(dict.fromkeys(part[1]))
+        else:
+            out[part] = None
+    if any(type(p) is int and (p ^ 1) in out for p in out):
+        return is_or
+    if len(out) < 2:
+        return next(iter(out), not is_or)
+    return (is_or, tuple(out))
+
+
+def ref_dag_atoms(node, out: set) -> set:
+    if type(node) is int:
+        out.add(node >> 1)
+    elif type(node) is tuple:
+        for part in node[1]:
+            ref_dag_atoms(part, out)
+    return out
+
+
+def ref_kleene(node, val: list):
+    """Three-valued value of a ground DAG; val[i] is atom i's value or None."""
+    if type(node) is int:
+        v = val[node >> 1]
+        return v if v is None or not node & 1 else not v
+    if type(node) is bool:
+        return node
+    want, parts = node
+    unknown = False
+    for part in parts:
+        r = ref_kleene(part, val)
+        if r is want:
+            return want
+        if r is None:
+            unknown = True
+    return None if unknown else not want
+
+
+def ref_bounded_model_search(
+    phi: Formula,
+    max_worlds: int,
+    max_domain: int,
+    tree_depth: int,
+    max_steps: int = 5_000_000,
+) -> Optional[tuple[KripkeModel, str, dict[str, str]]]:
+    """Exhaustive search for a satisfying model over tree-shaped frames.
+
+    Enumerates rooted tree frames up to the bounds, monotone local domains
+    with canonically numbered elements, root assignments of the free
+    variables, then valuations in lexicographic order (false before true).
+    Theta is grounded once per frame, pruned by three-valued evaluation of
+    the folded DAG; a frame here is a tree with its local domains and root
+    assignment, and atoms the DAG does not mention stay false. The first
+    satisfying triple in this canonical order is returned, or None when the
+    whole space is exhausted. Each valuation search step counts against
+    `max_steps`.
+    """
+    if not is_nnf(phi):
+        raise ValueError("oracle expects a formula in negation normal form")
+    if min(max_worlds, max_domain, tree_depth) < 1:
+        raise ValueError("all bounds must be at least 1")
+    check_arities(phi)
+    fvars = sorted(free_vars(phi), key=var_key)
+    steps = 0
+
+    for n in range(1, max_worlds + 1):
+        for parents in _tree_shapes(n, tree_depth):
+            children: list[list[int]] = [[] for _ in range(n)]
+            for i in range(1, n):
+                children[parents[i]].append(i)
+            for delta in ref_delta_assignments(parents, n, max_domain):
+                for sigma_vals in product(sorted(delta[0]), repeat=len(fvars)):
+                    sigma = dict(zip(fvars, sigma_vals))
+                    model, steps = ref_search_valuations(
+                        phi, sigma, parents, children, delta, max_steps, steps
+                    )
+                    if model is not None:
+                        return model, "w0", sigma
+    return None
+
+
+def ref_delta_assignments(parents, n: int, max_domain: int):
+    """Monotone local domains; new elements numbered in world order."""
+
+    def elems(k: int, start: int) -> frozenset[str]:
+        return frozenset(f"a{j}" for j in range(start, start + k))
+
+    def assign(i: int, delta: list[frozenset[str]], used: int):
+        if i == n:
+            yield list(delta)
+            return
+        base = delta[parents[i]] if i > 0 else frozenset()
+        low = 1 if i == 0 else 0
+        for extra in range(low, max_domain - len(base) + 1):
+            delta.append(base | elems(extra, used))
+            yield from assign(i + 1, delta, used + extra)
+            delta.pop()
+
+    yield from assign(0, [], 0)
+
+
+def ref_search_valuations(phi, sigma, parents, children, delta,
+                          max_steps: int, steps: int):
+    """The least valuation, in (world, predicate, tuple) order with false
+    before true, that satisfies phi at w0 under sigma on this frame."""
+    atom_ids: dict[tuple[int, str, tuple[str, ...]], int] = {}
+    dag = ref_ground(phi, 0, sigma, delta, children, atom_ids)
+    used = ref_dag_atoms(dag, set())
+    order = sorted(a for a, i in atom_ids.items() if i in used)
+    ids = [atom_ids[a] for a in order]
+    val: list = [None] * len(atom_ids)
+
+    def dfs(i: int, steps: int):
+        steps += 1
+        if steps > max_steps:
+            raise ResourceLimit("oracle enumeration budget exceeded", steps)
+        r = ref_kleene(dag, val)
+        if r is not None:
+            return r, steps
+        for b in (False, True):
+            val[ids[i]] = b
+            found, steps = dfs(i + 1, steps)
+            if found:
+                return True, steps
+        val[ids[i]] = None
+        return False, steps
+
+    found, steps = dfs(0, steps)
+    if not found:
+        return None, steps
+    true_atoms = [a for a in order if val[atom_ids[a]]]
+    return ref_build_model(parents, delta, true_atoms), steps
+
+
+def ref_build_model(parents, delta, true_atoms) -> KripkeModel:
+    n = len(parents)
+    worlds = frozenset(f"w{i}" for i in range(n))
+    edges = frozenset((f"w{parents[i]}", f"w{i}") for i in range(1, n))
+    valuation: dict[tuple[str, str], set] = {}
+    for w, p, t in true_atoms:
+        valuation.setdefault((f"w{w}", p), set()).add(t)
+    return KripkeModel(
+        worlds=worlds,
+        domain=frozenset().union(*delta) if delta else frozenset(),
+        edges=edges,
+        local_domain={f"w{i}": delta[i] for i in range(n)},
+        valuation={k: frozenset(v) for k, v in valuation.items()},
+    )

@@ -551,6 +551,21 @@ def test_oracle_found_and_none(runner, tmp_path):
     assert none.output.strip() == "none"
 
 
+def test_oracle_finds_the_model_of_an_1100_literal_conjunction(runner, tmp_path):
+    """The oracle grounds a chain of one connective in a loop and searches
+    valuations on an explicit stack, so a conjunction nested 1,100 deep
+    gets its model: one world where every literal holds."""
+    text = " & ".join(f"P{i}" for i in range(1100))
+    path = write(tmp_path, "conj.foml", text)
+    result = runner.invoke(main, ["oracle", path, "--format", "json"])
+    assert result.exit_code == 0, result.output
+    payload = json.loads(result.output)
+    model = model_from_json(json.dumps(payload["model"]))
+    assert sorted(model.worlds) == ["w0"] and payload["world"] == "w0"
+    assert len(model.valuation) == 1100
+    assert check(model, "w0", {}, norm(text))
+
+
 def test_gen_is_deterministic(runner):
     a = runner.invoke(main, ["gen", "--seed", "5", "--count", "3"])
     b = runner.invoke(main, ["gen", "--seed", "5", "--count", "3"])

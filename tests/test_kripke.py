@@ -43,6 +43,8 @@ from foml.kripke import (
     validate_model,
 )
 from foml.parser import parse_formula
+from foml.testgen import GenConfig, gen_formula
+from oracles import ref_bounded_model_search, ref_ground
 
 DATA = Path(__file__).parent / "data"
 
@@ -108,6 +110,10 @@ def test_check_rejects_irrelevant_assignment():
     assert "x" in str(err.value) and "w" in str(err.value)
     with pytest.raises(RelevanceError):
         check(m, "w", {"x": "ghost"}, Pred("P", ("x",)))
+    # Of several unassigned variables, the first in `var_key` order is named.
+    with pytest.raises(RelevanceError) as err:
+        check(m, "w", {}, And(Pred("P", ("v10",)), Pred("P", ("v2",))))
+    assert err.value.var == "v2"
 
 
 def ref_check(model, w, sigma, phi):
@@ -242,7 +248,7 @@ def test_oracle_results_match_pins():
 def ground_at_w0(model, sigma, phi):
     """Ground phi at w0 of a random_model, whose worlds are w0..w{n-1}."""
     names = [f"w{i}" for i in range(len(model.worlds))]
-    delta = [model.local_domain[w] for w in names]
+    delta = [tuple(sorted(model.local_domain[w])) for w in names]
     children = [[names.index(v) for v in model.successors(w)] for w in names]
     atom_ids = {}
     return _ground(phi, 0, sigma, delta, children, atom_ids), atom_ids
@@ -285,6 +291,90 @@ def test_ground_dag_is_exact_on_full_and_sound_on_partial_valuations(seed):
         for i, b in zip(hidden, bits):
             completion[i] = b
         assert check(with_atoms(model, atom_ids, completion), "w0", sigma, phi) is verdict
+
+
+def chains(leaves, n):
+    """Every And and Or tree over n of the leaves, in every shape."""
+    if n == 1:
+        yield from leaves
+        return
+    for k in range(1, n):
+        for left, right in product(list(chains(leaves, k)), list(chains(leaves, n - k))):
+            yield And(left, right)
+            yield Or(left, right)
+
+
+def test_ground_folds_a_chain_where_the_nested_joins_did():
+    """A chain of Or-like nodes (`|`, `exists`, `<>`), or of And-like ones,
+    is ground in one loop, which stops where the reference's `_join` per
+    node stopped: at a part that decides a node, or at the end of the first
+    node that holds a literal and its complement. The DAG is the same, and
+    so are the atoms handed ids, in the same order. The leaves share atoms,
+    ground to either constant at a world with no successor, and flatten
+    into an Or or And of two."""
+    leaves = [norm(t) for t in [
+        "P(x)", "~P(x)", "exists y . P(y)", "forall y . ~P(y)", "<> P(x)", "[] P(x)",
+    ]]
+    delta, children, sigma = [("a0", "a1")], [[]], {"x": "a0"}
+    for phi in chains(leaves, 4):
+        got, want = {}, {}
+        assert _ground(phi, 0, sigma, delta, children, got) == ref_ground(
+            phi, 0, sigma, delta, children, want
+        )
+        assert list(got.items()) == list(want.items())
+
+
+@given(st.integers(0, 10_000_000))
+@settings(max_examples=300, deadline=None)
+def test_ground_matches_the_reference_on_random_formulas(seed):
+    """The same DAG and atom ids as the reference across several worlds,
+    domains of up to three elements, and nodes of both kinds in turn."""
+    rng = random.Random(seed)
+    model = random_model(rng)
+    phi = to_nnf(random_raw_formula(rng, rng.randint(1, 6), ["x"]))
+    sigma = random_relevant_sigma(rng, model, "w0", sorted(free_vars(phi)))
+    names = [f"w{i}" for i in range(len(model.worlds))]
+    delta = [tuple(sorted(model.local_domain[w])) for w in names]
+    children = [[names.index(v) for v in model.successors(w)] for w in names]
+    got, want = {}, {}
+    assert _ground(phi, 0, sigma, delta, children, got) == ref_ground(
+        phi, 0, sigma, delta, children, want
+    )
+    assert list(got.items()) == list(want.items())
+
+
+def oracle_outcome(search, phi, **budget):
+    """What one oracle search gave: the canonical model JSON, world and
+    assignment, None, or the count its ResourceLimit carried."""
+    try:
+        found = search(phi, 3, 2, 3, **budget)
+    except ResourceLimit as exc:
+        return "limit", exc.count
+    if found is None:
+        return None
+    model, w, sigma = found
+    return model_to_json(model), w, sigma
+
+
+def test_oracle_agrees_with_the_reference_on_every_budget():
+    """The first 150 formulas of three corpora, each under budgets that run
+    out at every depth of the valuation search and under the default: the
+    same first model, world and assignment as the reference oracle (nested
+    `_join`s, a recursive `dfs`, domains made afresh for every frame), or a
+    ResourceLimit with the same count. The sweep runs out of budget about
+    1,000 times."""
+    budgets = [{"max_steps": s} for s in (1, 2, 3, 5, 8, 13, 40)] + [{}]
+    limits = 0
+    for seed, depth in ((2026, 4), (7, 5), (3, 6)):
+        rng = random.Random(seed)
+        cfg = GenConfig(seed=seed, max_depth=depth)
+        for _ in range(150):
+            phi = gen_formula(cfg, rng)
+            for budget in budgets:
+                got = oracle_outcome(bounded_model_search, phi, **budget)
+                assert got == oracle_outcome(ref_bounded_model_search, phi, **budget)
+                limits += got is not None and got[0] == "limit"
+    assert limits > 900
 
 
 def test_oracle_imports_only_formulas():
