@@ -5,7 +5,8 @@ Every command builds a payload and its text lines and hands both to
 `_report`, which prints one JSON line with sorted keys under `--format
 json`, the lines otherwise, and exits. `foml verify` checks a certificate
 with `extraction.audit`, the check `foml difftest` applies to each SAT
-verdict.
+verdict: the verifier, then the semantic gate on the model read off the
+tree, leaf violations or not.
 
 Exit codes: 0 sat/true/ok/valid, 1 unsat/false/discrepancies/none, 2
 resource limit, 3 every other error: usage (click's own usage errors

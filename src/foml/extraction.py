@@ -7,7 +7,7 @@ an existential witness mark where this finite model falls short; extending
 the forest at such a leaf and rebuilding yields the next, strictly larger
 model in the chain. `audit` is the one check of a SAT tableau: the
 verifier, then the model read off it, which must satisfy every formula of
-every node wherever no leaf violation is left.
+every node, except where a leaf violation that is left makes it fail.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .formulas import (
     all_vars,
     formula_key,
     free_vars,
-    is_literal,
+    post_order,
     rename_vars,
     substitute,
     var_key,
@@ -51,6 +51,7 @@ from .tableau import (
 
 SATISFIED = "Satisfied"
 RESIDUAL = "ResidualViolations"
+_ROOT_FAILS = "no leaf violations remain but the root check fails"
 
 
 @dataclass(frozen=True)
@@ -142,23 +143,20 @@ def audit(
 
     `verify_tableau` runs first; on a tree it rejects, the result is
     (None, [], its problems). Otherwise the model read off the tree must be
-    valid, every literal at a world's last node must hold there in it,
-    every forest must be within `forest_size_bound`, and, where no leaf
-    violation is left, theta must hold at `r` and, if it does, every
-    formula of every node at the node's world (`_node_check`).
+    valid, every forest must be within `forest_size_bound`, and every
+    formula of every node must hold at the node's world, except where a
+    leaf violation that is left makes it fail (`_node_check`).
     """
     problems = verify_tableau(tableau, theta)
     if problems:
         return None, [], problems
     model = extract_model(tableau)
     problems = validate_model(model)
-    for w, node in sorted(dict(tableau.walk()).items()):
-        name = render_world(w)
-        for g in sorted(node.gamma, key=print_formula):
-            if not is_literal(g):
-                continue
-            if not _holds(model, name, g):
-                problems.append(f"literal {print_formula(g)} fails at {name}")
+    violations = find_leaf_violations(tableau, model)
+    violated = {w for w, _, _ in violations}
+    # A violated forest's universal fails at its world and at the worlds
+    # above, in every formula that holds it: the model is a finite prefix.
+    exempt: dict[tuple[int, ...], set[str]] = {}
     for w, node in tableau.forest_points():
         f = node.forest
         bound = forest_size_bound(Forall(f.var, f.psi), len(f.roots()))
@@ -166,27 +164,24 @@ def audit(
             problems.append(
                 f"forest at {render_world(w)} has {len(f.nodes)} nodes, bound {bound}"
             )
-    violations = find_leaf_violations(tableau, model)
-    if not violations:
-        problems += _root_check(model, theta) or _node_check(tableau, model)
-    return model, violations, problems
+        if w in violated:
+            for i in range(len(w) + 1):
+                exempt.setdefault(w[:i], set()).add(f.var.partition(ORIGIN_SEP)[0])
+    return model, violations, problems + _node_check(tableau, model, exempt)
 
 
-def _root_check(model: KripkeModel, theta: Formula) -> list[str]:
-    """Theta at `r` under the identity assignment, checked once no leaf
-    violation is left: the problem if it fails."""
-    if _holds(model, "r", theta):
-        return []
-    return ["no leaf violations remain but the root check fails"]
-
-
-def _node_check(tableau: TableauNode, model: KripkeModel) -> list[str]:
-    """The semantic gate, for a model with no leaf violation left: every
-    formula of every node's gamma must hold at the node's world under the
-    identity assignment, each (world, formula) checked once. It applies no
-    tableau rule, so it catches a rule fault that search and the verifier
-    share (both run `_saturate`). One problem per failing pair, sorted by
-    world and formula."""
+def _node_check(tableau: TableauNode, model: KripkeModel, exempt: dict) -> list[str]:
+    """The semantic gate: every formula of every node's gamma must hold at
+    the node's world under the identity assignment, each (world, formula)
+    checked once, theta at `r` first. It applies no tableau rule, so it
+    catches a rule fault that search and the verifier share (both run
+    `_saturate`). A failing pair is let off only where a leaf violation is
+    left: its world is in `exempt`, the violated forest points' worlds and
+    their ancestors, and the formula holds a universal whose binder has an
+    origin (the name before `ORIGIN_SEP`) `exempt` lists there. Theta is
+    clean, so an origin names one input quantifier. Where none is left
+    and theta fails at `r`, that is the one problem; otherwise one problem
+    per failing pair, sorted by world and formula."""
     seen = set()
     failed = []
     for w, node in tableau.walk():
@@ -195,9 +190,16 @@ def _node_check(tableau: TableauNode, model: KripkeModel) -> list[str]:
             if (w, g) in seen:
                 continue
             seen.add((w, g))
-            if not _holds(model, name, g):
-                message = f"formula {print_formula(g)} fails at {name}"
-                failed.append((w, formula_key(g), message))
+            origins = exempt.get(w, ())
+            if _holds(model, name, g) or any(
+                type(n) is Forall and n.var.partition(ORIGIN_SEP)[0] in origins
+                for n in post_order(g)
+            ):
+                continue
+            if not exempt and len(seen) == 1:  # theta at `r`
+                return [_ROOT_FAILS]
+            message = f"formula {print_formula(g)} fails at {name}"
+            failed.append((w, formula_key(g), message))
     return [message for _, _, message in sorted(failed)]
 
 
@@ -360,8 +362,8 @@ def iterate_extensions(
 ) -> tuple[KripkeModel, ExtensionTrace, str]:
     """Up to k rounds of extract, locate violations, extend at the nearest.
 
-    Stops early with Satisfied once no leaf violation remains (the root check
-    is asserted to pass then); otherwise reports ResidualViolations with the
+    Stops early with Satisfied once no leaf violation remains (theta must
+    hold at `r` then); otherwise reports ResidualViolations with the
     last model and the full trace of snapshots. Each round's rebuild meets
     most of the last round's universal instances again, and takes them from
     the universals' caches (`formulas.instance`).
@@ -376,9 +378,8 @@ def iterate_extensions(
     for i in range(k + 1):
         violations = find_leaf_violations(current, model)
         if not violations:
-            failed = _root_check(model, theta)
-            if failed:
-                raise FomlError(failed[0])
+            if not _holds(model, "r", theta):
+                raise FomlError(_ROOT_FAILS)
             return model, trace, SATISFIED
         if i == k:
             return model, trace, RESIDUAL

@@ -139,7 +139,7 @@ def test_extension_dynamics_through_five_rounds(phi1, phi1_result):
 
 def test_corpus_soundness_no_bad_certificates(corpus):
     """Every SAT verdict in the seeded corpus survives certificate
-    re-verification, model validation, and the last-node literal audit, and
+    re-verification, model validation, and the semantic gate, and
     its certificate reads back to the tree the search built, state for
     state (`differential_run` checks each)."""
     report, _ = corpus

@@ -132,6 +132,72 @@ def test_the_semantic_gate_catches_a_rule_fault_search_and_verifier_share(
     assert audit(search(theta).tableau, theta)[1:] == ([], [])
 
 
+def test_the_semantic_gate_catches_a_rule_fault_on_the_flagship(monkeypatch, phi1):
+    """The same kind of planted fault, an `and` that drops its right
+    conjunct, now on every `and`: the verifier accepts the flagship's tree,
+    which keeps its one leaf violation, and the gate still runs on it."""
+    real = foml.tableau._saturate
+
+    def drops_every_right_conjunct(s, base, added):
+        return real(s, base, [f.left if type(f) is And else f for f in added])
+
+    monkeypatch.setattr(foml.tableau, "_saturate", drops_every_right_conjunct)
+    tableau = search(phi1).tableau
+    assert verify_tableau(tableau, phi1) == []
+    _, violations, problems = audit(tableau, phi1)
+    assert len(violations) == 1 and len(problems) == 8
+    assert problems[1] == (
+        "formula <> P(v0, v2) & [] P(v0, v2) | [] ~P(v0, v2) & <> ~P(v0, v2)"
+        " fails at r.0.0"
+    )
+
+
+def failing_pairs(tableau):
+    """The (world, formula) pairs of the tree that fail in its model, each
+    checked with `check` under the identity assignment."""
+    model = extract_model(tableau)
+    return {
+        (render_world(w), g)
+        for w, node in tableau.walk()
+        for g in node.gamma
+        if not check(model, render_world(w), {v: v for v in free_vars(g)}, g)
+    }
+
+
+def corpus_formula(seed, index):
+    rng, cfg = random.Random(seed), GenConfig(seed=seed, max_depth=6)
+    for _ in range(index + 1):
+        theta = gen_formula(cfg, rng)
+    return theta
+
+
+def test_the_gate_lets_off_exactly_what_a_leaf_violation_fails(phi1, phi1_result):
+    """A model with a leaf violation left is a finite prefix of an infinite
+    one, so the violated universal fails at its forest point's world and
+    at the worlds above, in every formula that holds it. Those pairs, and
+    only those, fail; `audit` lets them off and reports nothing. On
+    `GenConfig(seed=3, max_depth=6)` #274 the violated universal is the
+    instance `forall b1@v0` while theta holds `forall b1`: one origin."""
+    tree = phi1_result.tableau
+    for _ in range(4):
+        assert failing_pairs(tree) == {("r", phi1), ("r.0", phi1.body)}
+        model, violations, problems = audit(tree, phi1)
+        assert problems == [] and len(violations) == 1
+        world, leaf, _ = violations[0]
+        tree = extend_tableau(phi1, tree, world, leaf)
+
+    theta = corpus_formula(3, 274)
+    tree = search(theta).tableau
+    inst = instance(theta, "v0")
+    assert failing_pairs(tree) == {
+        ("r", theta), ("r", inst), ("r.0", inst.body), ("r.0.0", inst.body.body)
+    }
+    assert audit(tree, theta)[2] == []
+    theta = corpus_formula(7, 59)
+    tree = search(theta).tableau
+    assert len(failing_pairs(tree)) == 3 and audit(tree, theta)[2] == []
+
+
 def test_flagship_has_one_canonical_violation(phi1_result):
     t = phi1_result.tableau
     violations = find_leaf_violations(t, extract_model(t))

@@ -134,6 +134,9 @@ def test_flagship_passes_certificate_audits(phi1, phi1_result):
 
 
 def test_literal_audit_notices_missing_fact(monkeypatch, phi1, phi1_result):
+    """With the first valuation entry, the facts of `P` at r.0.0.0, dropped
+    from the flagship's model, the gate reports each literal there that
+    stated one of them."""
     from dataclasses import replace
 
     t = phi1_result.tableau
@@ -143,8 +146,13 @@ def test_literal_audit_notices_missing_fact(monkeypatch, phi1, phi1_result):
     dropped.pop(key)
     weaker = replace(m0, valuation=dropped)
     monkeypatch.setattr("foml.extraction.extract_model", lambda tableau: weaker)
+    assert key == ("r.0.0.0", "P")
     problems = audit(t, phi1)[2]
-    assert any("fails at" in p for p in problems)
+    assert [p for p in problems if p.endswith(" r.0.0.0")] == [
+        "formula P(v0, v1) fails at r.0.0.0",
+        "formula P(v0, v2) fails at r.0.0.0",
+        "formula P(v1, v2) fails at r.0.0.0",
+    ]
 
 
 def test_read_back_audit_notices_another_tree(monkeypatch, phi1_result):
