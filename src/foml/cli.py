@@ -120,9 +120,9 @@ def _limits_for(theta, limits_text: str | None) -> SearchLimits:
     for part in limits_text.split(","):
         key, _, raw = part.partition("=")
         key = key.strip()
-        if key not in fields or not raw.strip().isdecimal():
+        if key not in fields or not raw.strip().isdecimal() or fields[key] in values:
             raise FomlError(
-                f"bad --limits entry {part!r} (use forest=, tableau=)"
+                f"bad --limits entry {part!r} (use forest=, tableau=, each once)"
             )
         values[fields[key]] = int(raw)
     try:
@@ -251,13 +251,15 @@ def check_model(model_file, formula_file, world, assign_text, fmt):
     phi = _load_formula(formula_file, normalize=False)
     if world not in m.worlds:
         raise FomlError(f"world {world!r} is not in the model")
-    sigma = {v: v for v in free_vars(phi)}
-    if assign_text:
-        for part in assign_text.split(","):
-            var, _, elem = part.partition("=")
-            if not elem:
-                raise FomlError(f"bad --assign entry {part!r}")
-            sigma[var.strip()] = elem.strip()
+    assigned = {}
+    for part in assign_text.split(",") if assign_text else ():
+        var, _, elem = (t.strip() for t in part.partition("="))
+        if not var or not elem or var in assigned:
+            raise FomlError(
+                f"bad --assign entry {part!r} (use name=element, each name once)"
+            )
+        assigned[var] = elem
+    sigma = {**{v: v for v in free_vars(phi)}, **assigned}
     verdict = check(m, world, sigma, phi)
     _report(fmt, {"result": verdict}, ["true" if verdict else "false"], 0 if verdict else 1)
 

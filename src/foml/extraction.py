@@ -110,8 +110,8 @@ def _holds(model: KripkeModel, world: str, phi: Formula) -> bool:
 def find_leaf_violations(
     tableau: TableauNode, model: KripkeModel
 ) -> list[tuple[tuple[int, ...], str, Formula]]:
-    """Forest leaves whose existential obligations the model fails to meet,
-    as (world, leaf, formula).
+    """Leaves of each forest point's forest, its `pick`, whose existential
+    obligations the model fails to meet, as (world, leaf, formula).
 
     Sorted nearest-to-root first, ties by world name then leaf variable, so
     the head of the list is the canonical leaf to extend next.
@@ -119,9 +119,9 @@ def find_leaf_violations(
     out = []
     for world, node in tableau.forest_points():
         name = render_world(world)
-        for leaf in node.forest.leaves():
+        for leaf in node.pick.leaves():
             for member in leaf.atom.exists_members:
-                inst = substitute(member, {node.forest.var: leaf.name})
+                inst = substitute(member, {node.pick.var: leaf.name})
                 if not _holds(model, name, inst):
                     out.append((world, leaf.name, inst))
     out.sort(
@@ -143,9 +143,10 @@ def audit(
 
     `verify_tableau` runs first; on a tree it rejects, the result is
     (None, [], its problems). Otherwise the model read off the tree must be
-    valid, every forest must be within `forest_size_bound`, and every
-    formula of every node must hold at the node's world, except where a
-    leaf violation that is left makes it fail (`_node_check`).
+    valid, every forest a forest point picks must be within
+    `forest_size_bound`, and every formula of every node must hold at the
+    node's world, except where a leaf violation that is left makes it fail
+    (`_node_check`).
     """
     problems = verify_tableau(tableau, theta)
     if problems:
@@ -158,7 +159,7 @@ def audit(
     # above, in every formula that holds it: the model is a finite prefix.
     exempt: dict[tuple[int, ...], set[str]] = {}
     for w, node in tableau.forest_points():
-        f = node.forest
+        f = node.pick
         bound = forest_size_bound(Forall(f.var, f.psi), len(f.roots()))
         if len(f.nodes) > bound:
             problems.append(
@@ -250,7 +251,7 @@ def extend_tableau(
     # A preferred forest can lose to an enumerated one, and a rebuild that
     # kept the old forest would still pass the monotonicity check.
     kept = dict(result.tableau.forest_points()).get(world)
-    if kept is None or kept.forest != grown:
+    if kept is None or kept.pick != grown:
         raise FomlError(f"{failure}: the grown forest was not kept")
     return result.tableau
 

@@ -32,23 +32,6 @@ from .formulas import (
 )
 
 
-class _ForestSentinel:
-    """Placeholder forest states a tableau node can carry."""
-
-    def __init__(self, tag: str):
-        self._tag = tag
-
-    def __repr__(self) -> str:
-        return self._tag
-
-    def __deepcopy__(self, memo):
-        return self
-
-
-NOT_INIT = _ForestSentinel("NotInit")
-EMPTY_TREE = _ForestSentinel("EmptyTree")
-
-
 @dataclass(frozen=True)
 class ForestNode:
     name: str

@@ -1,16 +1,18 @@
 """Tableau construction and search for the bundled fragment.
 
-A tableau node is its state (gamma, s, forest) and its children. Within one
-world the rules fire in a fixed priority: forest initialization first
-(answering the nested universal if one is present), then conjunctions,
-disjunctions, existentials, universals, and finally the modal step that
-spawns one child world per diamond. Only that step makes a child whose
-forest is NOT_INIT, so a node's world is its path of diamond indices
-(`walk`). Search is depth-first over the AND-OR space: diamond children all
-have to succeed, disjuncts and forest choices are alternatives.
+A tableau node is its state (gamma, s), its children and its `pick`, the
+choice its rule made. Within one world the rules fire in a fixed priority:
+forest initialization first (answering the nested universal if one is
+present), then conjunctions, disjunctions, existentials, universals, and
+finally the modal step that spawns one child world per diamond. A node
+starts a world when it is the root or a child of a diamond node, so a
+node's world is its path of diamond indices (`walk`). Search is
+depth-first over the AND-OR space: diamond children all have to succeed,
+disjuncts and forest choices are alternatives.
 
 A node is kept only where the tableau branches or a world ends: at a
-world's first node, at an `or` whose disjuncts gamma both leaves open (a
+world's first node (a forest point, which records the skolem forest it
+chose in `pick`), at an `or` whose disjuncts gamma both leaves open (a
 choice, which records the disjunct it kept in `pick`), at a diamond node
 (which records its diamonds in child order in `pick`) and at a leaf.
 `_saturate` is the one definition of the single-child rules (`and`, an
@@ -73,8 +75,6 @@ from .formulas import (
     rule_rank,
 )
 from .forest import (
-    EMPTY_TREE,
-    NOT_INIT,
     ForestNode,
     SkolemForest,
     enumerate_forests,
@@ -97,38 +97,40 @@ def render_world(world: tuple[int, ...]) -> str:
 @dataclass(frozen=True, eq=False)
 class TableauNode:
     """A node compares and hashes by identity; compare trees by `walk`.
-    `pick` is the choice a node's rule made where its children do not show
-    it: at an `or` choice the index of the disjunct its child took, which
-    the child's saturated gamma may no longer show; at a diamond node its
-    diamonds in child order, since several diamonds can start one world.
-    It is None elsewhere; a forest point's child carries its forest."""
+    `pick` is the one record of the choice a node's rule made: at a forest
+    point, a world's first node that answers its nested universal, the
+    skolem forest; at an `or` choice the index of the disjunct its child
+    took, which the child's saturated gamma may no longer show; at a
+    diamond node its diamonds in child order, since several diamonds can
+    start one world. It is None elsewhere."""
 
     gamma: frozenset
     s: frozenset
-    forest: object
     children: tuple = ()
-    pick: Optional[int] = None
+    pick: object = None
 
     def walk(self):
         """(world, node) for this node, the root world (), and its
-        descendants, in preorder. A child at index i whose forest is
-        NOT_INIT starts world + (i,), every other child sits at its
+        descendants, in preorder. Child i of a diamond node, whose pick is
+        a tuple, starts world + (i,); every other child sits at its
         parent's world."""
         stack = [((), self)]
         while stack:
             world, node = stack.pop()
             yield world, node
-            for i in range(len(node.children) - 1, -1, -1):
-                c = node.children[i]
-                stack.append((world + (i,) if c.forest is NOT_INIT else world, c))
+            kids = node.children
+            if type(node.pick) is tuple:
+                for i in range(len(kids) - 1, -1, -1):
+                    stack.append((world + (i,), kids[i]))
+            else:
+                for c in reversed(kids):
+                    stack.append((world, c))
 
     def forest_points(self):
-        """(world, node) for the first node of each world that carries a
-        skolem forest: the forest its world settled on."""
-        seen = set()
+        """(world, node) for each forest point: a world's first node, whose
+        pick is the skolem forest its world settled on."""
         for world, node in self.walk():
-            if isinstance(node.forest, SkolemForest) and world not in seen:
-                seen.add(world)
+            if isinstance(node.pick, SkolemForest):
                 yield world, node
 
 
@@ -137,7 +139,9 @@ class SearchStats:
     """What a search did: `nodes` counts the nodes it visited, each a
     world's first node or a state saturated by `_saturate`, closed ones
     included; `or_attempts` the disjuncts tried at `or` choices;
-    `forest_attempts` the forests tried at forest points."""
+    `forest_attempts` the forests tried at forest points; `memo_hits` the
+    states an unguided search found in its memo of failed nodes, keyed by
+    (gamma, S)."""
 
     nodes: int = 0
     or_attempts: int = 0
@@ -225,7 +229,7 @@ def init_root(theta: Formula) -> TableauNode:
         )
     z = fresh_var(all_vars(theta))
     s = frozenset(free_vars(theta)) | outer_ex_vars(theta) | {z}
-    return TableauNode(frozenset({theta}), s, NOT_INIT)
+    return TableauNode(frozenset({theta}), s)
 
 
 def _require_nnf(theta: Formula) -> None:
@@ -271,16 +275,16 @@ _RULES = (
 )
 
 
-def select_rule(gamma: frozenset, forest) -> tuple[str, Optional[Formula]]:
+def select_rule(gamma: frozenset, start: bool) -> tuple[str, Optional[Formula]]:
     """The unique rule class for this node state, with its pivot formula.
-    At a world's first node, the forest rule: `nestedForall` on the one
-    nested universal, else `trivialSkolem`. Past it, the rule of gamma's
+    At a world's first node (`start`), the forest rule: `nestedForall` on
+    the one nested universal, else `trivialSkolem`. Past it, the rule of gamma's
     first formula in `rule_rank` order, whose rank is the rule priority,
     and that formula as the pivot of a rule that takes one."""
     top = _top(gamma)
     if top is None:
         return "none", None
-    if forest is NOT_INIT:
+    if start:
         nested = [g for g in gamma if type(g) is Forall and is_nested_forall(g)]
         if len(nested) > 1:
             raise FomlError("multiple nested universals in one gamma")
@@ -322,7 +326,8 @@ def _saturate(
     Returns that gamma with the rule that comes next, `or` with its pivot,
     `diamond` or `none`; or None when a formula meets its complement, each
     checked as it is added, or an `or` has no open disjunct. S does not
-    change, and no rule here reads the forest.
+    change, and no rule here reads the world's forest: its choice is over
+    once the forest point's child holds the forest's expansion.
 
     The formulas whose rule takes a pivot wait on a heap keyed by rank,
     which their `formula_key` makes unique, so no tie is broken. The
@@ -390,39 +395,38 @@ def _saturate(
 
 def diamond_outcomes(
     gamma: frozenset, s: frozenset, diamonds: Iterable[Diamond]
-) -> list[tuple[frozenset, object, frozenset, tuple]]:
+) -> list[tuple[frozenset, frozenset, tuple]]:
     """The successor world of each of `diamonds`, in their order, as the
-    state (s, forest, base, added) of its first node: the diamond's body
+    state (s, base, added) of its first node: the diamond's body
     and every box body of gamma, over S and the outer witnesses of the
     boxes and the diamond."""
     boxes = [g for g in gamma if isinstance(g, Box)]
     box_bodies = frozenset([b.body for b in boxes])
     shared = frozenset(s).union(*map(outer_witnesses, boxes))
     return [
-        (shared | outer_witnesses(d), NOT_INIT, frozenset({d.body}) | box_bodies, ())
+        (shared | outer_witnesses(d), frozenset({d.body}) | box_bodies, ())
         for d in diamonds
     ]
 
 
-def _child_states(gamma, s, forest, kind, pivot, choice) -> list[tuple]:
+def _child_states(gamma, s, kind, pivot, choice) -> list[tuple]:
     """The one definition of each branching rule's children: the states
-    (s, forest, base, added) the rule `kind` of a node (gamma, s, forest)
-    makes for one `choice`, all of which must be open. At `nestedForall`
+    (s, base, added) the rule `kind` of a node (gamma, s) makes for one
+    `choice`, the node's `pick`, all of which must be open. At `nestedForall`
     the choice is a forest, and its child is the forest's expansion over
     its node names; at `trivialSkolem` it is None, and the child is the
     node under the empty forest; at `or` it is a disjunct index, and the
     child is gamma with the pivot replaced by that disjunct; at `diamond`
-    it is the diamonds in child order (`diamond_outcomes`). A child that
-    starts a world (forest NOT_INIT) is its state as it stands; any other
-    child is what `_saturate` makes of it. Search and the verifier both
-    call this."""
+    it is the diamonds in child order (`diamond_outcomes`). A diamond's
+    child starts a world and is its state as it stands; any other child is
+    what `_saturate` makes of it. Search and the verifier both call this."""
     if kind == "diamond":
         return diamond_outcomes(gamma, s, choice)
     if kind == "nestedForall":
-        return [(frozenset(choice.names()), choice, (), expand_forest(choice, gamma))]
+        return [(frozenset(choice.names()), (), expand_forest(choice, gamma))]
     if kind == "trivialSkolem":
-        return [(s, EMPTY_TREE, gamma, ())]
-    return [(s, forest, gamma - {pivot}, ((pivot.left, pivot.right)[choice],))]
+        return [(s, gamma, ())]
+    return [(s, gamma - {pivot}, ((pivot.left, pivot.right)[choice],))]
 
 
 def search(
@@ -445,78 +449,80 @@ def search(
     run its single-child rules. A node that closes, or that the memo of
     failed nodes holds, fails at once, and a saturated one is a leaf. A
     frame fails when every alternative `_alternatives` lists has failed;
-    unguided, its node then enters the memo.
+    unguided, its node then enters the memo, keyed by (gamma, S). The key
+    leaves out the forest, which no rule below a forest point reads, and
+    whether the node starts a world: a world's first node either holds
+    its nested universal, which no kept node past a world start holds, or
+    saturates to the node it equals.
     """
     root = init_root(theta)
     if limits is None:
         limits = SearchLimits.derive(theta)
     stats = SearchStats()
     memo: set = set()
-    # A frame: [world, gamma, s, forest, kind, the alternatives left, the
-    # current alternative's states, its pick, its children built so far].
+    # A frame: [world, gamma, s, kind, the alternatives left, the current
+    # alternative's states, its pick, its children built so far].
     stack: list[list] = []
-    # A state to visit: (world, (s, forest, base, added)). At a world's
-    # first node (forest NOT_INIT) gamma is `base`, checked in full for a
-    # clash; elsewhere it is what `_saturate` makes of `base` and `added`.
-    state = ((), (root.s, root.forest, root.gamma, ()))
+    # A state to visit: (world, start, (s, base, added)). At a world's
+    # first node (`start`) gamma is `base`, checked in full for a clash;
+    # elsewhere it is what `_saturate` makes of `base` and `added`.
+    state = ((), True, (root.s, root.gamma, ()))
     try:
         while True:
-            world, (s, forest, base, added) = state
+            world, start, (s, base, added) = state
             stats.nodes += 1
             if stats.nodes > limits.max_tableau_nodes:
                 raise ResourceLimit("tableau node budget exceeded", stats.nodes)
             node = None
-            if forest is not NOT_INIT:
+            if not start:
                 kept = _saturate(s, base, added)
             elif is_closed(base):
                 kept = None
             else:
-                kept = (base, *select_rule(base, forest))
+                kept = (base, *select_rule(base, True))
             if kept is None:
                 pass
-            elif guidance is None and (kept[0], s, forest) in memo:
+            elif guidance is None and (kept[0], s) in memo:
                 stats.memo_hits += 1
             else:
                 gamma, kind, pivot = kept
                 if kind == "none":
-                    node = TableauNode(gamma, s, forest)
+                    node = TableauNode(gamma, s)
                 else:
-                    alts = _alternatives(
-                        world, gamma, s, forest, kind, pivot, limits, guidance
-                    )
-                    stack.append([world, gamma, s, forest, kind, alts, (), None, []])
+                    alts = _alternatives(world, gamma, s, kind, pivot, limits, guidance)
+                    stack.append([world, gamma, s, kind, alts, (), None, []])
             # Hand `node`, None for a failed state, up the stack until a
             # frame names the next state to visit.
             while stack:
                 frame = stack[-1]
-                world, gamma, s, forest, kind, alts, alt, pick, kids = frame
+                world, gamma, s, kind, alts, alt, pick, kids = frame
                 if node is not None:
                     kids.append(node)
                     if len(kids) < len(alt):
                         break
                     stack.pop()
-                    node = TableauNode(gamma, s, forest, tuple(kids), pick)
+                    node = TableauNode(gamma, s, tuple(kids), pick)
                     continue
                 pick, alt = next(alts, (None, None))
                 if alt is None:
                     stack.pop()
                     if guidance is None:
-                        memo.add((gamma, s, forest))
+                        memo.add((gamma, s))
                     continue
                 if kind == "or":
                     stats.or_attempts += 1
                 elif kind == "nestedForall":
                     stats.forest_attempts += 1
                 kids = []
-                frame[6:] = alt, pick, kids
+                frame[5:] = alt, pick, kids
                 break
             else:
                 break
-            # Child i of the frame's node starts world + (i,) if its forest
-            # is NOT_INIT, and sits at the node's world otherwise.
+            # Child i of a diamond node starts world + (i,); any other child
+            # sits at its node's world.
             i = len(kids)
-            child = alt[i]
-            state = (world + (i,) if child[1] is NOT_INIT else world, child)
+            start = kind == "diamond"
+            state = (world + (i,) if start else world, start, alt[i])
     except ResourceLimit as exc:
         # `world` is that of the state being visited or of the frame
         # drawing its next alternative.
@@ -525,14 +531,14 @@ def search(
     return SearchResult(UNSAT if node is None else SAT, node, stats)
 
 
-def _alternatives(world, gamma, s, forest, kind, pivot, limits, guidance):
+def _alternatives(world, gamma, s, kind, pivot, limits, guidance):
     """The alternatives of a node's rule `kind`, as an iterator of (pick,
     states) in the order search tries them: each choice the rule offers,
-    a hinted one first, with the child states `_child_states` makes for
-    it. At a world's first node the choices are the candidate forests (a
-    valid preferred forest first, then the enumerated ones, lazily), whose
-    pick is None since the child carries its forest, or the one
-    `trivialSkolem` step; at an `or` choice the two disjunct indices; at a
+    a hinted one first, which is the node's pick, with the child states
+    `_child_states` makes for it. At a world's first node the choices are
+    the candidate forests (a valid preferred forest first, then the
+    enumerated ones, lazily), or the one `trivialSkolem` step, whose pick
+    is None; at an `or` choice the two disjunct indices; at a
     diamond node one order of its diamonds, by `formula_key` but those
     whose keys the hint lists first, in its order."""
     if kind == "nestedForall":
@@ -554,52 +560,60 @@ def _alternatives(world, gamma, s, forest, kind, pivot, limits, guidance):
         hint = guidance and guidance.or_choice.get((world, formula_key(pivot)))
         choices = (1, 0) if hint == 1 else (0, 1)
     for choice in choices:
-        pick = None if kind == "nestedForall" else choice
-        yield pick, _child_states(gamma, s, forest, kind, pivot, choice)
+        yield choice, _child_states(gamma, s, kind, pivot, choice)
 
 
 def verify_tableau(tableau: TableauNode, theta: Formula) -> list[str]:
     """Re-derive every edge of the certificate, the tree under the root
     `tableau`, an edge within a world by running `_saturate` again; empty
-    list means it stands."""
+    list means it stands. The root and each child of a diamond node, whose
+    pick is a tuple, start a world, as in `walk`."""
     out: list[str] = []
     try:
         want = init_root(theta)
     except FragmentError as exc:
         out.append(str(exc))
     else:
-        for name in ("gamma", "s", "forest"):
+        for name in ("gamma", "s"):
             if getattr(tableau, name) != getattr(want, name):
                 out.append(f"root {name} differs from init_root(theta)")
 
+    starts = {id(tableau)}
     for world, node in tableau.walk():
+        if type(node.pick) is tuple:
+            starts.update(map(id, node.children))
         errs = []
         if is_closed(node.gamma):
             errs.append("gamma contains a formula and its complement")
         if node.children:
-            errs.extend(_check_step(node))
+            errs.extend(_check_step(node, id(node) in starts))
         elif not is_saturated(node.gamma):
             errs.append("unsaturated leaf")
+        elif node.pick is not None:
+            errs.append("leaf with a pick")
         if errs:
             where = render_world(world)
             out.extend(f"{where}: {e}" for e in errs)
     return out
 
 
-def _check_step(node: TableauNode) -> list[str]:
-    """What is wrong with the step from this node to its children. The
-    node's choice, the child's forest at a forest point and `pick` at
-    every other node, must be one its rule offers, and each child must be
-    the state `_child_states` makes for it: a child that starts a world as
-    the state stands, any other once `_saturate` has run. Past a world's
-    first node only an `or` choice and a diamond node have children."""
+def _check_step(node: TableauNode, start: bool) -> list[str]:
+    """What is wrong with the step from this node, which starts a world
+    or not, to its children. The node's choice, its `pick`, must be one
+    its rule offers, a forest only at a forest point, and each child must
+    be the state `_child_states` makes for it, compared by gamma and
+    domain set: a diamond's child as the state stands, any other once
+    `_saturate` has run. Past a world's first node only an `or` choice and
+    a diamond node have children."""
     try:
-        kind, pivot = select_rule(node.gamma, node.forest)
+        kind, pivot = select_rule(node.gamma, start)
     except FomlError as exc:
         return [str(exc)]
     kids, choice = node.children, node.pick
     if kind == "none":
         return ["children under a saturated node"]
+    if not start and isinstance(choice, SkolemForest):
+        return ["forest pick at a node that starts no world"]
     if kind == "diamond":
         diamonds = sorted((g for g in node.gamma if isinstance(g, Diamond)), key=id)
         # Nodes are unique, so the pick lists each diamond of gamma once
@@ -611,23 +625,22 @@ def _check_step(node: TableauNode) -> list[str]:
             return [f"or node with a pick of {choice!r}"]
         if len(_open_disjuncts(node.gamma, pivot)) < 2:
             return ["or node that gamma decides is kept as a choice"]
-    elif kind not in ("nestedForall", "trivialSkolem"):
-        return [f"{kind} left to apply at a node with children"]
-    elif choice is not None:
-        return [f"{kind} node with a pick of {choice!r}"]
     elif kind == "nestedForall":
-        choice = kids[0].forest
         if not isinstance(choice, SkolemForest):
-            return ["nestedForall child carries no forest"]
+            return [f"nestedForall node with a pick of {choice!r}"]
         bad = validate_forest(choice, pivot, node.s)
         if bad:
             return [f"forest: {v}" for v in bad]
-    states = _child_states(node.gamma, node.s, node.forest, kind, pivot, choice)
+    elif kind != "trivialSkolem":
+        return [f"{kind} left to apply at a node with children"]
+    elif choice is not None:
+        return [f"trivialSkolem node with a pick of {choice!r}"]
+    states = _child_states(node.gamma, node.s, kind, pivot, choice)
     if len(kids) != len(states):
         return [f"{kind} node has {len(kids)} children, its choice makes {len(states)}"]
     errs = []
-    for i, (c, (s, forest, gamma, added)) in enumerate(zip(kids, states)):
-        if forest is not NOT_INIT:
+    for i, (c, (s, gamma, added)) in enumerate(zip(kids, states)):
+        if kind != "diamond":
             try:
                 made = _saturate(s, gamma, added)
             except FomlError as exc:
@@ -637,9 +650,7 @@ def _check_step(node: TableauNode) -> list[str]:
                 errs.append(f"{kind} child {i} closes")
                 continue
             gamma = made[0]
-        parts = (
-            ("gamma", c.gamma, gamma), ("domain set", c.s, s), ("forest", c.forest, forest)
-        )
+        parts = (("gamma", c.gamma, gamma), ("domain set", c.s, s))
         wrong = [part for part, got, want in parts if got != want]
         if wrong:
             errs.append(f"{kind} child {i} has an unexpected {' and '.join(wrong)}")
@@ -650,23 +661,19 @@ def read_choices(root: TableauNode):
     """The choices behind a verified tree, one per node that made one, as
     (world, node, kind, choice): at `or` the pivot and the kept disjunct's
     index, at `nestedForall` the forest, at `diamond` the diamonds in
-    child order, the order the search used. Each is read off the tree,
-    with no rule applied: children that start worlds sit under a diamond
-    node, whose `pick` is its diamonds, a world's first node whose child
-    carries a forest is its forest point, and every other node with a
-    child is an `or` choice, whose pivot is gamma's first formula in
-    `rule_rank` order and whose kept index is its `pick`."""
+    child order, the order the search used. Each is read off the node's
+    `pick` alone, with no rule applied: a tuple is a diamond node's
+    diamonds, a skolem forest a forest point's forest, and any other pick
+    an `or` choice's kept index, whose pivot is gamma's first formula in
+    `rule_rank` order."""
     for w, node in root.walk():
-        if not node.children:
-            continue
-        c = node.children[0]
-        if c.forest is NOT_INIT:
-            yield w, node, "diamond", node.pick
-        elif node.forest is NOT_INIT:
-            if isinstance(c.forest, SkolemForest):
-                yield w, node, "nestedForall", c.forest
-        else:
-            yield w, node, "or", (_top(node.gamma), node.pick)
+        pick = node.pick
+        if type(pick) is tuple:
+            yield w, node, "diamond", pick
+        elif isinstance(pick, SkolemForest):
+            yield w, node, "nestedForall", pick
+        elif pick is not None:
+            yield w, node, "or", (_top(node.gamma), pick)
 
 
 def replay_guidance(tableau: TableauNode, choices: Optional[list] = None) -> Guidance:

@@ -138,7 +138,7 @@ def gen_formula(cfg: GenConfig, rng: Optional[random.Random] = None) -> Formula:
 
 def certificate_read_back_problems(tableau) -> list[str]:
     """Whether the tableau's certificate reads back to this very tree: the
-    same (world, gamma, S, forest) at each step of the walk. Two choices
+    same (world, gamma, S, pick) at each step of the walk. Two choices
     that shared a key would make the replay build another tree."""
     try:
         loaded = certificate_from_json(certificate_to_json(tableau))
@@ -146,7 +146,7 @@ def certificate_read_back_problems(tableau) -> list[str]:
         return [str(exc)]
 
     def states(t):
-        return [(w, n.gamma, n.s, n.forest) for w, n in t.walk()]
+        return [(w, n.gamma, n.s, n.pick) for w, n in t.walk()]
 
     if states(loaded) != states(tableau):
         return ["the certificate reads back to another tree"]

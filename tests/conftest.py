@@ -164,3 +164,13 @@ def _tuples(dom, arity):
 def random_relevant_sigma(rng, model, world, fvs):
     dom = sorted(model.local_domain[world])
     return {v: rng.choice(dom) for v in fvs}
+
+
+def world_starts(tree):
+    """The nodes of `tree` that start a world: the root and each child of a
+    diamond node, whose `pick` is its diamonds. Nodes hash by identity."""
+    starts = {tree}
+    for _, node in tree.walk():
+        if type(node.pick) is tuple:
+            starts.update(node.children)
+    return starts

@@ -39,7 +39,7 @@ from foml.formulas import (
     outer_witnesses,
     var_key,
 )
-from foml.forest import NOT_INIT, SkolemForest
+from foml.forest import SkolemForest
 from foml.kripke import KripkeModel, _tree_shapes
 from foml.parser import ParseError, SourceSpan
 
@@ -414,9 +414,10 @@ def _closed(gamma):
     return any(nnf_complement(f) in gamma for f in gamma)
 
 
-def ref_saturate(gamma, s, forest):
-    """`tableau._saturate` of a state, one rule at a time: `ref_select_rule`
-    picks each rule, `ref_step` applies it, and every state is checked in
+def ref_saturate(gamma, s):
+    """`tableau._saturate` of a state past a world's first node, one rule at
+    a time: `ref_select_rule` picks each rule, `ref_step` applies it, and
+    every state is checked in
     full for a clash. Returns the steps taken, each (kind, pivot, the gamma
     it applied to), and the node they end at, (gamma, kind, pivot) with kind `or` (a choice), `diamond`
     or `none`, or None where a state closes or an `or` has no open
@@ -425,7 +426,7 @@ def ref_saturate(gamma, s, forest):
     while True:
         if _closed(gamma):
             return steps, None
-        kind, pivot = ref_select_rule(gamma, forest)
+        kind, pivot = ref_select_rule(gamma, False)
         if kind in ("none", "diamond"):
             return steps, (gamma, kind, pivot)
         options = ref_step(gamma, s, kind, pivot)
@@ -447,36 +448,41 @@ def ref_diamond_world(gamma, s, diamond):
 
 
 def ref_read_choices(root):
-    """`tableau.read_choices` by re-applying the rules: at each same-world
-    node whose forest is set, `ref_select_rule` names the rule, and an `or`
-    node is a choice when `ref_step` offers two options; the kept index is
-    the node's `pick`, whose option `ref_saturate` must take to the child's
-    gamma. Both options can saturate to one gamma, so the pick is read, not
-    found. So is a diamond node's order, its `pick`: it must list each
-    diamond of gamma once, and child i must start the world of its i-th
-    diamond, though several diamonds can spawn one world."""
-    for w, node in root.walk():
-        if not node.children:
-            continue
-        c = node.children[0]
-        if c.forest is NOT_INIT:
+    """`tableau.read_choices` by re-applying the rules, in preorder: the
+    root and each child of a node whose rule is `diamond` start a world,
+    where `ref_select_rule` names the forest rule, and a forest point's
+    choice is its `pick`, a forest. Elsewhere an `or` node is a choice when
+    `ref_step` offers two options; the kept index is the node's `pick`,
+    whose option `ref_saturate` must take to the child's gamma. Both
+    options can saturate to one gamma, so the pick is read, not found. So
+    is a diamond node's order, its `pick`: it must list each diamond of
+    gamma once, and child i must start the world of its i-th diamond,
+    though several diamonds can spawn one world."""
+    stack = [((), root, True)]
+    while stack:
+        w, node, start = stack.pop()
+        kind, pivot = ref_select_rule(node.gamma, start)
+        kids = node.children
+        if kind == "diamond":
             order = node.pick
             diamonds = [g for g in node.gamma if type(g) is Diamond]
             assert sorted(order, key=formula_key) == sorted(diamonds, key=formula_key)
-            assert [(k.gamma, k.s) for k in node.children] == [
+            assert [(k.gamma, k.s) for k in kids] == [
                 ref_diamond_world(node.gamma, node.s, d) for d in order
             ], "the pick does not lead to the children"
             yield w, node, "diamond", order
-        elif node.forest is NOT_INIT:
-            if isinstance(c.forest, SkolemForest):
-                yield w, node, "nestedForall", c.forest
-        else:
-            kind, pivot = ref_select_rule(node.gamma, node.forest)
+            stack.extend((w + (i,), kids[i], True) for i in reversed(range(len(kids))))
+            continue
+        if kind == "nestedForall":
+            assert isinstance(node.pick, SkolemForest)
+            yield w, node, kind, node.pick
+        elif kind == "or":
             options = ref_step(node.gamma, node.s, kind, pivot)
-            if kind == "or" and len(options) == 2:
-                end = ref_saturate(options[node.pick], node.s, node.forest)[1]
-                assert end[0] == c.gamma, "the pick does not lead to the child"
+            if len(options) == 2:
+                end = ref_saturate(options[node.pick], node.s)[1]
+                assert end[0] == kids[0].gamma, "the pick does not lead to the child"
                 yield w, node, kind, (pivot, node.pick)
+        stack.extend((w, c, False) for c in reversed(kids))
 
 
 # `tableau.select_rule` by a scan of gamma's kinds, then of the first kind's
@@ -484,13 +490,14 @@ def ref_read_choices(root):
 _PIVOT_RULES = ((And, "and"), (Or, "or"), (Exists, "exists"), (Forall, "forall"))
 
 
-def ref_select_rule(gamma, forest):
-    """The unique rule class for this node state, with its pivot formula: of
-    the first kind present, the one first in `formula_key` order."""
+def ref_select_rule(gamma, start):
+    """The unique rule class for this node state, with its pivot formula: at
+    a world's first node (`start`) the forest rule, elsewhere, of the first
+    kind present, the one first in `formula_key` order."""
     kinds = {type(g) for g in gamma}
     if kinds <= {Pred, Not} and all(is_literal(g) for g in gamma):
         return "none", None
-    if forest is NOT_INIT:
+    if start:
         nested = [g for g in gamma if isinstance(g, Forall) and is_nested_forall(g)]
         if len(nested) > 1:
             raise FomlError("multiple nested universals in one gamma")

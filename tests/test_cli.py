@@ -271,7 +271,10 @@ def test_model_rebuild_resource_exit_code(runner, tmp_path):
 
 def test_sat_rejects_bad_limits(runner, tmp_path):
     path = write(tmp_path, "phi.foml", SIMPLE_TEXT)
-    for limits in ["bogus=7", "tableau=0", "forest=\u00b2", "depth=3", "choices=5"]:
+    for limits in [
+        "bogus=7", "tableau=0", "forest=\u00b2", "depth=3", "choices=5",
+        "tableau=5,tableau=7",
+    ]:
         result = runner.invoke(main, ["sat", path, "--limits", limits])
         assert result.exit_code == 3, limits
         assert "error:" in result.stderr
@@ -311,6 +314,8 @@ def write_model(tmp_path, name, **fields):
         ["check-model", "{number_world}", "{simple}"],
         ["verify", "{dir}/missing.cert.json"],
         ["verify", "{simple}"],
+        ["check-model", "{two_elements}", "{simple}", "--assign", "=a"],
+        ["check-model", "{two_elements}", "{simple}", "--assign", "x=a,x=b"],
     ],
     ids=[
         "missing-file", "unknown-option", "option-of-another-command",
@@ -319,7 +324,7 @@ def write_model(tmp_path, name, **fields):
         "free-variable-with-separator",
         "model-delta-is-a-list", "model-valuation-is-a-list",
         "model-world-is-a-number", "verify-missing-file",
-        "verify-not-json",
+        "verify-not-json", "assign-empty-name", "assign-a-name-twice",
     ],
 )
 def test_bad_input_exits_3_with_one_error_line(runner, tmp_path, args):
@@ -331,6 +336,9 @@ def test_bad_input_exits_3_with_one_error_line(runner, tmp_path, args):
         "valuation_list": write_model(tmp_path, "valuation.json", valuation=[]),
         "number_world": write_model(
             tmp_path, "number.json", worlds=["r", 1], edges=[["r", 1], ["r", "s"]]
+        ),
+        "two_elements": write_model(
+            tmp_path, "two.json", domain=["a", "b"], delta={"r": ["a", "b"]}
         ),
     }
     result = runner.invoke(main, [a.format(**paths) for a in args])

@@ -21,7 +21,6 @@ from foml.extraction import (
     iterate_extensions,
     trace_to_ndjson,
 )
-from foml.forest import NOT_INIT
 from foml.formulas import (
     ORIGIN_SEP,
     And,
@@ -87,12 +86,10 @@ def test_extract_model_names_each_world_once(monkeypatch, phi1_result):
 
 
 def test_extract_rejects_closed_and_unsaturated():
-    closed = TableauNode(
-        frozenset({norm("P(x)"), norm("~P(x)")}), frozenset({"x"}), NOT_INIT
-    )
+    closed = TableauNode(frozenset({norm("P(x)"), norm("~P(x)")}), frozenset({"x"}))
     with pytest.raises(FomlError, match="not open"):
         extract_model(closed)
-    stuck = TableauNode(frozenset({norm("P(x) & Q(x,x)")}), frozenset({"x"}), NOT_INIT)
+    stuck = TableauNode(frozenset({norm("P(x) & Q(x,x)")}), frozenset({"x"}))
     with pytest.raises(FomlError, match="not saturated"):
         extract_model(stuck)
 
@@ -101,7 +98,7 @@ def test_audit_reports_what_the_verifier_rejects():
     """On a tree the verifier rejects, `audit` reads no model off it (that
     would raise) and returns the verifier's problems."""
     theta = norm("P(x) & Q(x,x)")
-    stuck = TableauNode(frozenset({theta}), frozenset({"x", "v0"}), NOT_INIT)
+    stuck = TableauNode(frozenset({theta}), frozenset({"x", "v0"}))
     assert audit(stuck, theta) == (None, [], ["r: unsaturated leaf"])
     with pytest.raises(FomlError, match="not saturated"):
         extract_model(stuck)

@@ -5,7 +5,6 @@ import pytest
 
 from conftest import norm
 from foml.forest import (
-    NOT_INIT,
     ForestNode,
     SkolemForest,
     enumerate_forests,
@@ -31,14 +30,14 @@ def chain_forest():
 
 def test_select_rule_picks_the_one_nested_universal():
     gamma = frozenset({norm("P(x)"), CHAIN_Q})
-    assert select_rule(gamma, NOT_INIT) == ("nestedForall", CHAIN_Q)
+    assert select_rule(gamma, True) == ("nestedForall", CHAIN_Q)
     plain = frozenset({norm("P(x)"), norm("forall y. P(y)")})
-    assert select_rule(plain, NOT_INIT) == ("trivialSkolem", None)
+    assert select_rule(plain, True) == ("trivialSkolem", None)
 
 
 def test_select_rule_rejects_two_nested_universals():
     with pytest.raises(FomlError, match="multiple nested universals"):
-        select_rule(frozenset({CHAIN_Q, CONJ_Q}), NOT_INIT)
+        select_rule(frozenset({CHAIN_Q, CONJ_Q}), True)
 
 
 def test_single_chain_forest():

@@ -12,9 +12,9 @@ import foml.extraction
 import foml.forest
 import foml.formulas
 import foml.tableau
-from conftest import PHI1_TEXT, norm, subformulas
+from conftest import PHI1_TEXT, norm, subformulas, world_starts
 from oracles import ref_read_choices, ref_saturate, ref_select_rule, ref_step
-from foml.forest import EMPTY_TREE, NOT_INIT, SkolemForest, forest_size_bound
+from foml.forest import SkolemForest, forest_size_bound
 from foml.extraction import audit, iterate_extensions, trace_to_ndjson
 from foml.formulas import (
     FMP_DECIDABLE,
@@ -84,21 +84,21 @@ def test_init_root_rejects_bad_inputs():
 def test_select_rule_priorities():
     lit = norm("P(x)")
     box = norm("[] Q(x,x)")
-    assert select_rule(frozenset({lit}), EMPTY_TREE) == ("none", None)
+    assert select_rule(frozenset({lit}), False) == ("none", None)
     quant = norm("forall x. exists y. [] P(x,y)")
-    assert select_rule(frozenset({quant, lit}), NOT_INIT) == ("nestedForall", quant)
-    assert select_rule(frozenset({box, lit}), NOT_INIT) == ("trivialSkolem", None)
+    assert select_rule(frozenset({quant, lit}), True) == ("nestedForall", quant)
+    assert select_rule(frozenset({box, lit}), True) == ("trivialSkolem", None)
     conj = norm("P(x) & Q(x,x)")
     disj = norm("P(x) | Q(x,x)")
-    assert select_rule(frozenset({conj, disj}), EMPTY_TREE)[0] == "and"
-    assert select_rule(frozenset({disj, box}), EMPTY_TREE)[0] == "or"
+    assert select_rule(frozenset({conj, disj}), False)[0] == "and"
+    assert select_rule(frozenset({disj, box}), False)[0] == "or"
     ex = norm("exists y. P(y)")
-    assert select_rule(frozenset({ex, box}), EMPTY_TREE)[0] == "exists"
+    assert select_rule(frozenset({ex, box}), False)[0] == "exists"
     plain = norm("forall y. P(y)")
-    assert select_rule(frozenset({plain, box}), EMPTY_TREE)[0] == "forall"
+    assert select_rule(frozenset({plain, box}), False)[0] == "forall"
     dia = norm("<> P(x)")
-    assert select_rule(frozenset({dia, box}), EMPTY_TREE) == ("diamond", None)
-    assert select_rule(frozenset({lit, box}), EMPTY_TREE) == ("end", None)
+    assert select_rule(frozenset({dia, box}), False) == ("diamond", None)
+    assert select_rule(frozenset({lit, box}), False) == ("end", None)
 
 
 def test_select_rule_agrees_with_the_kind_scan(rule_trees):
@@ -106,11 +106,14 @@ def test_select_rule_agrees_with_the_kind_scan(rule_trees):
     pivot that `ref_select_rule`, a scan of gamma's kinds, picks: at every
     node of the flagship after 0-3 extension rounds and of every SAT tree
     of the seed-2026 corpus."""
-    nodes = [n for t in rule_trees for _, n in t.walk()]
+    nodes = [
+        (n, n in starts)
+        for t in rule_trees for starts in [world_starts(t)] for _, n in t.walk()
+    ]
     assert len(nodes) > 4000
-    for node in nodes:
-        want = ref_select_rule(node.gamma, node.forest)
-        assert select_rule(node.gamma, node.forest) == want
+    for node, start in nodes:
+        want = ref_select_rule(node.gamma, start)
+        assert select_rule(node.gamma, start) == want
         assert is_saturated(node.gamma) == (want[0] == "none")
 
 
@@ -122,11 +125,12 @@ def test_kept_nodes_away_from_a_world_start_are_fixpoints(rule_trees):
     and on every SAT tree of the seed-2026 corpus."""
     kinds = set()
     for t in rule_trees:
+        starts = world_starts(t)
         for _, node in t.walk():
-            kind, pivot = select_rule(node.gamma, node.forest)
+            kind, pivot = select_rule(node.gamma, node in starts)
             kinds.add(kind)
             assert (kind == "none") == (not node.children)
-            if node.forest is NOT_INIT:
+            if node in starts:
                 assert kind in ("nestedForall", "trivialSkolem", "none")
                 continue
             assert kind in ("or", "diamond", "none")
@@ -135,21 +139,20 @@ def test_kept_nodes_away_from_a_world_start_are_fixpoints(rule_trees):
     assert kinds == {"nestedForall", "trivialSkolem", "or", "diamond", "none"}
 
 
-def ref_edge(node):
+def ref_edge(node, start):
     """The rule of a node whose one child sits in its world, with what
     `ref_saturate` makes of the step, one rule at a time: the steps it takes
-    from the forest's expansion, the `trivialSkolem` state or the picked
-    disjunct, and the node they end at."""
-    kind, pivot = select_rule(node.gamma, node.forest)
-    c = node.children[0]
+    from the picked forest's expansion, the `trivialSkolem` state or the
+    picked disjunct, and the node they end at."""
+    kind, pivot = select_rule(node.gamma, start)
     if kind == "trivialSkolem":
-        start = (node.gamma, node.s, EMPTY_TREE)
+        state = (node.gamma, node.s)
     elif kind == "nestedForall":
-        start = (foml.tableau.expand_forest(c.forest, node.gamma), c.s, c.forest)
+        forest = node.pick
+        state = (foml.tableau.expand_forest(forest, node.gamma), forest.names())
     else:
-        gamma = ref_step(node.gamma, node.s, kind, pivot)[node.pick]
-        start = (gamma, node.s, node.forest)
-    return (kind, *ref_saturate(*start))
+        state = (ref_step(node.gamma, node.s, kind, pivot)[node.pick], node.s)
+    return (kind, *ref_saturate(*state))
 
 
 def test_saturate_agrees_with_one_rule_at_a_time(rule_trees):
@@ -159,24 +162,25 @@ def test_saturate_agrees_with_one_rule_at_a_time(rule_trees):
     of the seed-2026 corpus."""
     steps = 0
     for t in rule_trees:
+        starts = world_starts(t)
         for _, node in t.walk():
-            if node.children and node.children[0].forest is not NOT_INIT:
-                _, taken, end = ref_edge(node)
+            if node.children and type(node.pick) is not tuple:
+                _, taken, end = ref_edge(node, node in starts)
                 assert end[0] == node.children[0].gamma
                 steps += len(taken)
     assert steps > 3000
 
 
-def outcome(pick, gamma, forest):
+def outcome(pick, gamma, start):
     """What pick returns, or the type and text of the error it raises."""
     try:
-        return pick(gamma, forest)
+        return pick(gamma, start)
     except FomlError as exc:
         return type(exc), str(exc)
 
 
-@pytest.mark.parametrize("forest", [NOT_INIT, EMPTY_TREE], ids=["not-init", "set"])
-def test_select_rule_edge_cases(forest):
+@pytest.mark.parametrize("start", [True, False], ids=["not-init", "set"])
+def test_select_rule_edge_cases(start):
     """Gammas no tableau node holds, on formulas built here, whose ranks
     are filled on the pick: each outcome, errors included, is the kind
     scan's."""
@@ -191,22 +195,22 @@ def test_select_rule_edge_cases(forest):
         "literals": (frozenset({lit, not_lit}), ("none", None)),
         "not-and": (
             frozenset({not_and, lit}),
-            ("trivialSkolem", None) if forest is NOT_INIT
+            ("trivialSkolem", None) if start
             else (FomlError, "no rule applies to a non-literal gamma"),
         ),
         "two-nested": (
             frozenset(nested),
             (FomlError, "multiple nested universals in one gamma")
-            if forest is NOT_INIT else ("forall", min(nested, key=formula_key)),
+            if start else ("forall", min(nested, key=formula_key)),
         ),
         "unranked-last": (
             frozenset({ranked, late}),
-            ("trivialSkolem", None) if forest is NOT_INIT else ("or", ranked),
+            ("trivialSkolem", None) if start else ("or", ranked),
         ),
     }
     for name, (gamma, want) in cases.items():
-        assert outcome(select_rule, gamma, forest) == want, name
-        assert outcome(ref_select_rule, gamma, forest) == want, name
+        assert outcome(select_rule, gamma, start) == want, name
+        assert outcome(ref_select_rule, gamma, start) == want, name
         assert is_saturated(gamma) == (name in ("empty", "literals"))
 
 
@@ -289,7 +293,7 @@ def test_or_rule_offers_only_the_disjuncts_gamma_leaves_open():
 
     def saturated(pivot, *others):
         gamma = frozenset({pivot, *others})
-        assert select_rule(gamma, EMPTY_TREE) == ("or", pivot)
+        assert select_rule(gamma, False) == ("or", pivot)
         return _saturate(s, gamma, ())
 
     p_or_q, not_p, not_q = norm("P(a) | Q(a)"), norm("~P(a)"), norm("~Q(a)")
@@ -484,16 +488,18 @@ def test_verifier_accepts_search_output(phi1, phi1_result):
         assert verify_tableau(res.tableau, phi) == []
 
 
-def _kind(node):
-    return select_rule(node.gamma, node.forest)[0]
+def _kind(tableau, node):
+    return select_rule(node.gamma, node in world_starts(tableau))[0]
 
 
 def children_of(tableau, kind):
     """(world, child) in preorder for each child of a node whose
     `select_rule` kind is `kind`."""
+    starts = world_starts(tableau)
     made = {
         id(c)
-        for _, n in tableau.walk() if n.children and _kind(n) == kind
+        for _, n in tableau.walk()
+        if n.children and select_rule(n.gamma, n in starts)[0] == kind
         for c in n.children
     }
     return ((w, n) for w, n in tableau.walk() if id(n) in made)
@@ -520,13 +526,13 @@ def test_verifier_catches_corrupted_gamma(phi1, phi1_result):
 
 def test_verifier_catches_corrupted_forest(phi1, phi1_result):
     def truncate(n):
-        forest = n.forest
+        forest = n.pick
         cut = SkolemForest(var=forest.var, psi=forest.psi, nodes=forest.nodes[:-1])
-        return replace(n, forest=cut)
+        return replace(n, pick=cut)
 
     t = phi1_result.tableau
-    _, child = next(children_of(t, "nestedForall"))
-    bad = _corrupt(t, child, truncate)
+    _, point = next(t.forest_points())
+    bad = _corrupt(t, point, truncate)
     problems = verify_tableau(bad, phi1)
     assert problems and any("forest" in p for p in problems)
 
@@ -546,10 +552,11 @@ def _inner_fault(tableau, rule):
     """The first step of `rule` inside a saturated step, as (world, the
     node, the node's rule, the formula a faulty `rule` would have left in
     gamma): its pivot, or for `end` a box, which is not in the child."""
+    starts = world_starts(tableau)
     for w, n in tableau.walk():
-        if not n.children or n.children[0].forest is NOT_INIT:
+        if not n.children or type(n.pick) is tuple:
             continue
-        kind, steps, _ = ref_edge(n)
+        kind, steps, _ = ref_edge(n, n in starts)
         for k, pivot, before in steps:
             if k != rule:
                 continue
@@ -601,13 +608,6 @@ def _at(world, message):
 
 # Each case corrupts the flagship certificate in one way and gives the exact
 # line the verifier reports for it.
-def _child_starts_a_world(t):
-    w, n = _first(t, lambda w, n: n.children and _kind(n) == "or")
-    child = replace(n.children[0], forest=NOT_INIT)
-    bad = _corrupt(t, n, lambda n: replace(n, children=(child,)))
-    return bad, _at(w, "or child 0 has an unexpected forest")
-
-
 def _child_under_a_leaf(t):
     w, n = _first(t, lambda w, n: not n.children)
     bad = _corrupt(t, n, lambda n: replace(n, children=(n,)))
@@ -615,29 +615,46 @@ def _child_under_a_leaf(t):
 
 
 def _two_children(t):
-    w, n = _first(t, lambda w, n: n.children and _kind(n) == "or")
+    w, n = _first(t, lambda w, n: n.children and _kind(t, n) == "or")
     bad = _corrupt(t, n, lambda n: replace(n, children=n.children * 2))
     return bad, _at(w, "or node has 2 children, its choice makes 1")
 
 
 def _no_forest(t):
-    w, n = next(children_of(t, "nestedForall"))
-    bad = _corrupt(t, n, lambda n: replace(n, forest=EMPTY_TREE))
-    return bad, _at(w, "nestedForall child carries no forest")
+    w, n = next(t.forest_points())
+    bad = _corrupt(t, n, lambda n: replace(n, pick=None))
+    return bad, _at(w, "nestedForall node with a pick of None")
 
 
 def _foreign_forest(t):
-    w, n = next(children_of(t, "nestedForall"))
-    bad = _corrupt(t, n, lambda n: replace(n, forest=replace(n.forest, var="zz")))
+    w, n = next(t.forest_points())
+    bad = _corrupt(t, n, lambda n: replace(n, pick=replace(n.pick, var="zz")))
     return bad, _at(w, "forest: forest was built for a different quantified formula")
 
 
 def _list_var_forest(t):
     """A forest built in memory with a list for its `var` (the certificate
     reader rejects one in JSON) is reported, not raised on."""
-    w, n = next(children_of(t, "nestedForall"))
-    bad = _corrupt(t, n, lambda n: replace(n, forest=replace(n.forest, var=["x"])))
+    w, n = next(t.forest_points())
+    bad = _corrupt(t, n, lambda n: replace(n, pick=replace(n.pick, var=["x"])))
     return bad, _at(w, "forest: forest was built for a different quantified formula")
+
+
+def _forest_off_a_world_start(t):
+    """The first `or` choice picks the first forest point's forest."""
+    _, point = next(t.forest_points())
+    w, n = _first(t, lambda w, n: n.children and _kind(t, n) == "or")
+    bad = _corrupt(t, n, lambda n: replace(n, pick=point.pick))
+    return bad, _at(w, "forest pick at a node that starts no world")
+
+
+def _leaf_with_a_forest(t):
+    """A leaf that picks a forest, which `forest_points` would read as its
+    world's."""
+    _, point = next(t.forest_points())
+    w, n = _first(t, lambda w, n: not n.children)
+    bad = _corrupt(t, n, lambda n: replace(n, pick=point.pick))
+    return bad, _at(w, "leaf with a pick")
 
 
 def _domain_not_the_forest(t):
@@ -647,34 +664,28 @@ def _domain_not_the_forest(t):
 
 
 def _missing_diamond_child(t):
-    w, n = _first(t, lambda w, n: len(n.children) > 1 and _kind(n) == "diamond")
+    w, n = _first(t, lambda w, n: len(n.children) > 1 and _kind(t, n) == "diamond")
     k = len(n.children)
     bad = _corrupt(t, n, lambda n: replace(n, children=n.children[:-1]))
     return bad, _at(w, f"diamond node has {k - 1} children, its choice makes {k}")
 
 
-def _diamond_child_with_a_forest(t):
-    w, n = next((w, n) for w, n in children_of(t, "diamond") if w[-1] == 1)
-    bad = _corrupt(t, n, lambda n: replace(n, forest=EMPTY_TREE))
-    return bad, _at(w[:-1], "diamond child 1 has an unexpected forest")
-
-
 def _diamond_pick_in_another_order(t):
     """The children stay, and the pick lists the diamonds the other way
     round."""
-    w, n = _first(t, lambda w, n: len(n.children) > 1 and _kind(n) == "diamond")
+    w, n = _first(t, lambda w, n: len(n.children) > 1 and _kind(t, n) == "diamond")
     bad = _corrupt(t, n, lambda n: replace(n, pick=n.pick[::-1]))
     return bad, _at(w, "diamond child 0 has an unexpected gamma")
 
 
 def _diamond_pick_repeats_a_diamond(t):
-    w, n = _first(t, lambda w, n: len(n.children) > 1 and _kind(n) == "diamond")
+    w, n = _first(t, lambda w, n: len(n.children) > 1 and _kind(t, n) == "diamond")
     bad = _corrupt(t, n, lambda n: replace(n, pick=(n.pick[0],) * len(n.pick)))
     return bad, _at(w, "diamond pick does not list each diamond of gamma once")
 
 
 def _or_pick_out_of_range(t):
-    w, n = _first(t, lambda w, n: n.children and _kind(n) == "or")
+    w, n = _first(t, lambda w, n: n.children and _kind(t, n) == "or")
     bad = _corrupt(t, n, lambda n: replace(n, pick=2))
     return bad, _at(w, "or node with a pick of 2")
 
@@ -682,15 +693,15 @@ def _or_pick_out_of_range(t):
 def _decided_or_kept(t):
     """Gamma holds the complement of the pivot's left disjunct, so the `or`
     is no choice."""
-    w, n = _first(t, lambda w, n: n.children and _kind(n) == "or")
-    pivot = select_rule(n.gamma, n.forest)[1]
+    w, n = _first(t, lambda w, n: n.children and _kind(t, n) == "or")
+    pivot = select_rule(n.gamma, False)[1]
     extra = nnf_complement(pivot.left)
     bad = _corrupt(t, n, lambda n: replace(n, gamma=n.gamma | {extra}))
     return bad, _at(w, "or node that gamma decides is kept as a choice")
 
 
 def _forest_point_with_a_pick(t):
-    w, n = _first(t, lambda w, n: n.children and _kind(n) == "nestedForall")
+    w, n = _first(t, lambda w, n: n.children and _kind(t, n) == "nestedForall")
     bad = _corrupt(t, n, lambda n: replace(n, pick=0))
     return bad, _at(w, "nestedForall node with a pick of 0")
 
@@ -701,7 +712,7 @@ def _cut_root(t):
 
 
 def _two_nested_universals(t):
-    w, n = _first(t, lambda w, n: n.children and _kind(n) == "nestedForall")
+    w, n = _first(t, lambda w, n: n.children and _kind(t, n) == "nestedForall")
     extra = norm("forall x. (forall y. <> P(x,y)) & Q(x)")
     bad = _corrupt(t, n, lambda n: replace(n, gamma=n.gamma | {extra}))
     return bad, _at(w, "multiple nested universals in one gamma")
@@ -710,15 +721,15 @@ def _two_nested_universals(t):
 @pytest.mark.parametrize(
     "corrupt",
     [
-        _child_starts_a_world,
         _child_under_a_leaf,
         _two_children,
         _no_forest,
         _foreign_forest,
         _list_var_forest,
+        _forest_off_a_world_start,
+        _leaf_with_a_forest,
         _domain_not_the_forest,
         _missing_diamond_child,
-        _diamond_child_with_a_forest,
         _diamond_pick_in_another_order,
         _diamond_pick_repeats_a_diamond,
         _or_pick_out_of_range,
@@ -829,7 +840,7 @@ def test_certificate_is_one_line_and_reads_the_indented_format(phi1, phi1_result
     again = certificate_from_json(indented)
 
     def states(t):
-        return [(w, n.gamma, n.s, n.forest) for w, n in t.walk()]
+        return [(w, n.gamma, n.s, n.pick) for w, n in t.walk()]
 
     assert states(again) == states(t)
     assert verify_tableau(again, phi1) == []
@@ -839,12 +850,13 @@ def test_certificate_is_one_line_and_reads_the_indented_format(phi1, phi1_result
 def test_certificate_read_back_walks_the_same_worlds(phi1_result):
     """A certificate names no world: the tableau read back from it walks
     the same (world, gamma, s) sequence, and diamond child i of a node at
-    w sits at w + (i,), every other child at w. A child's forest is
-    NOT_INIT exactly when its parent's rule is `diamond`, which is what
-    lets a node carry no rule; an `or` choice carries only its `pick`. On
-    the flagship and every SAT verdict of the seed-2026 corpus."""
+    w sits at w + (i,), every other child at w. A child starts a world exactly
+    when its parent's rule is `diamond`, whose pick is a tuple, which is
+    what lets a node carry no rule; a forest point, an `or` choice and a
+    diamond node carry only their `pick`. On the flagship and every SAT
+    verdict of the seed-2026 corpus."""
     names = [f.name for f in fields(TableauNode)]
-    assert names == ["gamma", "s", "forest", "children", "pick"]
+    assert names == ["gamma", "s", "children", "pick"]
     cfg, rng = GenConfig(seed=2026), random.Random(2026)
     tableaux = [phi1_result.tableau]
     for _ in range(1000):
@@ -859,10 +871,12 @@ def test_certificate_read_back_walks_the_same_worlds(phi1_result):
     for t in tableaux:
         assert states(certificate_from_json(certificate_to_json(t))) == states(t)
         at = {id(n): w for w, n in t.walk()}
+        starts = world_starts(t)
         for w, node in t.walk():
-            diamond = bool(node.children) and _kind(node) == "diamond"
+            kind = select_rule(node.gamma, node in starts)[0]
+            diamond = bool(node.children) and kind == "diamond"
             for i, c in enumerate(node.children):
-                assert (c.forest is NOT_INIT) == diamond
+                assert (c in starts) == diamond
                 assert at[id(c)] == (w + (i,) if diamond else w)
 
 
@@ -1176,8 +1190,9 @@ def test_tableau_structural_invariants(phi1_result):
     assert {w: id(n) for w, n in first.items() if w} == {
         w: id(c) for w, c in children_of(t, "diamond")
     }
+    starts = world_starts(t)
     for _, node in t.walk():
-        if node.forest is not NOT_INIT:
+        if node not in starts:
             assert not any(
                 isinstance(g, Forall) and is_nested_forall(g) for g in node.gamma
             )
@@ -1259,7 +1274,7 @@ def test_clash_check_on_added_formulas_agrees_with_is_closed(seed):
     s = frozenset({"v0"}).union(*map(free_vars, gamma), *map(outer_ex_vars, gamma))
     added = rng.sample(pool, min(len(pool), rng.randint(0, 3)))
     try:
-        want = ref_saturate(gamma | set(added), s, EMPTY_TREE)[1]
+        want = ref_saturate(gamma | set(added), s)[1]
     except FomlError:  # a binder of one member is free in another
         return
     if is_closed(gamma | set(added)):
