@@ -141,13 +141,16 @@ class SearchStats:
     included; `or_attempts` the disjuncts tried at `or` choices;
     `forest_attempts` the forests tried at forest points; `memo_hits` the
     states an unguided search found in its memo of failed nodes, keyed by
-    (gamma, S)."""
+    (gamma, S); `failed_at` the name of the world of the first state that
+    failed, one that closed or whose rule offered no alternative, None
+    while none has. A valid certificate's replay fails none."""
 
     nodes: int = 0
     or_attempts: int = 0
     forest_attempts: int = 0
     memo_hits: int = 0
     exhausted_by: Optional[str] = None
+    failed_at: Optional[str] = None
 
 
 @dataclass(frozen=True)
@@ -195,8 +198,8 @@ class Guidance:
     to the fresh element, then, where that gave no hint, the pair (leaf,
     its forest parent) to the fresh element and its parent
     (`extraction._carry_hints`). A certificate is these hints, read off a
-    tree, with theta and the tree's count of kept nodes
-    (`certificate_to_json`)."""
+    tree, less those a replay makes unguided (`_pruned`), with theta and
+    the tree's count of kept nodes (`certificate_to_json`)."""
 
     or_choice: dict = field(default_factory=dict)
     forest: dict = field(default_factory=dict)
@@ -441,6 +444,7 @@ def search(
     wherever it fires, which ends the whole search: the result is then
     EXHAUSTED, and `stats.exhausted_by` names the budget and the world of
     the state being visited or of the frame drawing its next alternative.
+    `stats.failed_at` names the world of the first state that failed.
 
     The search is one loop over a stack of frames, one per open node whose
     rule is being expanded, so its depth is bounded by the node budget
@@ -481,7 +485,7 @@ def search(
             else:
                 kept = (base, *select_rule(base, True))
             if kept is None:
-                pass
+                stats.failed_at = stats.failed_at or render_world(world)
             elif guidance is None and (kept[0], s) in memo:
                 stats.memo_hits += 1
             else:
@@ -506,6 +510,7 @@ def search(
                 pick, alt = next(alts, (None, None))
                 if alt is None:
                     stack.pop()
+                    stats.failed_at = stats.failed_at or render_world(world)
                     if guidance is None:
                         memo.add((gamma, s))
                     continue
@@ -696,6 +701,20 @@ def replay_guidance(tableau: TableauNode, choices: Optional[list] = None) -> Gui
     return guidance
 
 
+def _pruned(g: Guidance) -> Guidance:
+    """The hints of `g` that differ from the choice `_alternatives` makes
+    unguided: the `or` picks of disjunct 1 and the diamond orders whose
+    keys are out of `formula_key` order, with every forest. A certificate
+    holds these; a rebuild keeps every order, since an old world's diamonds
+    keep their indices only where the order lists them."""
+    orders = g.diamond_order.items()
+    return Guidance(
+        or_choice={key: i for key, i in g.or_choice.items() if i},
+        forest=g.forest,
+        diamond_order={w: keys for w, keys in orders if keys != sorted(keys)},
+    )
+
+
 def _forest_to_json(forest: SkolemForest, show) -> dict:
     return {
         "var": forest.var,
@@ -732,20 +751,23 @@ def _forest_from_json(data, read) -> SkolemForest:
 
 
 def certificate_to_json(tableau: TableauNode) -> str:
-    """The choices behind the tree under the root `tableau`, as one line of
-    canonical JSON: `theta`, the root's one formula; `nodes`, the tree's
-    node count, which a replay must visit exactly (the kept nodes only:
-    world starts, `or` choices, diamond nodes and leaves); and the
-    `replay_guidance` hints `or_choice`, `forest` and `diamond_order`, each
-    a list of entries sorted by world, a world written as its list of
-    diamond indices. Each distinct formula is printed once."""
+    """The choices behind the tree under the root `tableau` that a replay
+    would not make by itself, as one line of canonical JSON: `theta`, the
+    root's one formula; `nodes`, the tree's node count, which a replay must
+    visit exactly (the kept nodes only: world starts, `or` choices, diamond
+    nodes and leaves); and the `_pruned` `replay_guidance` hints, each a
+    list of entries sorted by world, a world written as its list of
+    diamond indices: `or_choice`, `[world, pivot]` where the right
+    disjunct was kept; `forest`, `[world, forest]` at every forest point;
+    and `diamond_order`, `[world, keys]` where the keys are out of
+    `formula_key` order. Each distinct formula is printed once."""
     show = cache(print_formula)
     (theta,) = tableau.gamma
-    g = replay_guidance(tableau)
+    g = _pruned(replay_guidance(tableau))
     doc = {
         "theta": show(theta),
         "nodes": sum(1 for _ in tableau.walk()),
-        "or_choice": [[list(w), key, i] for (w, key), i in sorted(g.or_choice.items())],
+        "or_choice": [[list(w), key] for w, key in sorted(g.or_choice)],
         "forest": [
             [list(w), _forest_to_json(f, show)] for w, f in sorted(g.forest.items())
         ],
@@ -778,10 +800,8 @@ def _parse_certificate(text: str) -> tuple[Formula, int, Guidance]:
     def read(t):  # any other JSON value fails in the parser, uncached
         return once(t) if type(t) is str else parse_formula(t)
 
-    def or_entry(world, key, index):
-        return (_world(world), checked(key, str, "a pivot key")), checked(
-            index, int, "a disjunct index"
-        )
+    def or_entry(world, key):
+        return (_world(world), checked(key, str, "a pivot key")), 1
 
     def forest_entry(world, forest):
         return _world(world), _forest_from_json(forest, read)
@@ -829,12 +849,14 @@ def _first_difference(got: Guidance, want: Guidance) -> Optional[str]:
 
 def certificate_from_json(text: str) -> TableauNode:
     """The root of the tree a certificate's choices rebuild. The replay is
-    `search(theta)` under the certificate's guidance, with `nodes` as its
-    node budget; it stands only if it is SAT, visits exactly `nodes` nodes
-    and reads back the certificate's choices, so no alternative was tried,
-    no choice is missing and none is unused. Any other outcome, running out
+    `search(theta)` under the certificate's guidance, an `or_choice` entry
+    a pick of disjunct 1, with `nodes` as its node budget; it stands only
+    if no state it visits fails, it visits exactly `nodes` nodes and the
+    `_pruned` choices it reads back are the certificate's, so no choice is
+    missing and none is unused: an entry that lists a default, such as a
+    diamond order in key order, is unused. Any other outcome, running out
     of that budget included, is a `FomlError` that names the world where
-    one is known."""
+    one is known, the world of the first failed state first."""
     theta, nodes, guidance = _parse_certificate(text)
     try:
         init_root(theta)  # a theta the search takes, before it sizes a budget
@@ -842,14 +864,14 @@ def certificate_from_json(text: str) -> TableauNode:
         result = search(theta, limits, guidance)
     except FomlError as exc:
         raise FomlError(f"invalid certificate: {exc}") from exc
-    if result.status == UNSAT:
-        raise FomlError("invalid certificate: the replay closes every branch")
+    if failed := result.stats.failed_at:
+        raise FomlError(f"invalid certificate: the replay closed a node at {failed}")
     if result.status == EXHAUSTED:
         raise FomlError(
             f"invalid certificate: the replay ran past its budget: "
             f"{result.stats.exhausted_by}"
         )
-    wrong = _first_difference(replay_guidance(result.tableau), guidance)
+    wrong = _first_difference(_pruned(replay_guidance(result.tableau)), guidance)
     if wrong:
         raise FomlError(f"invalid certificate: {wrong}")
     if result.stats.nodes != nodes:

@@ -49,6 +49,7 @@ from foml.parser import parse_formula, print_formula
 from foml.tableau import (
     SAT,
     _parse_certificate,
+    _pruned,
     certificate_to_json,
     replay_guidance,
     search,
@@ -92,17 +93,22 @@ def test_flagship_sat_and_oracle_refutation(tmp_path, phi1):
 
 def test_scripted_replay_matches_golden_certificate(phi1):
     """The checked-in certificate holds theta, the node count and the
-    disjunct, forest and successor choices; replaying those choices
-    rebuilds a tree of that many nodes, with no other alternative tried,
-    whose certificate is the checked-in one byte for byte, with the
-    documented shape."""
+    choices a replay would not make by itself: the forest and the six `or`
+    picks of the right disjunct, and no diamond order, since every world's
+    is in key order. Replaying those choices rebuilds a tree of that many
+    nodes, with no state failed and so no other alternative tried, whose
+    certificate is the checked-in one byte for byte, with the documented
+    shape."""
     golden = (DATA / "phi1_certificate.json").read_text()
+    assert len(golden) <= 1_549
     theta, nodes, guidance = _parse_certificate(golden)
     assert theta is phi1
+    assert (len(guidance.or_choice), guidance.diamond_order) == (6, {})
     res = search(phi1, guidance=guidance)
     assert res.status == SAT
+    assert res.stats.failed_at is None
     assert res.stats.nodes == nodes == sum(1 for _ in res.tableau.walk())
-    assert replay_guidance(res.tableau) == guidance
+    assert _pruned(replay_guidance(res.tableau)) == guidance
     assert certificate_to_json(res.tableau) == golden
 
     forest = replay_guidance(res.tableau).forest[(0,)]

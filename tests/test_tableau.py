@@ -2,6 +2,7 @@ import copy
 import hashlib
 import json
 import random
+import re
 from dataclasses import fields, replace
 
 import pytest
@@ -353,31 +354,33 @@ def test_flagship_rebuilds_search_exactly_what_they_keep(
     ]
 
 
-# sha256 of certificate_to_json of the flagship's rebuilds in rounds 1-6.
+# sha256 and size of certificate_to_json of the flagship's rebuilds in
+# rounds 1-6.
 REBUILD_CERTIFICATE_SHA256 = [
-    "def3a8e5f15bba7d2f18835491d58cc87bc8d67836a868c9fbd7f1448fabb41b",
-    "2f9826a63da5525ac81bbf23ad06fb92506052294b39b877eeb521769894e55a",
-    "ff69193c2d214343277124952954e63a69c9c0f3241052485eda35854c0622e5",
-    "7b86c6ec2980bbbb4c13e2a45bb86dbd5d5467352ac515ac4bd67c4cca83a583",
-    "07ed9986c6b140271aff756b9e7da87494009b621f75ee6201107a487a556989",
-    "33a34e31026eb8e4cc5134211879f1d78d36a7a0803b3777d6397b17f7586551",
+    "75f09ad1c585f16aca4d768ee162c606f57f996e297c684ede880a0e83ef2ec1",
+    "e4e6df5131a9a66c173265fca10ffeb9d402ff174c28c056e192baff72f01324",
+    "437f1c3994e8a94459f051513d872dd3ffd2d87c192d8b2aa6964747624704cb",
+    "09e54a66731623bebac53f32a0a2cd8360418c9ea4e46d289288be67afe8a27a",
+    "dc9e7121f87272668f445f98a577a9bf2f38bcacf3595cb276e22ba2c1d6a5ec",
+    "0c35b5278814aa3422874179916fe8b89f81ddfd727598d64eb34920ba5757ab",
 ]
+REBUILD_CERTIFICATE_BYTES = [3_437, 4_788, 6_378, 8_208, 10_278, 12_588]
 
 
 def test_flagship_rebuild_certificates_are_pinned(monkeypatch, phi1, phi1_result):
     """The trees six rebuilds keep, byte for byte: hints may change how a
     rebuild searches, never what it returns."""
-    digests = []
+    certs = []
 
     def hashed(*args):
         result = search(*args)
-        cert = certificate_to_json(result.tableau).encode()
-        digests.append(hashlib.sha256(cert).hexdigest())
+        certs.append(certificate_to_json(result.tableau).encode())
         return result
 
     monkeypatch.setattr(foml.extraction, "search", hashed)
     iterate_extensions(phi1, phi1_result.tableau, 6)
-    assert digests == REBUILD_CERTIFICATE_SHA256
+    assert [hashlib.sha256(c).hexdigest() for c in certs] == REBUILD_CERTIFICATE_SHA256
+    assert list(map(len, certs)) == REBUILD_CERTIFICATE_BYTES
 
 
 def test_flagship_world_tree_shape(phi1_result):
@@ -460,16 +463,23 @@ def test_the_widest_corpus_tree_is_decided_and_reads_back():
     """`GenConfig(seed=11, max_depth=6)` formula 236, the widest tree of the
     corpora in use: 9,704 worlds, and 180,408 `and`, `exists` and `forall`
     steps that saturate inside its 19,408 nodes. Its certificate reads
-    back to the same tree."""
+    back to the same tree. Every diamond order and all but a few `or`
+    picks are the search's defaults, which the certificate leaves out."""
     cfg, rng = GenConfig(seed=11, max_depth=6), random.Random(11)
     for _ in range(237):
         theta = gen_formula(cfg, rng)
     res = search(theta)
     assert (res.status, res.stats.nodes) == (SAT, 19_408)
     text = certificate_to_json(res.tableau)
+    assert len(text) <= 5_200
     again = certificate_from_json(text)
     assert certificate_to_json(again) == text
     assert len({w for w, _ in again.walk()}) == 9_704
+
+    def states(t):
+        return [(w, n.gamma, n.s, n.pick) for w, n in t.walk()]
+
+    assert states(again) == states(res.tableau)
 
 
 def test_search_is_deterministic(phi1, phi1_result):
@@ -914,7 +924,13 @@ _FOREST_NODE = _FOREST + ("nodes", 0)
 
 
 def test_certificate_rejects_malformed_documents():
-    small = search(norm("(<> forall x. exists y. [] P(x,y)) & ([] Q(z) | R(z))"))
+    # A tree with a pick of the right disjunct and its diamonds out of key
+    # order, so that the certificate lists both.
+    phi = norm("(<> forall x. exists y. [] P(x,y)) & <> Q(z) & ([] Q(z) | R(z))")
+    g = replay_guidance(search(phi).tableau)
+    g.or_choice = dict.fromkeys(g.or_choice, 1)
+    g.diamond_order = {w: keys[::-1] for w, keys in g.diamond_order.items()}
+    small = search(phi, guidance=g)
     doc = json.loads(certificate_to_json(small.tableau))
     assert doc["or_choice"] and doc["forest"] and doc["diamond_order"]
     wrong_types = [
@@ -928,7 +944,8 @@ def test_certificate_rejects_malformed_documents():
         (("or_choice", 0, 0), "r"),
         (("or_choice", 0, 0), [True]),
         (("or_choice", 0, 1), 0),
-        (("or_choice", 0, 2), "0"),
+        # The entry shape before defaults were left out.
+        (("or_choice", 0), [[], "R(z)", 1]),
         (("forest", 0), [[0]]),
         (("diamond_order", 0, 1), "<>P"),
         (("diamond_order", 0, 1), [0]),
@@ -957,34 +974,49 @@ def test_certificate_rejects_malformed_documents():
 
 
 # Each case breaks the flagship certificate in one way and gives the exact
-# error reading it back raises. The replay's node budget is the certificate's
-# node count, so a choice that sends it down another way runs past it, and
-# the error names the world where it ran out.
+# error reading it back raises. A valid replay fails no state, so a choice
+# that sends it down another way is named by the world of the first state
+# that failed; the replay's node budget is the certificate's node count, and
+# a replay that fails none but runs past it names the world where it ran out.
 def _flipped_pick(doc):
-    assert doc["or_choice"][0][0] == [0, 0]
-    doc["or_choice"][0][2] ^= 1
-    return (
-        "invalid certificate: the replay ran past its budget: tableau node "
-        "budget exceeded at r.0.2.5 (work count 47)"
-    )
+    # The tree keeps the left disjunct of this `or`, so the entry is absent:
+    # listing it flips the pick.
+    pivot = "((<>P(v0,v1) & []P(v0,v1)) | ([]~P(v0,v1) & <>~P(v0,v1)))"
+    doc["or_choice"].append([[0, 0], pivot])
+    return "invalid certificate: the replay closed a node at r.0.0"
 
 
 def _dropped_pick(doc):
-    # A pick of the left disjunct, which the replay makes unguided too.
-    world, _, index = doc["or_choice"].pop(2)
-    assert (world, index) == ([0, 0], 0)
-    return "invalid certificate: or_choice at r.0.0 is missing"
+    # A pick of the right disjunct: without it the replay keeps the left.
+    assert doc["or_choice"].pop(0)[0] == [0, 0]
+    return "invalid certificate: the replay closed a node at r.0.0"
+
+
+def _dropped_forest(doc):
+    # The replay settles on the first forest it enumerates, the same one.
+    doc["forest"].clear()
+    return "invalid certificate: forest at r.0 is missing"
+
+
+def _listed_default_order(doc):
+    # Each world's diamonds are in key order, so the certificate lists none,
+    # and a listed default is refused, which keeps one certificate per tree.
+    assert doc["diamond_order"] == []
+    keys = replay_guidance(certificate_from_json(json.dumps(doc))).diamond_order[(0,)]
+    assert keys == sorted(keys)
+    doc["diamond_order"].append([[0], keys])
+    return "invalid certificate: diamond_order at r.0 is never used"
 
 
 def _unused_pick(doc):
-    doc["or_choice"].append([[0, 0, 0], "P(v0)", 0])
+    doc["or_choice"].append([[0, 0, 0], "P(v0)"])
     return "invalid certificate: or_choice at r.0.0.0 is never used"
 
 
 def _decided_pick(doc):
     # At r.0.0.0 gamma holds ~P(v0,v0), so this `or` is no choice: the replay
-    # keeps its left disjunct, as the entry says, and reads no pick back.
-    doc["or_choice"].append([[0, 0, 0], "((~P(v0,v0) | ~P(v0,v1)) | P(v0,v1))", 0])
+    # keeps the disjunct gamma leaves open and reads no pick back.
+    doc["or_choice"].append([[0, 0, 0], "((~P(v0,v0) | ~P(v0,v1)) | P(v0,v1))"])
     return "invalid certificate: or_choice at r.0.0.0 is never used"
 
 
@@ -1014,7 +1046,7 @@ def _swapped_theta(doc):
 
 def _unsat_theta(doc):
     doc["theta"] = "P(x) & ~P(x)"
-    return "invalid certificate: the replay closes every branch"
+    return "invalid certificate: the replay closed a node at r"
 
 
 def _tree_certificate(doc):
@@ -1032,6 +1064,8 @@ def _tree_certificate(doc):
     [
         _flipped_pick,
         _dropped_pick,
+        _dropped_forest,
+        _listed_default_order,
         _unused_pick,
         _decided_pick,
         _foreign_forest,
@@ -1076,6 +1110,73 @@ def rule_trees(phi1, phi1_result):
     return trees
 
 
+def test_a_certificate_lists_no_default_choice(rule_trees):
+    """An unguided search takes every world's diamonds in key order, the
+    default a replay makes by itself, so no certificate of the seed-2026
+    corpus lists a diamond order, and 1,200 nested `<>` write a
+    certificate that grows with depth, not with its square."""
+    for tree in rule_trees[4:]:
+        assert json.loads(certificate_to_json(tree))["diamond_order"] == []
+    deep = search(norm("<> " * 1200 + "P(x)")).tableau
+    text = certificate_to_json(deep)
+    assert len(text) < 10_000
+    assert json.loads(text)["diamond_order"] == []
+    assert certificate_to_json(certificate_from_json(text)) == text
+
+
+def _mutants(tree):
+    """(world, certificate) for each one-step change to the certificate of
+    `tree`: at each `or` choice the entry added where the tree keeps the
+    left disjunct, dropped where it keeps the right; each adjacent pair of
+    a listed diamond order swapped; each forest node dropped."""
+    doc = json.loads(certificate_to_json(tree))
+    for w, _, kind, choice in read_choices(tree):
+        if kind == "or":
+            mutant = copy.deepcopy(doc)
+            entry, listed = [list(w), formula_key(choice[0])], mutant["or_choice"]
+            if entry in listed:
+                listed.remove(entry)
+            else:
+                listed.append(entry)
+            yield w, mutant
+    for i, (w, keys) in enumerate(doc["diamond_order"]):
+        for j in range(len(keys) - 1):
+            mutant = copy.deepcopy(doc)
+            order = mutant["diamond_order"][i][1]
+            order[j], order[j + 1] = order[j + 1], order[j]
+            yield tuple(w), mutant
+    for i, (w, forest) in enumerate(doc["forest"]):
+        for j in range(len(forest["nodes"])):
+            mutant = copy.deepcopy(doc)
+            del mutant["forest"][i][1]["nodes"][j]
+            yield tuple(w), mutant
+
+
+def test_each_certificate_mutant_is_refused_at_its_world_or_reads_back_sound(
+    phi1, rule_trees
+):
+    """Every one-step change to the certificates of the flagship and of its
+    rebuild in round 2, whose diamond orders are not in key order, is
+    refused with a message naming the world it changed or one below, or
+    reads back to a tree that passes `audit`: a flipped `or` pick closes a
+    node at or below its world, and a swapped pair of diamonds renumbers
+    two successor worlds of a tree that stands."""
+    outcomes = []
+    for tree in (rule_trees[0], rule_trees[2]):
+        for w, mutant in _mutants(tree):
+            try:
+                again = certificate_from_json(json.dumps(mutant))
+            except FomlError as err:
+                named = re.findall(r"\br(?:\.\d+)*\b", str(err))
+                at = render_world(w)
+                assert any(n == at or n.startswith(at + ".") for n in named), err
+                outcomes.append("refused")
+            else:
+                assert audit(again, phi1)[2] == []
+                outcomes.append("reads back")
+    assert (outcomes.count("refused"), outcomes.count("reads back")) == (42, 45)
+
+
 def test_read_choices_matches_the_rule_reader(monkeypatch, rule_trees):
     """`read_choices` reads the choices off the tree, applying no rule, and
     lists what `ref_read_choices` finds by re-applying the rules one at a
@@ -1101,7 +1202,8 @@ def test_a_diamond_node_keeps_the_order_the_search_used():
     """Both diamonds of `<>P & <>Q & []P & []Q` start the world {P, Q},
     so the children do not show which diamond each answers: the diamond
     node keeps the order the search used in `pick`, and the certificate
-    lists that order, a hinted one too, and reads back to it."""
+    lists that order where it is not the default, key order, and reads
+    back to it."""
     phi = norm("<>P & <>Q & []P & []Q")
     for order in (["<>P", "<>Q"], ["<>Q", "<>P"]):
         res = search(phi, guidance=Guidance(diamond_order={(): order}))
@@ -1110,7 +1212,8 @@ def test_a_diamond_node_keeps_the_order_the_search_used():
         assert [formula_key(d) for d in node.pick] == order
         assert {c.gamma for c in node.children} == {frozenset({norm("P"), norm("Q")})}
         cert = certificate_to_json(res.tableau)
-        assert json.loads(cert)["diamond_order"] == [[[], order]]
+        listed = [] if order == sorted(order) else [[[], order]]
+        assert json.loads(cert)["diamond_order"] == listed
         assert certificate_to_json(certificate_from_json(cert)) == cert
         assert verify_tableau(res.tableau, phi) == []
 
